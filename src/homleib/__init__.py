@@ -9,7 +9,8 @@ operators.
 
 __version__ = "0.1.0"
 
-from ._kernel import BACKEND as KERNEL_BACKEND
+KERNEL_BACKEND = "pure"  # the one polynomial kernel, homleib._kernel._polypure
+
 from .poly import LinearForm, MultiPoly, parse_poly, print_poly
 from .structure import (
     ConformalAlgebra,

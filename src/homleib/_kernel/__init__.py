@@ -1,28 +1,11 @@
-"""Kernel selection: compiled accelerator if available, pure Python otherwise.
+"""The polynomial kernel (pure Python, see _polypure)."""
 
-Set HOMLEIB_PURE=1 to force the pure kernel (used by the benchmark and to
-reproduce results independently of the compiled path).
-"""
-
-import os
-
-if os.environ.get("HOMLEIB_PURE"):
-    from . import _polypure as impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _polycore as impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _polypure as impl
-
-        BACKEND = "pure"
-
-add_terms = impl.add_terms
-scale_terms = impl.scale_terms
-mul_terms = impl.mul_terms
-pow_terms = impl.pow_terms
-substitute_terms = impl.substitute_terms
-merge_keys = impl.merge_keys
+from ._polypure import (
+    add_terms,
+    merge_keys,
+    mul_terms,
+    pow_terms,
+    scale_terms,
+    substitute_many,
+    substitute_terms,
+)

@@ -1,16 +1,28 @@
-"""Pure-Python polynomial kernels.
+"""Pure-Python polynomial kernel.
 
-A polynomial is a dict mapping a monomial key to a nonzero Fraction.
-A monomial key is a tuple of (variable, exponent) pairs, sorted by
-variable id, with no zero exponents; the empty tuple is the constant
-monomial.  These functions are the hot loops of the whole engine and
-are mirrored one-for-one by the compiled kernel in _polycore.pyx.
+A polynomial is a dict mapping a monomial key to a nonzero rational
+coefficient.  A monomial key is a tuple of (variable, exponent) pairs,
+sorted by variable id, with no zero exponents; the empty tuple is the
+constant monomial.  These functions are the hot loops of the whole engine.
+
+Coefficients are int-first: an integral coefficient is stored as an
+``int`` and only a non-integral one as a ``Fraction``, as in FLINT's
+fmpq_mpoly (an integer polynomial with a rational content).  Sums and
+products of ints stay ints; every function below turns an integral
+``Fraction`` result back into an ``int``, so each value has one stored
+form.  Invariant: no ``/`` ever touches a bare ``int`` coefficient (int / int
+is a float and would end exactness); the kernel only adds and multiplies.
 """
 
-from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _settle(out):
+    """Store the integral Fraction values of `out` as int, in place."""
+    # A sum of ints is an int; a single Fraction among them makes it one.
+    if type(sum(out.values())) is not int:
+        for key, c in out.items():
+            if c.denominator == 1:
+                out[key] = c.numerator
+    return out
 
 
 def merge_keys(ka, kb):
@@ -56,13 +68,13 @@ def add_terms(a, b):
                 out[key] = c
             else:
                 del out[key]
-    return out
+    return _settle(out)
 
 
 def scale_terms(a, coeff):
     if not coeff:
         return {}
-    return {key: c * coeff for key, c in a.items()}
+    return _settle({key: c * coeff for key, c in a.items()})
 
 
 def mul_terms(a, b):
@@ -81,47 +93,71 @@ def mul_terms(a, b):
                     out[key] = c
                 else:
                     del out[key]
-    return out
+    return _settle(out)
 
 
 def pow_terms(a, n):
-    if n == 0:
-        return {(): _ONE}
-    out = a
-    for _ in range(n - 1):
-        out = mul_terms(out, a)
+    """a**n by repeated squaring."""
+    out = {(): 1}
+    while n:
+        if n & 1:
+            out = mul_terms(out, a)
+        n >>= 1
+        if n:
+            a = mul_terms(a, a)
     return out
 
 
 def substitute_terms(terms, var, target):
-    """Replace `var` by the polynomial `target`, fully expanded.
+    """Replace `var` by the polynomial `target`, fully expanded."""
+    return _substitute(terms, {var: target})
 
-    Powers of the target are cached because substitution of a linear form
-    into a degree-d polynomial needs every power up to d.
-    """
+
+def substitute_many(terms, targets):
+    """Replace every variable v in `targets` by the polynomial targets[v],
+    all at once, fully expanded.  Targets may mention the substituted
+    variables themselves (l1 -> l2 and l2 -> l1 swap them)."""
+    return _substitute(terms, targets)
+
+
+def _substitute(terms, targets):
+    # Powers of each target are cached, and so is the product of target
+    # powers for each substituted part of a key.
     out = {}
-    powers = [{(): _ONE}, target]
+    powers = {v: [None, t] for v, t in targets.items()}
+    products = {}
     for key, coeff in terms.items():
-        k = 0
         rest = []
-        for v, e in key:
-            if v == var:
-                k = e
+        sub = []
+        for ve in key:
+            if ve[0] in powers:
+                sub.append(ve)
             else:
-                rest.append((v, e))
-        piece = {tuple(rest): coeff}
-        if k:
-            while len(powers) <= k:
-                powers.append(mul_terms(powers[-1], target))
-            piece = mul_terms(piece, powers[k])
-        for pk, pc in piece.items():
+                rest.append(ve)
+        if not sub:
+            pieces = ((key, 1),)
+            rest = ()
+        else:
+            sub = tuple(sub)
+            prod = products.get(sub)
+            if prod is None:
+                for v, e in sub:
+                    cache = powers[v]
+                    while len(cache) <= e:
+                        cache.append(mul_terms(cache[-1], cache[1]))
+                    prod = cache[e] if prod is None else mul_terms(prod, cache[e])
+                products[sub] = prod
+            pieces = prod.items()
+            rest = tuple(rest)
+        for pk, pc in pieces:
+            pk = merge_keys(rest, pk)
             c = out.get(pk)
             if c is None:
-                out[pk] = pc
+                out[pk] = coeff * pc
             else:
-                c = c + pc
+                c = c + coeff * pc
                 if c:
                     out[pk] = c
                 else:
                     del out[pk]
-    return out
+    return _settle(out)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .poly import D, MultiPoly, LinearForm, X, lam
@@ -45,9 +44,6 @@ from .structure import (
     normalize_table,
     zero_element,
 )
-
-_TMP_BASE = 10**6  # scratch variable ids for simultaneous relabeling
-
 
 @dataclass(frozen=True)
 class Cochain:
@@ -188,20 +184,15 @@ def eval_cochain(
 def _relabel(p: MultiPoly, count: int, lams: list[LinearForm]) -> MultiPoly:
     """Substitute stored l1..l<count> by the parameter list, simultaneously.
 
-    Targets may themselves mention l-variables (and D), so the stored
-    variables are moved to scratch ids first.
+    Targets may themselves mention l-variables (and D).
     """
     if count == 0:
         return p
     live = p.variables()
-    needed = [i for i in range(1, count + 1) if lam(i) in live]
-    if not needed:
+    targets = {lam(i): lams[i - 1] for i in range(1, count + 1) if lam(i) in live}
+    if not targets:
         return p
-    for i in needed:
-        p = p.substitute(lam(i), LinearForm.variable(_TMP_BASE + i))
-    for i in needed:
-        p = p.substitute(_TMP_BASE + i, lams[i - 1])
-    return p
+    return p.substitute_many(targets)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
@@ -503,7 +494,7 @@ def random_cochain(
             for mono in monomials:
                 c = rng.randint(-2, 2)
                 if c:
-                    terms[mono] = Fraction(c)
+                    terms[mono] = c
             vec.append(MultiPoly(terms))
         if any(not p.is_zero for p in vec):
             table[key] = tuple(vec)

@@ -19,7 +19,6 @@ the expression grammar of poly.parse_poly.  Section kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .poly import (
     MultiPoly,
@@ -408,7 +407,7 @@ def build_finite(file: DefinitionFile):
 
     twist_value = s.get("twist")
     if twist_value is None:
-        twist = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+        twist = [[int(i == j) for j in range(rank)] for i in range(rank)]
     else:
         twist = [
             [_rat(p, f"[{s.label}] twist") for p in row] for row in twist_value

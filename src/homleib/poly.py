@@ -54,17 +54,35 @@ class PolyError(ValueError):
     pass
 
 
-def _as_fraction(c: Rat) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _as_rational(c: Rat) -> Rat:
+    """The exact value of c in its stored form: int when integral,
+    Fraction otherwise (see the kernel's int-first invariant)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational (int-first) coefficients."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        self._terms = dict(terms) if terms else {}
+    def __init__(self, terms: Mapping[tuple, Rat] | None = None):
+        out = {}
+        if terms:
+            for key, c in terms.items():
+                c = _as_rational(c)
+                if c:
+                    out[key] = c
+        self._terms = out
+
+    @staticmethod
+    def _own(terms: dict) -> "MultiPoly":
+        """Wrap a normalized kernel result without copying it."""
+        p = _new(MultiPoly)
+        p._terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -74,8 +92,8 @@ class MultiPoly:
 
     @staticmethod
     def const(c: Rat) -> "MultiPoly":
-        c = _as_fraction(c)
-        return MultiPoly({(): c} if c else None)
+        c = _as_rational(c)
+        return MultiPoly._own({(): c} if c else {})
 
     @staticmethod
     def var(v: int, exp: int = 1) -> "MultiPoly":
@@ -83,30 +101,30 @@ class MultiPoly:
             raise PolyError("negative exponent")
         if exp == 0:
             return MultiPoly.const(1)
-        return MultiPoly({((v, exp),): Fraction(1)})
+        return MultiPoly._own({((v, exp),): 1})
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(K.add_terms(self._terms, other._terms))
+        return MultiPoly._own(K.add_terms(self._terms, other._terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(K.scale_terms(self._terms, Fraction(-1)))
+        return MultiPoly._own(K.scale_terms(self._terms, -1))
 
     def __mul__(self, other: "MultiPoly | Rat") -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            return MultiPoly(K.mul_terms(self._terms, other._terms))
-        return MultiPoly(K.scale_terms(self._terms, _as_fraction(other)))
+            return MultiPoly._own(K.mul_terms(self._terms, other._terms))
+        return MultiPoly._own(K.scale_terms(self._terms, _as_rational(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise PolyError("negative exponent")
-        return MultiPoly(K.pow_terms(self._terms, n))
+        return MultiPoly._own(K.pow_terms(self._terms, n))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MultiPoly) and self._terms == other._terms
@@ -123,7 +141,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[tuple, Fraction]]:
+    def terms(self) -> Iterator[tuple[tuple, Rat]]:
         return iter(self._terms.items())
 
     def raw(self) -> dict:
@@ -135,10 +153,10 @@ class MultiPoly:
             vs.update(v for v, _ in key)
         return vs
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rat:
         """The rational value of a constant polynomial."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) != {()}:
             raise PolyError(f"not a constant polynomial: {self}")
         return self._terms[()]
@@ -154,7 +172,15 @@ class MultiPoly:
         """Replace every occurrence of variable v by `target`, expanded."""
         if isinstance(target, LinearForm):
             target = target.to_poly()
-        return MultiPoly(K.substitute_terms(self._terms, v, target._terms))
+        return MultiPoly._own(K.substitute_terms(self._terms, v, target._terms))
+
+    def substitute_many(self, targets: Mapping[int, "LinearForm | MultiPoly"]) -> "MultiPoly":
+        """Replace each variable v in `targets` by targets[v], all at once."""
+        raw = {
+            v: (t.to_poly() if isinstance(t, LinearForm) else t)._terms
+            for v, t in targets.items()
+        }
+        return MultiPoly._own(K.substitute_many(self._terms, raw))
 
     def __repr__(self) -> str:
         return f"MultiPoly({print_poly(self)!r})"
@@ -163,6 +189,7 @@ class MultiPoly:
         return print_poly(self)
 
 
+_new = object.__new__
 _ZERO_POLY = MultiPoly()
 
 ZERO = _ZERO_POLY
@@ -186,11 +213,11 @@ class LinearForm:
         items = {}
         if coeffs:
             for v, c in coeffs.items():
-                c = _as_fraction(c)
+                c = _as_rational(c)
                 if c:
                     items[v] = c
         self.coeffs = items
-        self.constant = _as_fraction(constant)
+        self.constant = _as_rational(constant)
 
     @staticmethod
     def variable(v: int) -> "LinearForm":
@@ -202,8 +229,8 @@ class LinearForm:
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "LinearForm":
-        coeffs: dict[int, Fraction] = {}
-        constant = Fraction(0)
+        coeffs: dict[int, Rat] = {}
+        constant = 0
         for key, c in p.terms():
             if key == ():
                 constant = c
@@ -219,12 +246,12 @@ class LinearForm:
             terms[()] = self.constant
         for v, c in self.coeffs.items():
             terms[((v, 1),)] = c
-        return MultiPoly(terms)
+        return MultiPoly._own(terms)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
+            coeffs[v] = coeffs.get(v, 0) + c
         return LinearForm(coeffs, self.constant + other.constant)
 
     def __neg__(self) -> "LinearForm":
@@ -418,7 +445,11 @@ def _parse_atom(sc: _Scanner) -> MultiPoly:
         return MultiPoly.var(X)
     if ch == "l":
         sc.pos += 1
-        return MultiPoly.var(lam(sc.read_uint()))
+        start = sc.pos
+        index = sc.read_uint()
+        if index < 1:
+            raise ParseError("lambda variables are numbered from 1", start)
+        return MultiPoly.var(lam(index))
     if ch == "m" and sc.text[sc.pos : sc.pos + 2] == "mu":
         sc.pos += 2
         return MultiPoly.var(MU)

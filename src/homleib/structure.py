@@ -15,7 +15,6 @@ polynomials in D, hence automatically commutes with the D-action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import (
@@ -388,7 +387,7 @@ def current_algebra(
     for (i, j), vec in constants.items():
         if len(vec) != rank:
             raise DimensionError(f"constant vector at {(i, j)} has wrong length")
-        structure[(i, j)] = tuple(MultiPoly.const(Fraction(v)) for v in vec)
-    alpha = PdModuleMap([[MultiPoly.const(Fraction(v)) for v in row] for row in twist])
+        structure[(i, j)] = tuple(MultiPoly.const(v) for v in vec)
+    alpha = PdModuleMap([[MultiPoly.const(v) for v in row] for row in twist])
     names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(rank))
     return ConformalAlgebra(rank, names, normalize_table(structure, rank), alpha)

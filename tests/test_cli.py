@@ -95,6 +95,16 @@ def test_unknown_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_lambda_zero_is_one_line_error(capsys, tmp_path):
+    bad = tmp_path / "l0.def"
+    bad.write_text(
+        '[algebra]\nname = "bad"\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["D + l0"]\n'
+    )
+    code, out, err = run(capsys, "check", "algebra", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "numbered from 1" in err
+
+
 def test_construct_cur_output_reparses(capsys):
     code, out, _ = run(capsys, "construct", "cur", path("cur2.def"))
     assert code == 0

@@ -1,47 +1,128 @@
-"""Both kernel backends must agree exactly."""
+"""The polynomial kernel: basics, int-first coefficients, powers and
+simultaneous substitution."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from homleib._kernel import _polypure
+from homleib.poly import MultiPoly, parse_poly, print_poly
 
-try:
-    from homleib._kernel import _polycore
-except ImportError:
-    _polycore = None
+K = _polypure
 
 
-def rand_terms(rng, nvars=4, deg=4, nterms=6):
+def rand_terms(rng, nvars=4, deg=4, nterms=6, den=4):
     out = {}
     for _ in range(nterms):
         key = tuple((v, e) for v in range(nvars) if (e := rng.randint(0, deg)))
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, den))
         if c:
             out[key] = out.get(key, Fraction(0)) + c
     return {k: v for k, v in out.items() if v}
 
 
+def as_fractions(terms):
+    return {k: Fraction(c) for k, c in terms.items()}
+
+
+def all_int_first(terms):
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction
+        for c in terms.values()
+    )
+
+
+def two_pass_substitute(terms, targets):
+    """The former simultaneous substitution: move each substituted variable
+    to a scratch id, then substitute the scratch ids one at a time."""
+    scratch = 10**6
+    for v in targets:
+        terms = K.substitute_terms(terms, v, {((scratch + v, 1),): 1})
+    for v, t in targets.items():
+        terms = K.substitute_terms(terms, scratch + v, t)
+    return terms
+
+
 def test_pure_kernel_basics():
     one = {(): Fraction(1)}
     a = {((0, 1),): Fraction(2)}
-    assert _polypure.mul_terms(a, one) == a
-    assert _polypure.add_terms(a, {}) == a
-    assert _polypure.pow_terms(a, 0) == one
-    assert _polypure.substitute_terms(a, 0, {(): Fraction(3)}) == {(): Fraction(6)}
+    assert K.mul_terms(a, one) == a
+    assert K.add_terms(a, {}) == a
+    assert K.pow_terms(a, 0) == one
+    assert K.substitute_terms(a, 0, {(): Fraction(3)}) == {(): Fraction(6)}
 
 
-@pytest.mark.skipif(_polycore is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(99)
+def test_pow_terms_equals_repeated_multiplication():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = rand_terms(rng, nvars=3, deg=2, nterms=3)
+        expected = {(): 1}
+        for n in range(10):
+            assert K.pow_terms(a, n) == expected
+            expected = K.mul_terms(expected, a)
+
+
+def test_substitute_many_equals_two_pass():
+    rng = random.Random(7)
+    for _ in range(200):
+        terms = rand_terms(rng, nvars=5, deg=3)
+        subst = rng.sample(range(5), rng.randint(1, 3))
+        targets = {v: rand_terms(rng, nvars=5, deg=1, nterms=3) for v in subst}
+        assert K.substitute_many(terms, targets) == two_pass_substitute(terms, targets)
+
+
+def test_substitute_many_swap_and_self_reference():
+    l1, l2, d = 3, 4, 0
+    p = {((l1, 2), (l2, 1)): 3, ((d, 1), (l1, 1)): Fraction(1, 2), (): 1}
+    swap = {l1: {((l2, 1),): 1}, l2: {((l1, 1),): 1}}
+    assert K.substitute_many(p, swap) == {((l1, 1), (l2, 2)): 3, ((d, 1), (l2, 1)): Fraction(1, 2), (): 1}
+    assert K.substitute_many(K.substitute_many(p, swap), swap) == p
+    # targets that mention the substituted variables themselves
+    mixed = {l1: {((l1, 1),): 1, ((l2, 1),): 1}, l2: {((d, 1),): -1, ((l1, 1),): 2}}
+    assert K.substitute_many(p, mixed) == two_pass_substitute(p, mixed)
+
+
+def test_int_first_storage():
+    assert type(MultiPoly({(): Fraction(4, 2)}).raw()[()]) is int
+    assert MultiPoly({(): Fraction(0), ((0, 1),): 3}).raw() == {((0, 1),): 3}
+    assert type(MultiPoly.const(Fraction(6, 3)).raw()[()]) is int
+    half = MultiPoly.const(Fraction(1, 2))
+    assert type((half + half).raw()[()]) is int
+    assert type((half * 2).raw()[()]) is int
+    assert type((half * half).raw()[()]) is Fraction
+    rng = random.Random(11)
     for _ in range(200):
         a, b = rand_terms(rng), rand_terms(rng)
-        assert _polycore.add_terms(a, b) == _polypure.add_terms(a, b)
-        assert _polycore.mul_terms(a, b) == _polypure.mul_terms(a, b)
-        assert _polycore.pow_terms(a, 3) == _polypure.pow_terms(a, 3)
-        target = rand_terms(rng, nvars=3, deg=1, nterms=3)
-        v = rng.randint(0, 3)
-        assert _polycore.substitute_terms(a, v, target) == _polypure.substitute_terms(
-            a, v, target
-        )
+        for out in (
+            K.add_terms(a, b),
+            K.mul_terms(a, b),
+            K.scale_terms(a, Fraction(4)),
+            K.pow_terms(a, 2),
+            K.substitute_terms(a, 1, rand_terms(rng, nvars=3, deg=1, nterms=3)),
+        ):
+            assert all_int_first(out)
+
+
+def test_int_inputs_agree_with_fraction_inputs():
+    rng = random.Random(13)
+    for _ in range(200):
+        a = rand_terms(rng, den=1)
+        b = rand_terms(rng, den=1)
+        t = rand_terms(rng, nvars=3, deg=1, nterms=3, den=1)
+        ia, ib, it = ({k: int(c) for k, c in x.items()} for x in (a, b, t))
+        fa, fb, ft = as_fractions(a), as_fractions(b), as_fractions(t)
+        assert K.add_terms(ia, ib) == K.add_terms(fa, fb)
+        assert K.mul_terms(ia, ib) == K.mul_terms(fa, fb)
+        assert K.pow_terms(ia, 3) == K.pow_terms(fa, 3)
+        assert K.substitute_terms(ia, 2, it) == K.substitute_terms(fa, 2, ft)
+        assert all(type(c) is int for c in K.mul_terms(fa, fb).values())
+
+
+def test_print_parse_round_trip_unchanged():
+    rng = random.Random(17)
+    for _ in range(200):
+        terms = rand_terms(rng)
+        text = print_poly(MultiPoly(as_fractions(terms)))
+        p = parse_poly(text)
+        assert all_int_first(p.raw())
+        assert print_poly(p) == text and p == MultiPoly(terms)
+    assert print_poly(parse_poly("4/2*D - 3/6*l1^2 + 1")) == "-1/2*l1^2 + 2*D + 1"

@@ -138,6 +138,9 @@ def test_parse_errors_carry_position():
         parse_poly("y + 1")
     with pytest.raises(ParseError):
         parse_poly("1/0")
+    with pytest.raises(ParseError) as exc:
+        parse_poly("D + l0")
+    assert exc.value.pos == 5
 
 
 def test_linear_form_round_trip():
