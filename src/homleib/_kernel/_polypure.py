@@ -9,19 +9,23 @@ Coefficients are int-first: an integral coefficient is stored as an
 ``int`` and only a non-integral one as a ``Fraction``, as in FLINT's
 fmpq_mpoly (an integer polynomial with a rational content).  Sums and
 products of ints stay ints; every function below turns an integral
-``Fraction`` result back into an ``int``, so each value has one stored
-form.  Invariant: no ``/`` ever touches a bare ``int`` coefficient (int / int
-is a float and would end exactness); the kernel only adds and multiplies.
+``Fraction`` result back into an ``int``, so int-first inputs give
+int-first results and each value has one stored form.  Invariant: no
+``/`` ever touches a bare ``int`` coefficient (int / int is a float and
+would end exactness); the kernel only adds and multiplies.
+
+Term dicts are never mutated after they are built: a function fills its
+own fresh dict and hands it out, and neither the kernel nor its callers
+write to a dict they received.  Results may therefore share a dict with
+an input; a substitution that changes nothing returns its input itself.
 """
 
 
 def _settle(out):
     """Store the integral Fraction values of `out` as int, in place."""
-    # A sum of ints is an int; a single Fraction among them makes it one.
-    if type(sum(out.values())) is not int:
-        for key, c in out.items():
-            if c.denominator == 1:
-                out[key] = c.numerator
+    for key, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[key] = c.numerator
     return out
 
 
@@ -121,8 +125,19 @@ def substitute_many(terms, targets):
 
 
 def _substitute(terms, targets):
-    # Powers of each target are cached, and so is the product of target
-    # powers for each substituted part of a key.
+    # A substitution that touches no key returns `terms` itself (see the
+    # no-mutation invariant above).  Otherwise powers of each target are
+    # cached, and so is the product of target powers for each substituted
+    # part of a key.
+    for key in terms:
+        for v, _ in key:
+            if v in targets:
+                break
+        else:
+            continue
+        break
+    else:
+        return terms
     out = {}
     powers = {v: [None, t] for v, t in targets.items()}
     products = {}

@@ -40,6 +40,7 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    basis_element,
     eval_bracket,
     normalize_table,
     zero_element,
@@ -144,41 +145,63 @@ def eval_cochain(
         raise DimensionError(
             f"arity-{n} cochain applied to {len(args)} arguments and {len(lams)} parameters"
         )
-    for a in args:
-        if a.ambient_rank != f.alg_rank:
-            raise DimensionError("argument rank does not match the cochain")
+    return _evaluator(f, lams)(args)
+
+
+def _evaluator(f: Cochain, lams: list[LinearForm]):
+    """f at the parameter list `lams`, as a function of the argument tuple.
+
+    What depends only on the parameters is done once here: the slot
+    substitutions for D, and a table of stored values relabelled to
+    `lams`, filled as keys are met.  Applying the result to n arguments
+    only substitutes D into their coordinates, multiplies and
+    accumulates.  An evaluator lives for one coboundary call.
+    """
+    n = f.arity
     last_shift = LinearForm.variable(D)
     for w in lams:
         last_shift = last_shift + w
-    last_shift_p = last_shift.to_poly()
-    # per-slot substituted coefficients, keeping only nonzero entries
-    slot_coeffs: list[dict[int, MultiPoly]] = []
-    for s, a in enumerate(args):
-        subst = (-lams[s]).to_poly() if s < n - 1 else last_shift_p
-        entries = {}
-        for b, coeff in enumerate(a.coords):
-            if coeff.is_zero:
+    slot_subst = [(-w).to_poly() for w in lams] + [last_shift.to_poly()]
+    table = f.table
+    relabelled: dict[tuple[int, ...], tuple[MultiPoly, ...]] = {}
+    zero = MultiPoly.zero()
+
+    def apply(args: list[ConformalElement]) -> ConformalElement:
+        for a in args:
+            if a.ambient_rank != f.alg_rank:
+                raise DimensionError("argument rank does not match the cochain")
+        # per-slot substituted coefficients, keeping only nonzero entries
+        slot_coeffs: list[dict[int, MultiPoly]] = []
+        for subst, a in zip(slot_subst, args):
+            entries = {}
+            for b, coeff in enumerate(a.coords):
+                if coeff.is_zero:
+                    continue
+                coeff = coeff.substitute(D, subst)
+                if not coeff.is_zero:
+                    entries[b] = coeff
+            slot_coeffs.append(entries)
+        out = [zero] * f.rep_rank
+        if any(not entries for entries in slot_coeffs):
+            return ConformalElement(tuple(out))
+        for key in itertools.product(*(sorted(e) for e in slot_coeffs)):
+            vec = table.get(key)
+            if vec is None:
                 continue
-            coeff = coeff.substitute(D, subst)
-            if not coeff.is_zero:
-                entries[b] = coeff
-        slot_coeffs.append(entries)
-    out = [MultiPoly.zero()] * f.rep_rank
-    if any(not entries for entries in slot_coeffs):
+            factor = slot_coeffs[0][key[0]]
+            for s in range(1, n):
+                factor = factor * slot_coeffs[s][key[s]]
+            if factor.is_zero:
+                continue
+            values = relabelled.get(key)
+            if values is None:
+                values = relabelled[key] = tuple(_relabel(p, n - 1, lams) for p in vec)
+            for k, p in enumerate(values):
+                if not p.is_zero:
+                    out[k] = out[k] + factor * p
         return ConformalElement(tuple(out))
-    for key in itertools.product(*(sorted(e) for e in slot_coeffs)):
-        vec = f.table.get(key)
-        if vec is None:
-            continue
-        factor = MultiPoly.const(1)
-        for s, b in enumerate(key):
-            factor = factor * slot_coeffs[s][b]
-        if factor.is_zero:
-            continue
-        for k, p in enumerate(vec):
-            if not p.is_zero:
-                out[k] = out[k] + factor * _relabel(p, n - 1, lams)
-    return ConformalElement(tuple(out))
+
+    return apply
 
 
 def _relabel(p: MultiPoly, count: int, lams: list[LinearForm]) -> MultiPoly:
@@ -198,11 +221,11 @@ def _relabel(p: MultiPoly, count: int, lams: list[LinearForm]) -> MultiPoly:
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
     """Twist equivariance: f applied to twisted arguments equals the module
     twist of f.  Checked, not enforced, so counterexamples stay expressible."""
-    lams = [LinearForm.variable(lam(i)) for i in range(1, f.arity)]
+    evaluate = _evaluator(f, _output_lams(f.arity - 1))
+    twisted = [alg.alpha.apply(alg.basis(t)) for t in range(alg.rank)]
     with checked("cochain_twist_equivariance") as c:
         for key in itertools.product(range(alg.rank), repeat=f.arity):
-            args = [alg.alpha.apply(alg.basis(i)) for i in key]
-            lhs = eval_cochain(f, args, lams)
+            lhs = evaluate([twisted[t] for t in key])
             rhs = rep.beta.apply(ConformalElement(f.value(key)))
             c.add_nonzero(key, lhs - rhs)
     return c.report
@@ -235,40 +258,76 @@ def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
     return out
 
 
+def _coboundary_setup(f: Cochain, alg: ConformalAlgebra):
+    """What a coboundary of f needs that depends on no output key.
+
+    Returns the basis elements, their twists, their images under the
+    acting twist power, the parameters w_1..w_n with their sum, and the
+    evaluators of f for each left-action term, the right action and each
+    insertion pair (i, j): one evaluator per distinct parameter list.
+    """
+    n = f.arity
+    alpha_pow = alg.alpha.power(n - 1)
+    basis = [alg.basis(t) for t in range(alg.rank)]
+    twisted = [alg.alpha.apply(e) for e in basis]
+    acting = [alpha_pow.apply(e) for e in basis]
+    ws = _output_lams(n)
+    total = LinearForm()
+    for w in ws:
+        total = total + w
+    evaluators = {}
+
+    def evaluator(lams):
+        # terms with the same parameter list share one evaluator
+        key = repr(lams)
+        if key not in evaluators:
+            evaluators[key] = _evaluator(f, lams)
+        return evaluators[key]
+
+    left = [evaluator(_l_term_lams(n, i)) for i in range(1, n + 1)]
+    right = evaluator(ws[: n - 1])
+    insert = {
+        (i, j): evaluator(_insertion_lams(n, i, j))
+        for i in range(1, n + 2)
+        for j in range(i + 1, n + 2)
+    }
+    return basis, twisted, acting, ws, total, left, right, insert
+
+
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
     """The degree-raising operator of the two-sided module complex."""
     _check_ranks(f, alg, rep)
     n = f.arity
-    alpha_pow = alg.alpha.power(n - 1) if n >= 1 else alg.alpha
+    basis, twisted, acting, ws, total, left, right, insert = _coboundary_setup(f, alg)
+    # [e_a w_i e_b] for every insertion parameter w_i
+    brackets = {
+        (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
+        for i in range(1, n + 1)
+        for a in range(alg.rank)
+        for b in range(alg.rank)
+    }
     table = {}
     for key in itertools.product(range(alg.rank), repeat=n + 1):
         acc = zero_element(rep.rank)
-        basis = [alg.basis(t) for t in key]
         # left-action terms
         for i in range(1, n + 1):
-            reduced = [basis[s] for s in range(n + 1) if s != i - 1]
-            v = eval_cochain(f, reduced, _l_term_lams(n, i))
-            term = eval_l(rep, alpha_pow.apply(basis[i - 1]), v, LinearForm.variable(lam(i)))
+            v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
+            term = eval_l(rep, acting[key[i - 1]], v, ws[i - 1])
             acc = acc + term if (i % 2 == 1) else acc - term
         # right-action term
-        w = eval_cochain(f, basis[:n], _output_lams(n - 1))
-        total = LinearForm()
-        for k in range(1, n + 1):
-            total = total + LinearForm.variable(lam(k))
-        term = eval_r(rep, w, alpha_pow.apply(basis[n]), total)
+        w = right([basis[t] for t in key[:n]])
+        term = eval_r(rep, w, acting[key[n]], total)
         acc = acc + term if (n + 1) % 2 == 0 else acc - term
         # bracket-insertion terms
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                inner = eval_bracket(
-                    alg, basis[i - 1], basis[j - 1], LinearForm.variable(lam(i))
-                )
+                inner = brackets[i, key[i - 1], key[j - 1]]
                 args = [
-                    inner if s == j else alg.alpha.apply(basis[s - 1])
+                    inner if s == j else twisted[key[s - 1]]
                     for s in range(1, n + 2)
                     if s != i
                 ]
-                v = eval_cochain(f, args, _insertion_lams(n, i, j))
+                v = insert[i, j](args)
                 acc = acc - v if i % 2 == 1 else acc + v
         if not acc.is_zero:
             table[key] = acc.coords
@@ -296,48 +355,51 @@ def coboundary_HN(
     _check_ranks(g, alg, rep)
     nm = rep.n_m
     n = g.arity
-    alpha_pow = alg.alpha.power(n - 1)
+    basis, twisted, acting, ws, total, left, right, insert = _coboundary_setup(g, alg)
+    n_acting = [n_op.apply(a) for a in acting]
+    n_basis = [n_op.apply(e) for e in basis]
+    # the operator-twisted [e_a w_i e_b] for every insertion parameter w_i
+    brackets = {}
+    for i in range(1, n + 1):
+        wi = ws[i - 1]
+        for a in range(alg.rank):
+            for b in range(alg.rank):
+                pa, pb = basis[a], basis[b]
+                brackets[i, a, b] = (
+                    eval_bracket(alg, n_basis[a], pb, wi)
+                    + eval_bracket(alg, pa, n_basis[b], wi)
+                    - n_op.apply(eval_bracket(alg, pa, pb, wi))
+                )
     table = {}
     for key in itertools.product(range(alg.rank), repeat=n + 1):
         acc = zero_element(rep.rank)
-        basis = [alg.basis(t) for t in key]
         for i in range(1, n + 1):
-            reduced = [basis[s] for s in range(n + 1) if s != i - 1]
-            v = eval_cochain(g, reduced, _l_term_lams(n, i))
-            ai = alpha_pow.apply(basis[i - 1])
-            wi = LinearForm.variable(lam(i))
+            v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
+            ai = acting[key[i - 1]]
+            wi = ws[i - 1]
             term = (
-                eval_l(rep, n_op.apply(ai), v, wi)
+                eval_l(rep, n_acting[key[i - 1]], v, wi)
                 + eval_l(rep, ai, nm.apply(v), wi)
                 - nm.apply(eval_l(rep, ai, v, wi))
             )
             acc = acc + term if (i % 2 == 1) else acc - term
-        w = eval_cochain(g, basis[:n], _output_lams(n - 1))
-        total = LinearForm()
-        for k in range(1, n + 1):
-            total = total + LinearForm.variable(lam(k))
-        an = alpha_pow.apply(basis[n])
+        w = right([basis[t] for t in key[:n]])
+        an = acting[key[n]]
         term = (
             eval_r(rep, nm.apply(w), an, total)
-            + eval_r(rep, w, n_op.apply(an), total)
+            + eval_r(rep, w, n_acting[key[n]], total)
             - nm.apply(eval_r(rep, w, an, total))
         )
         acc = acc + term if (n + 1) % 2 == 0 else acc - term
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                pi, pj = basis[i - 1], basis[j - 1]
-                wi = LinearForm.variable(lam(i))
-                inner = (
-                    eval_bracket(alg, n_op.apply(pi), pj, wi)
-                    + eval_bracket(alg, pi, n_op.apply(pj), wi)
-                    - n_op.apply(eval_bracket(alg, pi, pj, wi))
-                )
+                inner = brackets[i, key[i - 1], key[j - 1]]
                 args = [
-                    inner if s == j else alg.alpha.apply(basis[s - 1])
+                    inner if s == j else twisted[key[s - 1]]
                     for s in range(1, n + 2)
                     if s != i
                 ]
-                v = eval_cochain(g, args, _insertion_lams(n, i, j))
+                v = insert[i, j](args)
                 acc = acc - v if i % 2 == 1 else acc + v
         if not acc.is_zero:
             table[key] = acc.coords
@@ -354,8 +416,12 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
 
     At arity 2 this is the familiar four-term expression
     f(Np, Nq) - nm f(p, Nq) - nm f(Np, q) + nm^2 f(p, q); at arity 1 it is
-    f(Np) - nm f(p).  The square-zero and commuting-square tests force
-    this form of the higher terms.
+    f(Np) - nm f(p).  The commuting-square tests force the higher terms:
+    the square applies phi to delta f, one arity above f, so the square on
+    arity-2 cochains forces the arity-3 sum and the square on arity-3
+    cochains the arity-4 sum.  Only the scalar cases force the terms with
+    two or more bare arguments; under the nilpotent operator of the
+    rank-2 cases those terms vanish.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
@@ -367,19 +433,16 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     nm_powers = [PdModuleMap.identity(rep.rank)]
     for _ in range(n):
         nm_powers.append(nm.compose(nm_powers[-1]))
-    lams = _output_lams(n - 1)
+    evaluate = _evaluator(f, _output_lams(n - 1))
+    basis = [basis_element(f.alg_rank, t) for t in range(f.alg_rank)]
+    mapped = [n_op.apply(e) for e in basis]
     table = {}
     for key in itertools.product(range(f.alg_rank), repeat=n):
-        basis = [ConformalElement(tuple(
-            MultiPoly.const(1) if b == t else MultiPoly.zero()
-            for b in range(f.alg_rank)
-        )) for t in key]
-        mapped = [n_op.apply(e) for e in basis]
         acc = zero_element(rep.rank)
         for mask in itertools.product((0, 1), repeat=n):
             bare = n - sum(mask)
-            args = [mapped[s] if mask[s] else basis[s] for s in range(n)]
-            v = nm_powers[bare].apply(eval_cochain(f, args, lams))
+            args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
+            v = nm_powers[bare].apply(evaluate(args))
             acc = acc + v if bare % 2 == 0 else acc - v
         if not acc.is_zero:
             table[key] = acc.coords

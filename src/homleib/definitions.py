@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import (
+    MAX_NESTING,
     MultiPoly,
     ParseError,
     RESERVED_NAMES,
@@ -168,18 +169,20 @@ class _Tok:
         self._advance()
         return s
 
-    def value(self):
+    def value(self, depth: int = 0):
         ch = self.peek()
         if ch == '"':
             return self.string()
         if ch == "[":
+            if depth == MAX_NESTING:
+                raise self.error(f"lists nested deeper than {MAX_NESTING} levels")
             self._advance()
             items = []
             if self.peek() == "]":
                 self._advance()
                 return items
             while True:
-                items.append(self.value())
+                items.append(self.value(depth + 1))
                 ch = self.peek()
                 if ch == ",":
                     self._advance()
@@ -255,6 +258,8 @@ def _matrix(value, where: str) -> PdModuleMap:
         raise DefinitionError(f"{where}: expected a matrix (list of rows)")
     try:
         return PdModuleMap([[_poly(p, where) for p in row] for row in value])
+    except DefinitionError:
+        raise  # already carries `where`
     except (DimensionError, ValueError) as exc:
         raise DefinitionError(f"{where}: {exc}") from exc
 
@@ -409,6 +414,12 @@ def build_finite(file: DefinitionFile):
     if twist_value is None:
         twist = [[int(i == j) for j in range(rank)] for i in range(rank)]
     else:
+        if not (
+            isinstance(twist_value, list)
+            and len(twist_value) == rank
+            and all(isinstance(row, list) and len(row) == rank for row in twist_value)
+        ):
+            raise DefinitionError(f"[{s.label}]: twist must be {rank}x{rank}")
         twist = [
             [_rat(p, f"[{s.label}] twist") for p in row] for row in twist_value
         ]

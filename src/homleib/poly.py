@@ -17,7 +17,7 @@ equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from . import _kernel as K
 
@@ -271,19 +271,6 @@ class LinearForm:
         return f"LinearForm({print_poly(self.to_poly())!r})"
 
 
-def form_sum(forms: Iterable[LinearForm]) -> LinearForm:
-    total = LinearForm()
-    for f in forms:
-        total = total + f
-    return total
-
-
-LAM1 = LinearForm.variable(lam(1))
-LAM2 = LinearForm.variable(lam(2))
-X_FORM = LinearForm.variable(X)
-D_FORM = LinearForm.variable(D)
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -333,10 +320,17 @@ class ParseError(PolyError):
         self.pos = pos
 
 
+# Deepest nesting of parentheses and unary minus signs, counted together,
+# that an expression may have.  Each level is a Python call or four, so
+# the bound keeps parsing well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -419,15 +413,19 @@ def _parse_factor(sc: _Scanner) -> MultiPoly:
 
 def _parse_atom(sc: _Scanner) -> MultiPoly:
     ch = sc.peek()
-    if ch == "(":
+    if ch == "(" or ch == "-":
+        if sc.depth == MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", sc.pos)
+        sc.depth += 1
         sc.pos += 1
-        p = _parse_expr(sc)
-        sc.expect(")")
+        if ch == "(":
+            p = _parse_expr(sc)
+            sc.expect(")")
+        else:
+            # Unary minus inside a factor; tolerated beyond the strict grammar.
+            p = -_parse_atom(sc)
+        sc.depth -= 1
         return p
-    if ch == "-":
-        # Unary minus inside a factor; tolerated beyond the strict grammar.
-        sc.pos += 1
-        return -_parse_atom(sc)
     if ch.isdigit():
         num = sc.read_uint()
         if sc.peek() == "/":

@@ -81,13 +81,3 @@ class checked:
         self.report.violations.sort(key=lambda v: (v.context, v.residual))
         self.report.timing_ms = (time.perf_counter() - self._t0) * 1000.0
         return False
-
-
-def merge_reports(name: str, reports: list[Report]) -> Report:
-    out = Report(name)
-    for r in reports:
-        out.violations.extend(
-            Violation((r.check_name,) + v.context, v.residual) for v in r.violations
-        )
-        out.timing_ms += r.timing_ms
-    return out

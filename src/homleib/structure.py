@@ -350,10 +350,6 @@ def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     return c.report
 
 
-def verify_algebra(alg: ConformalAlgebra) -> list[Report]:
-    return [verify_hom_leibniz(alg), verify_multiplicativity(alg)]
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------

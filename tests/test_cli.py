@@ -95,14 +95,55 @@ def test_unknown_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_lambda_zero_is_one_line_error(capsys, tmp_path):
-    bad = tmp_path / "l0.def"
-    bad.write_text(
-        '[algebra]\nname = "bad"\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["D + l0"]\n'
-    )
-    code, out, err = run(capsys, "check", "algebra", str(bad))
+def one_line_error(capsys, tmp_path, text, *argv):
+    bad = tmp_path / "bad.def"
+    bad.write_text(text)
+    code, out, err = run(capsys, *argv, str(bad))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "numbered from 1" in err
+    assert err.count("\n") == 1
+    return err
+
+
+def test_lambda_zero_is_one_line_error(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path,
+        '[algebra]\nname = "bad"\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["D + l0"]\n',
+        "check", "algebra",
+    )
+    assert "numbered from 1" in err
+
+
+def test_wrong_shape_finite_twist_is_one_line_error(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path,
+        '[finite]\nbasis = ["a", "b"]\n'
+        'twist = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]\nc.b.b = ["1", "0"]\n',
+        "construct", "cur",
+    )
+    assert "twist must be 2x2" in err
+
+
+def test_nested_list_matrix_entry_prefixed_once(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path, '[algebra]\nbasis = ["L"]\nalpha = [[["1"]]]\n', "check", "algebra"
+    )
+    assert err == "error: [algebra] alpha: expected a polynomial string\n"
+
+
+def test_deep_nesting_is_one_line_error(capsys, tmp_path):
+    head = '[algebra]\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = '
+    err = one_line_error(
+        capsys, tmp_path, head + '["' + "(" * 3000 + "D" + ")" * 3000 + '"]\n', "check", "lie"
+    )
+    assert "nested deeper than" in err
+    err = one_line_error(
+        capsys, tmp_path, head + '["D*' + "-" * 3000 + '1"]\n', "check", "lie"
+    )
+    assert "nested deeper than" in err
+    err = one_line_error(
+        capsys, tmp_path, head + "[" * 3000 + '"D"' + "]" * 3000 + "\n", "check", "lie"
+    )
+    assert "nested deeper than" in err
 
 
 def test_construct_cur_output_reparses(capsys):

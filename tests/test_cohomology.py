@@ -6,13 +6,14 @@ nonzero but their sum cancels exactly.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
-from homleib.structure import L1, PdModuleMap
+from homleib.structure import L1, PdModuleMap, eval_bracket
 from homleib.representation import adjoint_rep, eval_l, eval_r, induced_representation
 from homleib.operators import deformed_bracket
 from homleib.cohomology import (
@@ -28,6 +29,10 @@ from homleib.cohomology import (
     phi_map,
     random_cochain,
     zero_cochain,
+    _evaluator,
+    _insertion_lams,
+    _l_term_lams,
+    _output_lams,
 )
 
 NIL = PdModuleMap(
@@ -89,6 +94,39 @@ def test_positional_relabeling_is_simultaneous(vir):
         [LinearForm.variable(lam(2)), LinearForm.variable(lam(1))],
     )
     assert out.coords[0] == parse_poly("l2 + 2*l1")
+
+
+def test_one_evaluator_per_parameter_list_matches_fresh_evaluation(twisted2):
+    # Every (parameter list, arguments) pair that an arity-3 coboundary_homL
+    # evaluates: basis, twisted and bracket arguments.  They run in shuffled
+    # order through one evaluator per parameter list, so a relabel table
+    # reused across parameter lists would show; the reference evaluates a
+    # fresh copy of the cochain each time.
+    n = 3
+    rng = random.Random(51)
+    f = random_cochain(2, 2, n, rng, 2)
+    basis = [twisted2.basis(t) for t in range(2)]
+    twisted = [twisted2.alpha.apply(e) for e in basis]
+    calls = []
+    for key in itertools.product(range(2), repeat=n + 1):
+        args = [basis[t] for t in key]
+        for i in range(1, n + 1):
+            calls.append((_l_term_lams(n, i), args[: i - 1] + args[i:]))
+        calls.append((_output_lams(n - 1), args[:n]))
+        for i in range(1, n + 2):
+            for j in range(i + 1, n + 2):
+                inner = eval_bracket(twisted2, args[i - 1], args[j - 1], LinearForm.variable(lam(i)))
+                calls.append((
+                    _insertion_lams(n, i, j),
+                    [inner if s == j else twisted[key[s - 1]] for s in range(1, n + 2) if s != i],
+                ))
+    rng.shuffle(calls)
+    evaluators = {}
+    for lams, args in calls:
+        evaluate = evaluators.setdefault(repr(lams), _evaluator(f, lams))
+        fresh = dataclasses.replace(f, table=dict(f.table))
+        assert evaluate(args) == eval_cochain(fresh, args, lams)
+    assert len(evaluators) == 6
 
 
 def test_cochain_rejects_foreign_variables():
@@ -156,7 +194,7 @@ def test_cocycle_detection(vir):
 # -- square zero --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 def test_delta_squared_is_zero(vir, cur2, arity):
     for alg in (vir, cur2):
         rep = adjoint_rep(alg)
@@ -193,7 +231,7 @@ def test_hn_with_scalar_pair_scales(vir, c):
     assert (lhs - rhs).is_zero
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 def test_hn_equals_deformed_route(vir, cur2, arity):
     cases = [
         (vir, PdModuleMap.scalar(1, Fraction(2))),
@@ -260,7 +298,7 @@ def test_phi_vanishes_for_matching_scalars(vir):
 # -- commuting square and the combined complex ------------------------------------
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2)])
 def test_commuting_square_scalar(vir, arity, c):
     n = PdModuleMap.scalar(1, c)
@@ -273,7 +311,7 @@ def test_commuting_square_scalar(vir, arity, c):
         assert (lhs - rhs).is_zero
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 def test_commuting_square_nilpotent(cur2, arity):
     rep = with_nm(adjoint_rep(cur2), NIL)
     rng = random.Random(16)
@@ -303,17 +341,19 @@ def test_combined_coboundary_components(vir):
 
 
 def test_combined_square_zero(vir, cur2):
+    # (arity of f, arity of g) = (2, 1), and (3, 2) on cur2
     cases = [
-        (vir, PdModuleMap.scalar(1, Fraction(2))),
-        (cur2, NIL),
+        (vir, PdModuleMap.scalar(1, Fraction(2)), 2),
+        (cur2, NIL, 2),
+        (cur2, NIL, 3),
     ]
-    for alg, n in cases:
+    for alg, n, arity in cases:
         rep = with_nm(adjoint_rep(alg), n)
         rng = random.Random(31)
         for _ in range(4):
             pair = HNLAPair(
-                random_cochain(alg.rank, rep.rank, 2, rng, 2),
-                random_cochain(alg.rank, rep.rank, 1, rng, 2),
+                random_cochain(alg.rank, rep.rank, arity, rng, 2),
+                random_cochain(alg.rank, rep.rank, arity - 1, rng, 2),
             )
             dd = coboundary_HNLA(coboundary_HNLA(pair, alg, n, rep), alg, n, rep)
             assert dd.is_zero
@@ -350,7 +390,7 @@ def test_full_stack_under_unipotent_twist(twisted2):
     assert adjacent_algebra(ns).structure == deform(twisted2, NIL).structure
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 def test_delta_squared_zero_under_unipotent_twist(twisted2, arity):
     rep = adjoint_rep(twisted2)
     rng = random.Random(41)
@@ -359,7 +399,7 @@ def test_delta_squared_zero_under_unipotent_twist(twisted2, arity):
         assert coboundary_homL(coboundary_homL(f, twisted2, rep), twisted2, rep).is_zero
 
 
-@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3])
 def test_commuting_square_under_unipotent_twist(twisted2, arity):
     rep = with_nm(adjoint_rep(twisted2), NIL)
     rng = random.Random(42)
@@ -373,9 +413,9 @@ def test_commuting_square_under_unipotent_twist(twisted2, arity):
 def test_combined_square_zero_under_unipotent_twist(twisted2):
     rep = with_nm(adjoint_rep(twisted2), NIL)
     rng = random.Random(43)
-    for _ in range(3):
+    for arity in (2, 2, 2, 3, 3):
         pair = HNLAPair(
-            random_cochain(2, 2, 2, rng, 2), random_cochain(2, 2, 1, rng, 2)
+            random_cochain(2, 2, arity, rng, 2), random_cochain(2, 2, arity - 1, rng, 2)
         )
         dd = coboundary_HNLA(coboundary_HNLA(pair, twisted2, NIL, rep), twisted2, NIL, rep)
         assert dd.is_zero

@@ -126,3 +126,30 @@ def test_print_parse_round_trip_unchanged():
         assert all_int_first(p.raw())
         assert print_poly(p) == text and p == MultiPoly(terms)
     assert print_poly(parse_poly("4/2*D - 3/6*l1^2 + 1")) == "-1/2*l1^2 + 2*D + 1"
+
+
+def test_substitution_that_touches_nothing_returns_its_input():
+    d, l1, l2 = 0, 3, 4
+    terms = {((d, 2),): 3, ((d, 1), (l2, 1)): Fraction(1, 2), (): 1}
+    target = {((l1, 1),): 1, (): 1}
+    assert K.substitute_terms(terms, l1, target) is terms
+    assert K.substitute_many(terms, {1: target, l1: target}) is terms
+    empty = {}
+    assert K.substitute_terms(empty, d, target) is empty
+    # one key mentions a target: a new dict holding the full substitution
+    assert K.substitute_terms(terms, l2, target) == {
+        ((d, 2),): 3, ((d, 1), (l1, 1)): Fraction(1, 2), ((d, 1),): Fraction(1, 2), (): 1
+    }
+    assert K.substitute_many(terms, {l1: target, l2: target}) == two_pass_substitute(
+        terms, {l1: target, l2: target}
+    )
+    rng = random.Random(19)
+    for _ in range(200):
+        terms = rand_terms(rng, nvars=5, deg=2, nterms=rng.randint(0, 3))
+        v = rng.randrange(5)
+        t = rand_terms(rng, nvars=5, deg=1, nterms=2)
+        out = K.substitute_terms(terms, v, t)
+        if any(u == v for key in terms for u, _ in key):
+            assert out is not terms and out == two_pass_substitute(terms, {v: t})
+        else:
+            assert out is terms

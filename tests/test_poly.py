@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homleib.poly import (
     D,
+    MAX_NESTING,
     X,
     LinearForm,
     MultiPoly,
@@ -141,6 +142,21 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_poly("D + l0")
     assert exc.value.pos == 5
+
+
+def test_nesting_beyond_the_limit_is_a_parse_error():
+    deep = "(" * MAX_NESTING + "D" + ")" * MAX_NESTING
+    assert parse_poly(deep) == MultiPoly.var(D)
+    assert parse_poly("2*" + "-" * MAX_NESTING + "D") == MultiPoly.var(D) * 2
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(" + deep + ")")
+    assert exc.value.pos == MAX_NESTING
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(" * 3000 + "D" + ")" * 3000)
+    assert exc.value.pos == MAX_NESTING
+    with pytest.raises(ParseError) as exc:
+        parse_poly("D*" + "-" * 3000 + "1")
+    assert exc.value.pos == 2 + MAX_NESTING
 
 
 def test_linear_form_round_trip():
