@@ -34,7 +34,8 @@ from random import Random
 
 from .poly import D, MultiPoly, LinearForm, X, lam
 from .report import Report, checked
-from .representation import Representation, eval_l, eval_r
+from .operators import deformed_bracket
+from .representation import Representation, eval_l, eval_r, induced_representation
 from .structure import (
     ConformalAlgebra,
     ConformalElement,
@@ -258,14 +259,16 @@ def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
     return out
 
 
-def _coboundary_setup(f: Cochain, alg: ConformalAlgebra):
-    """What a coboundary of f needs that depends on no output key.
+def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
+    """The degree-raising operator of the two-sided module complex.
 
-    Returns the basis elements, their twists, their images under the
-    acting twist power, the parameters w_1..w_n with their sum, and the
-    evaluators of f for each left-action term, the right action and each
-    insertion pair (i, j): one evaluator per distinct parameter list.
+    What depends on no output key is computed before the loop over keys:
+    the basis elements, their twists and their images under the acting
+    twist power, the parameters w_1..w_n and their sum, the basis-pair
+    brackets, and one evaluator of f per distinct parameter list among
+    the left-action terms, the right action and the insertion pairs.
     """
+    _check_ranks(f, alg, rep)
     n = f.arity
     alpha_pow = alg.alpha.power(n - 1)
     basis = [alg.basis(t) for t in range(alg.rank)]
@@ -291,14 +294,6 @@ def _coboundary_setup(f: Cochain, alg: ConformalAlgebra):
         for i in range(1, n + 2)
         for j in range(i + 1, n + 2)
     }
-    return basis, twisted, acting, ws, total, left, right, insert
-
-
-def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
-    """The degree-raising operator of the two-sided module complex."""
-    _check_ranks(f, alg, rep)
-    n = f.arity
-    basis, twisted, acting, ws, total, left, right, insert = _coboundary_setup(f, alg)
     # [e_a w_i e_b] for every insertion parameter w_i
     brackets = {
         (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
@@ -340,70 +335,20 @@ def coboundary_HN(
     n_op: PdModuleMap,
     rep: Representation,
 ) -> Cochain:
-    """The operator-twisted coboundary, written out term by term.
+    """The operator-twisted coboundary: the plain coboundary over the
+    deformed bracket [p q]_N with coefficients in the induced actions.
 
-    Each group of the plain coboundary splits in three: left actions act
+    Expanding it, each group of terms splits in three: left actions act
     through n_op on the argument, through the module operator on the
     value, and once more with the module operator pulled outside (with a
     minus sign); the right-action and insertion groups split the same
-    way.  The result coincides with the plain coboundary taken over the
-    deformed bracket and the induced actions, which is asserted as a test
-    cross-check rather than used as the implementation.
+    way.  Both constructions are total and linear, so this holds for
+    every operator pair, Nijenhuis or not.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
     _check_ranks(g, alg, rep)
-    nm = rep.n_m
-    n = g.arity
-    basis, twisted, acting, ws, total, left, right, insert = _coboundary_setup(g, alg)
-    n_acting = [n_op.apply(a) for a in acting]
-    n_basis = [n_op.apply(e) for e in basis]
-    # the operator-twisted [e_a w_i e_b] for every insertion parameter w_i
-    brackets = {}
-    for i in range(1, n + 1):
-        wi = ws[i - 1]
-        for a in range(alg.rank):
-            for b in range(alg.rank):
-                pa, pb = basis[a], basis[b]
-                brackets[i, a, b] = (
-                    eval_bracket(alg, n_basis[a], pb, wi)
-                    + eval_bracket(alg, pa, n_basis[b], wi)
-                    - n_op.apply(eval_bracket(alg, pa, pb, wi))
-                )
-    table = {}
-    for key in itertools.product(range(alg.rank), repeat=n + 1):
-        acc = zero_element(rep.rank)
-        for i in range(1, n + 1):
-            v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
-            ai = acting[key[i - 1]]
-            wi = ws[i - 1]
-            term = (
-                eval_l(rep, n_acting[key[i - 1]], v, wi)
-                + eval_l(rep, ai, nm.apply(v), wi)
-                - nm.apply(eval_l(rep, ai, v, wi))
-            )
-            acc = acc + term if (i % 2 == 1) else acc - term
-        w = right([basis[t] for t in key[:n]])
-        an = acting[key[n]]
-        term = (
-            eval_r(rep, nm.apply(w), an, total)
-            + eval_r(rep, w, n_acting[key[n]], total)
-            - nm.apply(eval_r(rep, w, an, total))
-        )
-        acc = acc + term if (n + 1) % 2 == 0 else acc - term
-        for i in range(1, n + 2):
-            for j in range(i + 1, n + 2):
-                inner = brackets[i, key[i - 1], key[j - 1]]
-                args = [
-                    inner if s == j else twisted[key[s - 1]]
-                    for s in range(1, n + 2)
-                    if s != i
-                ]
-                v = insert[i, j](args)
-                acc = acc - v if i % 2 == 1 else acc + v
-        if not acc.is_zero:
-            table[key] = acc.coords
-    return Cochain(n + 1, alg.rank, rep.rank, table)
+    return coboundary_homL(g, deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep))
 
 
 def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
@@ -514,19 +459,27 @@ def is_cocycle(
 ) -> tuple[bool, Report]:
     with checked("cocycle") as c:
         if isinstance(x, Cochain):
-            image = coboundary_homL(x, alg, rep)
-            for key in sorted(image.table):
-                c.add_nonzero(key, ConformalElement(image.value(key)))
+            _add_nonzero_values(c, coboundary_homL(x, alg, rep))
         else:
             if n_op is None:
                 raise ValueError("pair cocycle check needs the algebra operator")
-            image = coboundary_HNLA(x, alg, n_op, rep)
-            for key in sorted(image.f.table):
-                c.add_nonzero(("upper",) + key, ConformalElement(image.f.value(key)))
-            if image.g is not None:
-                for key in sorted(image.g.table):
-                    c.add_nonzero(("lower",) + key, ConformalElement(image.g.value(key)))
+            _add_nonzero_values(c, coboundary_HNLA(x, alg, n_op, rep))
     return c.report.passed, c.report
+
+
+def _add_nonzero_values(
+    c: checked, x: Cochain | HNLAPair, labels: tuple[str, str] = ("upper", "lower")
+) -> None:
+    """Record each nonzero value of a cochain at its basis tuple; the
+    values of a pair's two parts carry a leading label."""
+    if isinstance(x, HNLAPair):
+        parts = [((labels[0],), x.f), ((labels[1],), x.g)]
+    else:
+        parts = [((), x)]
+    for prefix, f in parts:
+        if f is not None:
+            for key in sorted(f.table):
+                c.add_nonzero(prefix + key, ConformalElement(f.value(key)))
 
 
 # ---------------------------------------------------------------------------

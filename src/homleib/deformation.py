@@ -19,7 +19,6 @@ from .structure import (
     L1,
     L2,
     ConformalAlgebra,
-    ConformalElement,
     DimensionError,
     PdModuleMap,
     eval_table_bracket,
@@ -29,6 +28,7 @@ from .structure import (
 from .representation import adjoint_rep
 from .cohomology import (
     HNLAPair,
+    _add_nonzero_values,
     cochain_from_bracket_table,
     cochain_from_map,
     coboundary_HNLA,
@@ -112,9 +112,10 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
         return eval_table_bracket(data.bracket_table(i), rank, left, right, w)
 
     with checked(f"deformation_order_{n}") as c:
-        comm = a.compose(data.operator(n)) - data.operator(n).compose(a)
-        if not comm.is_zero:
-            c.add(("multiplicativity", "operator_twist"), str(comm))
+        c.add_nonzero(
+            ("multiplicativity", "operator_twist"),
+            a.compose(data.operator(n)) - data.operator(n).compose(a),
+        )
         for i in range(rank):
             p = alg.basis(i)
             for j in range(rank):
@@ -172,12 +173,7 @@ def infinitesimal_cocycle_check(data: DeformationData) -> tuple[bool, Report]:
     rep = dataclasses.replace(adjoint_rep(alg), n_m=data.base_operator)
     pair = infinitesimal_pair(data)
     with checked("infinitesimal_cocycle") as c:
-        image = coboundary_HNLA(pair, alg, data.base_operator, rep)
-        for key in sorted(image.f.table):
-            c.add_nonzero(("upper",) + key, ConformalElement(image.f.value(key)))
-        if image.g is not None:
-            for key in sorted(image.g.table):
-                c.add_nonzero(("lower",) + key, ConformalElement(image.g.value(key)))
+        _add_nonzero_values(c, coboundary_HNLA(pair, alg, data.base_operator, rep))
     return c.report.passed, c.report
 
 
@@ -271,10 +267,6 @@ def equivalence_order1_check(
             data_a.operator(1)
         )
         target = coboundary_of_map(alg, data_a.base_operator, psi1)
-        upper = diff_f - target.f
-        lower = diff_g - target.g
-        for key in sorted(upper.table):
-            c.add_nonzero(("cohomologous_upper",) + key, ConformalElement(upper.value(key)))
-        for key in sorted(lower.table):
-            c.add_nonzero(("cohomologous_lower",) + key, ConformalElement(lower.value(key)))
+        residual = HNLAPair(diff_f - target.f, diff_g - target.g)
+        _add_nonzero_values(c, residual, ("cohomologous_upper", "cohomologous_lower"))
     return c.report

@@ -22,6 +22,8 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _add_nonzero_entries,
+    basis_element,
     eval_bracket,
     eval_table_bracket,
     normalize_table,
@@ -45,25 +47,19 @@ class NSAlgebra:
             raise DimensionError("twist shape does not match rank")
 
     def basis(self, i: int) -> ConformalElement:
-        coords = [MultiPoly.zero()] * self.rank
-        coords[i] = MultiPoly.const(1)
-        return ConformalElement(tuple(coords))
-
-
-def _ev(table, rank, a, b, w):
-    return eval_table_bracket(table, rank, a, b, w)
+        return basis_element(self.rank, i)
 
 
 def eval_left(ns: NSAlgebra, a, b, w):
-    return _ev(ns.left, ns.rank, a, b, w)
+    return eval_table_bracket(ns.left, ns.rank, a, b, w)
 
 
 def eval_right(ns: NSAlgebra, a, b, w):
-    return _ev(ns.right, ns.rank, a, b, w)
+    return eval_table_bracket(ns.right, ns.rank, a, b, w)
 
 
 def eval_vee(ns: NSAlgebra, a, b, w):
-    return _ev(ns.vee, ns.rank, a, b, w)
+    return eval_table_bracket(ns.vee, ns.rank, a, b, w)
 
 
 def eval_star(ns: NSAlgebra, a, b, w):
@@ -155,9 +151,8 @@ def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
             for i in range(ns.rank):
                 for j in range(ns.rank):
                     p, q = ns.basis(i), ns.basis(j)
-                    res = m.apply(_ev(table, ns.rank, p, q, XF)) - _ev(
-                        table, ns.rank, m.apply(p), m.apply(q), XF
-                    )
+                    res = m.apply(eval_table_bracket(table, ns.rank, p, q, XF))
+                    res = res - eval_table_bracket(table, ns.rank, m.apply(p), m.apply(q), XF)
                     c.add_nonzero((name, i, j), res)
     return c.report
 
@@ -285,11 +280,7 @@ def verify_twisted_rb(data: TwistedRBData) -> Report:
                         - eval_cochain(phi, [eval_bracket(alg, p, q, L1), a.apply(r)], [L1 + L2])
                     )
                     c.add_nonzero(("phi_cocycle", i, j, k), res)
-        comm = a.compose(t) - t.compose(rep.beta)
-        for i in range(comm.rows):
-            for j in range(comm.cols):
-                if not comm.entries[i][j].is_zero:
-                    c.add(("twist_compat", i, j), str(comm.entries[i][j]))
+        _add_nonzero_entries(c, "twist_compat", a.compose(t) - t.compose(rep.beta))
         for i in range(rep.rank):
             m = rep.module_basis(i)
             tm = t.apply(m)
@@ -316,11 +307,7 @@ def verify_o_operator(
     if t.rows != alg.rank or t.cols != rep.rank:
         raise DimensionError("operator must send the module into the algebra")
     with checked("o_operator") as c:
-        comm = alg.alpha.compose(t) - t.compose(rep.beta)
-        for i in range(comm.rows):
-            for j in range(comm.cols):
-                if not comm.entries[i][j].is_zero:
-                    c.add(("twist_compat", i, j), str(comm.entries[i][j]))
+        _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
         for i in range(rep.rank):
             m = rep.module_basis(i)
             tm = t.apply(m)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Rat, print_poly
+from .poly import Rat
 from .report import Report, checked
 from .structure import (
     XF,
@@ -13,6 +13,7 @@ from .structure import (
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
+    _add_nonzero_entries,
     eval_bracket,
     verify_hom_leibniz,
 )
@@ -68,11 +69,7 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
     """
     _check_square(alg, op)
     with checked(f"operator_{kind.tag}") as c:
-        comm = alg.alpha.compose(op) - op.compose(alg.alpha)
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                if not comm.entries[i][j].is_zero:
-                    c.add(("twist_commute", i, j), print_poly(comm.entries[i][j]))
+        _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
         for i in range(alg.rank):
             p = alg.basis(i)
             np_ = op.apply(p)
@@ -137,17 +134,9 @@ def check_morphism(
     if (n_src is None) != (n_dst is None):
         raise ValueError("operator compatibility needs an operator on both sides")
     with checked("morphism") as c:
-        talpha = f.compose(src.alpha) - dst.alpha.compose(f)
-        for i in range(talpha.rows):
-            for j in range(talpha.cols):
-                if not talpha.entries[i][j].is_zero:
-                    c.add(("twist", i, j), print_poly(talpha.entries[i][j]))
+        _add_nonzero_entries(c, "twist", f.compose(src.alpha) - dst.alpha.compose(f))
         if n_src is not None:
-            tn = f.compose(n_src) - n_dst.compose(f)
-            for i in range(tn.rows):
-                for j in range(tn.cols):
-                    if not tn.entries[i][j].is_zero:
-                        c.add(("operator", i, j), print_poly(tn.entries[i][j]))
+            _add_nonzero_entries(c, "operator", f.compose(n_src) - n_dst.compose(f))
         for i in range(src.rank):
             for j in range(src.rank):
                 lhs = f.apply(eval_bracket(src, src.basis(i), src.basis(j), XF))

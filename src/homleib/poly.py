@@ -4,14 +4,12 @@ Variables live in a fixed namespace:
 
 * ``D``   -- the translation generator acting on a free module,
 * ``x``   -- the formal slot used inside structure polynomials,
-* ``l1``, ``l2``, ... -- evaluation variables for bracket parameters,
-* ``mu``  -- an alias variable kept for convenience; the definition-file
-  grammar only ever produces D, x and l<n>.
+* ``l1``, ``l2``, ... -- evaluation variables for bracket parameters.
 
-``D`` and ``x`` are reserved: definition files may not introduce them as
-user symbols.  Polynomials are immutable and normalized eagerly (no zero
-coefficients, no zero exponents), so structural equality is semantic
-equality.
+``D``, ``x`` and ``mu`` are reserved: definition files may not introduce
+them as user symbols.  Polynomials are immutable and normalized eagerly
+(no zero coefficients, no zero exponents), so structural equality is
+semantic equality.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ Rat = Union[int, Fraction]
 # Variable ids.  The integer order fixes the canonical (graded-lex) term order.
 D = 0
 X = 1
-MU = 2
-_FIRST_LAMBDA = 2
+_FIRST_LAMBDA = 2  # l1 is 3: id 2 is unused
 
 
 def lam(i: int) -> int:
@@ -42,8 +39,6 @@ def var_name(v: int) -> str:
         return "D"
     if v == X:
         return "x"
-    if v == MU:
-        return "mu"
     return f"l{v - _FIRST_LAMBDA}"
 
 
@@ -448,9 +443,6 @@ def _parse_atom(sc: _Scanner) -> MultiPoly:
         if index < 1:
             raise ParseError("lambda variables are numbered from 1", start)
         return MultiPoly.var(lam(index))
-    if ch == "m" and sc.text[sc.pos : sc.pos + 2] == "mu":
-        sc.pos += 2
-        return MultiPoly.var(MU)
     if ch == "":
         raise ParseError("unexpected end of input", sc.pos)
     raise ParseError(f"unexpected character {ch!r}", sc.pos)

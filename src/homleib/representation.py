@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import D, X, LinearForm, MultiPoly
+from .poly import LinearForm
 from .report import Report, checked
 from .structure import (
     XF,
@@ -24,6 +24,7 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _eval_table,
     basis_element,
     eval_table_bracket,
     normalize_table,
@@ -61,7 +62,7 @@ def eval_l(
     """Left action l(p) at parameter w applied to m."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("left action rank mismatch")
-    return _eval_action(rep.l_structure, rep.rank, p, m, w)
+    return _eval_table(rep.l_structure, rep.rank, p, m, w)
 
 
 def eval_r(
@@ -70,32 +71,7 @@ def eval_r(
     """Right action r(m) at parameter w applied to p."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("right action rank mismatch")
-    return _eval_action(rep.r_structure, rep.rank, m, p, w)
-
-
-def _eval_action(table, out_rank, first, second, w):
-    neg_w = (-w).to_poly()
-    shift_w = (LinearForm.variable(D) + w).to_poly()
-    wp = w.to_poly()
-    out = [MultiPoly.zero()] * out_rank
-    for i in range(first.ambient_rank):
-        fi = first.coords[i]
-        if fi.is_zero:
-            continue
-        fi = fi.substitute(D, neg_w)
-        for j in range(second.ambient_rank):
-            gj = second.coords[j]
-            if gj.is_zero:
-                continue
-            vec = table.get((i, j))
-            if vec is None:
-                continue
-            factor = fi * gj.substitute(D, shift_w)
-            for k in range(out_rank):
-                pk = vec[k]
-                if not pk.is_zero:
-                    out[k] = out[k] + factor * pk.substitute(X, wp)
-    return ConformalElement(tuple(out))
+    return _eval_table(rep.r_structure, rep.rank, m, p, w)
 
 
 def adjoint_rep(alg: ConformalAlgebra) -> Representation:
@@ -197,9 +173,7 @@ def verify_nijenhuis_representation(
         raise ValueError("representation carries no module operator")
     nm = rep.n_m
     with checked("nijenhuis_representation") as c:
-        comm = rep.beta.compose(nm) - nm.compose(rep.beta)
-        if not comm.is_zero:
-            c.add(("twist_commute",), str(comm))
+        c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
         for i in range(alg.rank):
             p = alg.basis(i)
             np_ = n.apply(p)

@@ -193,6 +193,14 @@ class PdModuleMap:
         ) + "]"
 
 
+def _add_nonzero_entries(c: checked, label: str, m: PdModuleMap) -> None:
+    """Record each nonzero entry of m at (label, row, column)."""
+    for i, row in enumerate(m.entries):
+        for j, p in enumerate(row):
+            if not p.is_zero:
+                c.add((label, i, j), print_poly(p))
+
+
 @dataclass(frozen=True)
 class ConformalAlgebra:
     rank: int
@@ -253,27 +261,40 @@ def eval_table_bracket(
     """
     if left.ambient_rank != rank or right.ambient_rank != rank:
         raise DimensionError("element rank does not match the bracket table")
+    return _eval_table(table, rank, left, right, w)
+
+
+def _eval_table(
+    table: BracketTable,
+    out_rank: int,
+    first: ConformalElement,
+    second: ConformalElement,
+    w: LinearForm,
+) -> ConformalElement:
+    """f(-w) g(D + w) table[i, j] at x = w, summed over the coordinates
+    f of `first` and g of `second`.
+
+    Each argument runs over its own length: in an action the algebra and
+    the module ranks differ.  Brackets and both actions evaluate here.
+    """
     neg_w = (-w).to_poly()
     shift_w = (LinearForm.variable(D) + w).to_poly()
     wp = w.to_poly()
-    out = [MultiPoly.zero()] * rank
-    for i in range(rank):
-        fi = left.coords[i]
+    out = [MultiPoly.zero()] * out_rank
+    for i, fi in enumerate(first.coords):
         if fi.is_zero:
             continue
         fi = fi.substitute(D, neg_w)
         if fi.is_zero:
             continue
-        for j in range(rank):
-            gj = right.coords[j]
+        for j, gj in enumerate(second.coords):
             if gj.is_zero:
                 continue
             vec = table.get((i, j))
             if vec is None:
                 continue
-            gj = gj.substitute(D, shift_w)
-            factor = fi * gj
-            for k in range(rank):
+            factor = fi * gj.substitute(D, shift_w)
+            for k in range(out_rank):
                 pk = vec[k]
                 if not pk.is_zero:
                     out[k] = out[k] + factor * pk.substitute(X, wp)
@@ -287,10 +308,6 @@ def eval_bracket(
     w: LinearForm,
 ) -> ConformalElement:
     return eval_table_bracket(alg.structure, alg.rank, left, right, w)
-
-
-def apply_map(m: PdModuleMap, e: ConformalElement) -> ConformalElement:
-    return m.apply(e)
 
 
 # ---------------------------------------------------------------------------

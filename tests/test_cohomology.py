@@ -14,8 +14,7 @@ import pytest
 
 from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
 from homleib.structure import L1, PdModuleMap, eval_bracket
-from homleib.representation import adjoint_rep, eval_l, eval_r, induced_representation
-from homleib.operators import deformed_bracket
+from homleib.representation import adjoint_rep, eval_l, eval_r
 from homleib.cohomology import (
     Cochain,
     HNLAPair,
@@ -229,24 +228,6 @@ def test_hn_with_scalar_pair_scales(vir, c):
     lhs = coboundary_HN(g, vir, n, rep)
     rhs = coboundary_homL(g, vir, adjoint_rep(vir)).scale(c)
     assert (lhs - rhs).is_zero
-
-
-@pytest.mark.parametrize("arity", [1, 2, 3])
-def test_hn_equals_deformed_route(vir, cur2, arity):
-    cases = [
-        (vir, PdModuleMap.scalar(1, Fraction(2))),
-        (cur2, NIL),
-    ]
-    for alg, n in cases:
-        rep = with_nm(adjoint_rep(alg), n)
-        deformed = deformed_bracket(alg, n)
-        induced = induced_representation(alg, n, rep)
-        rng = random.Random(4)
-        for _ in range(4):
-            g = random_cochain(alg.rank, rep.rank, arity, rng, 2)
-            assert (
-                coboundary_HN(g, alg, n, rep) - coboundary_homL(g, deformed, induced)
-            ).is_zero
 
 
 # -- comparison map ------------------------------------------------------------------

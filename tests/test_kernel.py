@@ -118,9 +118,12 @@ def test_int_inputs_agree_with_fraction_inputs():
 
 
 def test_print_parse_round_trip_unchanged():
+    named = (0, 1, 3, 4)  # D, x, l1, l2: ids with a printable name
     rng = random.Random(17)
     for _ in range(200):
-        terms = rand_terms(rng)
+        terms = {
+            tuple((named[v], e) for v, e in key): c for key, c in rand_terms(rng).items()
+        }
         text = print_poly(MultiPoly(as_fractions(terms)))
         p = parse_poly(text)
         assert all_int_first(p.raw())

@@ -142,6 +142,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_poly("D + l0")
     assert exc.value.pos == 5
+    with pytest.raises(ParseError) as exc:
+        parse_poly("mu")
+    assert exc.value.pos == 0
 
 
 def test_nesting_beyond_the_limit_is_a_parse_error():

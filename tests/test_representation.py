@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
-from homleib.structure import L1, PdModuleMap, current_algebra
+from homleib.structure import L1, DimensionError, PdModuleMap, current_algebra
 from homleib.representation import (
     Representation,
     adjoint_rep,
@@ -57,6 +57,33 @@ def test_adjoint_passes_axioms(vir, cur2):
 def test_zero_actions_pass(vir):
     rep = Representation(1, 2, {}, {}, PdModuleMap.scalar(2, MultiPoly.var(D)))
     assert verify_representation(vir, rep).passed
+
+
+def test_actions_on_a_module_of_another_rank(vir):
+    # rank-1 algebra on a rank-2 module; the tables need not satisfy the
+    # axioms to be evaluated
+    P = parse_poly
+    rep = Representation(
+        1,
+        2,
+        {(0, 0): (P("D + 2*x"), P("0")), (0, 1): (P("x"), P("D"))},
+        {(0, 0): (P("0"), P("1")), (1, 0): (P("D"), P("x^2"))},
+        PdModuleMap.identity(2),
+    )
+    m = rep.module_basis(0) + rep.module_basis(1).scale(P("D"))
+    # f(-l1) = -l1 times g0(D + l1) l(e, m1) + g1(D + l1) l(e, m2) at x = l1
+    out = eval_l(rep, vir.basis(0).scale(P("D")), m, L1)
+    assert out.coords == (P("-l1*D - 2*l1^2 - l1^2*D - l1^3"), P("-l1*D^2 - l1^2*D"))
+    # (g0(-l1) r(m1) + g1(-l1) r(m2)) at x = l1, times f(D + l1) = D + l1 + 1
+    out = eval_r(rep, m, vir.basis(0).scale(P("D + 1")), L1)
+    assert out.coords == (
+        P("-l1*D^2 - l1^2*D - l1*D"),
+        P("D + l1 + 1 - l1^3*D - l1^4 - l1^3"),
+    )
+    with pytest.raises(DimensionError):
+        eval_l(rep, m, vir.basis(0), L1)
+    with pytest.raises(DimensionError):
+        eval_r(rep, vir.basis(0), m, L1)
 
 
 def test_wrong_module_twist_fails(vir):
