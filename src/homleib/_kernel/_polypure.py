@@ -17,7 +17,8 @@ would end exactness); the kernel only adds and multiplies.
 Term dicts are never mutated after they are built: a function fills its
 own fresh dict and hands it out, and neither the kernel nor its callers
 write to a dict they received.  Results may therefore share a dict with
-an input; a substitution that changes nothing returns its input itself.
+an input; a substitution that changes nothing returns its input itself,
+and a product by the constant 1 returns its other operand.
 """
 
 
@@ -84,6 +85,10 @@ def scale_terms(a, coeff):
 def mul_terms(a, b):
     if not a or not b:
         return {}
+    if len(b) == 1 and b.get(()) == 1:
+        return a
+    if len(a) == 1 and a.get(()) == 1:
+        return b
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():

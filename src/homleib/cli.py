@@ -12,7 +12,8 @@ Four command families:
 Check and verification commands emit one report per check (text or
 line-delimited JSON records with --format records) and exit 0 exactly
 when everything passed.  Construct commands print the resulting object
-in definition-file form.
+in definition-file form.  An input or library error ends in one stderr
+line and exit 2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .structure import (
 )
 from .operators import (
     OperatorKind,
-    PreconditionError,
     deformed_bracket,
     verify_operator,
 )
@@ -403,7 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, defs.DefinitionError, PreconditionError) as exc:
+    except (CliError, ValueError) as exc:
+        # every library error is a ValueError: DefinitionError,
+        # PreconditionError, DimensionError, PolyError and bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

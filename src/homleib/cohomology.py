@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .poly import D, MultiPoly, LinearForm, X, lam
-from .report import Report, checked
+from .report import Report, _evaluation_scope, checked
 from .operators import deformed_bracket
 from .representation import Representation, eval_l, eval_r, induced_representation
 from .structure import (
@@ -267,6 +267,10 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     twist power, the parameters w_1..w_n and their sum, the basis-pair
     brackets, and one evaluator of f per distinct parameter list among
     the left-action terms, the right action and the insertion pairs.
+    The brackets and the key loop run in a fresh evaluation scope, so
+    each action table is evaluated once per parameter, not once per key.
+    The brackets stay hoisted: a lookup per insertion term costs less
+    than a scoped evaluation.
     """
     _check_ranks(f, alg, rep)
     n = f.arity
@@ -294,38 +298,39 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
         for i in range(1, n + 2)
         for j in range(i + 1, n + 2)
     }
-    # [e_a w_i e_b] for every insertion parameter w_i
-    brackets = {
-        (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
-        for i in range(1, n + 1)
-        for a in range(alg.rank)
-        for b in range(alg.rank)
-    }
-    table = {}
-    for key in itertools.product(range(alg.rank), repeat=n + 1):
-        acc = zero_element(rep.rank)
-        # left-action terms
-        for i in range(1, n + 1):
-            v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
-            term = eval_l(rep, acting[key[i - 1]], v, ws[i - 1])
-            acc = acc + term if (i % 2 == 1) else acc - term
-        # right-action term
-        w = right([basis[t] for t in key[:n]])
-        term = eval_r(rep, w, acting[key[n]], total)
-        acc = acc + term if (n + 1) % 2 == 0 else acc - term
-        # bracket-insertion terms
-        for i in range(1, n + 2):
-            for j in range(i + 1, n + 2):
-                inner = brackets[i, key[i - 1], key[j - 1]]
-                args = [
-                    inner if s == j else twisted[key[s - 1]]
-                    for s in range(1, n + 2)
-                    if s != i
-                ]
-                v = insert[i, j](args)
-                acc = acc - v if i % 2 == 1 else acc + v
-        if not acc.is_zero:
-            table[key] = acc.coords
+    with _evaluation_scope():
+        # [e_a w_i e_b] for every insertion parameter w_i
+        brackets = {
+            (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
+            for i in range(1, n + 1)
+            for a in range(alg.rank)
+            for b in range(alg.rank)
+        }
+        table = {}
+        for key in itertools.product(range(alg.rank), repeat=n + 1):
+            acc = zero_element(rep.rank)
+            # left-action terms
+            for i in range(1, n + 1):
+                v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
+                term = eval_l(rep, acting[key[i - 1]], v, ws[i - 1])
+                acc = acc + term if (i % 2 == 1) else acc - term
+            # right-action term
+            w = right([basis[t] for t in key[:n]])
+            term = eval_r(rep, w, acting[key[n]], total)
+            acc = acc + term if (n + 1) % 2 == 0 else acc - term
+            # bracket-insertion terms
+            for i in range(1, n + 2):
+                for j in range(i + 1, n + 2):
+                    inner = brackets[i, key[i - 1], key[j - 1]]
+                    args = [
+                        inner if s == j else twisted[key[s - 1]]
+                        for s in range(1, n + 2)
+                        if s != i
+                    ]
+                    v = insert[i, j](args)
+                    acc = acc - v if i % 2 == 1 else acc + v
+            if not acc.is_zero:
+                table[key] = acc.coords
     return Cochain(n + 1, alg.rank, rep.rank, table)
 
 
@@ -495,6 +500,8 @@ def random_cochain(
     max_deg: int = 2,
 ) -> Cochain:
     """Seeded random cochain with entries of total degree <= max_deg."""
+    if arity < 1:
+        raise ValueError("cochains start at arity 1")
     vs = [D] + [lam(i) for i in range(1, arity)]
     monomials = []
     for degs in itertools.product(range(max_deg + 1), repeat=len(vs)):

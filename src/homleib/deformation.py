@@ -102,6 +102,8 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
 
     Order 0 reproduces the base axioms verbatim.
     """
+    if n < 0:
+        raise ValueError(f"order {n} is negative")
     if n > data.order:
         raise ValueError(f"order {n} exceeds stored order {data.order}")
     alg = data.base

@@ -35,11 +35,15 @@ def lam(i: int) -> int:
 
 
 def var_name(v: int) -> str:
+    """The printed name of variable id v; an id naming no variable is a
+    PolyError, since no name for it would parse back."""
     if v == D:
         return "D"
     if v == X:
         return "x"
-    return f"l{v - _FIRST_LAMBDA}"
+    if v > _FIRST_LAMBDA:
+        return f"l{v - _FIRST_LAMBDA}"
+    raise PolyError(f"variable id {v} names no variable")
 
 
 RESERVED_NAMES = frozenset({"D", "x", "mu"})

@@ -4,13 +4,35 @@ Every checker returns a Report rather than a boolean so the CLI can show
 which basis tuple failed and with what residual.  The record form (one
 JSON object per line) deliberately omits the timing field: records must
 be byte-identical across runs for the same input and seed.
+
+Each check also runs in its own evaluation scope: a per-thread store in
+which structure-table evaluators (see ``structure._eval_table``) are
+kept for reuse while the check runs and dropped when it exits.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+
+# The open evaluation scope of this thread (None outside any scope): a
+# dict from (table identity, output rank, parameter value) to the
+# evaluator of that table at that parameter.  Each evaluator refers to
+# its table, so no table id is reused while the scope lives.
+_SCOPE: ContextVar[dict | None] = ContextVar("homleib_evaluation_scope", default=None)
+
+
+@contextmanager
+def _evaluation_scope():
+    """A fresh scope for the block, replacing any outer one until it exits."""
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -59,12 +81,14 @@ class checked:
 
     Violations are appended as (context, residual-string) pairs; they are
     sorted on exit so report order never depends on evaluation order.
+    The block runs in a fresh evaluation scope.
     """
 
     def __init__(self, name: str):
         self.report = Report(name)
 
     def __enter__(self) -> "checked":
+        self._scope = _SCOPE.set({})
         self._t0 = time.perf_counter()
         return self
 
@@ -78,6 +102,7 @@ class checked:
         self.add(context, str(residual))
 
     def __exit__(self, exc_type, exc, tb):
+        _SCOPE.reset(self._scope)
         self.report.violations.sort(key=lambda v: (v.context, v.residual))
         self.report.timing_ms = (time.perf_counter() - self._t0) * 1000.0
         return False

@@ -26,7 +26,7 @@ from .poly import (
     lam,
     print_poly,
 )
-from .report import Report, checked
+from .report import _SCOPE, Report, checked
 
 BracketTable = Mapping[tuple[int, int], tuple[MultiPoly, ...]]
 
@@ -127,13 +127,14 @@ class PdModuleMap:
     def apply(self, e: ConformalElement) -> ConformalElement:
         if self.cols != e.ambient_rank:
             raise DimensionError(f"map of width {self.cols} applied to rank {e.ambient_rank}")
+        nonzero = [(j, c) for j, c in enumerate(e.coords) if not c.is_zero]
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             acc = MultiPoly.zero()
-            for j in range(self.cols):
-                entry = self.entries[i][j]
+            for j, c in nonzero:
+                entry = row[j]
                 if not entry.is_zero:
-                    acc = acc + entry * e.coords[j]
+                    acc = acc + entry * c
             out.append(acc)
         return ConformalElement(tuple(out))
 
@@ -276,29 +277,61 @@ def _eval_table(
 
     Each argument runs over its own length: in an action the algebra and
     the module ranks differ.  Brackets and both actions evaluate here.
+    Inside an evaluation scope (each check and each coboundary opens
+    one) the evaluator of (table, out_rank, w) is built once and reused;
+    outside, a one-shot evaluator is built.
+    """
+    scope = _SCOPE.get()
+    if scope is None:
+        return _table_evaluator(table, out_rank, w)(first, second)
+    key = (id(table), out_rank, frozenset(w.coeffs.items()), w.constant)
+    evaluate = scope.get(key)
+    if evaluate is None:
+        evaluate = scope[key] = _table_evaluator(table, out_rank, w)
+    return evaluate(first, second)
+
+
+def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
+    """The table at parameter w, as a function of the two arguments.
+
+    The polynomials -w, D + w and w are built once, and each entry
+    table[i, j] is set to x = w the first time it is met; tables are
+    never changed once built, so an entry set once stays valid.  The
+    returned function refers to `table`, which keeps the table alive as
+    long as the evaluator is.
     """
     neg_w = (-w).to_poly()
     shift_w = (LinearForm.variable(D) + w).to_poly()
     wp = w.to_poly()
-    out = [MultiPoly.zero()] * out_rank
-    for i, fi in enumerate(first.coords):
-        if fi.is_zero:
-            continue
-        fi = fi.substitute(D, neg_w)
-        if fi.is_zero:
-            continue
-        for j, gj in enumerate(second.coords):
-            if gj.is_zero:
+    at_w: dict[tuple[int, int], tuple[tuple[int, MultiPoly], ...]] = {}
+    zero = MultiPoly.zero()
+
+    def evaluate(first: ConformalElement, second: ConformalElement) -> ConformalElement:
+        out = [zero] * out_rank
+        for i, fi in enumerate(first.coords):
+            if fi.is_zero:
                 continue
-            vec = table.get((i, j))
-            if vec is None:
+            fi = fi.substitute(D, neg_w)
+            if fi.is_zero:
                 continue
-            factor = fi * gj.substitute(D, shift_w)
-            for k in range(out_rank):
-                pk = vec[k]
-                if not pk.is_zero:
-                    out[k] = out[k] + factor * pk.substitute(X, wp)
-    return ConformalElement(tuple(out))
+            for j, gj in enumerate(second.coords):
+                if gj.is_zero:
+                    continue
+                entry = at_w.get((i, j))
+                if entry is None:
+                    # the nonzero coordinates k of table[i, j], at x = w
+                    vec = table.get((i, j), ())
+                    entry = at_w[i, j] = tuple(
+                        (k, pk.substitute(X, wp)) for k, pk in enumerate(vec) if not pk.is_zero
+                    )
+                if not entry:
+                    continue
+                factor = fi * gj.substitute(D, shift_w)
+                for k, pk in entry:
+                    out[k] = out[k] + factor * pk
+        return ConformalElement(tuple(out))
+
+    return evaluate
 
 
 def eval_bracket(

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from homleib.cli import main
 from homleib.definitions import parse_definition
 
@@ -144,6 +146,26 @@ def test_deep_nesting_is_one_line_error(capsys, tmp_path):
         capsys, tmp_path, head + "[" * 3000 + '"D"' + "]" * 3000 + "\n", "check", "lie"
     )
     assert "nested deeper than" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("deform", "check-order", "deformations.def", "--name", "b", "--order", "9"),
+         "order 9 exceeds stored order 1"),
+        (("deform", "check-order", "deformations.def", "--name", "b", "--order", "-1"),
+         "order -1 is negative"),
+        (("cohomology", "d2-zero", "virasoro.def", "--arity", "0"), "cochains start at arity 1"),
+        (("cohomology", "d2-zero", "virasoro.def", "--arity", "-3"), "cochains start at arity 1"),
+        (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--arity", "0"),
+         "cochains start at arity 1"),
+    ],
+)
+def test_bad_argument_is_one_line_error(capsys, argv, message):
+    command, what, name, *flags = argv
+    code, out, err = run(capsys, command, what, path(name), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_construct_cur_output_reparses(capsys):

@@ -51,6 +51,20 @@ def test_pure_kernel_basics():
     assert K.substitute_terms(a, 0, {(): Fraction(3)}) == {(): Fraction(6)}
 
 
+def test_product_by_one_returns_the_other_operand():
+    one = {(): 1}
+    a = {((0, 1),): 2, (): Fraction(1, 3)}
+    b = {((3, 2),): -1}
+    assert K.mul_terms(a, one) is a
+    assert K.mul_terms(one, b) is b
+    assert K.mul_terms(one, one) is one
+    assert K.mul_terms(one, {}) == {} and K.mul_terms({}, one) == {}
+    assert K.mul_terms(a, {}) == {} and K.mul_terms({}, b) == {}
+    # a constant other than 1 still multiplies
+    assert K.mul_terms(a, {(): 2}) == {((0, 1),): 4, (): Fraction(2, 3)}
+    assert K.mul_terms({(): -1}, b) == {((3, 2),): 1}
+
+
 def test_pow_terms_equals_repeated_multiplication():
     rng = random.Random(5)
     for _ in range(20):

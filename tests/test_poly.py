@@ -16,6 +16,7 @@ from homleib.poly import (
     lam,
     parse_poly,
     print_poly,
+    var_name,
 )
 
 VARS = [D, X, lam(1), lam(2)]
@@ -160,6 +161,17 @@ def test_nesting_beyond_the_limit_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_poly("D*" + "-" * 3000 + "1")
     assert exc.value.pos == 2 + MAX_NESTING
+
+
+def test_an_id_naming_no_variable_does_not_print():
+    assert [var_name(v) for v in (D, X, lam(1), lam(12))] == ["D", "x", "l1", "l12"]
+    for v in (2, -1):
+        with pytest.raises(PolyError):
+            var_name(v)
+        with pytest.raises(PolyError):
+            print_poly(MultiPoly({((v, 1),): 1}))
+    with pytest.raises(PolyError):
+        print_poly(MultiPoly({((D, 1), (2, 3)): 5, (): 1}))
 
 
 def test_linear_form_round_trip():

@@ -5,20 +5,30 @@ the sesquilinearity rule serves as the oracle.
 """
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from homleib import cohomology
+from homleib.cohomology import coboundary_homL, random_cochain
 from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
+from homleib.report import _SCOPE, checked
+from homleib.representation import adjoint_rep, eval_l, eval_r, verify_representation
 from homleib.structure import (
     ConformalAlgebra,
+    ConformalElement,
     DimensionError,
     L1,
+    L2,
+    XF,
     PdModuleMap,
     basis_element,
     current_algebra,
     eval_bracket,
+    eval_table_bracket,
     verify_hom_leibniz,
     verify_multiplicativity,
     verify_skew_symmetry,
@@ -252,3 +262,138 @@ def test_cur_respects_finite_identity_enumeration():
 def test_rank_mismatch_raises(vir):
     with pytest.raises(DimensionError):
         eval_bracket(vir, basis_element(2, 0), vir.basis(0), L1)
+
+
+# ---------------------------------------------------------------------------
+# evaluation scopes
+# ---------------------------------------------------------------------------
+
+
+def rand_element(rng, rank):
+    """A seeded element whose coordinates mention D and l1."""
+    monomials = ((), ((D, 1),), ((D, 2),), ((lam(1), 1),), ((D, 1), (lam(1), 1)))
+    coords = []
+    for _ in range(rank):
+        terms = {key: rng.randint(-2, 2) for key in monomials if rng.random() < 0.6}
+        coords.append(MultiPoly(terms))
+    return ConformalElement(tuple(coords))
+
+
+def test_scoped_evaluation_matches_fresh_evaluation(vir, cur2, twisted2):
+    minus = -L1 - LinearForm.variable(D)
+    forms = [XF, L1, L2, L1 + L2, minus]
+    # equal to `forms` entry by entry, built separately (and in another order)
+    twins = [
+        LinearForm({X: 1}),
+        LinearForm({lam(1): 1}),
+        LinearForm({lam(2): 1}),
+        LinearForm({lam(2): 1, lam(1): 1}),
+        LinearForm({lam(1): -1, D: -1}),
+    ]
+    d_dependent = ConformalAlgebra(
+        2, ("a", "b"),
+        {(0, 1): (parse_poly("D + x"), parse_poly("x^2")), (1, 1): (parse_poly("0"), parse_poly("2*D - x"))},
+        PdModuleMap.identity(2),
+    )
+    rng = random.Random(29)
+    for alg in (vir, cur2, twisted2, d_dependent):
+        rep = adjoint_rep(alg)
+        elements = [alg.basis(i) for i in range(alg.rank)]
+        elements += [rand_element(rng, alg.rank) for _ in range(3)]
+        pairs = [(a, b) for a in elements for b in elements]
+
+        def values(ws):
+            out = []
+            for w in ws:
+                for a, b in pairs:
+                    out.append(eval_table_bracket(alg.structure, alg.rank, a, b, w))
+                    out.append(eval_l(rep, a, b, w))
+                    out.append(eval_r(rep, a, b, w))
+            return out
+
+        assert _SCOPE.get() is None
+        fresh = values(forms)
+        with checked("scoped"):
+            scope = _SCOPE.get()
+            assert values(forms) == fresh
+            assert values(twins) == fresh
+            # one evaluator per (table, output rank, value of w): the twins added none
+            assert len(scope) == 3 * len(forms)
+        assert _SCOPE.get() is None
+
+
+def test_scope_is_dropped_when_a_check_returns_or_raises(cur2, monkeypatch):
+    p, q = cur2.basis(1), cur2.basis(1)
+    assert _SCOPE.get() is None
+    assert verify_hom_leibniz(cur2).passed
+    assert _SCOPE.get() is None
+    with pytest.raises(RuntimeError):
+        with checked("raises"):
+            eval_bracket(cur2, p, q, L1)
+            assert len(_SCOPE.get()) == 1
+            raise RuntimeError("inside the check")
+    assert _SCOPE.get() is None
+    # a nested check opens its own scope and leaves the outer one alone,
+    # and so does a coboundary
+    rep = adjoint_rep(cur2)
+    f = random_cochain(2, 2, 2, random.Random(3))
+    with checked("outer"):
+        outer = _SCOPE.get()
+        eval_bracket(cur2, p, q, L1)
+        with checked("inner"):
+            assert _SCOPE.get() == {} and _SCOPE.get() is not outer
+            eval_bracket(cur2, p, q, L2)
+        coboundary_homL(f, cur2, rep)
+        assert _SCOPE.get() is outer and len(outer) == 1
+    assert _SCOPE.get() is None
+
+    def failing(*args):
+        raise RuntimeError("inside the coboundary")
+
+    monkeypatch.setattr(cohomology, "eval_l", failing)
+    with pytest.raises(RuntimeError):
+        coboundary_homL(f, cur2, rep)
+    assert _SCOPE.get() is None
+
+
+def test_concurrent_checks_keep_their_own_scopes(vir, cur2, twisted2):
+    # not a Leibniz algebra under its twist: its report carries violations
+    other = current_algebra(2, {(0, 1): (1, 1), (1, 1): (0, 2)}, [[2, 0], [0, 1]])
+    algs = [vir, cur2, twisted2, other]
+    expected = [verify_representation(a, adjoint_rep(a)).to_record() for a in algs]
+    results = [[] for _ in algs]
+
+    def run(k):
+        for _ in range(3):
+            results[k].append(verify_representation(algs[k], adjoint_rep(algs[k])).to_record())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(algs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not verify_representation(other, adjoint_rep(other)).passed
+    assert results == [[e] * 3 for e in expected]
+
+    # a scope open in one thread is not seen from another
+    opened, done, seen = threading.Event(), threading.Event(), []
+
+    def holder():
+        with checked("held"):
+            eval_bracket(cur2, cur2.basis(1), cur2.basis(1), L1)
+            opened.set()
+            done.wait(10)
+
+    t = threading.Thread(target=holder)
+    t.start()
+    assert opened.wait(10)
+    seen.append(_SCOPE.get())
+    done.set()
+    t.join(10)
+    assert not t.is_alive() and seen == [None]
