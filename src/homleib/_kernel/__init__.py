@@ -6,6 +6,7 @@ from ._polypure import (
     mul_terms,
     pow_terms,
     scale_terms,
+    sub_terms,
     substitute_many,
     substitute_terms,
 )

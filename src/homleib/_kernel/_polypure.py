@@ -16,9 +16,11 @@ would end exactness); the kernel only adds and multiplies.
 
 Term dicts are never mutated after they are built: a function fills its
 own fresh dict and hands it out, and neither the kernel nor its callers
-write to a dict they received.  Results may therefore share a dict with
-an input; a substitution that changes nothing returns its input itself,
-and a product by the constant 1 returns its other operand.
+write to a dict they received.  Results may therefore be an input dict
+itself: a substitution that changes nothing returns its input, a sum
+with an empty operand and a difference with an empty subtrahend return
+the other operand, and a product by the constant 1 returns its other
+operand.
 """
 
 
@@ -59,9 +61,9 @@ def merge_keys(ka, kb):
 
 def add_terms(a, b):
     if not a:
-        return dict(b)
+        return b
     if not b:
-        return dict(a)
+        return a
     out = dict(a)
     for key, coeff in b.items():
         c = out.get(key)
@@ -69,6 +71,24 @@ def add_terms(a, b):
             out[key] = coeff
         else:
             c = c + coeff
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return _settle(out)
+
+
+def sub_terms(a, b):
+    """a - b in one pass, without negating b first."""
+    if not b:
+        return a
+    out = dict(a)
+    for key, coeff in b.items():
+        c = out.get(key)
+        if c is None:
+            out[key] = -coeff
+        else:
+            c = c - coeff
             if c:
                 out[key] = c
             else:

@@ -154,69 +154,63 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
 
     What depends only on the parameters is done once here: the slot
     substitutions for D, and a table of stored values relabelled to
-    `lams`, filled as keys are met.  Applying the result to n arguments
-    only substitutes D into their coordinates, multiplies and
-    accumulates.  An evaluator lives for one coboundary call.
+    `lams`, filled as keys are met.  An argument's rank check and its
+    nonzero coordinates with D substituted are done once per slot and
+    argument object, which the evaluator holds (so its id stays unique).
+    Applying the result then only multiplies and accumulates.  An
+    evaluator lives for one coboundary, `phi_map` or compatibility check.
     """
     n = f.arity
     last_shift = LinearForm.variable(D)
     for w in lams:
         last_shift = last_shift + w
     slot_subst = [(-w).to_poly() for w in lams] + [last_shift.to_poly()]
+    # stored l1..l(n-1) -> lams, simultaneously: targets may mention them
+    relabel = {lam(i): w.to_poly() for i, w in enumerate(lams, 1)}
     table = f.table
     relabelled: dict[tuple[int, ...], tuple[MultiPoly, ...]] = {}
+    met = {}  # (slot, id(argument)) -> (argument, {coordinate: value})
     zero = MultiPoly.zero()
 
-    def apply(args: list[ConformalElement]) -> ConformalElement:
-        for a in args:
-            if a.ambient_rank != f.alg_rank:
-                raise DimensionError("argument rank does not match the cochain")
-        # per-slot substituted coefficients, keeping only nonzero entries
-        slot_coeffs: list[dict[int, MultiPoly]] = []
-        for subst, a in zip(slot_subst, args):
-            entries = {}
-            for b, coeff in enumerate(a.coords):
-                if coeff.is_zero:
-                    continue
-                coeff = coeff.substitute(D, subst)
+    def slot_coeffs(s: int, a: ConformalElement) -> dict[int, MultiPoly]:
+        hit = met.get((s, id(a)))
+        if hit is not None:
+            return hit[1]
+        if a.ambient_rank != f.alg_rank:
+            raise DimensionError("argument rank does not match the cochain")
+        entries = {}
+        for b, coeff in enumerate(a.coords):
+            if not coeff.is_zero:
+                coeff = coeff.substitute(D, slot_subst[s])
                 if not coeff.is_zero:
                     entries[b] = coeff
-            slot_coeffs.append(entries)
+        met[s, id(a)] = (a, entries)
+        return entries
+
+    def apply(args: list[ConformalElement]) -> ConformalElement:
+        coeffs = [slot_coeffs(s, a) for s, a in enumerate(args)]
         out = [zero] * f.rep_rank
-        if any(not entries for entries in slot_coeffs):
+        if not all(coeffs):
             return ConformalElement(tuple(out))
-        for key in itertools.product(*(sorted(e) for e in slot_coeffs)):
+        # each dict lists its coordinates in increasing order
+        for key in itertools.product(*coeffs):
             vec = table.get(key)
             if vec is None:
                 continue
-            factor = slot_coeffs[0][key[0]]
+            factor = coeffs[0][key[0]]
             for s in range(1, n):
-                factor = factor * slot_coeffs[s][key[s]]
+                factor = factor * coeffs[s][key[s]]
             if factor.is_zero:
                 continue
             values = relabelled.get(key)
             if values is None:
-                values = relabelled[key] = tuple(_relabel(p, n - 1, lams) for p in vec)
+                values = relabelled[key] = tuple(p.substitute_many(relabel) for p in vec)
             for k, p in enumerate(values):
                 if not p.is_zero:
                     out[k] = out[k] + factor * p
         return ConformalElement(tuple(out))
 
     return apply
-
-
-def _relabel(p: MultiPoly, count: int, lams: list[LinearForm]) -> MultiPoly:
-    """Substitute stored l1..l<count> by the parameter list, simultaneously.
-
-    Targets may themselves mention l-variables (and D).
-    """
-    if count == 0:
-        return p
-    live = p.variables()
-    targets = {lam(i): lams[i - 1] for i in range(1, count + 1) if lam(i) in live}
-    if not targets:
-        return p
-    return p.substitute_many(targets)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:

@@ -108,7 +108,7 @@ class MultiPoly:
         return MultiPoly._own(K.add_terms(self._terms, other._terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return MultiPoly._own(K.sub_terms(self._terms, other._terms))
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._own(K.scale_terms(self._terms, -1))
@@ -168,17 +168,35 @@ class MultiPoly:
     # -- substitution ---------------------------------------------------
 
     def substitute(self, v: int, target: "LinearForm | MultiPoly") -> "MultiPoly":
-        """Replace every occurrence of variable v by `target`, expanded."""
+        """Replace every occurrence of variable v by `target`, expanded.
+
+        Returns self when v does not occur or `target` is v itself."""
+        for key in self._terms:
+            for u, _ in key:
+                if u == v:
+                    break
+            else:
+                continue
+            break
+        else:
+            return self
         if isinstance(target, LinearForm):
             target = target.to_poly()
+        if target._terms == {((v, 1),): 1}:
+            return self
         return MultiPoly._own(K.substitute_terms(self._terms, v, target._terms))
 
     def substitute_many(self, targets: Mapping[int, "LinearForm | MultiPoly"]) -> "MultiPoly":
-        """Replace each variable v in `targets` by targets[v], all at once."""
+        """Replace each variable v in `targets` by targets[v], all at once.
+
+        Identity targets v -> v are dropped; returns self when none remain."""
         raw = {
             v: (t.to_poly() if isinstance(t, LinearForm) else t)._terms
             for v, t in targets.items()
         }
+        raw = {v: t for v, t in raw.items() if t != {((v, 1),): 1}}
+        if not raw:
+            return self
         return MultiPoly._own(K.substitute_many(self._terms, raw))
 
     def __repr__(self) -> str:
@@ -197,10 +215,6 @@ ONE = MultiPoly.const(1)
 
 def is_zero(p: MultiPoly) -> bool:
     return p.is_zero
-
-
-def eq(a: MultiPoly, b: MultiPoly) -> bool:
-    return (a - b).is_zero
 
 
 class LinearForm:

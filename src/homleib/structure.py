@@ -224,9 +224,6 @@ class ConformalAlgebra:
                         f"structure polynomial at {(i, j)} uses a forbidden variable"
                     )
 
-    def structure_poly(self, i: int, j: int) -> tuple[MultiPoly, ...]:
-        return self.structure.get((i, j), (MultiPoly.zero(),) * self.rank)
-
     def basis(self, i: int) -> ConformalElement:
         return basis_element(self.rank, i)
 
@@ -295,10 +292,11 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
     """The table at parameter w, as a function of the two arguments.
 
     The polynomials -w, D + w and w are built once, and each entry
-    table[i, j] is set to x = w the first time it is met; tables are
-    never changed once built, so an entry set once stays valid.  The
-    returned function refers to `table`, which keeps the table alive as
-    long as the evaluator is.
+    table[i, j] is set to x = w the first time it is met (at w = x that
+    is the entry itself, not a copy); tables are never changed once
+    built, so an entry set once stays valid.  The returned function
+    refers to `table`, which keeps the table alive as long as the
+    evaluator is.
     """
     neg_w = (-w).to_poly()
     shift_w = (LinearForm.variable(D) + w).to_poly()

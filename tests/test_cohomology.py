@@ -13,7 +13,14 @@ from fractions import Fraction
 import pytest
 
 from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
-from homleib.structure import L1, PdModuleMap, eval_bracket
+from homleib.structure import (
+    L1,
+    ConformalElement,
+    DimensionError,
+    PdModuleMap,
+    basis_element,
+    eval_bracket,
+)
 from homleib.representation import adjoint_rep, eval_l, eval_r
 from homleib.cohomology import (
     Cochain,
@@ -126,6 +133,44 @@ def test_one_evaluator_per_parameter_list_matches_fresh_evaluation(twisted2):
         fresh = dataclasses.replace(f, table=dict(f.table))
         assert evaluate(args) == eval_cochain(fresh, args, lams)
     assert len(evaluators) == 6
+
+
+def d_element(rng, rank=2):
+    """An element whose coordinates mention D, so every slot rule moves them."""
+    return ConformalElement(tuple(
+        MultiPoly({((D, rng.randint(1, 2)),): rng.choice((-2, -1, 1, 3)), (): rng.randint(-1, 1)})
+        for _ in range(rank)
+    ))
+
+
+def test_an_evaluator_reuses_each_argument_per_slot_only():
+    # One evaluator keeps each argument's substituted coordinates per
+    # (slot, argument object); each result must equal a fresh evaluation.
+    rng = random.Random(53)
+    f = random_cochain(2, 2, 3, rng, 2)
+    lams = [LinearForm.variable(lam(2)), LinearForm.variable(lam(1)) + LinearForm.variable(lam(2))]
+    evaluate = _evaluator(f, lams)
+
+    def fresh(args):
+        return eval_cochain(dataclasses.replace(f, table=dict(f.table)), args, lams)
+
+    a, b = d_element(rng), d_element(rng)
+    # the same object in different slots, each with its own rule for D
+    for args in ([a, a, a], [a, b, a], [b, a, b], [a, b, b]):
+        assert evaluate(args) == fresh(args)
+    assert evaluate([a, a, a]) != evaluate([b, a, a])
+    # distinct objects that are equal
+    a2 = ConformalElement(tuple(a.coords))
+    assert a2 == a and a2 is not a
+    assert evaluate([a2, a, a2]) == fresh([a, a, a])
+    # temporaries built and dropped: a new one may get the id of an old one
+    for _ in range(60):
+        args = [d_element(rng), b, d_element(rng)]
+        assert evaluate(args) == fresh(args)
+    with pytest.raises(DimensionError):
+        evaluate([a, basis_element(3, 0), a])
+    with pytest.raises(DimensionError):
+        eval_cochain(f, [a, a, basis_element(1, 0)], lams)
 
 
 def test_cochain_rejects_foreign_variables():

@@ -65,6 +65,31 @@ def test_product_by_one_returns_the_other_operand():
     assert K.mul_terms({(): -1}, b) == {((3, 2),): 1}
 
 
+def test_sub_terms_equals_adding_the_negation():
+    rng = random.Random(23)
+    for i in range(200):
+        den = 1 if i % 2 else 4  # integral coefficients, or some not
+        a = rand_terms(rng, den=den, nterms=rng.randint(0, 6))
+        b = rand_terms(rng, den=den, nterms=rng.randint(0, 6))
+        # int-first inputs, as every MultiPoly holds
+        a, b = MultiPoly(a).raw(), MultiPoly(b).raw()
+        if i % 3 == 0:
+            b = {**b, **{k: rng.choice((c, -c)) for k, c in a.items()}}  # shared keys
+        out = K.sub_terms(a, b)
+        assert out == K.add_terms(a, K.scale_terms(b, -1))
+        assert all_int_first(out)
+
+
+def test_an_empty_operand_returns_the_other():
+    a = {((0, 1),): 2, (): Fraction(1, 3)}
+    b = {((3, 2),): -1}
+    assert K.sub_terms(a, {}) is a
+    assert K.sub_terms(a, a) == {}
+    assert K.sub_terms({}, b) == {((3, 2),): 1}
+    assert K.add_terms(a, {}) is a
+    assert K.add_terms({}, b) is b
+
+
 def test_pow_terms_equals_repeated_multiplication():
     rng = random.Random(5)
     for _ in range(20):
@@ -108,6 +133,7 @@ def test_int_first_storage():
         a, b = rand_terms(rng), rand_terms(rng)
         for out in (
             K.add_terms(a, b),
+            K.sub_terms(a, b),
             K.mul_terms(a, b),
             K.scale_terms(a, Fraction(4)),
             K.pow_terms(a, 2),
@@ -170,3 +196,17 @@ def test_substitution_that_touches_nothing_returns_its_input():
             assert out is not terms and out == two_pass_substitute(terms, {v: t})
         else:
             assert out is terms
+
+
+def test_wrapper_substitution_drops_identity_targets():
+    d, l1, l2 = 0, 3, 4
+    p = MultiPoly({((d, 1), (l1, 2)): 3, ((l2, 1),): Fraction(1, 2), (): 1})
+    v1, v2 = MultiPoly.var(l1), MultiPoly.var(l2)
+    assert p.substitute(l1, v1) is p
+    assert p.substitute(1, MultiPoly.var(d)) is p  # x does not occur
+    assert p.substitute_many({l1: v1, l2: v2}) is p
+    # the identity target is dropped, the collapse of l2 onto l1 is kept
+    collapse = {l1: v1, l2: v1}
+    raw = {v: t.raw() for v, t in collapse.items()}
+    assert p.substitute_many(collapse).raw() == two_pass_substitute(p.raw(), raw)
+    assert p.substitute_many(collapse) == p.substitute(l2, v1)

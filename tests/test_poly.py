@@ -100,6 +100,16 @@ def test_mul_examples():
     assert (d + 2 * x) * Fraction(3, 2) == Fraction(3, 2) * d + 3 * x
 
 
+@settings(max_examples=200, derandomize=True)
+@given(polys(), st.sampled_from(VARS), linear_forms())
+def test_substitute_returns_self_when_nothing_changes(p, v, t):
+    assert p.substitute(v, LinearForm.variable(v)) is p
+    assert p.substitute(v, MultiPoly.var(v)) is p
+    assert p.substitute_many({v: MultiPoly.var(v)}) is p
+    if v not in p.variables():
+        assert p.substitute(v, t) is p
+
+
 def test_substitute_examples():
     d, x, l1, l2 = (MultiPoly.var(v) for v in (D, X, lam(1), lam(2)))
     assert (d + 2 * x).substitute(D, -LinearForm.variable(lam(1))) == 2 * x - l1

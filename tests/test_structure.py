@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 from homleib import cohomology
-from homleib.cohomology import coboundary_homL, random_cochain
+from homleib.cohomology import coboundary_homL, eval_cochain, random_cochain
 from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.report import _SCOPE, checked
 from homleib.representation import adjoint_rep, eval_l, eval_r, verify_representation
@@ -39,13 +39,13 @@ _SYM = {D: sD, X: sx, lam(1): sl1, lam(2): sl2}
 
 
 def to_sympy(p: MultiPoly):
-    total = sympy.Integer(0)
+    terms = []
     for key, coeff in p.terms():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
         for v, e in key:
             term *= _SYM[v] ** e
-        total += term
-    return sympy.expand(total)
+        terms.append(term)
+    return sympy.expand(sympy.Add(*terms))
 
 
 def rand_dpoly(rng, deg=2):
@@ -87,6 +87,44 @@ def test_bracket_against_sympy_oracle(vir):
             sf.subs(sD, -sl1) * sg.subs(sD, sD + sl1) * (sD + 2 * sl1)
         )
         assert sympy.expand(to_sympy(out) - expected) == 0
+
+
+def test_arity3_cochain_against_sympy_oracle():
+    # f(a1, a2, a3) at (w1, w2) is the sum over basis triples of
+    # a1(-w1) a2(-w2) a3(D + w1 + w2) f[b1, b2, b3] at l1, l2 := w1, w2
+    rng = random.Random(29)
+    f = random_cochain(2, 2, 3, rng, 2)
+    l1, l2 = LinearForm.variable(lam(1)), LinearForm.variable(lam(2))
+    param_lists = [[l1, l2], [l2, l1], [l1 + l2, l2], [l2, l1 + l2], [l1 + l2, l1]]
+    gens = (sD, sl1, sl2)
+    stored = {key: [to_sympy(p) for p in vec] for key, vec in f.table.items()}
+    for lams in param_lists:
+        w1, w2 = (to_sympy(w.to_poly()) for w in lams)
+        slot_d = [-w1, -w2, sD + w1 + w2]
+        values = {
+            key: [sympy.Poly(p.subs({sl1: w1, sl2: w2}, simultaneous=True), *gens) for p in vec]
+            for key, vec in stored.items()
+        }
+        for _ in range(2):
+            args = []
+            while len(args) < 3:
+                a = rand_element(rng, 2)
+                if any(D in c.variables() for c in a.coords):
+                    args.append(a)
+            coords = [
+                [sympy.Poly(to_sympy(c).subs(sD, d), *gens) for c in a.coords]
+                for a, d in zip(args, slot_d)
+            ]
+            out = eval_cochain(f, args, lams)
+            for k in range(2):
+                expected = sympy.Poly(0, *gens)
+                for (b1, b2, b3), vec in values.items():
+                    expected += coords[0][b1] * coords[1][b2] * coords[2][b3] * vec[k]
+                got = {
+                    tuple(dict(key).get(v, 0) for v in (D, lam(1), lam(2))): sympy.Rational(c)
+                    for key, c in out.coords[k].terms()
+                }
+                assert sympy.Poly.from_dict(got, *gens) == expected
 
 
 def test_sesquilinearity_property_random(vir, cur2):
