@@ -18,6 +18,7 @@ the expression grammar of poly.parse_poly.  Section kinds:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .poly import (
@@ -55,7 +56,6 @@ class Section:
     kind: str
     name: str | None
     entries: list = field(default_factory=list)  # (key tuple, value) pairs
-    line: int = 0
 
     def get(self, *key, default=None):
         for k, v in self.entries:
@@ -105,53 +105,41 @@ class DefinitionFile:
 # ---------------------------------------------------------------------------
 
 
+# Blanks and `#` comments; a comment ends before its newline.
+_SKIP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# In a str pattern `\w` is exactly `str.isalnum()` or `_`.
+_IDENT = re.compile(r"\w*")
+# A string body runs to the next quote and may not cross a newline.
+_STRING_BODY = re.compile(r'[^"\n]*')
+
+
 class _Tok:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
 
     def skip(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
+        self.pos = _SKIP.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def error(self, message: str) -> DefinitionError:
-        return DefinitionError(f"line {self.line}, column {self.col}: {message}")
+        """The message at the current position, with a 1-based line and column."""
+        line = self.text.count("\n", 0, self.pos) + 1
+        col = self.pos - self.text.rfind("\n", 0, self.pos)
+        return DefinitionError(f"line {line}, column {col}: {message}")
 
     def expect(self, ch: str):
         if self.peek() != ch:
             raise self.error(f"expected {ch!r}")
-        self._advance()
+        self.pos += 1
 
     def ident(self) -> str:
         self.skip()
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self._advance()
+        self.pos = _IDENT.match(self.text, start).end()
         if self.pos == start:
             raise self.error("expected an identifier")
         return self.text[start : self.pos]
@@ -159,15 +147,11 @@ class _Tok:
     def string(self) -> str:
         self.expect('"')
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != '"':
-            if self.text[self.pos] == "\n":
-                raise self.error("unterminated string")
-            self._advance()
-        if self.pos >= len(self.text):
+        self.pos = end = _STRING_BODY.match(self.text, start).end()
+        if end == len(self.text) or self.text[end] == "\n":
             raise self.error("unterminated string")
-        s = self.text[start : self.pos]
-        self._advance()
-        return s
+        self.pos = end + 1
+        return self.text[start:end]
 
     def value(self, depth: int = 0):
         ch = self.peek()
@@ -176,18 +160,18 @@ class _Tok:
         if ch == "[":
             if depth == MAX_NESTING:
                 raise self.error(f"lists nested deeper than {MAX_NESTING} levels")
-            self._advance()
+            self.pos += 1
             items = []
             if self.peek() == "]":
-                self._advance()
+                self.pos += 1
                 return items
             while True:
                 items.append(self.value(depth + 1))
                 ch = self.peek()
                 if ch == ",":
-                    self._advance()
+                    self.pos += 1
                 elif ch == "]":
-                    self._advance()
+                    self.pos += 1
                     return items
                 else:
                     raise self.error("expected ',' or ']' in list")
@@ -212,12 +196,11 @@ def parse_definition(text: str) -> DefinitionFile:
     while tok.peek():
         if tok.peek() != "[":
             raise tok.error("expected a section header")
-        line = tok.line
         tok.expect("[")
         kind = tok.ident()
         name = None
         if tok.peek() == ":":
-            tok._advance()
+            tok.pos += 1
             name = tok.ident()
         tok.expect("]")
         if kind not in _KNOWN_KINDS:
@@ -225,11 +208,11 @@ def parse_definition(text: str) -> DefinitionFile:
         if (kind, name) in seen:
             raise tok.error(f"duplicate section [{kind if name is None else kind + ':' + name}]")
         seen.add((kind, name))
-        section = Section(kind, name, line=line)
+        section = Section(kind, name)
         while tok.peek() and tok.peek() != "[":
             key = [tok.ident()]
             while tok.peek() == ".":
-                tok._advance()
+                tok.pos += 1
                 key.append(tok.ident())
             tok.expect("=")
             section.entries.append((tuple(key), tok.value()))
@@ -355,7 +338,7 @@ def build_cochain(
 ) -> Cochain:
     s = file.named("cochain", name)
     arity_text = s.require("arity")
-    if not isinstance(arity_text, str) or not arity_text.isdigit() or int(arity_text) < 1:
+    if not isinstance(arity_text, str) or not arity_text.isdecimal() or int(arity_text) < 1:
         raise DefinitionError(f"[{s.label}]: arity must be a positive integer string")
     arity = int(arity_text)
     table = {}
@@ -443,7 +426,7 @@ def build_deformation(
     bracket_orders: dict[int, dict] = {}
     base_op = None
     for key, value in s.prefixed("operator"):
-        if len(key) != 2 or not key[1].isdigit():
+        if len(key) != 2 or not key[1].isdecimal():
             raise DefinitionError(f"[{s.label}]: operator keys look like operator.<order>")
         order = int(key[1])
         m = _matrix(value, f"[{s.label}] {'.'.join(key)}")
@@ -454,7 +437,7 @@ def build_deformation(
     if base_op is None:
         raise DefinitionError(f"[{s.label}]: missing operator.0 (the base operator)")
     for key, value in s.prefixed("bracket"):
-        if len(key) != 4 or not key[1].isdigit():
+        if len(key) != 4 or not key[1].isdecimal():
             raise DefinitionError(
                 f"[{s.label}]: bracket keys look like bracket.<order>.<a>.<b>"
             )
@@ -469,7 +452,7 @@ def build_deformation(
     declared = s.get("order")
     min_order = 0
     if declared is not None:
-        if not isinstance(declared, str) or not declared.isdigit():
+        if not isinstance(declared, str) or not declared.isdecimal():
             raise DefinitionError(f"[{s.label}]: order must be an integer string")
         min_order = int(declared)
     return make_deformation(alg, base_op, bracket_orders, operator_orders, min_order)

@@ -361,7 +361,7 @@ class _Scanner:
     def read_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -439,7 +439,7 @@ def _parse_atom(sc: _Scanner) -> MultiPoly:
             p = -_parse_atom(sc)
         sc.depth -= 1
         return p
-    if ch.isdigit():
+    if ch.isdecimal():
         num = sc.read_uint()
         if sc.peek() == "/":
             sc.pos += 1

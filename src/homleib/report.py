@@ -88,7 +88,8 @@ class checked:
         self.report = Report(name)
 
     def __enter__(self) -> "checked":
-        self._scope = _SCOPE.set({})
+        self._scope = _evaluation_scope()
+        self._scope.__enter__()
         self._t0 = time.perf_counter()
         return self
 
@@ -102,7 +103,7 @@ class checked:
         self.add(context, str(residual))
 
     def __exit__(self, exc_type, exc, tb):
-        _SCOPE.reset(self._scope)
+        self._scope.__exit__(exc_type, exc, tb)
         self.report.violations.sort(key=lambda v: (v.context, v.residual))
         self.report.timing_ms = (time.perf_counter() - self._t0) * 1000.0
         return False

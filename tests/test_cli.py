@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from homleib.cli import main
+from homleib.cli import build_parser, main
 from homleib.definitions import parse_definition
 
 DEFS = os.path.join(os.path.dirname(__file__), "..", "defs")
@@ -149,6 +149,26 @@ def test_deep_nesting_is_one_line_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (
+            '[algebra]\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["D^²"]\n',
+            ("check", "lie"),
+            "[algebra] bracket.L.L: expected an integer (at position 2)",
+        ),
+        (
+            '[algebra]\nbasis = ["L"]\nalpha = [["1"]]\n[cochain:f]\narity = "²"\n',
+            ("cohomology", "delta", "--cochain", "f"),
+            "[cochain:f]: arity must be a positive integer string",
+        ),
+    ],
+)
+def test_unicode_digit_is_one_line_error_naming_the_entry(capsys, tmp_path, text, argv, message):
+    # "²" passes str.isdigit() but int() rejects it
+    assert one_line_error(capsys, tmp_path, text, *argv) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("deform", "check-order", "deformations.def", "--name", "b", "--order", "9"),
@@ -278,3 +298,50 @@ def test_failure_records_carry_context(capsys):
     record = json.loads(out.strip())
     assert record["status"] == "fail"
     assert record["violations"][0]["context"] == [0, 0]
+
+
+# -- repeated calls in one process --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "nijenhuis", path("virasoro_ops.def"), "--op", "dscale", "--format", "records"),
+        ("construct", "ns-from-n", path("virasoro_ops.def"), "--op", "ident"),
+        ("cohomology", "delta", path("virasoro_ops.def"), "--cochain", "f_id"),
+        ("check", "nijenhuis", path("virasoro.def")),
+    ],
+    ids=["records", "construct", "cochain", "error"],
+)
+def test_main_twice_gives_identical_output(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv)
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_usage_error_leaves_main_unchanged(capsys):
+    argv = ("construct", "ns-from-n", path("virasoro_ops.def"), "--op", "ident")
+    first = run(capsys, *argv)
+    err = usage_error(capsys, "check", "nosuch", path("virasoro.def"))
+    assert "invalid choice: 'nosuch'" in err
+    assert run(capsys, *argv) == first
+    assert usage_error(capsys, "check", "nosuch", path("virasoro.def")) == err
+
+
+def test_usage_text_is_formatted_when_printed(capsys, monkeypatch):
+    # help and usage errors take the terminal width at the moment they are
+    # printed, as a parser built for the call would
+    argv = ["deform", "equiv1"]
+    errors = []
+    for columns in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        errors.append(usage_error(capsys, *argv))
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr().err == errors[-1]
+    assert errors[0] != errors[1]

@@ -2,9 +2,12 @@
 
 import glob
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_scanner
 from homleib.poly import parse_poly
 from homleib.definitions import (
     DefinitionError,
@@ -84,9 +87,47 @@ def test_unknown_section_kind_rejected():
 def test_syntax_error_carries_line_and_column():
     with pytest.raises(DefinitionError) as exc:
         parse_definition('[algebra]\nbasis = ["L" "M"]\n')
-    assert "line 2" in str(exc.value)
-    with pytest.raises(DefinitionError):
+    assert str(exc.value) == "line 2, column 14: expected ',' or ']' in list"
+    with pytest.raises(DefinitionError) as exc:
         parse_definition('[algebra]\nbasis = ,\n')
+    assert str(exc.value) == "line 2, column 9: expected a string or a list"
+
+
+# Each message as the character scanner gave it; lines and columns count
+# from 1, and a column counts characters since the last newline.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the kind is checked once the header is read, so the column
+        # falls just after its `]`
+        ('[mystery]\nkey = "1"\n', "line 1, column 10: unknown section kind 'mystery'"),
+        ("# c\n  [mystery:x]  \n", "line 2, column 14: unknown section kind 'mystery'"),
+        (
+            '[algebra]\nbasis = ["L"]\n\n[algebra]\nbasis = ["M"]\n',
+            "line 4, column 10: duplicate section [algebra]",
+        ),
+        ('[operator:a]\nm = "1"\n[operator:a]\n', "line 3, column 13: duplicate section [operator:a]"),
+        # an unterminated string stops at its newline, or at the end of the text
+        ('[algebra]\nbasis = ["L]\nalpha = [["1"]]\n', "line 2, column 13: unterminated string"),
+        ('[algebra]\nbasis = ["L', "line 2, column 12: unterminated string"),
+        # `[` and `"` inside a comment open nothing
+        ('[algebra] # [finite]\nbasis = ,\n', "line 2, column 9: expected a string or a list"),
+        ('# "open\n[algebra]\nbasis = ["L"] # "x\n  alpha ~\n', "line 4, column 9: expected '='"),
+        ('[algebra]\nbasis = ["L", # "] [\n "M" x]\n', "line 3, column 6: expected ',' or ']' in list"),
+        # a carriage return is a blank, and counts as a column
+        ('[algebra]\r\nbasis = ["L"\r\n,, ]\r\n', "line 3, column 2: expected a string or a list"),
+        ('key = "1"\n', "line 1, column 1: expected a section header"),
+        (
+            '[algebra]\nk = ' + "[" * 101 + '"a"' + "]" * 101 + "\n",
+            "line 2, column 105: lists nested deeper than 100 levels",
+        ),
+        ("  # only a comment\n", "empty definition file"),
+    ],
+)
+def test_syntax_error_messages(text, message):
+    with pytest.raises(DefinitionError) as exc:
+        parse_definition(text)
+    assert str(exc.value) == message
 
 
 def test_unresolved_operator_reference():
@@ -168,3 +209,146 @@ def test_emitted_sections_reparse(vir):
 def test_comments_and_whitespace_tolerated():
     text = "# leading comment\n" + VIRASORO_TEXT + "# trailing\n"
     assert build_algebra(parse_definition(text)).rank == 1
+    # `[` and `"` inside a comment open nothing
+    text = '[algebra]  # [finite]\nbasis = ["L"]  # x = "y\n'
+    [section] = parse_definition(text).sections
+    assert (section.kind, section.name, section.entries) == ("algebra", None, [(("basis",), ["L"])])
+
+
+# -- digits that int() rejects ------------------------------------------------
+# `str.isdigit()` accepts superscripts such as "²", which int() rejects;
+# each site tests `str.isdecimal()` and ends in a prefixed DefinitionError.
+
+DEFORMATION_HEAD = VIRASORO_TEXT + '\n[deformation:d]\noperator.0 = [["1"]]\n'
+
+
+@pytest.mark.parametrize(
+    "text, build, message",
+    [
+        (
+            VIRASORO_TEXT + '\n[cochain:f]\narity = "²"\n',
+            lambda file, alg: build_cochain(file, "f", alg, 1, ("L",)),
+            "[cochain:f]: arity must be a positive integer string",
+        ),
+        (
+            DEFORMATION_HEAD + 'order = "¹"\n',
+            lambda file, alg: build_deformation(file, alg, "d"),
+            "[deformation:d]: order must be an integer string",
+        ),
+        (
+            DEFORMATION_HEAD + 'operator.² = [["1"]]\n',
+            lambda file, alg: build_deformation(file, alg, "d"),
+            "[deformation:d]: operator keys look like operator.<order>",
+        ),
+        (
+            DEFORMATION_HEAD + 'bracket.².L.L = ["D"]\n',
+            lambda file, alg: build_deformation(file, alg, "d"),
+            "[deformation:d]: bracket keys look like bracket.<order>.<a>.<b>",
+        ),
+    ],
+    ids=["arity", "order", "operator-key", "bracket-key"],
+)
+def test_unicode_digit_is_definition_error(text, build, message):
+    file = parse_definition(text)
+    with pytest.raises(DefinitionError) as exc:
+        build(file, build_algebra(file))
+    assert str(exc.value) == message
+
+
+# -- the scanner against its character-at-a-time reference --------------------
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DefinitionError as exc:
+        return str(exc)
+
+
+def _sections(text):
+    return [(s.kind, s.name, s.entries) for s in parse_definition(text).sections]
+
+
+def assert_same_scan(text):
+    assert _outcome(_sections, text) == _outcome(reference_scanner.parse_sections, text), repr(text)
+
+
+SHIPPED = sorted(glob.glob(os.path.join(DEFS_DIR, "*.def")))
+EDIT_CHARS = '[]":.=,# \t\r\n_x²é'
+
+
+def _edited(text: str, rng: random.Random) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            chars.insert(i, rng.choice(EDIT_CHARS))
+        elif i < len(chars):
+            if op == 1:
+                del chars[i]
+            else:
+                chars[i] = rng.choice(EDIT_CHARS)
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_scanner_matches_reference_on_shipped_and_edited_files(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert_same_scan(text)
+    rng = random.Random(os.path.basename(path))
+    for _ in range(100):
+        assert_same_scan(_edited(text, rng))
+
+
+_WORD = st.text(st.characters(categories=("L", "N"), include_characters="_"), min_size=1, max_size=5)
+_KINDS = ["algebra", "operator", "cochain", "deformation"]
+_GAP = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r\n", "# note\n", '# "q [x]\r\n']), max_size=3
+).map("".join)
+_STRING = st.text(st.characters(exclude_characters='"\n'), max_size=6).map(lambda b: f'"{b}"')
+_LIST = st.recursive(
+    _STRING | st.sampled_from(['"#"', '"a # b"', '"[x]"']),
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=6,
+)
+# values that end the file in an error, or sit at the nesting limit
+_EDGE = st.sampled_from(['"open\n', '"open', '"a\r\n"']) | st.integers(98, 102).map(
+    lambda k: "[" * k + '"a"' + "]" * k
+)
+# "‿" and a combining accent are not word characters; "²" is one
+# True about once in n draws; False, the usual case, is also the simplest
+_ONE_IN = {n: st.sampled_from([False] * (n - 1) + [True]) for n in (4, 8, 10)}
+_NOISE = st.sampled_from(["", '"', "[", "]", ":", ".", "=", ",", "#", "\n", "\r", "²", "‿", "\u0301"])
+
+
+@st.composite
+def definition_texts(draw):
+    """Section headers and entries with blanks, comments and CRLF between
+    them; now and then an unknown kind, an edge-case value, a few
+    single-character edits or a cut."""
+    parts = [draw(_GAP)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_KINDS + [None])) or draw(_WORD)
+        name = draw(st.none() | _WORD)
+        parts += ["[", kind, "" if name is None else ":" + name, "]", draw(_GAP)]
+        for _ in range(draw(st.integers(0, 3))):
+            key = ".".join(draw(st.lists(_WORD, min_size=1, max_size=3)))
+            value = draw(_EDGE if draw(_ONE_IN[10]) else _LIST)
+            parts += [key, draw(_GAP), "=", draw(_GAP), value, draw(_GAP)]
+    parts.append(draw(st.sampled_from(["", "#", "# end", "\n"])))
+    text = "".join(parts)
+    if draw(_ONE_IN[4]):
+        for at, ch in draw(st.lists(st.tuples(st.integers(0, 10_000), _NOISE), max_size=2)):
+            at %= len(text) + 1
+            text = text[:at] + ch + text[at + (ch == ""):]
+    if draw(_ONE_IN[8]):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(definition_texts())
+def test_scanner_matches_reference_on_generated_text(text):
+    assert_same_scan(text)

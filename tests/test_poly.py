@@ -158,6 +158,28 @@ def test_parse_errors_carry_position():
     assert exc.value.pos == 0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # read_uint: an exponent, a lambda index or a denominator
+        ("x^²", "expected an integer (at position 2)"),
+        ("l²", "expected an integer (at position 1)"),
+        ("1/¹", "expected an integer (at position 2)"),
+        # _parse_atom: a leading digit
+        ("²*D", "unexpected character '²' (at position 0)"),
+    ],
+)
+def test_digits_that_int_rejects_are_parse_errors(text, message):
+    # "²" passes str.isdigit() but not int(); only decimal digits are read
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
+def test_other_decimal_digits_still_parse():
+    assert parse_poly("x^٣") == parse_poly("x^3")  # ARABIC-INDIC DIGIT THREE
+
+
 def test_nesting_beyond_the_limit_is_a_parse_error():
     deep = "(" * MAX_NESTING + "D" + ")" * MAX_NESTING
     assert parse_poly(deep) == MultiPoly.var(D)
