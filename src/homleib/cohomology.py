@@ -41,6 +41,7 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _slot_memo,
     basis_element,
     eval_bracket,
     normalize_table,
@@ -156,7 +157,7 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
     substitutions for D, and a table of stored values relabelled to
     `lams`, filled as keys are met.  An argument's rank check and its
     nonzero coordinates with D substituted are done once per slot and
-    argument object, which the evaluator holds (so its id stays unique).
+    argument object (`structure._slot_memo`).
     Applying the result then only multiplies and accumulates.  An
     evaluator lives for one coboundary, `phi_map` or compatibility check.
     """
@@ -169,26 +170,11 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
     relabel = {lam(i): w.to_poly() for i, w in enumerate(lams, 1)}
     table = f.table
     relabelled: dict[tuple[int, ...], tuple[MultiPoly, ...]] = {}
-    met = {}  # (slot, id(argument)) -> (argument, {coordinate: value})
+    coords = _slot_memo(slot_subst, rank=f.alg_rank)
     zero = MultiPoly.zero()
 
-    def slot_coeffs(s: int, a: ConformalElement) -> dict[int, MultiPoly]:
-        hit = met.get((s, id(a)))
-        if hit is not None:
-            return hit[1]
-        if a.ambient_rank != f.alg_rank:
-            raise DimensionError("argument rank does not match the cochain")
-        entries = {}
-        for b, coeff in enumerate(a.coords):
-            if not coeff.is_zero:
-                coeff = coeff.substitute(D, slot_subst[s])
-                if not coeff.is_zero:
-                    entries[b] = coeff
-        met[s, id(a)] = (a, entries)
-        return entries
-
     def apply(args: list[ConformalElement]) -> ConformalElement:
-        coeffs = [slot_coeffs(s, a) for s, a in enumerate(args)]
+        coeffs = [coords(s, a) for s, a in enumerate(args)]
         out = [zero] * f.rep_rank
         if not all(coeffs):
             return ConformalElement(tuple(out))

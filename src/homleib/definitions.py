@@ -261,7 +261,9 @@ def _basis(section: Section) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise DefinitionError(f"[{section.label}]: duplicate basis names")
     for b in names:
-        if b in RESERVED_NAMES or (b[0] == "l" and b[1:].isdigit()):
+        if not b:
+            raise DefinitionError(f"[{section.label}]: empty basis name")
+        if b in RESERVED_NAMES or (b[0] == "l" and b[1:].isdecimal()):
             raise DefinitionError(f"[{section.label}]: basis name {b!r} is reserved")
     return names
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
+from types import MappingProxyType
 
 from .poly import LinearForm, MultiPoly, X, lam
 from .report import Report, checked
@@ -18,9 +20,12 @@ from .structure import (
     XF,
     L1,
     L2,
+    L12,
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
+    _basis_and_images,
+    _products,
     eval_table_bracket,
     normalize_table,
     zero_element,
@@ -35,6 +40,10 @@ from .cohomology import (
     coboundary_homL,
     phi_map,
 )
+
+# the bracket of every order past the stored ones: one table, so a check
+# builds one evaluator per parameter for all of them
+_NO_BRACKET = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class DeformationData:
         return self.operators[0]
 
     def bracket_table(self, i: int):
-        return self.brackets[i] if i < len(self.brackets) else {}
+        return self.brackets[i] if i < len(self.brackets) else _NO_BRACKET
 
     def operator(self, i: int) -> PdModuleMap:
         if i < len(self.operators):
@@ -100,61 +109,50 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
       operator         : the convolution over i+j+k=n of the operator
                          identity (outer operator, inner operator, bracket)
 
-    Order 0 reproduces the base axioms verbatim.
+    Order 0 reproduces the base axioms verbatim.  The basis-pair products
+    of every order, at w1 and at w2, are built once per check.
     """
     if n < 0:
         raise ValueError(f"order {n} is negative")
     if n > data.order:
         raise ValueError(f"order {n} exceeds stored order {data.order}")
     alg = data.base
-    rank = alg.rank
-    a = alg.alpha
-
-    def ev(i, left, right, w):
-        return eval_table_bracket(data.bracket_table(i), rank, left, right, w)
-
+    rank, a = alg.rank, alg.alpha
+    ops = [data.operator(o) for o in range(n + 1)]
     with checked(f"deformation_order_{n}") as c:
-        c.add_nonzero(
-            ("multiplicativity", "operator_twist"),
-            a.compose(data.operator(n)) - data.operator(n).compose(a),
-        )
+        c.add_nonzero(("multiplicativity", "operator_twist"), a.compose(ops[n]) - ops[n].compose(a))
+        evs = [partial(eval_table_bracket, data.bracket_table(o), rank) for o in range(n + 1)]
+        basis, twisted = _basis_and_images(rank, a)
         for i in range(rank):
-            p = alg.basis(i)
             for j in range(rank):
-                q = alg.basis(j)
-                res = a.apply(ev(n, p, q, XF)) - ev(n, a.apply(p), a.apply(q), XF)
+                res = a.apply(evs[n](basis[i], basis[j], XF)) - evs[n](twisted[i], twisted[j], XF)
                 c.add_nonzero(("multiplicativity", i, j), res)
-        for i in range(rank):
-            p = alg.basis(i)
-            ap = a.apply(p)
-            for j in range(rank):
-                q = alg.basis(j)
-                aq = a.apply(q)
-                for k in range(rank):
-                    r = alg.basis(k)
+        at1 = [_products(ev, basis, basis, L1) for ev in evs]
+        at2 = [_products(ev, basis, basis, L2) for ev in evs]
+        for i, ap in enumerate(twisted):
+            for j, aq in enumerate(twisted):
+                for k, ar in enumerate(twisted):
                     acc = zero_element(rank)
                     for o in range(n + 1):
-                        i2 = n - o
-                        acc = acc + ev(i2, ap, ev(o, q, r, L2), L1)
-                        acc = acc - ev(i2, ev(o, p, q, L1), a.apply(r), L1 + L2)
-                        acc = acc - ev(i2, aq, ev(o, p, r, L1), L2)
+                        ev = evs[n - o]
+                        acc = acc + ev(ap, at2[o][j][k], L1)
+                        acc = acc - ev(at1[o][i][j], ar, L12)
+                        acc = acc - ev(aq, at1[o][i][k], L2)
                     c.add_nonzero(("leibniz", i, j, k), acc)
-        for i in range(rank):
-            p = alg.basis(i)
-            for j in range(rank):
-                q = alg.basis(j)
+        images = [[op.apply(e) for e in basis] for op in ops]
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis):
                 acc = zero_element(rank)
                 for o1 in range(n + 1):
                     for o2 in range(n + 1 - o1):
                         o3 = n - o1 - o2
-                        nj, nk = data.operator(o2), data.operator(o3)
-                        acc = acc + ev(o1, nj.apply(p), nk.apply(q), L1)
+                        acc = acc + evs[o1](images[o2][i], images[o3][j], L1)
                         inner = (
-                            ev(o3, p, nj.apply(q), L1)
-                            + ev(o3, nj.apply(p), q, L1)
-                            - nj.apply(ev(o3, p, q, L1))
+                            evs[o3](p, images[o2][j], L1)
+                            + evs[o3](images[o2][i], q, L1)
+                            - ops[o2].apply(at1[o3][i][j])
                         )
-                        acc = acc - data.operator(o1).apply(inner)
+                        acc = acc - ops[o1].apply(inner)
                 c.add_nonzero(("operator", i, j), acc)
     return c.report
 
@@ -238,20 +236,18 @@ def equivalence_order1_check(
     if psi1.rows != rank or psi1.cols != rank:
         raise DimensionError("psi1 has the wrong shape")
 
-    def ev(data, i, left, right, w):
-        return eval_table_bracket(data.bracket_table(i), rank, left, right, w)
-
+    a0, a1 = (partial(eval_table_bracket, data_a.bracket_table(o), rank) for o in (0, 1))
+    b1 = partial(eval_table_bracket, data_b.bracket_table(1), rank)
     with checked("equivalence_order1") as c:
-        for i in range(rank):
-            p = alg.basis(i)
-            for j in range(rank):
-                q = alg.basis(j)
+        basis, images = _basis_and_images(rank, psi1)
+        for i, (p, pp) in enumerate(zip(basis, images)):
+            for j, (q, pq) in enumerate(zip(basis, images)):
                 res = (
-                    psi1.apply(ev(data_a, 0, p, q, XF))
-                    + ev(data_b, 1, p, q, XF)
-                    - ev(data_a, 0, psi1.apply(p), q, XF)
-                    - ev(data_a, 0, p, psi1.apply(q), XF)
-                    - ev(data_a, 1, p, q, XF)
+                    psi1.apply(a0(p, q, XF))
+                    + b1(p, q, XF)
+                    - a0(pp, q, XF)
+                    - a0(p, pq, XF)
+                    - a1(p, q, XF)
                 )
                 c.add_nonzero(("bracket_relation", i, j), res)
         op_res = (

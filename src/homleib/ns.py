@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .poly import D, MultiPoly, Rat, LinearForm
-from .report import Report, checked
+from .report import Report, _evaluation_scope, checked
 from .structure import (
     XF,
     L1,
     L2,
+    L12,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
     PdModuleMap,
     _add_nonzero_entries,
+    _basis_and_images,
+    _products,
     basis_element,
     eval_bracket,
     eval_table_bracket,
@@ -30,7 +34,7 @@ from .structure import (
 )
 from .representation import Representation, eval_l, eval_r
 from .operators import OperatorKind, PreconditionError, verify_operator
-from .cohomology import Cochain, eval_cochain
+from .cohomology import Cochain, _evaluator
 
 
 @dataclass(frozen=True)
@@ -50,22 +54,6 @@ class NSAlgebra:
         return basis_element(self.rank, i)
 
 
-def eval_left(ns: NSAlgebra, a, b, w):
-    return eval_table_bracket(ns.left, ns.rank, a, b, w)
-
-
-def eval_right(ns: NSAlgebra, a, b, w):
-    return eval_table_bracket(ns.right, ns.rank, a, b, w)
-
-
-def eval_vee(ns: NSAlgebra, a, b, w):
-    return eval_table_bracket(ns.vee, ns.rank, a, b, w)
-
-
-def eval_star(ns: NSAlgebra, a, b, w):
-    return eval_left(ns, a, b, w) + eval_right(ns, a, b, w) + eval_vee(ns, a, b, w)
-
-
 def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
     """The four compatibility identities plus twist multiplicativity.
 
@@ -74,57 +62,48 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
     never part of the axioms; with check_vee_skew it is reported as an
     extra labelled check.
     """
-    a = ns.alpha
+    a, n = ns.alpha, ns.rank
     with checked("ns_axioms") as c:
-        for name, ev in (("left", eval_left), ("right", eval_right), ("vee", eval_vee)):
-            for i in range(ns.rank):
-                for j in range(ns.rank):
-                    p, q = ns.basis(i), ns.basis(j)
-                    res = a.apply(ev(ns, p, q, XF)) - ev(ns, a.apply(p), a.apply(q), XF)
+        basis, twisted = _basis_and_images(n, a)
+        evs = {name: partial(eval_table_bracket, getattr(ns, name), n) for name in ("left", "right", "vee")}
+        for name, ev in evs.items():
+            for i in range(n):
+                for j in range(n):
+                    res = a.apply(ev(basis[i], basis[j], XF)) - ev(twisted[i], twisted[j], XF)
                     c.add_nonzero(("multiplicativity", name, i, j), res)
-        for i in range(ns.rank):
-            p = ns.basis(i)
-            ap = a.apply(p)
-            for j in range(ns.rank):
-                q = ns.basis(j)
-                aq = a.apply(q)
-                for k in range(ns.rank):
-                    r = ns.basis(k)
-                    ar = a.apply(r)
-                    res1 = (
-                        eval_right(ns, ap, eval_star(ns, q, r, L2), L1)
-                        - eval_right(ns, eval_right(ns, p, q, L1), ar, L1 + L2)
-                        - eval_left(ns, aq, eval_right(ns, p, r, L1), L2)
-                    )
+        lf, rt, ve = evs.values()
+
+        def products(w):
+            """The three products and their sum on every basis pair, at w."""
+            left, right, vee = (_products(ev, basis, basis, w) for ev in (lf, rt, ve))
+            star = [[x + y + z for x, y, z in zip(*rows)] for rows in zip(left, right, vee)]
+            return left, right, vee, star
+
+        left1, right1, vee1, star1 = products(L1)
+        left2, right2, vee2, star2 = products(L2)
+        for i, ap in enumerate(twisted):
+            for j, aq in enumerate(twisted):
+                for k, ar in enumerate(twisted):
+                    res1 = rt(ap, star2[j][k], L1) - rt(right1[i][j], ar, L12) - lf(aq, right1[i][k], L2)
                     c.add_nonzero(("right_star", i, j, k), res1)
-                    res2 = (
-                        eval_left(ns, ap, eval_right(ns, q, r, L2), L1)
-                        - eval_right(ns, eval_left(ns, p, q, L1), ar, L1 + L2)
-                        - eval_right(ns, aq, eval_star(ns, p, r, L1), L2)
-                    )
+                    res2 = lf(ap, right2[j][k], L1) - rt(left1[i][j], ar, L12) - rt(aq, star1[i][k], L2)
                     c.add_nonzero(("left_right", i, j, k), res2)
-                    res3 = (
-                        eval_left(ns, ap, eval_left(ns, q, r, L2), L1)
-                        - eval_left(ns, eval_star(ns, p, q, L1), ar, L1 + L2)
-                        - eval_left(ns, aq, eval_left(ns, p, r, L1), L2)
-                    )
+                    res3 = lf(ap, left2[j][k], L1) - lf(star1[i][j], ar, L12) - lf(aq, left1[i][k], L2)
                     c.add_nonzero(("left_left", i, j, k), res3)
                     res4 = (
-                        eval_vee(ns, ap, eval_star(ns, q, r, L2), L1)
-                        - eval_vee(ns, aq, eval_star(ns, p, r, L1), L2)
-                        - eval_vee(ns, eval_star(ns, p, q, L1), ar, L1 + L2)
-                        + eval_left(ns, ap, eval_vee(ns, q, r, L2), L1)
-                        - eval_left(ns, aq, eval_vee(ns, p, r, L1), L2)
-                        - eval_right(ns, eval_vee(ns, p, q, L1), ar, L1 + L2)
+                        ve(ap, star2[j][k], L1)
+                        - ve(aq, star1[i][k], L2)
+                        - ve(star1[i][j], ar, L12)
+                        + lf(ap, vee2[j][k], L1)
+                        - lf(aq, vee1[i][k], L2)
+                        - rt(vee1[i][j], ar, L12)
                     )
                     c.add_nonzero(("vee", i, j, k), res4)
         if check_vee_skew:
             minus = -L1 - LinearForm.variable(D)
-            for i in range(ns.rank):
-                for j in range(ns.rank):
-                    res = eval_vee(ns, ns.basis(i), ns.basis(j), L1) + eval_vee(
-                        ns, ns.basis(j), ns.basis(i), minus
-                    )
+            for i in range(n):
+                for j in range(n):
+                    res = ve(basis[i], basis[j], L1) + ve(basis[j], basis[i], minus)
                     c.add_nonzero(("vee_skew", i, j), res)
     return c.report
 
@@ -147,12 +126,12 @@ def adjacent_algebra(ns: NSAlgebra) -> ConformalAlgebra:
 def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
     """m must commute with all three products."""
     with checked("ns_morphism") as c:
+        basis, images = _basis_and_images(ns.rank, m)
         for name, table in (("left", ns.left), ("right", ns.right), ("vee", ns.vee)):
             for i in range(ns.rank):
                 for j in range(ns.rank):
-                    p, q = ns.basis(i), ns.basis(j)
-                    res = m.apply(eval_table_bracket(table, ns.rank, p, q, XF))
-                    res = res - eval_table_bracket(table, ns.rank, m.apply(p), m.apply(q), XF)
+                    res = m.apply(eval_table_bracket(table, ns.rank, basis[i], basis[j], XF))
+                    res = res - eval_table_bracket(table, ns.rank, images[i], images[j], XF)
                     c.add_nonzero((name, i, j), res)
     return c.report
 
@@ -189,14 +168,13 @@ def ns_from_nijenhuis(
         if not pre.passed:
             raise PreconditionError("operator is not Nijenhuis")
     left, right, vee = {}, {}, {}
-    for i in range(alg.rank):
-        p = alg.basis(i)
-        np_ = n.apply(p)
-        for j in range(alg.rank):
-            q = alg.basis(j)
-            left[(i, j)] = eval_bracket(alg, np_, q, XF).coords
-            right[(i, j)] = eval_bracket(alg, p, n.apply(q), XF).coords
-            vee[(i, j)] = (-n.apply(eval_bracket(alg, p, q, XF))).coords
+    with _evaluation_scope():
+        basis, images = _basis_and_images(alg.rank, n)
+        for i, (p, np_) in enumerate(zip(basis, images)):
+            for j, (q, nq) in enumerate(zip(basis, images)):
+                left[(i, j)] = eval_bracket(alg, np_, q, XF).coords
+                right[(i, j)] = eval_bracket(alg, p, nq, XF).coords
+                vee[(i, j)] = (-n.apply(eval_bracket(alg, p, q, XF))).coords
     return NSAlgebra(
         alg.rank,
         alg.basis_names,
@@ -217,14 +195,13 @@ def ns_from_rb(
         if not pre.passed:
             raise PreconditionError("operator is not Rota-Baxter of this weight")
     left, right, vee = {}, {}, {}
-    for i in range(alg.rank):
-        p = alg.basis(i)
-        rp = r_op.apply(p)
-        for j in range(alg.rank):
-            q = alg.basis(j)
-            left[(i, j)] = eval_bracket(alg, rp, q, XF).coords
-            right[(i, j)] = eval_bracket(alg, p, r_op.apply(q), XF).coords
-            vee[(i, j)] = eval_bracket(alg, p, q, XF).scale(weight).coords
+    with _evaluation_scope():
+        basis, images = _basis_and_images(alg.rank, r_op)
+        for i, (p, rp) in enumerate(zip(basis, images)):
+            for j, (q, rq) in enumerate(zip(basis, images)):
+                left[(i, j)] = eval_bracket(alg, rp, q, XF).coords
+                right[(i, j)] = eval_bracket(alg, p, rq, XF).coords
+                vee[(i, j)] = eval_bracket(alg, p, q, XF).scale(weight).coords
     return NSAlgebra(
         alg.rank,
         alg.basis_names,
@@ -261,38 +238,30 @@ def verify_twisted_rb(data: TwistedRBData) -> Report:
     by construction of cochains), twist compatibility of the map, and the
     twisted operator identity on module basis pairs."""
     alg, rep, t, phi = data.alg, data.rep, data.t_map, data.phi
-    a = alg.alpha
     with checked("twisted_rb") as c:
-        for i in range(alg.rank):
-            p = alg.basis(i)
-            ap = a.apply(p)
-            for j in range(alg.rank):
-                q = alg.basis(j)
-                aq = a.apply(q)
-                for k in range(alg.rank):
-                    r = alg.basis(k)
+        br = partial(eval_bracket, alg)
+        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
+        phi1, phi2, phi12 = (_evaluator(phi, [w]) for w in (L1, L2, L12))
+        br1, br2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
+        ph1, ph2 = ([[ev([p, q]) for q in basis] for p in basis] for ev in (phi1, phi2))
+        for i, ap in enumerate(twisted):
+            for j, aq in enumerate(twisted):
+                for k, ar in enumerate(twisted):
                     res = (
-                        eval_l(rep, ap, eval_cochain(phi, [q, r], [L2]), L1)
-                        - eval_l(rep, aq, eval_cochain(phi, [p, r], [L1]), L2)
-                        - eval_r(rep, eval_cochain(phi, [p, q], [L1]), a.apply(r), L1 + L2)
-                        + eval_cochain(phi, [ap, eval_bracket(alg, q, r, L2)], [L1])
-                        - eval_cochain(phi, [aq, eval_bracket(alg, p, r, L1)], [L2])
-                        - eval_cochain(phi, [eval_bracket(alg, p, q, L1), a.apply(r)], [L1 + L2])
+                        eval_l(rep, ap, ph2[j][k], L1)
+                        - eval_l(rep, aq, ph1[i][k], L2)
+                        - eval_r(rep, ph1[i][j], ar, L12)
+                        + phi1([ap, br2[j][k]])
+                        - phi2([aq, br1[i][k]])
+                        - phi12([br1[i][j], ar])
                     )
                     c.add_nonzero(("phi_cocycle", i, j, k), res)
-        _add_nonzero_entries(c, "twist_compat", a.compose(t) - t.compose(rep.beta))
-        for i in range(rep.rank):
-            m = rep.module_basis(i)
-            tm = t.apply(m)
-            for j in range(rep.rank):
-                n_el = rep.module_basis(j)
-                tn = t.apply(n_el)
-                lhs = eval_bracket(alg, tm, tn, L1)
-                rhs = t.apply(
-                    eval_l(rep, tm, n_el, L1)
-                    + eval_r(rep, m, tn, L1)
-                    + eval_cochain(phi, [tm, tn], [L1])
-                )
+        _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
+        mods, images = _basis_and_images(rep.rank, t)
+        for i, (m, tm) in enumerate(zip(mods, images)):
+            for j, (n_el, tn) in enumerate(zip(mods, images)):
+                lhs = br(tm, tn, L1)
+                rhs = t.apply(eval_l(rep, tm, n_el, L1) + eval_r(rep, m, tn, L1) + phi1([tm, tn]))
                 c.add_nonzero(("operator_identity", i, j), lhs - rhs)
     return c.report
 
@@ -308,12 +277,9 @@ def verify_o_operator(
         raise DimensionError("operator must send the module into the algebra")
     with checked("o_operator") as c:
         _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
-        for i in range(rep.rank):
-            m = rep.module_basis(i)
-            tm = t.apply(m)
-            for j in range(rep.rank):
-                n_el = rep.module_basis(j)
-                tn = t.apply(n_el)
+        mods, images = _basis_and_images(rep.rank, t)
+        for i, (m, tm) in enumerate(zip(mods, images)):
+            for j, (n_el, tn) in enumerate(zip(mods, images)):
                 lhs = eval_bracket(alg, tm, tn, L1)
                 rhs = t.apply(eval_l(rep, tm, n_el, L1) + eval_r(rep, m, tn, L1))
                 c.add_nonzero((i, j), lhs - rhs)
@@ -333,14 +299,14 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
             raise PreconditionError("twisted Rota-Baxter identity fails")
     rep, t, phi = data.rep, data.t_map, data.phi
     left, right, vee = {}, {}, {}
-    for i in range(rep.rank):
-        m = rep.module_basis(i)
-        tm = t.apply(m)
-        for j in range(rep.rank):
-            n_el = rep.module_basis(j)
-            left[(i, j)] = eval_l(rep, tm, n_el, XF).coords
-            right[(i, j)] = eval_r(rep, m, t.apply(n_el), XF).coords
-            vee[(i, j)] = eval_cochain(phi, [tm, t.apply(n_el)], [XF]).coords
+    with _evaluation_scope():
+        mods, images = _basis_and_images(rep.rank, t)
+        phi_x = _evaluator(phi, [XF])
+        for i, (m, tm) in enumerate(zip(mods, images)):
+            for j, (n_el, tn) in enumerate(zip(mods, images)):
+                left[(i, j)] = eval_l(rep, tm, n_el, XF).coords
+                right[(i, j)] = eval_r(rep, m, tn, XF).coords
+                vee[(i, j)] = phi_x([tm, tn]).coords
     return NSAlgebra(
         rep.rank,
         rep.basis_names,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Rat
-from .report import Report, checked
+from .report import Report, _evaluation_scope, checked
 from .structure import (
     XF,
     L1,
@@ -14,6 +14,7 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _add_nonzero_entries,
+    _basis_and_images,
     eval_bracket,
     verify_hom_leibniz,
 )
@@ -70,12 +71,9 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
     _check_square(alg, op)
     with checked(f"operator_{kind.tag}") as c:
         _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
-        for i in range(alg.rank):
-            p = alg.basis(i)
-            np_ = op.apply(p)
-            for j in range(alg.rank):
-                q = alg.basis(j)
-                nq = op.apply(q)
+        basis, images = _basis_and_images(alg.rank, op)
+        for i, (p, np_) in enumerate(zip(basis, images)):
+            for j, (q, nq) in enumerate(zip(basis, images)):
                 lhs = eval_bracket(alg, np_, nq, L1)
                 mixed = eval_bracket(alg, np_, q, L1) + eval_bracket(alg, p, nq, L1)
                 plain = eval_bracket(alg, p, q, L1)
@@ -107,17 +105,16 @@ def deformed_bracket(
                 f"operator is not Nijenhuis; first residual at {rep.violations[0].context}"
             )
     table = {}
-    for i in range(alg.rank):
-        p = alg.basis(i)
-        np_ = n.apply(p)
-        for j in range(alg.rank):
-            q = alg.basis(j)
-            value = (
-                eval_bracket(alg, np_, q, XF)
-                + eval_bracket(alg, p, n.apply(q), XF)
-                - n.apply(eval_bracket(alg, p, q, XF))
-            )
-            table[(i, j)] = value.coords
+    with _evaluation_scope():
+        basis, images = _basis_and_images(alg.rank, n)
+        for i, (p, np_) in enumerate(zip(basis, images)):
+            for j, (q, nq) in enumerate(zip(basis, images)):
+                value = (
+                    eval_bracket(alg, np_, q, XF)
+                    + eval_bracket(alg, p, nq, XF)
+                    - n.apply(eval_bracket(alg, p, q, XF))
+                )
+                table[(i, j)] = value.coords
     return alg.with_structure(table)
 
 
@@ -137,12 +134,11 @@ def check_morphism(
         _add_nonzero_entries(c, "twist", f.compose(src.alpha) - dst.alpha.compose(f))
         if n_src is not None:
             _add_nonzero_entries(c, "operator", f.compose(n_src) - n_dst.compose(f))
+        basis, images = _basis_and_images(src.rank, f)
         for i in range(src.rank):
             for j in range(src.rank):
-                lhs = f.apply(eval_bracket(src, src.basis(i), src.basis(j), XF))
-                rhs = eval_bracket(
-                    dst, f.apply(src.basis(i)), f.apply(src.basis(j)), XF
-                )
+                lhs = f.apply(eval_bracket(src, basis[i], basis[j], XF))
+                rhs = eval_bracket(dst, images[i], images[j], XF)
                 c.add_nonzero(("bracket", i, j), lhs - rhs)
     return c.report
 

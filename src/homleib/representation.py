@@ -13,20 +13,24 @@ where the acting parameter may again be any linear form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .poly import LinearForm
-from .report import Report, checked
+from .report import Report, _evaluation_scope, checked
 from .structure import (
     XF,
     L1,
     L2,
+    L12,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _basis_and_images,
     _eval_table,
+    _products,
     basis_element,
-    eval_table_bracket,
+    eval_bracket,
     normalize_table,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
@@ -105,55 +109,39 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
     plus the consequence of the two r_bracket forms:
 
       r_consistency : r(r(m) w1 p + l(p) w2 m) w1+w2 a(q) = 0
+
+    Basis-pair brackets and actions are built once per check, and the
+    term l(a(p)) w2 (r(m) w1 q) that both r_bracket forms share once per
+    triple.
     """
     if rep.alg_rank != alg.rank:
         raise DimensionError("representation is over a different algebra rank")
-    a, b = alg.alpha, rep.beta
+    b = rep.beta
     with checked("representation") as c:
+        br, act_l, act_r = partial(eval_bracket, alg), partial(eval_l, rep), partial(eval_r, rep)
+        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
+        mods, bmods = _basis_and_images(rep.rank, b)
+        br1, br2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
+        l1, l2 = _products(act_l, basis, mods, L1), _products(act_l, basis, mods, L2)
+        r1 = _products(act_r, mods, basis, L1)
         for i in range(alg.rank):
-            p = alg.basis(i)
-            ap = a.apply(p)
             for j in range(alg.rank):
-                q = alg.basis(j)
-                bracket12 = eval_table_bracket(alg.structure, alg.rank, p, q, L2)
-                bracket_l1 = eval_table_bracket(alg.structure, alg.rank, p, q, L1)
                 for k in range(rep.rank):
-                    m = rep.module_basis(k)
-                    bm = b.apply(m)
-                    lhs = eval_r(rep, bm, bracket12, L1)
-                    rhs_a = eval_r(rep, eval_r(rep, m, p, L1), a.apply(q), L1 + L2) + eval_l(
-                        rep, ap, eval_r(rep, m, q, L1), L2
-                    )
-                    c.add_nonzero(("r_bracket_a", i, j, k), lhs - rhs_a)
-                    rhs_b = -eval_r(rep, eval_l(rep, p, m, L2), a.apply(q), L1 + L2) + eval_l(
-                        rep, ap, eval_r(rep, m, q, L1), L2
-                    )
-                    c.add_nonzero(("r_bracket_b", i, j, k), lhs - rhs_b)
-                    lhs_ll = eval_l(rep, ap, eval_l(rep, q, m, L2), L1)
-                    rhs_ll = eval_l(rep, bracket_l1, bm, L1 + L2) + eval_l(
-                        rep, a.apply(q), eval_l(rep, p, m, L1), L2
-                    )
+                    lhs = act_r(bmods[k], br2[i][j], L1)
+                    shared = act_l(twisted[i], r1[k][j], L2)
+                    via_r = act_r(r1[k][i], twisted[j], L12)
+                    via_l = act_r(l2[i][k], twisted[j], L12)
+                    c.add_nonzero(("r_bracket_a", i, j, k), lhs - (via_r + shared))
+                    c.add_nonzero(("r_bracket_b", i, j, k), lhs - (shared - via_l))
+                    lhs_ll = act_l(twisted[i], l2[j][k], L1)
+                    rhs_ll = act_l(br1[i][j], bmods[k], L12) + act_l(twisted[j], l1[i][k], L2)
                     c.add_nonzero(("l_l", i, j, k), lhs_ll - rhs_ll)
-                    cons = eval_r(
-                        rep,
-                        eval_r(rep, m, p, L1) + eval_l(rep, p, m, L2),
-                        a.apply(q),
-                        L1 + L2,
-                    )
-                    c.add_nonzero(("r_consistency", i, j, k), cons)
+                    # r is additive in its module argument
+                    c.add_nonzero(("r_consistency", i, j, k), via_r + via_l)
         for i in range(alg.rank):
-            p = alg.basis(i)
-            ap = a.apply(p)
             for k in range(rep.rank):
-                m = rep.module_basis(k)
-                c.add_nonzero(
-                    ("beta_l", i, k),
-                    b.apply(eval_l(rep, p, m, L1)) - eval_l(rep, ap, b.apply(m), L1),
-                )
-                c.add_nonzero(
-                    ("beta_r", i, k),
-                    b.apply(eval_r(rep, m, p, L1)) - eval_r(rep, b.apply(m), ap, L1),
-                )
+                c.add_nonzero(("beta_l", i, k), b.apply(l1[i][k]) - act_l(twisted[i], bmods[k], L1))
+                c.add_nonzero(("beta_r", i, k), b.apply(r1[k][i]) - act_r(bmods[k], twisted[i], L1))
     return c.report
 
 
@@ -174,12 +162,10 @@ def verify_nijenhuis_representation(
     nm = rep.n_m
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
-        for i in range(alg.rank):
-            p = alg.basis(i)
-            np_ = n.apply(p)
-            for k in range(rep.rank):
-                m = rep.module_basis(k)
-                nmm = nm.apply(m)
+        basis, images = _basis_and_images(alg.rank, n)
+        mods, nmods = _basis_and_images(rep.rank, nm)
+        for i, (p, np_) in enumerate(zip(basis, images)):
+            for k, (m, nmm) in enumerate(zip(mods, nmods)):
                 lhs = eval_l(rep, np_, nmm, L1)
                 rhs = nm.apply(
                     eval_l(rep, np_, m, L1)
@@ -218,24 +204,23 @@ def induced_representation(
     nm = rep.n_m
     l_structure = {}
     r_structure = {}
-    for i in range(alg.rank):
-        p = alg.basis(i)
-        np_ = n.apply(p)
-        for k in range(rep.rank):
-            m = rep.module_basis(k)
-            nmm = nm.apply(m)
-            lval = (
-                eval_l(rep, np_, m, XF)
-                + eval_l(rep, p, nmm, XF)
-                - nm.apply(eval_l(rep, p, m, XF))
-            )
-            l_structure[(i, k)] = lval.coords
-            rval = (
-                eval_r(rep, nmm, p, XF)
-                + eval_r(rep, m, np_, XF)
-                - nm.apply(eval_r(rep, m, p, XF))
-            )
-            r_structure[(k, i)] = rval.coords
+    with _evaluation_scope():
+        basis, images = _basis_and_images(alg.rank, n)
+        mods, nmods = _basis_and_images(rep.rank, nm)
+        for i, (p, np_) in enumerate(zip(basis, images)):
+            for k, (m, nmm) in enumerate(zip(mods, nmods)):
+                lval = (
+                    eval_l(rep, np_, m, XF)
+                    + eval_l(rep, p, nmm, XF)
+                    - nm.apply(eval_l(rep, p, m, XF))
+                )
+                l_structure[(i, k)] = lval.coords
+                rval = (
+                    eval_r(rep, nmm, p, XF)
+                    + eval_r(rep, m, np_, XF)
+                    - nm.apply(eval_r(rep, m, p, XF))
+                )
+                r_structure[(k, i)] = rval.coords
     return Representation(
         alg_rank=rep.alg_rank,
         rank=rep.rank,

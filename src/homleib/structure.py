@@ -15,6 +15,7 @@ polynomials in D, hence automatically commutes with the D-action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from .poly import (
@@ -294,27 +295,26 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
     The polynomials -w, D + w and w are built once, and each entry
     table[i, j] is set to x = w the first time it is met (at w = x that
     is the entry itself, not a copy); tables are never changed once
-    built, so an entry set once stays valid.  The returned function
-    refers to `table`, which keeps the table alive as long as the
-    evaluator is.
+    built, so an entry set once stays valid.  The first argument's
+    coordinates at D = -w are kept per argument object by `_slot_memo`.
+    The second argument's coordinates at D + w are substituted only
+    where a nonzero table entry needs them, once per application, and
+    not kept: keeping them too made the memo hold every product a check
+    evaluates, for little gain.  The returned function refers to
+    `table`, which keeps the table alive as long as the evaluator is.
     """
-    neg_w = (-w).to_poly()
     shift_w = (LinearForm.variable(D) + w).to_poly()
     wp = w.to_poly()
+    coords = _slot_memo([(-w).to_poly()])
     at_w: dict[tuple[int, int], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
 
     def evaluate(first: ConformalElement, second: ConformalElement) -> ConformalElement:
         out = [zero] * out_rank
-        for i, fi in enumerate(first.coords):
-            if fi.is_zero:
-                continue
-            fi = fi.substitute(D, neg_w)
-            if fi.is_zero:
-                continue
-            for j, gj in enumerate(second.coords):
-                if gj.is_zero:
-                    continue
+        firsts = coords(0, first)
+        seconds = {j: None for j, g in enumerate(second.coords) if not g.is_zero} if firsts else {}
+        for i, fi in firsts.items():
+            for j, gj in seconds.items():
                 entry = at_w.get((i, j))
                 if entry is None:
                     # the nonzero coordinates k of table[i, j], at x = w
@@ -324,12 +324,44 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
                     )
                 if not entry:
                     continue
-                factor = fi * gj.substitute(D, shift_w)
+                if gj is None:
+                    gj = seconds[j] = second.coords[j].substitute(D, shift_w)
+                factor = fi * gj
                 for k, pk in entry:
                     out[k] = out[k] + factor * pk
         return ConformalElement(tuple(out))
 
     return evaluate
+
+
+def _slot_memo(targets: Sequence[MultiPoly], rank: int | None = None):
+    """Per-argument memo of an evaluator that sets D to targets[s] in slot s.
+
+    `coords(s, a)` maps the index of each nonzero coordinate of `a` to
+    that coordinate at D = targets[s], leaving out those that become
+    zero.  It is built once per (slot, argument object) and kept next
+    to the argument itself, so the argument's id is not reused while
+    the memo lives.  With `rank` given, an argument of another rank
+    raises DimensionError when it is first met.
+    """
+    met: dict[tuple[int, int], tuple[ConformalElement, dict[int, MultiPoly]]] = {}
+
+    def coords(s: int, a: ConformalElement) -> dict[int, MultiPoly]:
+        hit = met.get((s, id(a)))
+        if hit is not None:
+            return hit[1]
+        if rank is not None and a.ambient_rank != rank:
+            raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
+        values = {}
+        for b, c in enumerate(a.coords):
+            if not c.is_zero:
+                c = c.substitute(D, targets[s])
+                if not c.is_zero:
+                    values[b] = c
+        met[s, id(a)] = (a, values)
+        return values
+
+    return coords
 
 
 def eval_bracket(
@@ -349,15 +381,34 @@ def eval_bracket(
 L1 = LinearForm.variable(lam(1))
 L2 = LinearForm.variable(lam(2))
 XF = LinearForm.variable(X)
+L12 = L1 + L2
+
+
+# Checks and constructions draw their arguments from lists built once:
+# the basis, its images under a twist or operator, and the basis-pair
+# products per table and parameter.  An evaluator's slot memo then meets
+# the same argument objects again and again.
+
+
+def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
+    """The basis of a free module of this rank, and its images under m."""
+    basis = [basis_element(rank, i) for i in range(rank)]
+    return basis, [m.apply(e) for e in basis]
+
+
+def _products(ev, firsts: list, seconds: list, w: LinearForm) -> list[list]:
+    """ev(p, q, w) on every pair: row i, column j holds ev(firsts[i], seconds[j], w)."""
+    return [[ev(p, q, w) for q in seconds] for p in firsts]
 
 
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
     """twist([e_i x e_j]) must equal [twist(e_i) x twist(e_j)]."""
     with checked("multiplicativity") as c:
+        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
         for i in range(alg.rank):
             for j in range(alg.rank):
-                lhs = alg.alpha.apply(eval_bracket(alg, alg.basis(i), alg.basis(j), XF))
-                rhs = eval_bracket(alg, alg.alpha.apply(alg.basis(i)), alg.alpha.apply(alg.basis(j)), XF)
+                lhs = alg.alpha.apply(eval_bracket(alg, basis[i], basis[j], XF))
+                rhs = eval_bracket(alg, twisted[i], twisted[j], XF)
                 c.add_nonzero((i, j), lhs - rhs)
     return c.report
 
@@ -366,22 +417,19 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
     """Twisted left Leibniz identity on all basis triples.
 
     [a(p) w1 [q w2 r]] = [[p w1 q] w1+w2 a(r)] + [a(q) w2 [p w1 r]]
+
+    The basis-pair brackets at w1 and at w2 are built once per check.
     """
     with checked("hom_leibniz") as c:
-        a = alg.alpha
-        for i in range(alg.rank):
-            pi = alg.basis(i)
-            api = a.apply(pi)
-            for j in range(alg.rank):
-                pj = alg.basis(j)
-                apj = a.apply(pj)
-                left_ij = eval_bracket(alg, pi, pj, L1)
-                for k in range(alg.rank):
-                    pk = alg.basis(k)
-                    lhs = eval_bracket(alg, api, eval_bracket(alg, pj, pk, L2), L1)
-                    rhs = eval_bracket(alg, left_ij, a.apply(pk), L1 + L2) + eval_bracket(
-                        alg, apj, eval_bracket(alg, pi, pk, L1), L2
-                    )
+        n = alg.rank
+        br = partial(eval_bracket, alg)
+        basis, twisted = _basis_and_images(n, alg.alpha)
+        at1, at2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    lhs = br(twisted[i], at2[j][k], L1)
+                    rhs = br(at1[i][j], twisted[k], L12) + br(twisted[j], at1[i][k], L2)
                     c.add_nonzero((i, j, k), lhs - rhs)
     return c.report
 
@@ -390,10 +438,11 @@ def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
     minus = -L1 - LinearForm.variable(D)
     with checked("skew_symmetry") as c:
+        basis = [alg.basis(i) for i in range(alg.rank)]
         for i in range(alg.rank):
             for j in range(alg.rank):
-                direct = eval_bracket(alg, alg.basis(i), alg.basis(j), L1)
-                flipped = eval_bracket(alg, alg.basis(j), alg.basis(i), minus)
+                direct = eval_bracket(alg, basis[i], basis[j], L1)
+                flipped = eval_bracket(alg, basis[j], basis[i], minus)
                 c.add_nonzero((i, j), direct + flipped)
     return c.report
 

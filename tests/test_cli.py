@@ -115,6 +115,13 @@ def test_lambda_zero_is_one_line_error(capsys, tmp_path):
     assert "numbered from 1" in err
 
 
+def test_empty_basis_name_is_one_line_error(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path, '[algebra]\nbasis = [""]\nalpha = [["1"]]\n', "check", "algebra"
+    )
+    assert err == "error: [algebra]: empty basis name\n"
+
+
 def test_wrong_shape_finite_twist_is_one_line_error(capsys, tmp_path):
     err = one_line_error(
         capsys, tmp_path,

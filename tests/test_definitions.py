@@ -72,6 +72,28 @@ def test_reserved_basis_names_rejected():
             build_algebra(parse_definition(text))
 
 
+def test_empty_basis_name_rejected():
+    for names in ('""', '"L", ""'):
+        text = f'[algebra]\nbasis = [{names}]\nalpha = [["1"]]\n'
+        with pytest.raises(DefinitionError) as exc:
+            build_algebra(parse_definition(text))
+        assert str(exc.value) == "[algebra]: empty basis name"
+
+
+def test_reserved_lambda_names_follow_the_parser():
+    # l<i> is reserved exactly when parse_poly would read it as a lambda
+    # variable: a decimal index, which "²" is not
+    for bad in ("l0", "l7", "l12"):
+        text = f'[algebra]\nbasis = ["{bad}"]\nalpha = [["1"]]\n'
+        with pytest.raises(DefinitionError) as exc:
+            build_algebra(parse_definition(text))
+        assert str(exc.value) == f"[algebra]: basis name '{bad}' is reserved"
+    for good in ("l", "l²", "lx", "L1"):
+        text = f'[algebra]\nbasis = ["{good}"]\nalpha = [["1"]]\nbracket.{good}.{good} = ["D"]\n'
+        alg = build_algebra(parse_definition(text))
+        assert alg.basis_names == (good,) and alg.structure[0, 0] == (parse_poly("D"),)
+
+
 def test_duplicate_sections_rejected():
     text = VIRASORO_TEXT + "\n" + VIRASORO_TEXT
     with pytest.raises(DefinitionError) as exc:

@@ -4,6 +4,7 @@ Where a value is not pinned by hand, an independent sympy expansion of
 the sesquilinearity rule serves as the oracle.
 """
 
+import dataclasses
 import random
 import sys
 import threading
@@ -12,11 +13,19 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from homleib import cohomology
+from homleib import cohomology, structure
 from homleib.cohomology import coboundary_homL, eval_cochain, random_cochain
+from homleib.ns import ns_from_nijenhuis
+from homleib.operators import deformed_bracket
 from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.report import _SCOPE, checked
-from homleib.representation import adjoint_rep, eval_l, eval_r, verify_representation
+from homleib.representation import (
+    adjoint_rep,
+    eval_l,
+    eval_r,
+    induced_representation,
+    verify_representation,
+)
 from homleib.structure import (
     ConformalAlgebra,
     ConformalElement,
@@ -435,3 +444,74 @@ def test_concurrent_checks_keep_their_own_scopes(vir, cur2, twisted2):
     done.set()
     t.join(10)
     assert not t.is_alive() and seen == [None]
+
+
+# ---------------------------------------------------------------------------
+# per-argument slot memo and construction scopes
+# ---------------------------------------------------------------------------
+
+
+def test_slot_memo_serves_no_dropped_argument(twisted2):
+    # Arguments built and dropped one at a time, so that a new one gets
+    # the id of a dropped one (the unscoped run shows that ids repeat); one
+    # scope evaluates them all, with the bracket and both actions in both
+    # slots, and each value must equal the fresh, unscoped one.  A memo
+    # keyed by id alone, not holding its arguments, fails here.
+    alg = ConformalAlgebra(
+        2, ("a", "b"),
+        {(0, 1): (parse_poly("D + x"), parse_poly("x^2")), (1, 1): (parse_poly("0"), parse_poly("2*D - x"))},
+        twisted2.alpha,
+    )
+    rep = adjoint_rep(alg)
+    forms = [XF, L1, L1 + L2, -L1 - LinearForm.variable(D)]
+    fixed = [alg.basis(0), alg.alpha.apply(alg.basis(1))]
+
+    def run():
+        rng = random.Random(67)
+        values, ids = [], []
+        for _ in range(150):
+            a = rand_element(rng, 2)
+            b, w = rng.choice(fixed), rng.choice(forms)
+            values.append(tuple(str(v) for v in (
+                eval_bracket(alg, a, b, w), eval_bracket(alg, b, a, w),
+                eval_l(rep, a, b, w), eval_r(rep, b, a, w),
+            )))
+            ids.append(id(a))
+            del a
+        return values, ids
+
+    fresh, fresh_ids = run()
+    assert len(set(fresh_ids)) < len(fresh_ids)
+    with checked("transients"):
+        scoped, _ = run()
+        assert len(_SCOPE.get()) == 3 * len(forms)
+    assert scoped == fresh
+
+
+@pytest.mark.parametrize("build", ["deformed_bracket", "induced_representation", "ns_from_nijenhuis"])
+def test_constructions_build_one_evaluator_per_table_and_parameter(monkeypatch, build):
+    # a construction runs its loop in one evaluation scope: each table it
+    # evaluates gets one evaluator per parameter, not one per basis pair
+    alg = ConformalAlgebra(
+        2, ("a", "b"),
+        {(0, 1): (parse_poly("D + x"), parse_poly("x^2")), (1, 1): (parse_poly("1"), parse_poly("2*D - x"))},
+        PdModuleMap.identity(2),
+    )
+    n = PdModuleMap([[parse_poly("D"), parse_poly("1")], [parse_poly("0"), parse_poly("2")]])
+    rep = dataclasses.replace(adjoint_rep(alg), n_m=n)
+    run = {
+        "deformed_bracket": lambda: deformed_bracket(alg, n),
+        "induced_representation": lambda: induced_representation(alg, n, rep),
+        "ns_from_nijenhuis": lambda: ns_from_nijenhuis(alg, n),
+    }[build]
+    built = []
+    original = structure._table_evaluator
+
+    def counting(table, out_rank, w):
+        built.append((id(table), out_rank, str(w)))
+        return original(table, out_rank, w)
+
+    expected = run()
+    monkeypatch.setattr(structure, "_table_evaluator", counting)
+    assert run() == expected
+    assert built and len(built) == len(set(built))
