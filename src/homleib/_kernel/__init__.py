@@ -9,4 +9,5 @@ from ._polypure import (
     sub_terms,
     substitute_many,
     substitute_terms,
+    substitution,
 )

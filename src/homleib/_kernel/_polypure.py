@@ -20,8 +20,11 @@ write to a dict they received.  Results may therefore be an input dict
 itself: a substitution that changes nothing returns its input, a sum
 with an empty operand and a difference with an empty subtrahend return
 the other operand, and a product by the constant 1 returns its other
-operand.
+operand.  For the same reason a compiled substitution may keep its
+targets, and the powers it builds from them, for as long as it lives.
 """
+
+from functools import partial
 
 
 def _settle(out):
@@ -139,24 +142,36 @@ def pow_terms(a, n):
 
 def substitute_terms(terms, var, target):
     """Replace `var` by the polynomial `target`, fully expanded."""
-    return _substitute(terms, {var: target})
+    return _substitute({var: [None, target]}, {}, terms)
 
 
 def substitute_many(terms, targets):
     """Replace every variable v in `targets` by the polynomial targets[v],
     all at once, fully expanded.  Targets may mention the substituted
     variables themselves (l1 -> l2 and l2 -> l1 swap them)."""
-    return _substitute(terms, targets)
+    return _substitute({v: [None, t] for v, t in targets.items()}, {}, terms)
 
 
-def _substitute(terms, targets):
+def substitution(targets):
+    """The simultaneous substitution of `substitute_many`, compiled once
+    for many polynomials: a function from a term dict to its image.
+
+    Powers of each target, and the product of target powers for each
+    substituted part of a key, are kept across every polynomial it is
+    applied to; they depend on the targets alone.
+    """
+    return partial(_substitute, {v: [None, t] for v, t in targets.items()}, {})
+
+
+def _substitute(powers, products, terms):
+    # `powers` maps each substituted variable to the list of its target's
+    # powers built so far (index 1 is the target), `products` each
+    # substituted part of a key to its image; both grow as keys are met.
     # A substitution that touches no key returns `terms` itself (see the
-    # no-mutation invariant above).  Otherwise powers of each target are
-    # cached, and so is the product of target powers for each substituted
-    # part of a key.
+    # no-mutation invariant above).
     for key in terms:
         for v, _ in key:
-            if v in targets:
+            if v in powers:
                 break
         else:
             continue
@@ -164,8 +179,6 @@ def _substitute(terms, targets):
     else:
         return terms
     out = {}
-    powers = {v: [None, t] for v, t in targets.items()}
-    products = {}
     for key, coeff in terms.items():
         rest = []
         sub = []

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from random import Random
 
-from .poly import D, MultiPoly, LinearForm, X, lam
+from .poly import D, MultiPoly, LinearForm, X, lam, substitution
 from .report import Report, _evaluation_scope, checked
 from .operators import deformed_bracket
 from .representation import Representation, eval_l, eval_r, induced_representation
@@ -76,15 +76,19 @@ class Cochain:
         return all(p.is_zero for vec in self.table.values() for p in vec)
 
     def __add__(self, other: "Cochain") -> "Cochain":
+        return self._combine(other, MultiPoly.__add__)
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self._combine(other, MultiPoly.__sub__)
+
+    def _combine(self, other: "Cochain", op) -> "Cochain":
+        """op on each coordinate of the two tables, key by key."""
         self._match(other)
         keys = set(self.table) | set(other.table)
         table = {
-            k: tuple(a + b for a, b in zip(self.value(k), other.value(k))) for k in keys
+            k: tuple(op(a, b) for a, b in zip(self.value(k), other.value(k))) for k in keys
         }
         return Cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-1)
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
@@ -154,10 +158,10 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
     """f at the parameter list `lams`, as a function of the argument tuple.
 
     What depends only on the parameters is done once here: the slot
-    substitutions for D, and a table of stored values relabelled to
-    `lams`, filled as keys are met.  An argument's rank check and its
-    nonzero coordinates with D substituted are done once per slot and
-    argument object (`structure._slot_memo`).
+    substitutions for D, one compiled relabelling to `lams`, and a table
+    of stored values relabelled by it, filled as keys are met.  An
+    argument's rank check and its nonzero coordinates with D substituted
+    are done once per slot and argument object (`structure._slot_memo`).
     Applying the result then only multiplies and accumulates.  An
     evaluator lives for one coboundary, `phi_map` or compatibility check.
     """
@@ -167,7 +171,7 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
         last_shift = last_shift + w
     slot_subst = [(-w).to_poly() for w in lams] + [last_shift.to_poly()]
     # stored l1..l(n-1) -> lams, simultaneously: targets may mention them
-    relabel = {lam(i): w.to_poly() for i, w in enumerate(lams, 1)}
+    relabel = substitution({lam(i): w for i, w in enumerate(lams, 1)})
     table = f.table
     relabelled: dict[tuple[int, ...], tuple[MultiPoly, ...]] = {}
     coords = _slot_memo(slot_subst, rank=f.alg_rank)
@@ -190,7 +194,7 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
                 continue
             values = relabelled.get(key)
             if values is None:
-                values = relabelled[key] = tuple(p.substitute_many(relabel) for p in vec)
+                values = relabelled[key] = tuple(relabel(p) for p in vec)
             for k, p in enumerate(values):
                 if not p.is_zero:
                     out[k] = out[k] + factor * p
@@ -242,15 +246,23 @@ def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
     """The degree-raising operator of the two-sided module complex.
 
-    What depends on no output key is computed before the loop over keys:
-    the basis elements, their twists and their images under the acting
-    twist power, the parameters w_1..w_n and their sum, the basis-pair
-    brackets, and one evaluator of f per distinct parameter list among
-    the left-action terms, the right action and the insertion pairs.
-    The brackets and the key loop run in a fresh evaluation scope, so
-    each action table is evaluated once per parameter, not once per key.
-    The brackets stay hoisted: a lookup per insertion term costs less
-    than a scoped evaluation.
+    The action terms go through action vectors.  By sesquilinearity
+
+        l(p)_w (sum_b v_b e_b) = sum_b v_b(D + w) l(p)_w e_b,
+        r(sum_b m_b e_b)_w q   = sum_b m_b(-w) r(e_b)_w q,
+
+    so the left-action term i at a key is the stored value at the key
+    with slot i removed, relabelled to the term's parameters and shifted
+    by D -> D + w_i, against the vectors l(a(e_t))_(w_i) e_b of the
+    acting basis element; the right-action term is the stored value at
+    the first n indices at D = -(w_1 + ... + w_n) against the vectors
+    r(e_b)_(w_1+...+w_n) a(e_t).  Each stored value is substituted once
+    per term group, by one compiled substitution, and the action vectors
+    are evaluated once per call; the loop over output keys then only
+    multiplies, adds and looks up.  The insertion terms apply one
+    evaluator of f per pair (i, j) to the hoisted basis-pair brackets and
+    twisted basis elements.  All of it runs in one evaluation scope, so
+    each table is evaluated once per parameter.
     """
     _check_ranks(f, alg, rep)
     n = f.arity
@@ -258,27 +270,32 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     basis = [alg.basis(t) for t in range(alg.rank)]
     twisted = [alg.alpha.apply(e) for e in basis]
     acting = [alpha_pow.apply(e) for e in basis]
+    mods = [rep.module_basis(b) for b in range(rep.rank)]
     ws = _output_lams(n)
     total = LinearForm()
     for w in ws:
         total = total + w
-    evaluators = {}
-
-    def evaluator(lams):
-        # terms with the same parameter list share one evaluator
-        key = repr(lams)
-        if key not in evaluators:
-            evaluators[key] = _evaluator(f, lams)
-        return evaluators[key]
-
-    left = [evaluator(_l_term_lams(n, i)) for i in range(1, n + 1)]
-    right = evaluator(ws[: n - 1])
+    shift = LinearForm.variable(D)
+    zero = MultiPoly.zero()
+    # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
+    left = []
+    for i in range(1, n + 1):
+        targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
+        targets[D] = shift + ws[i - 1]
+        left.append(_substituted_values(f, substitution(targets)))
+    right = _substituted_values(f, substitution({D: -total}))
     insert = {
-        (i, j): evaluator(_insertion_lams(n, i, j))
+        (i, j): _evaluator(f, _insertion_lams(n, i, j))
         for i in range(1, n + 2)
         for j in range(i + 1, n + 2)
     }
     with _evaluation_scope():
+        # l(a(e_t)) w_i e_b, and r(e_b) total a(e_t): row t, column b
+        l_vectors = [
+            [[eval_l(rep, p, m, ws[i - 1]).coords for m in mods] for p in acting]
+            for i in range(1, n + 1)
+        ]
+        r_vectors = [[eval_r(rep, m, p, total).coords for m in mods] for p in acting]
         # [e_a w_i e_b] for every insertion parameter w_i
         brackets = {
             (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
@@ -288,16 +305,17 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
         }
         table = {}
         for key in itertools.product(range(alg.rank), repeat=n + 1):
-            acc = zero_element(rep.rank)
+            out = [zero] * rep.rank
             # left-action terms
             for i in range(1, n + 1):
-                v = left[i - 1]([basis[t] for s, t in enumerate(key) if s != i - 1])
-                term = eval_l(rep, acting[key[i - 1]], v, ws[i - 1])
-                acc = acc + term if (i % 2 == 1) else acc - term
+                values = left[i - 1].get(key[: i - 1] + key[i:])
+                if values is not None:
+                    _add_action(out, values, l_vectors[i - 1][key[i - 1]], i % 2 == 1)
             # right-action term
-            w = right([basis[t] for t in key[:n]])
-            term = eval_r(rep, w, acting[key[n]], total)
-            acc = acc + term if (n + 1) % 2 == 0 else acc - term
+            values = right.get(key[:n])
+            if values is not None:
+                _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
+            acc = ConformalElement(tuple(out))
             # bracket-insertion terms
             for i in range(1, n + 2):
                 for j in range(i + 1, n + 2):
@@ -312,6 +330,25 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
             if not acc.is_zero:
                 table[key] = acc.coords
     return Cochain(n + 1, alg.rank, rep.rank, table)
+
+
+def _substituted_values(f: Cochain, subst) -> dict:
+    """f's stored values with `subst` applied to each coordinate, keeping
+    only the nonzero coordinates as (index, polynomial) pairs."""
+    out = {}
+    for key, vec in f.table.items():
+        nonzero = tuple((b, q) for b, p in enumerate(vec) if not (q := subst(p)).is_zero)
+        if nonzero:
+            out[key] = nonzero
+    return out
+
+
+def _add_action(out: list, values, vectors, plus: bool) -> None:
+    """out += (or -=) the sum over b of values[b] times vectors[b], in place."""
+    for b, v in values:
+        for k, c in enumerate(vectors[b]):
+            if not c.is_zero:
+                out[k] = out[k] + v * c if plus else out[k] - v * c
 
 
 def coboundary_HN(

@@ -15,7 +15,7 @@ semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from . import _kernel as K
 
@@ -190,14 +190,7 @@ class MultiPoly:
         """Replace each variable v in `targets` by targets[v], all at once.
 
         Identity targets v -> v are dropped; returns self when none remain."""
-        raw = {
-            v: (t.to_poly() if isinstance(t, LinearForm) else t)._terms
-            for v, t in targets.items()
-        }
-        raw = {v: t for v, t in raw.items() if t != {((v, 1),): 1}}
-        if not raw:
-            return self
-        return MultiPoly._own(K.substitute_many(self._terms, raw))
+        return substitution(targets)(self)
 
     def __repr__(self) -> str:
         return f"MultiPoly({print_poly(self)!r})"
@@ -208,6 +201,35 @@ class MultiPoly:
 
 _new = object.__new__
 _ZERO_POLY = MultiPoly()
+
+
+def substitution(
+    targets: Mapping[int, "LinearForm | MultiPoly"]
+) -> Callable[[MultiPoly], MultiPoly]:
+    """`MultiPoly.substitute_many` with these targets, compiled once: a
+    function to apply to many polynomials, which keeps the target powers
+    and monomial images it builds (see the kernel's `substitution`).
+
+    Identity targets v -> v are dropped.  A polynomial in which no
+    substituted variable occurs comes back as the same object."""
+    raw = {
+        v: (t.to_poly() if isinstance(t, LinearForm) else t)._terms
+        for v, t in targets.items()
+    }
+    raw = {v: t for v, t in raw.items() if t != {((v, 1),): 1}}
+    if not raw:
+        return _unchanged
+    apply = K.substitution(raw)
+
+    def substituted(p: MultiPoly) -> MultiPoly:
+        out = apply(p._terms)
+        return p if out is p._terms else MultiPoly._own(out)
+
+    return substituted
+
+
+def _unchanged(p: MultiPoly) -> MultiPoly:
+    return p
 
 ZERO = _ZERO_POLY
 ONE = MultiPoly.const(1)

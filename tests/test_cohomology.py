@@ -12,16 +12,26 @@ from fractions import Fraction
 
 import pytest
 
-from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
+import reference_coboundary
+from homleib.operators import deformed_bracket
+from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.structure import (
     L1,
+    ConformalAlgebra,
     ConformalElement,
     DimensionError,
     PdModuleMap,
     basis_element,
     eval_bracket,
+    normalize_table,
 )
-from homleib.representation import adjoint_rep, eval_l, eval_r
+from homleib.representation import (
+    Representation,
+    adjoint_rep,
+    eval_l,
+    eval_r,
+    induced_representation,
+)
 from homleib.cohomology import (
     Cochain,
     HNLAPair,
@@ -445,3 +455,98 @@ def test_combined_square_zero_under_unipotent_twist(twisted2):
         )
         dd = coboundary_HNLA(coboundary_HNLA(pair, twisted2, NIL, rep), twisted2, NIL, rep)
         assert dd.is_zero
+
+
+# -- the action-vector coboundary against the per-key reference ---------------
+
+
+def _raw_table(f):
+    """f's table as term dicts, each coefficient with its stored type."""
+    return {
+        key: tuple({m: (type(c), c) for m, c in p.raw().items()} for p in vec)
+        for key, vec in f.table.items()
+    }
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("name", ["vir", "cur2", "twisted2"])
+def test_coboundary_equals_per_key_reference(request, name, arity):
+    alg = request.getfixturevalue(name)
+    n_op = PdModuleMap.scalar(1, Fraction(2)) if alg.rank == 1 else NIL
+    rep = with_nm(adjoint_rep(alg), n_op)
+    rng = random.Random(41 + arity)
+    for _ in range(2):
+        f = random_cochain(alg.rank, rep.rank, arity, rng)
+        assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
+            reference_coboundary.coboundary_homL(f, alg, rep)
+        )
+        expected = reference_coboundary.coboundary_homL(
+            f, deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep)
+        )
+        assert _raw_table(coboundary_HN(f, alg, n_op, rep)) == _raw_table(expected)
+
+
+def _random_poly(rng, variables, max_deg=2, nterms=3):
+    terms = {}
+    for _ in range(rng.randint(0, nterms)):
+        degs = [rng.randint(0, max_deg) for _ in variables]
+        key = tuple((v, e) for v, e in zip(variables, degs) if e)
+        terms[key] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+    return MultiPoly(terms)
+
+
+def _random_table(rng, rows, cols, out_rank, density):
+    table = {}
+    for a in range(rows):
+        for b in range(cols):
+            if rng.random() < density:
+                table[a, b] = tuple(_random_poly(rng, (D, X)) for _ in range(out_rank))
+    return normalize_table(table, out_rank)
+
+
+def _random_twist(rng, rank):
+    """A random matrix over polynomials in D with a D on its diagonal."""
+    d, z = MultiPoly.var(D), MultiPoly.zero()
+    return PdModuleMap(
+        [
+            [_random_poly(rng, (D,), max_deg=1, nterms=2) + (d if a == b else z) for b in range(rank)]
+            for a in range(rank)
+        ]
+    )
+
+
+def test_coboundary_equals_per_key_reference_on_random_pairs():
+    """Random algebras and modules, with no axiom required: D-dependent
+    twists, independent left and right tables (some empty, some sparse),
+    module ranks other than the algebra's, arities 1-3."""
+    rng = random.Random(2024)
+    for case in range(44):
+        alg_rank = 1 if case % 4 == 0 else rng.randint(1, 3)
+        rep_rank = rng.choice([r for r in (1, 2, 3) if r != alg_rank] if case % 2 else (alg_rank,))
+        arity = 1 + case % 3 if alg_rank < 3 else 1 + case % 2
+        density = 0.0 if case % 11 == 5 else rng.choice((0.3, 0.7, 1.0))
+        alg = ConformalAlgebra(
+            alg_rank,
+            tuple(f"e{i}" for i in range(alg_rank)),
+            _random_table(rng, alg_rank, alg_rank, alg_rank, density),
+            _random_twist(rng, alg_rank),
+        )
+        rep = Representation(
+            alg_rank,
+            rep_rank,
+            _random_table(rng, alg_rank, rep_rank, rep_rank, density),
+            _random_table(rng, rep_rank, alg_rank, rep_rank, rng.choice((0.0, 0.5, 1.0))),
+            _random_twist(rng, rep_rank),
+        )
+        f = random_cochain(alg_rank, rep_rank, arity, rng, max_deg=rng.choice((1, 2)))
+        assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
+            reference_coboundary.coboundary_homL(f, alg, rep)
+        ), case
+
+
+def test_cochain_difference_equals_sum_with_negation():
+    rng = random.Random(8)
+    for arity in (1, 2, 3):
+        f, g = (random_cochain(2, 3, arity, rng) for _ in range(2))
+        assert _raw_table(f - g) == _raw_table(f + g.scale(-1))
+        assert (f - f).table == {}

@@ -1,11 +1,13 @@
 """The polynomial kernel: basics, int-first coefficients, powers and
-simultaneous substitution."""
+simultaneous substitution, one-shot and compiled."""
 
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from homleib._kernel import _polypure
-from homleib.poly import MultiPoly, parse_poly, print_poly
+from homleib.poly import LinearForm, MultiPoly, parse_poly, print_poly, substitution
 
 K = _polypure
 
@@ -210,3 +212,73 @@ def test_wrapper_substitution_drops_identity_targets():
     raw = {v: t.raw() for v, t in collapse.items()}
     assert p.substitute_many(collapse).raw() == two_pass_substitute(p.raw(), raw)
     assert p.substitute_many(collapse) == p.substitute(l2, v1)
+
+
+# -- the compiled substitution ---------------------------------------------------
+
+KVARS = (0, 1, 3, 4, 5)  # D, x, l1, l2, l3
+
+
+@st.composite
+def term_dicts(draw, max_terms=5, max_exp=3):
+    """Int-first term dicts over KVARS, as every MultiPoly holds."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        key = tuple((v, e) for v in KVARS if (e := draw(st.integers(0, max_exp))))
+        terms[key] = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from((1, 1, 2, 3))))
+    return MultiPoly(terms).raw()
+
+
+@st.composite
+def target_maps(draw):
+    """One to three substituted variables, each sent to a polynomial of
+    degree at most 2 that may mention any variable, the others too."""
+    subst = draw(st.lists(st.sampled_from(KVARS), min_size=1, max_size=3, unique=True))
+    return {v: draw(term_dicts(max_terms=3, max_exp=1)) for v in subst}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(target_maps(), st.lists(term_dicts(), min_size=1, max_size=6))
+def test_compiled_substitution_equals_one_shot(targets, polys):
+    apply = K.substitution(targets)
+    # one compiled substitution applied to many inputs in turn, some twice
+    for terms in polys + polys[::-1]:
+        out = apply(terms)
+        assert out == K.substitute_many(terms, targets)
+        assert out == two_pass_substitute(terms, targets)
+        assert all_int_first(out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target_maps(), term_dicts())
+def test_compiled_substitution_returns_untouched_input(targets, terms):
+    apply = K.substitution(targets)
+    untouched = {
+        key: c for key, c in terms.items() if not any(v in targets for v, _ in key)
+    }
+    assert apply(untouched) is untouched
+    empty = {}
+    assert apply(empty) is empty
+
+
+def test_compiled_substitution_swaps_simultaneously():
+    l1, l2, d = 3, 4, 0
+    swap = K.substitution({l1: {((l2, 1),): 1}, l2: {((l1, 1),): 1}})
+    p = {((l1, 2), (l2, 1)): 3, ((d, 1), (l1, 1)): Fraction(1, 2), (): 1}
+    q = {((l2, 3),): -1, ((d, 2), (l1, 1), (l2, 1)): 2}
+    assert swap(p) == {((l1, 1), (l2, 2)): 3, ((d, 1), (l2, 1)): Fraction(1, 2), (): 1}
+    assert swap(q) == {((l1, 3),): -1, ((d, 2), (l1, 1), (l2, 1)): 2}
+    assert swap(swap(p)) == p and swap(swap(q)) == q
+
+
+def test_poly_substitution_wrapper():
+    d, l1, l2 = 0, 3, 4
+    p = MultiPoly({((d, 1), (l1, 2)): 3, ((l2, 1),): Fraction(1, 2), (): 1})
+    q = MultiPoly({((d, 2),): 1})
+    targets = {l1: MultiPoly.var(l2), l2: LinearForm({l1: 1, d: -1})}
+    apply = substitution(targets)
+    assert apply(p) == p.substitute_many(targets)
+    assert apply(q) is q
+    # identity targets are dropped: nothing is left to substitute
+    keep = substitution({l1: MultiPoly.var(l1), d: LinearForm.variable(d)})
+    assert keep(p) is p
