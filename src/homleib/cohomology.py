@@ -41,7 +41,7 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
-    _slot_memo,
+    _evaluator as _sesquilinear,
     basis_element,
     eval_bracket,
     normalize_table,
@@ -155,52 +155,12 @@ def eval_cochain(
 
 
 def _evaluator(f: Cochain, lams: list[LinearForm]):
-    """f at the parameter list `lams`, as a function of the argument tuple.
-
-    What depends only on the parameters is done once here: the slot
-    substitutions for D, one compiled relabelling to `lams`, and a table
-    of stored values relabelled by it, filled as keys are met.  An
-    argument's rank check and its nonzero coordinates with D substituted
-    are done once per slot and argument object (`structure._slot_memo`).
-    Applying the result then only multiplies and accumulates.  An
-    evaluator lives for one coboundary, `phi_map` or compatibility check.
-    """
-    n = f.arity
-    last_shift = LinearForm.variable(D)
-    for w in lams:
-        last_shift = last_shift + w
-    slot_subst = [(-w).to_poly() for w in lams] + [last_shift.to_poly()]
-    # stored l1..l(n-1) -> lams, simultaneously: targets may mention them
-    relabel = substitution({lam(i): w for i, w in enumerate(lams, 1)})
-    table = f.table
-    relabelled: dict[tuple[int, ...], tuple[MultiPoly, ...]] = {}
-    coords = _slot_memo(slot_subst, rank=f.alg_rank)
-    zero = MultiPoly.zero()
-
-    def apply(args: list[ConformalElement]) -> ConformalElement:
-        coeffs = [coords(s, a) for s, a in enumerate(args)]
-        out = [zero] * f.rep_rank
-        if not all(coeffs):
-            return ConformalElement(tuple(out))
-        # each dict lists its coordinates in increasing order
-        for key in itertools.product(*coeffs):
-            vec = table.get(key)
-            if vec is None:
-                continue
-            factor = coeffs[0][key[0]]
-            for s in range(1, n):
-                factor = factor * coeffs[s][key[s]]
-            if factor.is_zero:
-                continue
-            values = relabelled.get(key)
-            if values is None:
-                values = relabelled[key] = tuple(relabel(p) for p in vec)
-            for k, p in enumerate(values):
-                if not p.is_zero:
-                    out[k] = out[k] + factor * p
-        return ConformalElement(tuple(out))
-
-    return apply
+    """f at the parameter list `lams`, as a function of the argument
+    tuple: `structure._evaluator` with the stored l1..l(n-1) set to
+    `lams`.  An evaluator lives for one coboundary, `phi_map` or
+    compatibility check."""
+    stored = [lam(i) for i in range(1, f.arity)]
+    return _sesquilinear(f.table, stored, f.rep_rank, lams, f.alg_rank)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
@@ -315,7 +275,6 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
             values = right.get(key[:n])
             if values is not None:
                 _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
-            acc = ConformalElement(tuple(out))
             # bracket-insertion terms
             for i in range(1, n + 2):
                 for j in range(i + 1, n + 2):
@@ -325,10 +284,9 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
                         for s in range(1, n + 2)
                         if s != i
                     ]
-                    v = insert[i, j](args)
-                    acc = acc - v if i % 2 == 1 else acc + v
-            if not acc.is_zero:
-                table[key] = acc.coords
+                    _add_value(out, insert[i, j](args).coords, i % 2 == 0)
+            if any(not c.is_zero for c in out):
+                table[key] = tuple(out)
     return Cochain(n + 1, alg.rank, rep.rank, table)
 
 
@@ -349,6 +307,13 @@ def _add_action(out: list, values, vectors, plus: bool) -> None:
         for k, c in enumerate(vectors[b]):
             if not c.is_zero:
                 out[k] = out[k] + v * c if plus else out[k] - v * c
+
+
+def _add_value(out: list, coords, plus: bool) -> None:
+    """out += (or -=) coords, in place."""
+    for k, c in enumerate(coords):
+        if not c.is_zero:
+            out[k] = out[k] + c if plus else out[k] - c
 
 
 def coboundary_HN(
@@ -405,14 +370,18 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     mapped = [n_op.apply(e) for e in basis]
     table = {}
     for key in itertools.product(range(f.alg_rank), repeat=n):
-        acc = zero_element(rep.rank)
+        # nm^bare is linear: sum the evaluations with the same number of
+        # bare arguments, then apply it once per count
+        by_bare = [zero_element(rep.rank)] * (n + 1)
         for mask in itertools.product((0, 1), repeat=n):
             bare = n - sum(mask)
             args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
-            v = nm_powers[bare].apply(evaluate(args))
-            acc = acc + v if bare % 2 == 0 else acc - v
-        if not acc.is_zero:
-            table[key] = acc.coords
+            by_bare[bare] = by_bare[bare] + evaluate(args)
+        out = [MultiPoly.zero()] * rep.rank
+        for bare, v in enumerate(by_bare):
+            _add_value(out, nm_powers[bare].apply(v).coords, bare % 2 == 0)
+        if any(not c.is_zero for c in out):
+            table[key] = tuple(out)
     return Cochain(n, f.alg_rank, rep.rank, table)
 
 

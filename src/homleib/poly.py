@@ -242,7 +242,7 @@ def is_zero(p: MultiPoly) -> bool:
 class LinearForm:
     """An affine combination c0 + sum(c_v * v) of variables, held exactly."""
 
-    __slots__ = ("coeffs", "constant")
+    __slots__ = ("coeffs", "constant", "_key")
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None, constant: Rat = 0):
         items = {}
@@ -253,6 +253,7 @@ class LinearForm:
                     items[v] = c
         self.coeffs = items
         self.constant = _as_rational(constant)
+        self._key = None
 
     @staticmethod
     def variable(v: int) -> "LinearForm":
@@ -301,6 +302,13 @@ class LinearForm:
             and self.coeffs == other.coeffs
             and self.constant == other.constant
         )
+
+    def _value_key(self) -> tuple:
+        """The form's value as a hashable key, built on first use: no
+        form is changed after construction."""
+        if self._key is None:
+            self._key = (frozenset(self.coeffs.items()), self.constant)
+        return self._key
 
     def __repr__(self) -> str:
         return f"LinearForm({print_poly(self.to_poly())!r})"

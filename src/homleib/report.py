@@ -6,8 +6,9 @@ JSON object per line) deliberately omits the timing field: records must
 be byte-identical across runs for the same input and seed.
 
 Each check also runs in its own evaluation scope: a per-thread store in
-which structure-table evaluators (see ``structure._eval_table``) are
-kept for reuse while the check runs and dropped when it exits.
+which the evaluators of bracket and action tables (``structure._evaluator``,
+looked up by ``structure._eval_table``) are kept for reuse while the
+check runs and dropped when it exits.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ polynomials in D, hence automatically commutes with the D-action.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
@@ -26,6 +27,7 @@ from .poly import (
     Rat,
     lam,
     print_poly,
+    substitution,
 )
 from .report import _SCOPE, Report, checked
 
@@ -65,9 +67,6 @@ class ConformalElement:
         if not isinstance(p, MultiPoly):
             p = MultiPoly.const(p)
         return ConformalElement(tuple(p * c for c in self.coords))
-
-    def substitute(self, v: int, target) -> "ConformalElement":
-        return ConformalElement(tuple(c.substitute(v, target) for c in self.coords))
 
     def _check_rank(self, other: "ConformalElement"):
         if self.ambient_rank != other.ambient_rank:
@@ -271,7 +270,7 @@ def _eval_table(
     w: LinearForm,
 ) -> ConformalElement:
     """f(-w) g(D + w) table[i, j] at x = w, summed over the coordinates
-    f of `first` and g of `second`.
+    f of `first` and g of `second`: the table as an arity-2 cochain.
 
     Each argument runs over its own length: in an action the algebra and
     the module ranks differ.  Brackets and both actions evaluate here.
@@ -281,57 +280,70 @@ def _eval_table(
     """
     scope = _SCOPE.get()
     if scope is None:
-        return _table_evaluator(table, out_rank, w)(first, second)
-    key = (id(table), out_rank, frozenset(w.coeffs.items()), w.constant)
+        return _evaluator(table, (X,), out_rank, (w,))((first, second))
+    key = (id(table), out_rank, w._value_key())
     evaluate = scope.get(key)
     if evaluate is None:
-        evaluate = scope[key] = _table_evaluator(table, out_rank, w)
-    return evaluate(first, second)
+        evaluate = scope[key] = _evaluator(table, (X,), out_rank, (w,))
+    return evaluate((first, second))
 
 
-def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
-    """The table at parameter w, as a function of the two arguments.
+def _evaluator(
+    table: Mapping,
+    stored: Sequence[int],
+    out_rank: int,
+    lams: Sequence[LinearForm],
+    rank: int | None = None,
+):
+    """The sesquilinear extension of `table` at the parameters `lams`, as
+    a function of the argument tuple.
 
-    The polynomials -w, D + w and w are built once, and each entry
-    table[i, j] is set to x = w the first time it is met (at w = x that
-    is the entry itself, not a copy); tables are never changed once
-    built, so an entry set once stays valid.  The first argument's
-    coordinates at D = -w are kept per argument object by `_slot_memo`.
-    The second argument's coordinates at D + w are substituted only
-    where a nonzero table entry needs them, once per application, and
-    not kept: keeping them too made the memo hold every product a check
-    evaluates, for little gain.  The returned function refers to
-    `table`, which keeps the table alive as long as the evaluator is.
+    The table maps n-tuples of basis indices to vectors of length
+    out_rank over D and the stored parameter variables `stored` (n - 1
+    of them).  Argument slot s < n sets D to -lams[s], the last slot
+    sets D to D + lams[0] + ... + lams[n-2], and the stored variables
+    become `lams` through one compiled simultaneous substitution; a
+    table entry is substituted the first time its key is met.  Each
+    argument's nonzero coordinates at its slot's D are kept per (slot,
+    argument object) by `_slot_memo`, which also checks `rank` when it
+    is given.  Applying the result then only multiplies and adds.  The
+    returned function refers to `table`, which keeps the table alive as
+    long as the evaluator is; tables are never changed once built.
     """
-    shift_w = (LinearForm.variable(D) + w).to_poly()
-    wp = w.to_poly()
-    coords = _slot_memo([(-w).to_poly()])
-    at_w: dict[tuple[int, int], tuple[tuple[int, MultiPoly], ...]] = {}
+    last_shift = LinearForm.variable(D)
+    for w in lams:
+        last_shift = last_shift + w
+    coords = _slot_memo([(-w).to_poly() for w in lams] + [last_shift.to_poly()], rank)
+    # stored variables -> lams, simultaneously: targets may mention them
+    relabel = substitution(dict(zip(stored, lams)))
+    # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
+    relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
+    later_slots = range(1, len(lams) + 1)
 
-    def evaluate(first: ConformalElement, second: ConformalElement) -> ConformalElement:
+    def apply(args: Sequence[ConformalElement]) -> ConformalElement:
+        coeffs = [coords(s, a) for s, a in enumerate(args)]
         out = [zero] * out_rank
-        firsts = coords(0, first)
-        seconds = {j: None for j, g in enumerate(second.coords) if not g.is_zero} if firsts else {}
-        for i, fi in firsts.items():
-            for j, gj in seconds.items():
-                entry = at_w.get((i, j))
-                if entry is None:
-                    # the nonzero coordinates k of table[i, j], at x = w
-                    vec = table.get((i, j), ())
-                    entry = at_w[i, j] = tuple(
-                        (k, pk.substitute(X, wp)) for k, pk in enumerate(vec) if not pk.is_zero
-                    )
-                if not entry:
-                    continue
-                if gj is None:
-                    gj = seconds[j] = second.coords[j].substitute(D, shift_w)
-                factor = fi * gj
-                for k, pk in entry:
-                    out[k] = out[k] + factor * pk
+        if not all(coeffs):
+            return ConformalElement(tuple(out))
+        # each dict lists its coordinates in increasing order
+        for key in itertools.product(*coeffs):
+            values = relabelled.get(key)
+            if values is None:
+                vec = table.get(key, ())
+                values = relabelled[key] = tuple(
+                    (k, q) for k, p in enumerate(vec) if not (q := relabel(p)).is_zero
+                )
+            if not values:
+                continue
+            factor = coeffs[0][key[0]]
+            for s in later_slots:
+                factor = factor * coeffs[s][key[s]]
+            for k, p in values:
+                out[k] = out[k] + factor * p
         return ConformalElement(tuple(out))
 
-    return evaluate
+    return apply
 
 
 def _slot_memo(targets: Sequence[MultiPoly], rank: int | None = None):

@@ -1,0 +1,65 @@
+"""Reference for table evaluation: the arity-2 evaluator that
+`structure._evaluator` replaced for brackets and both actions.  It
+substitutes D + w into the second argument lazily, only where a nonzero
+table entry needs it, and keeps nothing of it.  The differential tests
+in test_structure.py require `eval_table_bracket`, `eval_l` and
+`eval_r` to give the same value, term dict for term dict."""
+
+from homleib.poly import D, X, LinearForm, MultiPoly
+from homleib.structure import BracketTable, ConformalElement, _slot_memo
+
+
+def eval_table(
+    table: BracketTable,
+    out_rank: int,
+    first: ConformalElement,
+    second: ConformalElement,
+    w: LinearForm,
+) -> ConformalElement:
+    """One-shot evaluation of the table at w on (first, second)."""
+    return _table_evaluator(table, out_rank, w)(first, second)
+
+
+def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
+    """The table at parameter w, as a function of the two arguments.
+
+    The polynomials -w, D + w and w are built once, and each entry
+    table[i, j] is set to x = w the first time it is met (at w = x that
+    is the entry itself, not a copy); tables are never changed once
+    built, so an entry set once stays valid.  The first argument's
+    coordinates at D = -w are kept per argument object by `_slot_memo`.
+    The second argument's coordinates at D + w are substituted only
+    where a nonzero table entry needs them, once per application, and
+    not kept: keeping them too made the memo hold every product a check
+    evaluates, for little gain.  The returned function refers to
+    `table`, which keeps the table alive as long as the evaluator is.
+    """
+    shift_w = (LinearForm.variable(D) + w).to_poly()
+    wp = w.to_poly()
+    coords = _slot_memo([(-w).to_poly()])
+    at_w: dict[tuple[int, int], tuple[tuple[int, MultiPoly], ...]] = {}
+    zero = MultiPoly.zero()
+
+    def evaluate(first: ConformalElement, second: ConformalElement) -> ConformalElement:
+        out = [zero] * out_rank
+        firsts = coords(0, first)
+        seconds = {j: None for j, g in enumerate(second.coords) if not g.is_zero} if firsts else {}
+        for i, fi in firsts.items():
+            for j, gj in seconds.items():
+                entry = at_w.get((i, j))
+                if entry is None:
+                    # the nonzero coordinates k of table[i, j], at x = w
+                    vec = table.get((i, j), ())
+                    entry = at_w[i, j] = tuple(
+                        (k, pk.substitute(X, wp)) for k, pk in enumerate(vec) if not pk.is_zero
+                    )
+                if not entry:
+                    continue
+                if gj is None:
+                    gj = seconds[j] = second.coords[j].substitute(D, shift_w)
+                factor = fi * gj
+                for k, pk in entry:
+                    out[k] = out[k] + factor * pk
+        return ConformalElement(tuple(out))
+
+    return evaluate

@@ -331,6 +331,37 @@ def test_phi_vanishes_for_matching_scalars(vir):
         assert phi_map(f, n, rep).is_zero
 
 
+def test_phi_equals_per_mask_sum(twisted2):
+    # the module operator power applied to each of the 2^n evaluations
+    # one mask at a time, under a D-dependent, non-nilpotent module
+    # operator, so every power and every mask count
+    d, one, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.zero()
+    n_op = PdModuleMap([[one, d], [z, MultiPoly.const(2)]])
+    nm = PdModuleMap([[d + one, one], [MultiPoly.const(2), d]])
+    rep = with_nm(adjoint_rep(twisted2), nm)
+    basis = [basis_element(2, t) for t in range(2)]
+    mapped = [n_op.apply(e) for e in basis]
+    rng = random.Random(61)
+    for arity in (1, 2, 3):
+        f = random_cochain(2, 2, arity, rng)
+        lams = _output_lams(arity - 1)
+        table = {}
+        for key in itertools.product(range(2), repeat=arity):
+            acc = ConformalElement((z, z))
+            for mask in itertools.product((0, 1), repeat=arity):
+                bare = arity - sum(mask)
+                args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
+                v = nm.power(bare).apply(eval_cochain(f, args, lams))
+                acc = acc + v if bare % 2 == 0 else acc - v
+            if not acc.is_zero:
+                table[key] = acc.coords
+        got = phi_map(f, n_op, rep)
+        assert got == Cochain(arity, 2, 2, table)
+        assert {k: tuple(map(str, v)) for k, v in got.table.items()} == {
+            k: tuple(map(str, v)) for k, v in table.items()
+        }
+
+
 # -- commuting square and the combined complex ------------------------------------
 
 

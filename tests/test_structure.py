@@ -5,6 +5,7 @@ the sesquilinearity rule serves as the oracle.
 """
 
 import dataclasses
+import itertools
 import random
 import sys
 import threading
@@ -13,13 +14,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import reference_evaluator
 from homleib import cohomology, structure
-from homleib.cohomology import coboundary_homL, eval_cochain, random_cochain
+from homleib.cohomology import coboundary_homL, cochain_from_bracket_table, eval_cochain, random_cochain
 from homleib.ns import ns_from_nijenhuis
 from homleib.operators import deformed_bracket
 from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.report import _SCOPE, checked
 from homleib.representation import (
+    Representation,
     adjoint_rep,
     eval_l,
     eval_r,
@@ -505,13 +508,96 @@ def test_constructions_build_one_evaluator_per_table_and_parameter(monkeypatch, 
         "ns_from_nijenhuis": lambda: ns_from_nijenhuis(alg, n),
     }[build]
     built = []
-    original = structure._table_evaluator
+    original = structure._evaluator
 
-    def counting(table, out_rank, w):
-        built.append((id(table), out_rank, str(w)))
-        return original(table, out_rank, w)
+    def counting(table, stored, out_rank, lams, rank=None):
+        built.append((id(table), out_rank, str(lams)))
+        return original(table, stored, out_rank, lams, rank)
 
     expected = run()
-    monkeypatch.setattr(structure, "_table_evaluator", counting)
+    monkeypatch.setattr(structure, "_evaluator", counting)
     assert run() == expected
     assert built and len(built) == len(set(built))
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator against the former table evaluator
+# ---------------------------------------------------------------------------
+
+
+# the last two have the variables of L1 and other values: a scope keyed
+# by anything less than the value would mix their evaluators up
+FORMS = [XF, L1, L1 + L2, -L1 - LinearForm.variable(D), L1 + L1, L1 + LinearForm.const(1)]
+
+
+def _raw(e):
+    """e's coordinates as term dicts, each coefficient with its stored type."""
+    return tuple({m: (type(c), c) for m, c in p.raw().items()} for p in e.coords)
+
+
+def _random_table(rng, rows, cols, out_rank):
+    monomials = ((), ((D, 1),), ((X, 1),), ((D, 1), (X, 1)), ((X, 2),))
+    table = {}
+    for a in range(rows):
+        for b in range(cols):
+            if rng.random() < 0.7:
+                table[a, b] = tuple(
+                    MultiPoly({
+                        m: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                        for m in monomials
+                        if rng.random() < 0.5
+                    })
+                    for _ in range(out_rank)
+                )
+    return structure.normalize_table(table, out_rank)
+
+
+def test_table_evaluation_equals_former_evaluator():
+    # brackets of rank 1-3 and actions on a module of another rank, on
+    # D-dependent elements and a basis element, at each parameter form,
+    # outside any scope and inside one: the same term dicts, coefficient
+    # types included
+    ref = reference_evaluator.eval_table
+    rng = random.Random(71)
+    for case in range(9):
+        alg_rank, mod_rank = 1 + case % 3, 1 + (case + 1) % 3
+        alg = ConformalAlgebra(
+            alg_rank, tuple(f"e{i}" for i in range(alg_rank)),
+            _random_table(rng, alg_rank, alg_rank, alg_rank), PdModuleMap.identity(alg_rank),
+        )
+        rep = Representation(
+            alg_rank, mod_rank,
+            _random_table(rng, alg_rank, mod_rank, mod_rank),
+            _random_table(rng, mod_rank, alg_rank, mod_rank),
+            PdModuleMap.identity(mod_rank),
+        )
+        ps = [rand_element(rng, alg_rank) for _ in range(3)] + [alg.basis(alg_rank - 1)]
+        ms = [rand_element(rng, mod_rank) for _ in range(3)]
+
+        def pairs():
+            for w in FORMS:
+                for p, q in itertools.product(ps, ps):
+                    yield (
+                        eval_table_bracket(alg.structure, alg_rank, p, q, w),
+                        ref(alg.structure, alg_rank, p, q, w),
+                    )
+                for p, m in itertools.product(ps, ms):
+                    yield eval_l(rep, p, m, w), ref(rep.l_structure, mod_rank, p, m, w)
+                    yield eval_r(rep, m, p, w), ref(rep.r_structure, mod_rank, m, p, w)
+
+        for got, expected in pairs():
+            assert _raw(got) == _raw(expected), case
+        with checked("scoped"):
+            for got, expected in pairs():
+                assert _raw(got) == _raw(expected), case
+
+
+def test_a_table_is_the_arity2_cochain():
+    rng = random.Random(73)
+    for rank in (1, 2, 3):
+        table = _random_table(rng, rank, rank, rank)
+        f = cochain_from_bracket_table(table, rank)
+        for w in FORMS:
+            for _ in range(4):
+                p, q = rand_element(rng, rank), rand_element(rng, rank)
+                assert eval_cochain(f, [p, q], [w]) == eval_table_bracket(table, rank, p, q, w)
