@@ -13,7 +13,8 @@ Check and verification commands emit one report per check (text or
 line-delimited JSON records with --format records) and exit 0 exactly
 when everything passed.  Construct commands print the resulting object
 in definition-file form.  An input or library error ends in one stderr
-line and exit 2.
+line and exit 2; a closed standard output ends the command quietly with
+exit 141.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from random import Random
 
 from . import __version__
 from .report import Report, checked
 from .structure import (
-    ConformalAlgebra,
     current_algebra,
     verify_hom_leibniz,
     verify_multiplicativity,
@@ -45,7 +46,6 @@ from .representation import (
     verify_representation,
 )
 from .cohomology import (
-    Cochain,
     HNLAPair,
     coboundary_HN,
     coboundary_HNLA,
@@ -91,10 +91,6 @@ def _emit(reports: list[Report], fmt: str) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _algebra(file) -> ConformalAlgebra:
-    return defs.build_algebra(file)
-
-
 def _rep_or_adjoint(file, alg):
     if file.all_of("representation"):
         return defs.build_representation(file, alg)
@@ -133,7 +129,7 @@ def cmd_check(args) -> int:
     if what == "ns":
         ns = defs.build_ns(file)
         return _emit([verify_ns_axioms(ns, check_vee_skew=args.check_vee_skew)], args.format)
-    alg = _algebra(file)
+    alg = defs.build_algebra(file)
     if what == "algebra":
         reports = [verify_hom_leibniz(alg), verify_multiplicativity(alg)]
     elif what == "lie":
@@ -191,7 +187,7 @@ def cmd_construct(args) -> int:
     if what == "adjacent":
         ns = defs.build_ns(file)
         return _section_out(defs.algebra_to_section(adjacent_algebra(ns), name="adjacent"))
-    alg = _algebra(file)
+    alg = defs.build_algebra(file)
     if what == "deformed":
         op = defs.build_operator(file, _need_op(args))
         out = deformed_bracket(alg, op, strict=strict)
@@ -218,19 +214,9 @@ def cmd_construct(args) -> int:
 # -- cohomology ---------------------------------------------------------------
 
 
-def _cochain_section_text(f: Cochain, alg, rep, name: str) -> str:
-    from .poly import print_poly
-
-    entries = [(("arity",), str(f.arity))]
-    for key in sorted(f.table):
-        segs = tuple(alg.basis_names[i] for i in key)
-        entries.append((("value",) + segs, [print_poly(p) for p in f.value(key)]))
-    return defs.section_to_text(defs.Section("cochain", name, entries))
-
-
 def cmd_cohomology(args) -> int:
     file = _load(args.file)
-    alg = _algebra(file)
+    alg = defs.build_algebra(file)
     what = args.what
     if what == "d2-zero":
         rep = _rep_or_adjoint(file, alg)
@@ -259,29 +245,22 @@ def cmd_cohomology(args) -> int:
         raise CliError("this command needs --cochain NAME")
     f = defs.build_cochain(file, args.cochain, alg, rep.rank, rep.basis_names)
     if what == "delta":
-        out = coboundary_homL(f, alg, rep)
-        sys.stdout.write(_cochain_section_text(out, alg, rep, "delta"))
-        return 0
+        return _section_out(defs.cochain_to_section(coboundary_homL(f, alg, rep), alg, "delta"))
     op = defs.build_operator(file, _need_op(args))
     rep = _rep_with_module_operator(file, alg, op)
     if what == "delta-hn":
-        out = coboundary_HN(f, alg, op, rep)
-        sys.stdout.write(_cochain_section_text(out, alg, rep, "delta_hn"))
-        return 0
+        return _section_out(defs.cochain_to_section(coboundary_HN(f, alg, op, rep), alg, "delta_hn"))
     if what == "phi":
-        out = phi_map(f, op, rep)
-        sys.stdout.write(_cochain_section_text(out, alg, rep, "phi"))
-        return 0
+        return _section_out(defs.cochain_to_section(phi_map(f, op, rep), alg, "phi"))
     if what == "d-hnla":
         g = None
         if args.cochain2:
             g = defs.build_cochain(file, args.cochain2, alg, rep.rank, rep.basis_names)
         pair = HNLAPair(f, g)
         out = coboundary_HNLA(pair, alg, op, rep)
-        sys.stdout.write(_cochain_section_text(out.f, alg, rep, "d_upper"))
+        _section_out(defs.cochain_to_section(out.f, alg, "d_upper"))
         sys.stdout.write("\n")
-        sys.stdout.write(_cochain_section_text(out.g, alg, rep, "d_lower"))
-        return 0
+        return _section_out(defs.cochain_to_section(out.g, alg, "d_lower"))
     raise CliError(f"unknown cohomology command {what!r}")
 
 
@@ -290,7 +269,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_deform(args) -> int:
     file = _load(args.file)
-    alg = _algebra(file)
+    alg = defs.build_algebra(file)
     what = args.what
     if what == "equiv1":
         data_a = defs.build_deformation(file, alg, args.a)
@@ -409,12 +388,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (CliError, ValueError) as exc:
         # every library error is a ValueError: DefinitionError,
         # PreconditionError, DimensionError, PolyError and bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone (`homleib ... | head -1`): stop quietly, with
+        # stdout on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a pipe-stopped command
 
 
 if __name__ == "__main__":

@@ -458,15 +458,15 @@ def is_cocycle(
     return c.report.passed, c.report
 
 
-def _add_nonzero_values(
-    c: checked, x: Cochain | HNLAPair, labels: tuple[str, str] = ("upper", "lower")
-) -> None:
-    """Record each nonzero value of a cochain at its basis tuple; the
-    values of a pair's two parts carry a leading label."""
+def _add_nonzero_values(c: checked, x: Cochain | HNLAPair, label: str = "") -> None:
+    """Record each nonzero value at its basis tuple.  A cochain's values
+    carry `label` in front of the tuple when it is given.  A pair's two
+    parts carry `label` + "upper" and `label` + "lower"; a lower part of
+    None records nothing."""
     if isinstance(x, HNLAPair):
-        parts = [((labels[0],), x.f), ((labels[1],), x.g)]
+        parts = [((label + "upper",), x.f), ((label + "lower",), x.g)]
     else:
-        parts = [((), x)]
+        parts = [((label,) if label else (), x)]
     for prefix, f in parts:
         if f is not None:
             for key in sorted(f.table):

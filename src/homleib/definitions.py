@@ -541,3 +541,11 @@ def ns_to_section(ns: NSAlgebra, name: str = "derived") -> Section:
                 )
             )
     return Section("ns", None, entries)
+
+
+def cochain_to_section(f: Cochain, alg: ConformalAlgebra, name: str) -> Section:
+    entries = [(("arity",), str(f.arity))]
+    for key in sorted(f.table):
+        segs = tuple(alg.basis_names[i] for i in key)
+        entries.append((("value",) + segs, [print_poly(p) for p in f.value(key)]))
+    return Section("cochain", name, entries)

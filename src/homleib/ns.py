@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .poly import D, MultiPoly, Rat, LinearForm
+from .poly import MultiPoly, Rat
 from .report import Report, _evaluation_scope, checked
 from .structure import (
     XF,
@@ -24,9 +24,12 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
-    _add_nonzero_entries,
     _basis_and_images,
+    _morphism,
     _products,
+    _relative_operator,
+    _skew,
+    _table,
     basis_element,
     eval_bracket,
     eval_table_bracket,
@@ -34,7 +37,7 @@ from .structure import (
 )
 from .representation import Representation, eval_l, eval_r
 from .operators import OperatorKind, PreconditionError, verify_operator
-from .cohomology import Cochain, _evaluator
+from .cohomology import Cochain, _add_nonzero_values, _evaluator, coboundary_homL
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
         basis, twisted = _basis_and_images(n, a)
         evs = {name: partial(eval_table_bracket, getattr(ns, name), n) for name in ("left", "right", "vee")}
         for name, ev in evs.items():
-            for i in range(n):
-                for j in range(n):
-                    res = a.apply(ev(basis[i], basis[j], XF)) - ev(twisted[i], twisted[j], XF)
-                    c.add_nonzero(("multiplicativity", name, i, j), res)
+            _morphism(c, ("multiplicativity", name), a, ev, ev)
         lf, rt, ve = evs.values()
 
         def products(w):
@@ -100,11 +100,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
                     )
                     c.add_nonzero(("vee", i, j, k), res4)
         if check_vee_skew:
-            minus = -L1 - LinearForm.variable(D)
-            for i in range(n):
-                for j in range(n):
-                    res = ve(basis[i], basis[j], L1) + ve(basis[j], basis[i], minus)
-                    c.add_nonzero(("vee_skew", i, j), res)
+            _skew(c, ("vee_skew",), ve, n)
     return c.report
 
 
@@ -126,13 +122,9 @@ def adjacent_algebra(ns: NSAlgebra) -> ConformalAlgebra:
 def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
     """m must commute with all three products."""
     with checked("ns_morphism") as c:
-        basis, images = _basis_and_images(ns.rank, m)
-        for name, table in (("left", ns.left), ("right", ns.right), ("vee", ns.vee)):
-            for i in range(ns.rank):
-                for j in range(ns.rank):
-                    res = m.apply(eval_table_bracket(table, ns.rank, basis[i], basis[j], XF))
-                    res = res - eval_table_bracket(table, ns.rank, images[i], images[j], XF)
-                    c.add_nonzero((name, i, j), res)
+        for name in ("left", "right", "vee"):
+            ev = partial(eval_table_bracket, getattr(ns, name), ns.rank)
+            _morphism(c, (name,), m, ev, ev)
     return c.report
 
 
@@ -159,6 +151,12 @@ def twist_ns_by_morphism(ns: NSAlgebra, m: PdModuleMap, strict: bool = False) ->
     )
 
 
+def _ns(rank: int, basis_names, alpha: PdModuleMap, left, right, vee) -> NSAlgebra:
+    """The NS structure whose three products on basis pairs are the
+    product lists left, right and vee."""
+    return NSAlgebra(rank, basis_names, _table(left), _table(right), _table(vee), alpha)
+
+
 def ns_from_nijenhuis(
     alg: ConformalAlgebra, n: PdModuleMap, strict: bool = False
 ) -> NSAlgebra:
@@ -167,22 +165,15 @@ def ns_from_nijenhuis(
         pre = verify_operator(alg, n, OperatorKind.nijenhuis())
         if not pre.passed:
             raise PreconditionError("operator is not Nijenhuis")
-    left, right, vee = {}, {}, {}
     with _evaluation_scope():
+        br = partial(eval_bracket, alg)
         basis, images = _basis_and_images(alg.rank, n)
-        for i, (p, np_) in enumerate(zip(basis, images)):
-            for j, (q, nq) in enumerate(zip(basis, images)):
-                left[(i, j)] = eval_bracket(alg, np_, q, XF).coords
-                right[(i, j)] = eval_bracket(alg, p, nq, XF).coords
-                vee[(i, j)] = (-n.apply(eval_bracket(alg, p, q, XF))).coords
-    return NSAlgebra(
-        alg.rank,
-        alg.basis_names,
-        normalize_table(left, alg.rank),
-        normalize_table(right, alg.rank),
-        normalize_table(vee, alg.rank),
-        alg.alpha,
-    )
+        return _ns(
+            alg.rank, alg.basis_names, alg.alpha,
+            _products(br, images, basis, XF),
+            _products(br, basis, images, XF),
+            _products(lambda p, q, w: -n.apply(br(p, q, w)), basis, basis, XF),
+        )
 
 
 def ns_from_rb(
@@ -194,22 +185,15 @@ def ns_from_rb(
         pre = verify_operator(alg, r_op, OperatorKind.rota_baxter(weight))
         if not pre.passed:
             raise PreconditionError("operator is not Rota-Baxter of this weight")
-    left, right, vee = {}, {}, {}
     with _evaluation_scope():
+        br = partial(eval_bracket, alg)
         basis, images = _basis_and_images(alg.rank, r_op)
-        for i, (p, rp) in enumerate(zip(basis, images)):
-            for j, (q, rq) in enumerate(zip(basis, images)):
-                left[(i, j)] = eval_bracket(alg, rp, q, XF).coords
-                right[(i, j)] = eval_bracket(alg, p, rq, XF).coords
-                vee[(i, j)] = eval_bracket(alg, p, q, XF).scale(weight).coords
-    return NSAlgebra(
-        alg.rank,
-        alg.basis_names,
-        normalize_table(left, alg.rank),
-        normalize_table(right, alg.rank),
-        normalize_table(vee, alg.rank),
-        alg.alpha,
-    )
+        return _ns(
+            alg.rank, alg.basis_names, alg.alpha,
+            _products(br, images, basis, XF),
+            _products(br, basis, images, XF),
+            _products(lambda p, q, w: br(p, q, w).scale(weight), basis, basis, XF),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +218,14 @@ class TwistedRBData:
 
 
 def verify_twisted_rb(data: TwistedRBData) -> Report:
-    """Three groups: the cocycle identity for phi (its sesquilinearity holds
-    by construction of cochains), twist compatibility of the map, and the
-    twisted operator identity on module basis pairs."""
-    alg, rep, t, phi = data.alg, data.rep, data.t_map, data.phi
+    """Three groups: the cocycle identity for phi (its coboundary in the
+    module complex vanishes; sesquilinearity holds by construction of
+    cochains), twist compatibility of the map, and the twisted operator
+    identity on module basis pairs."""
     with checked("twisted_rb") as c:
-        br = partial(eval_bracket, alg)
-        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        phi1, phi2, phi12 = (_evaluator(phi, [w]) for w in (L1, L2, L12))
-        br1, br2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
-        ph1, ph2 = ([[ev([p, q]) for q in basis] for p in basis] for ev in (phi1, phi2))
-        for i, ap in enumerate(twisted):
-            for j, aq in enumerate(twisted):
-                for k, ar in enumerate(twisted):
-                    res = (
-                        eval_l(rep, ap, ph2[j][k], L1)
-                        - eval_l(rep, aq, ph1[i][k], L2)
-                        - eval_r(rep, ph1[i][j], ar, L12)
-                        + phi1([ap, br2[j][k]])
-                        - phi2([aq, br1[i][k]])
-                        - phi12([br1[i][j], ar])
-                    )
-                    c.add_nonzero(("phi_cocycle", i, j, k), res)
-        _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
-        mods, images = _basis_and_images(rep.rank, t)
-        for i, (m, tm) in enumerate(zip(mods, images)):
-            for j, (n_el, tn) in enumerate(zip(mods, images)):
-                lhs = br(tm, tn, L1)
-                rhs = t.apply(eval_l(rep, tm, n_el, L1) + eval_r(rep, m, tn, L1) + phi1([tm, tn]))
-                c.add_nonzero(("operator_identity", i, j), lhs - rhs)
+        _add_nonzero_values(c, coboundary_homL(data.phi, data.alg, data.rep), "phi_cocycle")
+        phi1 = _evaluator(data.phi, [L1])
+        _relative_operator(c, ("operator_identity",), data.alg, data.rep, data.t_map, phi1)
     return c.report
 
 
@@ -273,16 +236,12 @@ def verify_o_operator(
 
         [t(m) w t(n)] = t( l(t m) w n + r(m) w t(n) ),   t beta = alpha t.
     """
+    if rep.alg_rank != alg.rank:
+        raise DimensionError("representation is over a different algebra rank")
     if t.rows != alg.rank or t.cols != rep.rank:
         raise DimensionError("operator must send the module into the algebra")
     with checked("o_operator") as c:
-        _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
-        mods, images = _basis_and_images(rep.rank, t)
-        for i, (m, tm) in enumerate(zip(mods, images)):
-            for j, (n_el, tn) in enumerate(zip(mods, images)):
-                lhs = eval_bracket(alg, tm, tn, L1)
-                rhs = t.apply(eval_l(rep, tm, n_el, L1) + eval_r(rep, m, tn, L1))
-                c.add_nonzero((i, j), lhs - rhs)
+        _relative_operator(c, (), alg, rep, t)
     return c.report
 
 
@@ -297,21 +256,13 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
         pre = verify_twisted_rb(data)
         if not pre.passed:
             raise PreconditionError("twisted Rota-Baxter identity fails")
-    rep, t, phi = data.rep, data.t_map, data.phi
-    left, right, vee = {}, {}, {}
+    rep = data.rep
     with _evaluation_scope():
-        mods, images = _basis_and_images(rep.rank, t)
-        phi_x = _evaluator(phi, [XF])
-        for i, (m, tm) in enumerate(zip(mods, images)):
-            for j, (n_el, tn) in enumerate(zip(mods, images)):
-                left[(i, j)] = eval_l(rep, tm, n_el, XF).coords
-                right[(i, j)] = eval_r(rep, m, tn, XF).coords
-                vee[(i, j)] = phi_x([tm, tn]).coords
-    return NSAlgebra(
-        rep.rank,
-        rep.basis_names,
-        normalize_table(left, rep.rank),
-        normalize_table(right, rep.rank),
-        normalize_table(vee, rep.rank),
-        rep.beta,
-    )
+        mods, images = _basis_and_images(rep.rank, data.t_map)
+        phi_x = _evaluator(data.phi, [XF])
+        return _ns(
+            rep.rank, rep.basis_names, rep.beta,
+            _products(partial(eval_l, rep), images, mods, XF),
+            _products(partial(eval_r, rep), mods, images, XF),
+            _products(lambda p, q, w: phi_x([p, q]), images, images, XF),
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .poly import Rat
 from .report import Report, _evaluation_scope, checked
@@ -15,6 +16,9 @@ from .structure import (
     PdModuleMap,
     _add_nonzero_entries,
     _basis_and_images,
+    _deformed_products,
+    _morphism,
+    _table,
     eval_bracket,
     verify_hom_leibniz,
 )
@@ -104,18 +108,10 @@ def deformed_bracket(
             raise PreconditionError(
                 f"operator is not Nijenhuis; first residual at {rep.violations[0].context}"
             )
-    table = {}
     with _evaluation_scope():
-        basis, images = _basis_and_images(alg.rank, n)
-        for i, (p, np_) in enumerate(zip(basis, images)):
-            for j, (q, nq) in enumerate(zip(basis, images)):
-                value = (
-                    eval_bracket(alg, np_, q, XF)
-                    + eval_bracket(alg, p, nq, XF)
-                    - n.apply(eval_bracket(alg, p, q, XF))
-                )
-                table[(i, j)] = value.coords
-    return alg.with_structure(table)
+        algs = _basis_and_images(alg.rank, n)
+        products = _deformed_products(partial(eval_bracket, alg), algs, algs, n, XF)
+    return alg.with_structure(_table(products))
 
 
 def check_morphism(
@@ -134,12 +130,7 @@ def check_morphism(
         _add_nonzero_entries(c, "twist", f.compose(src.alpha) - dst.alpha.compose(f))
         if n_src is not None:
             _add_nonzero_entries(c, "operator", f.compose(n_src) - n_dst.compose(f))
-        basis, images = _basis_and_images(src.rank, f)
-        for i in range(src.rank):
-            for j in range(src.rank):
-                lhs = f.apply(eval_bracket(src, basis[i], basis[j], XF))
-                rhs = eval_bracket(dst, images[i], images[j], XF)
-                c.add_nonzero(("bracket", i, j), lhs - rhs)
+        _morphism(c, ("bracket",), f, partial(eval_bracket, src), partial(eval_bracket, dst))
     return c.report
 
 

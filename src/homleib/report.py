@@ -105,6 +105,8 @@ class checked:
 
     def __exit__(self, exc_type, exc, tb):
         self._scope.__exit__(exc_type, exc, tb)
-        self.report.violations.sort(key=lambda v: (v.context, v.residual))
+        # a label and an index may share a position (("multiplicativity",
+        # "operator_twist") beside ("multiplicativity", i, j)): indices first
+        self.report.violations.sort(key=lambda v: (tuple((type(x) is str, x) for x in v.context), v.residual))
         self.report.timing_ms = (time.perf_counter() - self._t0) * 1000.0
         return False

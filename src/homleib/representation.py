@@ -12,6 +12,7 @@ where the acting parameter may again be any linear form.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,11 +28,12 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _basis_and_images,
+    _deformed_products,
     _eval_table,
     _products,
+    _table,
     basis_element,
     eval_bracket,
-    normalize_table,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
 
@@ -162,24 +164,14 @@ def verify_nijenhuis_representation(
     nm = rep.n_m
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
-        basis, images = _basis_and_images(alg.rank, n)
-        mods, nmods = _basis_and_images(rep.rank, nm)
-        for i, (p, np_) in enumerate(zip(basis, images)):
-            for k, (m, nmm) in enumerate(zip(mods, nmods)):
-                lhs = eval_l(rep, np_, nmm, L1)
-                rhs = nm.apply(
-                    eval_l(rep, np_, m, L1)
-                    + eval_l(rep, p, nmm, L1)
-                    - nm.apply(eval_l(rep, p, m, L1))
-                )
-                c.add_nonzero(("l", i, k), lhs - rhs)
-                lhs_r = eval_r(rep, nmm, np_, L1)
-                rhs_r = nm.apply(
-                    eval_r(rep, nmm, p, L1)
-                    + eval_r(rep, m, np_, L1)
-                    - nm.apply(eval_r(rep, m, p, L1))
-                )
-                c.add_nonzero(("r", i, k), lhs_r - rhs_r)
+        act_l, act_r = partial(eval_l, rep), partial(eval_r, rep)
+        algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
+        l_inner = _deformed_products(act_l, algs, mods, nm, L1)
+        r_inner = _deformed_products(act_r, mods, algs, nm, L1)
+        for i, np_ in enumerate(algs[1]):
+            for k, nmm in enumerate(mods[1]):
+                c.add_nonzero(("l", i, k), act_l(np_, nmm, L1) - nm.apply(l_inner[i][k]))
+                c.add_nonzero(("r", i, k), act_r(nmm, np_, L1) - nm.apply(r_inner[k][i]))
     return c.report
 
 
@@ -202,31 +194,8 @@ def induced_representation(
             if not pre.passed:
                 raise PreconditionError(f"{pre.check_name} fails")
     nm = rep.n_m
-    l_structure = {}
-    r_structure = {}
     with _evaluation_scope():
-        basis, images = _basis_and_images(alg.rank, n)
-        mods, nmods = _basis_and_images(rep.rank, nm)
-        for i, (p, np_) in enumerate(zip(basis, images)):
-            for k, (m, nmm) in enumerate(zip(mods, nmods)):
-                lval = (
-                    eval_l(rep, np_, m, XF)
-                    + eval_l(rep, p, nmm, XF)
-                    - nm.apply(eval_l(rep, p, m, XF))
-                )
-                l_structure[(i, k)] = lval.coords
-                rval = (
-                    eval_r(rep, nmm, p, XF)
-                    + eval_r(rep, m, np_, XF)
-                    - nm.apply(eval_r(rep, m, p, XF))
-                )
-                r_structure[(k, i)] = rval.coords
-    return Representation(
-        alg_rank=rep.alg_rank,
-        rank=rep.rank,
-        l_structure=normalize_table(l_structure, rep.rank),
-        r_structure=normalize_table(r_structure, rep.rank),
-        beta=rep.beta,
-        n_m=rep.n_m,
-        basis_names=rep.basis_names,
-    )
+        algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
+        l_structure = _table(_deformed_products(partial(eval_l, rep), algs, mods, nm, XF))
+        r_structure = _table(_deformed_products(partial(eval_r, rep), mods, algs, nm, XF))
+    return dataclasses.replace(rep, l_structure=l_structure, r_structure=r_structure)

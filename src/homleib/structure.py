@@ -413,15 +413,90 @@ def _products(ev, firsts: list, seconds: list, w: LinearForm) -> list[list]:
     return [[ev(p, q, w) for q in seconds] for p in firsts]
 
 
+def _table(products: list[list]) -> dict:
+    """A basis-pair product list as a table: (i, j) -> the coordinates of
+    row i, column j, for the nonzero entries only."""
+    return {(i, j): v.coords for i, row in enumerate(products) for j, v in enumerate(row) if not v.is_zero}
+
+
+# The identities that the checks and constructions share, each written
+# once.  `ev`, `src` and `dst` are product functions ev(p, q, w): a
+# bracket, an action or an NS product bound to its table.  Residuals go
+# to the checked block `c` at `prefix` + the basis indices.
+
+
+def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
+    """m(src(p, q)) - dst(m p, m q) at x on every basis pair."""
+    basis, images = _basis_and_images(m.cols, m)
+    before, after = _products(src, basis, basis, XF), _products(dst, images, images, XF)
+    for i, (row, mapped) in enumerate(zip(before, after)):
+        for j, (v, mv) in enumerate(zip(row, mapped)):
+            c.add_nonzero(prefix + (i, j), m.apply(v) - mv)
+
+
+def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, w) -> list[list]:
+    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) at w on every basis pair:
+    row i, column j for p = e_i and q = e_j.  `first` and `second` are the
+    two arguments' bases with their images under a and b, as
+    `_basis_and_images` gives them.  With a = b = outer = N it is the
+    Nijenhuis-deformed bracket."""
+    (firsts, a_images), (seconds, b_images) = first, second
+    return [
+        [ev(ap, q, w) + ev(p, bq, w) - outer.apply(ev(p, q, w)) for q, bq in zip(seconds, b_images)]
+        for p, ap in zip(firsts, a_images)
+    ]
+
+
+def _leibniz(c: checked, prefix: tuple, twisted: list, terms: list) -> None:
+    """The sum over (ev, at1, at2) in terms of
+
+        ev(a p, at2[j][k], w1) - (ev(at1[i][j], a r, w1+w2) + ev(a q, at1[i][k], w2))
+
+    on every basis triple (p, q, r) = (e_i, e_j, e_k), where twisted holds
+    the a(e_i) and at1, at2 the basis-pair products of a table at w1, w2."""
+    for i, ap in enumerate(twisted):
+        for j, aq in enumerate(twisted):
+            for k, ar in enumerate(twisted):
+                res = [
+                    ev(ap, at2[j][k], L1) - (ev(at1[i][j], ar, L12) + ev(aq, at1[i][k], L2))
+                    for ev, at1, at2 in terms
+                ]
+                c.add_nonzero(prefix + (i, j, k), sum(res[1:], res[0]))
+
+
+def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=None) -> None:
+    """The relative operator identity of t from the module of `rep` (a
+    Representation over alg) into alg, on module basis pairs (m, n) at l1:
+
+        [t m, t n] - t(l(t m) n + r(m) t n [+ phi(t m, t n)]),
+
+    with phi applied to the argument list; before it, the entries of
+    alpha t - t beta, labelled twist_compat."""
+    _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
+    mods, images = _basis_and_images(rep.rank, t)
+    for i, (m, tm) in enumerate(zip(mods, images)):
+        for j, (n, tn) in enumerate(zip(mods, images)):
+            inner = _eval_table(rep.l_structure, rep.rank, tm, n, L1)
+            inner = inner + _eval_table(rep.r_structure, rep.rank, m, tn, L1)
+            if phi is not None:
+                inner = inner + phi([tm, tn])
+            c.add_nonzero(prefix + (i, j), eval_bracket(alg, tm, tn, L1) - t.apply(inner))
+
+
+def _skew(c: checked, prefix: tuple, ev, rank: int) -> None:
+    """ev(p, q, l1) + ev(q, p, -l1 - D) on every basis pair."""
+    basis = [basis_element(rank, i) for i in range(rank)]
+    flipped = _products(ev, basis, basis, -L1 - LinearForm.variable(D))
+    for i, row in enumerate(_products(ev, basis, basis, L1)):
+        for j, v in enumerate(row):
+            c.add_nonzero(prefix + (i, j), v + flipped[j][i])
+
+
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
     """twist([e_i x e_j]) must equal [twist(e_i) x twist(e_j)]."""
     with checked("multiplicativity") as c:
-        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                lhs = alg.alpha.apply(eval_bracket(alg, basis[i], basis[j], XF))
-                rhs = eval_bracket(alg, twisted[i], twisted[j], XF)
-                c.add_nonzero((i, j), lhs - rhs)
+        br = partial(eval_bracket, alg)
+        _morphism(c, (), alg.alpha, br, br)
     return c.report
 
 
@@ -433,29 +508,16 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
     The basis-pair brackets at w1 and at w2 are built once per check.
     """
     with checked("hom_leibniz") as c:
-        n = alg.rank
         br = partial(eval_bracket, alg)
-        basis, twisted = _basis_and_images(n, alg.alpha)
-        at1, at2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = br(twisted[i], at2[j][k], L1)
-                    rhs = br(at1[i][j], twisted[k], L12) + br(twisted[j], at1[i][k], L2)
-                    c.add_nonzero((i, j, k), lhs - rhs)
+        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
+        _leibniz(c, (), twisted, [(br, _products(br, basis, basis, L1), _products(br, basis, basis, L2))])
     return c.report
 
 
 def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
-    minus = -L1 - LinearForm.variable(D)
     with checked("skew_symmetry") as c:
-        basis = [alg.basis(i) for i in range(alg.rank)]
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                direct = eval_bracket(alg, basis[i], basis[j], L1)
-                flipped = eval_bracket(alg, basis[j], basis[i], minus)
-                c.add_nonzero((i, j), direct + flipped)
+        _skew(c, (), partial(eval_bracket, alg), alg.rank)
     return c.report
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -352,3 +354,31 @@ def test_usage_text_is_formatted_when_printed(capsys, monkeypatch):
             build_parser().parse_args(argv)
         assert capsys.readouterr().err == errors[-1]
     assert errors[0] != errors[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "ns-from-n", path("virasoro_ops.def"), "--op", "ident"],
+        ["check", "algebra", path("virasoro.def"), "--format", "records"],
+    ],
+    ids=["construct", "records"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    """As in `homleib ... | head -0`: nothing on stderr, a nonzero exit."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homleib.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141

@@ -178,3 +178,17 @@ def test_bracket_and_identity_as_order1_pair(vir):
     assert not ok
     assert cocycle_report.violations[0].context == ("lower", 0, 0)
     assert cocycle_report.violations[0].residual == "[-D - 2*l1]"
+
+
+def test_operator_twist_and_multiplicativity_residuals_sort_together(twisted2):
+    """("multiplicativity", "operator_twist") and ("multiplicativity", i, j)
+    share a position with a label and an index; a report holding both
+    lists the indices first instead of failing to sort."""
+    z, one = MultiPoly.zero(), MultiPoly.const(1)
+    op = PdModuleMap([[z, z], [one, z]])  # does not commute with the twist
+    data = make_deformation(twisted2, op, {1: {(0, 0): (one, z)}}, {1: op})
+    contexts = [v.context for v in verify_deformation_order(data, 1).violations]
+    assert ("multiplicativity", "operator_twist") in contexts
+    labelled = [ctx for ctx in contexts if ctx[0] == "multiplicativity"]
+    assert labelled[-1] == ("multiplicativity", "operator_twist")
+    assert len(labelled) > 1

@@ -1,0 +1,68 @@
+"""Dead code in src/homleib, found from the syntax tree alone.
+
+Two rules: every import is used in the module that makes it (package
+``__init__`` modules re-export and are exempt), and every private
+module-level function is referred to somewhere in the package besides
+its own definition.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "homleib"
+
+
+def _trees() -> dict:
+    """Module path under src/homleib -> its syntax tree."""
+    return {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _references(tree) -> set:
+    """The identifiers a module reads: plain names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported(tree):
+    """(line, bound name) for each name a top-level or nested import binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{name}:{line} {bound}"
+        for name, tree in _trees().items()
+        if not name.endswith("__init__.py")
+        for line, bound in _imported(tree)
+        if bound not in _references(tree)
+    ]
+    assert not unused, unused
+
+
+def test_every_private_function_is_referred_to():
+    trees = _trees()
+    referred = set().union(*(_references(tree) for tree in trees.values()))
+    unreferred = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referred
+    ]
+    assert not unreferred, unreferred
