@@ -169,7 +169,7 @@ def _twisted_data(file, alg, args) -> TwistedRBData:
     rep = _rep_or_adjoint(file, alg)
     if not args.phi:
         raise CliError("this command needs --phi NAME (an arity-2 cochain section)")
-    phi = defs.build_cochain(file, args.phi, alg, rep.rank, rep.basis_names)
+    phi = defs.build_cochain(file, args.phi, alg, rep.rank)
     return TwistedRBData(alg, rep, op, phi)
 
 
@@ -243,7 +243,7 @@ def cmd_cohomology(args) -> int:
     rep = _rep_or_adjoint(file, alg)
     if not args.cochain:
         raise CliError("this command needs --cochain NAME")
-    f = defs.build_cochain(file, args.cochain, alg, rep.rank, rep.basis_names)
+    f = defs.build_cochain(file, args.cochain, alg, rep.rank)
     if what == "delta":
         return _section_out(defs.cochain_to_section(coboundary_homL(f, alg, rep), alg, "delta"))
     op = defs.build_operator(file, _need_op(args))
@@ -255,7 +255,7 @@ def cmd_cohomology(args) -> int:
     if what == "d-hnla":
         g = None
         if args.cochain2:
-            g = defs.build_cochain(file, args.cochain2, alg, rep.rank, rep.basis_names)
+            g = defs.build_cochain(file, args.cochain2, alg, rep.rank)
         pair = HNLAPair(f, g)
         out = coboundary_HNLA(pair, alg, op, rep)
         _section_out(defs.cochain_to_section(out.f, alg, "d_upper"))
@@ -307,8 +307,15 @@ def _fraction(text: str):
     return Fraction(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; let a closed pipe reach main
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homleib",
         description="Symbolic checks for twisted Leibniz conformal algebras",
     )
@@ -386,8 +393,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # --help and --version exit from parse_args
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

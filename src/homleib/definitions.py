@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .poly import (
     MAX_NESTING,
+    MAX_ORDER,
     MultiPoly,
     ParseError,
     RESERVED_NAMES,
@@ -275,27 +276,74 @@ def _index(names: tuple[str, ...], token: str, where: str) -> int:
         raise DefinitionError(f"{where}: unknown basis name {token!r}") from None
 
 
+def _order(s: Section, text, shape: str) -> int:
+    """A deformation order: a decimal string no larger than MAX_ORDER."""
+    if not isinstance(text, str) or not text.isdecimal():
+        raise DefinitionError(f"[{s.label}]: {shape}")
+    try:
+        order = int(text)
+    except ValueError:  # more digits than int() converts
+        order = MAX_ORDER + 1
+    if order > MAX_ORDER:
+        raise DefinitionError(f"[{s.label}]: orders above {MAX_ORDER} are not supported")
+    return order
+
+
+def _key(s: Section, key: tuple, segments: tuple, shape: str, where: str) -> tuple:
+    """The indices a table key names.  Each segment after the head names
+    an element of its basis in `segments` or, where that is None, a
+    deformation order from 1 to MAX_ORDER; `shape` says what a key
+    looks like."""
+    if len(key) != len(segments) + 1:
+        raise DefinitionError(f"[{s.label}]: {shape}")
+    out = []
+    for names, token in zip(segments, key[1:]):
+        if names is not None:
+            out.append(_index(names, token, where))
+            continue
+        out.append(_order(s, token, shape))
+        if out[-1] == 0:
+            raise DefinitionError(f"[{s.label}]: order-0 bracket comes from [algebra]")
+    return tuple(out)
+
+
+def _read_table(s: Section, head: str, segments: tuple, rank: int, shape: str, cochain=False) -> dict:
+    """Every `head.<segment>...` entry of s as one normalized table: each
+    value is a list of `rank` polynomials in D and x, or in D and
+    l1..l(n-1) for the values of an arity-n cochain."""
+    table = {}
+    for key, value in s.prefixed(head):
+        where = f"[{s.label}] {'.'.join(key)}"
+        table[_key(s, key, segments, shape, where)] = _vector(value, rank, where)
+    n = len(segments)
+    if cochain:
+        allowed, rule = {D} | {lam(i) for i in range(1, n)}, f"arity-{n} values may use D and l1..l{n - 1} only"
+    else:
+        allowed, rule = {D, X}, f"{head} entries may only use D and x"
+    if any(p.variables() - allowed for vec in table.values() for p in vec):
+        raise DefinitionError(f"[{s.label}]: {rule}")
+    return normalize_table(table, rank)
+
+
+def _read_square(s: Section, key: tuple, rank: int, value, read=_matrix):
+    """The rank x rank matrix `value` at `key`, its shape checked before
+    `read` parses any entry."""
+    if not (
+        isinstance(value, list)
+        and len(value) == rank
+        and all(isinstance(row, list) and len(row) == rank for row in value)
+    ):
+        raise DefinitionError(f"[{s.label}]: {'.'.join(key)} must be {rank}x{rank}")
+    return read(value, f"[{s.label}] {'.'.join(key)}")
+
+
 def build_algebra(file: DefinitionFile) -> ConformalAlgebra:
     s = file.one_of("algebra")
     names = _basis(s)
     rank = len(names)
-    alpha = _matrix(s.require("alpha"), f"[{s.label}] alpha")
-    if alpha.rows != rank or alpha.cols != rank:
-        raise DefinitionError(f"[{s.label}]: alpha must be {rank}x{rank}")
-    structure = {}
-    for key, value in s.prefixed("bracket"):
-        if len(key) != 3:
-            raise DefinitionError(f"[{s.label}]: bracket keys look like bracket.<a>.<b>")
-        i = _index(names, key[1], f"[{s.label}] {'.'.join(key)}")
-        j = _index(names, key[2], f"[{s.label}] {'.'.join(key)}")
-        structure[(i, j)] = _vector(value, rank, f"[{s.label}] {'.'.join(key)}")
-    for (i, j), vec in structure.items():
-        for p in vec:
-            if p.variables() - {D, X}:
-                raise DefinitionError(
-                    f"[{s.label}]: bracket entries may only use D and x"
-                )
-    return ConformalAlgebra(rank, names, normalize_table(structure, rank), alpha)
+    alpha = _read_square(s, ("alpha",), rank, s.require("alpha"))
+    structure = _read_table(s, "bracket", (names, names), rank, "bracket keys look like bracket.<a>.<b>")
+    return ConformalAlgebra(rank, names, structure, alpha)
 
 
 def build_operator(file: DefinitionFile, name: str) -> PdModuleMap:
@@ -307,78 +355,53 @@ def build_representation(file: DefinitionFile, alg: ConformalAlgebra) -> Represe
     s = file.one_of("representation")
     names = _basis(s)
     rank = len(names)
-    beta = _matrix(s.require("beta"), f"[{s.label}] beta")
-    l_structure = {}
-    for key, value in s.prefixed("l"):
-        if len(key) != 3:
-            raise DefinitionError(f"[{s.label}]: left-action keys look like l.<alg>.<mod>")
-        i = _index(alg.basis_names, key[1], f"[{s.label}] {'.'.join(key)}")
-        j = _index(names, key[2], f"[{s.label}] {'.'.join(key)}")
-        l_structure[(i, j)] = _vector(value, rank, f"[{s.label}] {'.'.join(key)}")
-    r_structure = {}
-    for key, value in s.prefixed("r"):
-        if len(key) != 3:
-            raise DefinitionError(f"[{s.label}]: right-action keys look like r.<mod>.<alg>")
-        j = _index(names, key[1], f"[{s.label}] {'.'.join(key)}")
-        i = _index(alg.basis_names, key[2], f"[{s.label}] {'.'.join(key)}")
-        r_structure[(j, i)] = _vector(value, rank, f"[{s.label}] {'.'.join(key)}")
+    beta = _read_square(s, ("beta",), rank, s.require("beta"))
+    l_structure = _read_table(
+        s, "l", (alg.basis_names, names), rank, "left-action keys look like l.<alg>.<mod>"
+    )
+    r_structure = _read_table(
+        s, "r", (names, alg.basis_names), rank, "right-action keys look like r.<mod>.<alg>"
+    )
     nm_value = s.get("nm")
-    n_m = _matrix(nm_value, f"[{s.label}] nm") if nm_value is not None else None
+    n_m = None if nm_value is None else _read_square(s, ("nm",), rank, nm_value)
     return Representation(
         alg_rank=alg.rank,
         rank=rank,
-        l_structure=normalize_table(l_structure, rank),
-        r_structure=normalize_table(r_structure, rank),
+        l_structure=l_structure,
+        r_structure=r_structure,
         beta=beta,
         n_m=n_m,
         basis_names=names,
     )
 
 
-def build_cochain(
-    file: DefinitionFile, name: str, alg: ConformalAlgebra, rep_rank: int, rep_names
-) -> Cochain:
+def build_cochain(file: DefinitionFile, name: str, alg: ConformalAlgebra, rep_rank: int) -> Cochain:
     s = file.named("cochain", name)
     arity_text = s.require("arity")
     if not isinstance(arity_text, str) or not arity_text.isdecimal() or int(arity_text) < 1:
         raise DefinitionError(f"[{s.label}]: arity must be a positive integer string")
     arity = int(arity_text)
-    table = {}
-    for key, value in s.prefixed("value"):
-        if len(key) != arity + 1:
-            raise DefinitionError(
-                f"[{s.label}]: value keys need {arity} basis segments"
-            )
-        idx = tuple(
-            _index(alg.basis_names, t, f"[{s.label}] {'.'.join(key)}") for t in key[1:]
-        )
-        table[idx] = _vector(value, rep_rank, f"[{s.label}] {'.'.join(key)}")
-    allowed = {D} | {lam(i) for i in range(1, arity)}
-    for idx, vec in table.items():
-        for p in vec:
-            if p.variables() - allowed:
-                raise DefinitionError(
-                    f"[{s.label}]: arity-{arity} values may use D and l1..l{arity-1} only"
-                )
-    return Cochain(arity, alg.rank, rep_rank, normalize_table(table, rep_rank))
+    table = _read_table(
+        s,
+        "value",
+        (alg.basis_names,) * arity,
+        rep_rank,
+        f"value keys need {arity} basis segments",
+        cochain=True,
+    )
+    return Cochain(arity, alg.rank, rep_rank, table)
 
 
 def build_ns(file: DefinitionFile) -> NSAlgebra:
     s = file.one_of("ns")
     names = _basis(s)
     rank = len(names)
-    alpha = _matrix(s.require("alpha"), f"[{s.label}] alpha")
-    tables = {}
-    for head in ("left", "right", "vee"):
-        table = {}
-        for key, value in s.prefixed(head):
-            if len(key) != 3:
-                raise DefinitionError(f"[{s.label}]: {head} keys look like {head}.<a>.<b>")
-            i = _index(names, key[1], f"[{s.label}] {'.'.join(key)}")
-            j = _index(names, key[2], f"[{s.label}] {'.'.join(key)}")
-            table[(i, j)] = _vector(value, rank, f"[{s.label}] {'.'.join(key)}")
-        tables[head] = normalize_table(table, rank)
-    return NSAlgebra(rank, names, tables["left"], tables["right"], tables["vee"], alpha)
+    alpha = _read_square(s, ("alpha",), rank, s.require("alpha"))
+    tables = [
+        _read_table(s, head, (names, names), rank, f"{head} keys look like {head}.<a>.<b>")
+        for head in ("left", "right", "vee")
+    ]
+    return NSAlgebra(rank, names, *tables, alpha)
 
 
 def build_finite(file: DefinitionFile):
@@ -395,28 +418,23 @@ def build_finite(file: DefinitionFile):
         except Exception as exc:
             raise DefinitionError(f"{where}: entries must be rational constants") from exc
 
+    def _rationals(rows, where):
+        return [[_rat(p, where) for p in row] for row in rows]
+
     twist_value = s.get("twist")
     if twist_value is None:
         twist = [[int(i == j) for j in range(rank)] for i in range(rank)]
     else:
-        if not (
-            isinstance(twist_value, list)
-            and len(twist_value) == rank
-            and all(isinstance(row, list) and len(row) == rank for row in twist_value)
-        ):
-            raise DefinitionError(f"[{s.label}]: twist must be {rank}x{rank}")
-        twist = [
-            [_rat(p, f"[{s.label}] twist") for p in row] for row in twist_value
-        ]
+        twist = _read_square(s, ("twist",), rank, twist_value, _rationals)
+    # constants keep their zero rows and are checked entry by entry, so
+    # they share the key rule but not the polynomial table reader
     constants = {}
     for key, value in s.prefixed("c"):
-        if len(key) != 3:
-            raise DefinitionError(f"[{s.label}]: constant keys look like c.<a>.<b>")
-        i = _index(names, key[1], f"[{s.label}] {'.'.join(key)}")
-        j = _index(names, key[2], f"[{s.label}] {'.'.join(key)}")
+        where = f"[{s.label}] {'.'.join(key)}"
+        index = _key(s, key, (names, names), "constant keys look like c.<a>.<b>", where)
         if not isinstance(value, list) or len(value) != rank:
-            raise DefinitionError(f"[{s.label}] {'.'.join(key)}: expected {rank} constants")
-        constants[(i, j)] = [_rat(p, f"[{s.label}] {'.'.join(key)}") for p in value]
+            raise DefinitionError(f"{where}: expected {rank} constants")
+        constants[index] = [_rat(p, where) for p in value]
     return rank, constants, twist, names
 
 
@@ -425,38 +443,31 @@ def build_deformation(
 ) -> DeformationData:
     s = file.named("deformation", name)
     operator_orders: dict[int, PdModuleMap] = {}
-    bracket_orders: dict[int, dict] = {}
     base_op = None
+    shape = "operator keys look like operator.<order>"
     for key, value in s.prefixed("operator"):
-        if len(key) != 2 or not key[1].isdecimal():
-            raise DefinitionError(f"[{s.label}]: operator keys look like operator.<order>")
-        order = int(key[1])
-        m = _matrix(value, f"[{s.label}] {'.'.join(key)}")
+        if len(key) != 2:
+            raise DefinitionError(f"[{s.label}]: {shape}")
+        order = _order(s, key[1], shape)
+        m = _read_square(s, key, alg.rank, value)
         if order == 0:
             base_op = m
         else:
             operator_orders[order] = m
     if base_op is None:
         raise DefinitionError(f"[{s.label}]: missing operator.0 (the base operator)")
-    for key, value in s.prefixed("bracket"):
-        if len(key) != 4 or not key[1].isdecimal():
-            raise DefinitionError(
-                f"[{s.label}]: bracket keys look like bracket.<order>.<a>.<b>"
-            )
-        order = int(key[1])
-        if order == 0:
-            raise DefinitionError(f"[{s.label}]: order-0 bracket comes from [algebra]")
-        i = _index(alg.basis_names, key[2], f"[{s.label}] {'.'.join(key)}")
-        j = _index(alg.basis_names, key[3], f"[{s.label}] {'.'.join(key)}")
-        bracket_orders.setdefault(order, {})[(i, j)] = _vector(
-            value, alg.rank, f"[{s.label}] {'.'.join(key)}"
-        )
+    names = alg.basis_names
+    table = _read_table(
+        s, "bracket", (None, names, names), alg.rank, "bracket keys look like bracket.<order>.<a>.<b>"
+    )
+    # a key declares its order even when every entry of that order is zero
+    bracket_orders: dict[int, dict] = {int(key[1]): {} for key, _ in s.prefixed("bracket")}
+    for (order, i, j), vec in table.items():
+        bracket_orders[order][i, j] = vec
     declared = s.get("order")
     min_order = 0
     if declared is not None:
-        if not isinstance(declared, str) or not declared.isdecimal():
-            raise DefinitionError(f"[{s.label}]: order must be an integer string")
-        min_order = int(declared)
+        min_order = _order(s, declared, "order must be an integer string")
     return make_deformation(alg, base_op, bracket_orders, operator_orders, min_order)
 
 
@@ -486,66 +497,47 @@ def _matrix_value(m: PdModuleMap) -> list:
     return [[print_poly(p) for p in row] for row in m.entries]
 
 
+def _table_entries(head: str, table: dict, segments: tuple) -> list:
+    """A table's `head.<name>...` entries in key order; each key position
+    is printed by name from its basis in `segments`."""
+    return [
+        ((head, *(names[i] for names, i in zip(segments, key))), [print_poly(p) for p in table[key]])
+        for key in sorted(table)
+    ]
+
+
 def algebra_to_section(alg: ConformalAlgebra, name: str = "derived") -> Section:
+    names = alg.basis_names
     entries = [
         (("name",), name),
-        (("basis",), list(alg.basis_names)),
+        (("basis",), list(names)),
         (("alpha",), _matrix_value(alg.alpha)),
+        *_table_entries("bracket", alg.structure, (names, names)),
     ]
-    for (i, j) in sorted(alg.structure):
-        entries.append(
-            (
-                ("bracket", alg.basis_names[i], alg.basis_names[j]),
-                [print_poly(p) for p in alg.structure[(i, j)]],
-            )
-        )
     return Section("algebra", None, entries)
 
 
 def representation_to_section(rep: Representation, alg: ConformalAlgebra) -> Section:
+    names = rep.basis_names
     entries = [
-        (("basis",), list(rep.basis_names)),
+        (("basis",), list(names)),
         (("beta",), _matrix_value(rep.beta)),
+        *_table_entries("l", rep.l_structure, (alg.basis_names, names)),
+        *_table_entries("r", rep.r_structure, (names, alg.basis_names)),
     ]
-    for (i, j) in sorted(rep.l_structure):
-        entries.append(
-            (
-                ("l", alg.basis_names[i], rep.basis_names[j]),
-                [print_poly(p) for p in rep.l_structure[(i, j)]],
-            )
-        )
-    for (j, i) in sorted(rep.r_structure):
-        entries.append(
-            (
-                ("r", rep.basis_names[j], alg.basis_names[i]),
-                [print_poly(p) for p in rep.r_structure[(j, i)]],
-            )
-        )
     if rep.n_m is not None:
         entries.append((("nm",), _matrix_value(rep.n_m)))
     return Section("representation", None, entries)
 
 
 def ns_to_section(ns: NSAlgebra, name: str = "derived") -> Section:
-    entries = [
-        (("name",), name),
-        (("basis",), list(ns.basis_names)),
-        (("alpha",), _matrix_value(ns.alpha)),
-    ]
-    for head, table in (("left", ns.left), ("right", ns.right), ("vee", ns.vee)):
-        for (i, j) in sorted(table):
-            entries.append(
-                (
-                    (head, ns.basis_names[i], ns.basis_names[j]),
-                    [print_poly(p) for p in table[(i, j)]],
-                )
-            )
+    names = ns.basis_names
+    entries = [(("name",), name), (("basis",), list(names)), (("alpha",), _matrix_value(ns.alpha))]
+    for head in ("left", "right", "vee"):
+        entries += _table_entries(head, getattr(ns, head), (names, names))
     return Section("ns", None, entries)
 
 
 def cochain_to_section(f: Cochain, alg: ConformalAlgebra, name: str) -> Section:
-    entries = [(("arity",), str(f.arity))]
-    for key in sorted(f.table):
-        segs = tuple(alg.basis_names[i] for i in key)
-        entries.append((("value",) + segs, [print_poly(p) for p in f.value(key)]))
+    entries = [(("arity",), str(f.arity)), *_table_entries("value", f.table, (alg.basis_names,) * f.arity)]
     return Section("cochain", name, entries)

@@ -367,6 +367,9 @@ class ParseError(PolyError):
 # that an expression may have.  Each level is a Python call or four, so
 # the bound keeps parsing well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# Highest deformation order a definition file may declare or key: an
+# order-n check does O(n^2) evaluations per basis pair.
+MAX_ORDER = 100
 
 
 class _Scanner:

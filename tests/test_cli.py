@@ -357,17 +357,26 @@ def test_usage_text_is_formatted_when_printed(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ["construct", "ns-from-n", path("virasoro_ops.def"), "--op", "ident"],
-        ["check", "algebra", path("virasoro.def"), "--format", "records"],
+        (["construct", "ns-from-n", path("virasoro_ops.def"), "--op", "ident"], None),
+        (["check", "algebra", path("virasoro.def"), "--format", "records"], None),
+        # argparse prints these itself and exits from parse_args; a closed
+        # pipe shows at the write when stdout is unbuffered, at the flush
+        # when it is buffered
+        (["--help"], False),
+        (["--help"], True),
+        (["--version"], False),
+        (["--version"], True),
     ],
-    ids=["construct", "records"],
+    ids=["construct", "records", "help", "help-unbuffered", "version", "version-unbuffered"],
 )
-def test_closed_stdout_ends_quietly(argv):
+def test_closed_stdout_ends_quietly(argv, unbuffered):
     """As in `homleib ... | head -0`: nothing on stderr, a nonzero exit."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = "1" if unbuffered else ""
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader from the start, so every write fails
     try:

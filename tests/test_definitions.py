@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_scanner
-from homleib.poly import parse_poly
+from homleib.cli import main
+from homleib.poly import MAX_ORDER, parse_poly
 from homleib.definitions import (
     DefinitionError,
     algebra_to_section,
@@ -165,7 +166,7 @@ def test_cochain_variable_discipline():
     file = parse_definition(text)
     alg = build_algebra(file)
     with pytest.raises(DefinitionError):
-        build_cochain(file, "f", alg, 1, ("L",))
+        build_cochain(file, "f", alg, 1)
 
 
 def test_finite_section_round_trip():
@@ -249,7 +250,7 @@ DEFORMATION_HEAD = VIRASORO_TEXT + '\n[deformation:d]\noperator.0 = [["1"]]\n'
     [
         (
             VIRASORO_TEXT + '\n[cochain:f]\narity = "²"\n',
-            lambda file, alg: build_cochain(file, "f", alg, 1, ("L",)),
+            lambda file, alg: build_cochain(file, "f", alg, 1),
             "[cochain:f]: arity must be a positive integer string",
         ),
         (
@@ -275,6 +276,99 @@ def test_unicode_digit_is_definition_error(text, build, message):
     with pytest.raises(DefinitionError) as exc:
         build(file, build_algebra(file))
     assert str(exc.value) == message
+
+
+# -- defects the shared readers catch -----------------------------------------
+# A square matrix of the wrong shape and a variable other than D and x in
+# a structure or action table end in a DefinitionError naming the section,
+# as they do in [algebra], and in one stderr line from the command line.
+
+REP_HEAD = VIRASORO_TEXT + '\n[representation]\nbasis = ["m"]\nbeta = [["1"]]\n'
+
+
+@pytest.mark.parametrize(
+    "text, build, argv, message",
+    [
+        (
+            '[ns]\nbasis = ["a"]\nalpha = [["1", "0"], ["0", "1"]]\n',
+            build_ns,
+            ("check", "ns"),
+            "[ns]: alpha must be 1x1",
+        ),
+        (
+            VIRASORO_TEXT + '\n[representation]\nbasis = ["m", "n"]\nbeta = [["1"]]\n',
+            lambda file: build_representation(file, build_algebra(file)),
+            ("check", "rep"),
+            "[representation]: beta must be 2x2",
+        ),
+        (
+            REP_HEAD + 'nm = [["1", "0"]]\n',
+            lambda file: build_representation(file, build_algebra(file)),
+            ("check", "rep"),
+            "[representation]: nm must be 1x1",
+        ),
+        (
+            DEFORMATION_HEAD + 'operator.1 = [["1", "0"], ["0", "1"]]\n',
+            lambda file: build_deformation(file, build_algebra(file), "d"),
+            ("deform", "check-order", "--name", "d"),
+            "[deformation:d]: operator.1 must be 1x1",
+        ),
+        (
+            REP_HEAD + 'l.L.m = ["D + l1"]\n',
+            lambda file: build_representation(file, build_algebra(file)),
+            ("check", "rep"),
+            "[representation]: l entries may only use D and x",
+        ),
+        (
+            REP_HEAD + 'r.m.L = ["x*l2"]\n',
+            lambda file: build_representation(file, build_algebra(file)),
+            ("check", "rep"),
+            "[representation]: r entries may only use D and x",
+        ),
+        (
+            '[ns]\nbasis = ["a"]\nalpha = [["1"]]\nleft.a.a = ["x"]\nvee.a.a = ["l1"]\n',
+            build_ns,
+            ("check", "ns"),
+            "[ns]: vee entries may only use D and x",
+        ),
+        (
+            DEFORMATION_HEAD + 'bracket.1.L.L = ["D + l1"]\n',
+            lambda file: build_deformation(file, build_algebra(file), "d"),
+            ("deform", "check-order", "--name", "d"),
+            "[deformation:d]: bracket entries may only use D and x",
+        ),
+    ],
+    ids=["ns-alpha", "beta", "nm", "operator-order", "l", "r", "vee", "deformation-bracket"],
+)
+def test_shape_and_variable_defects_name_their_section(capsys, tmp_path, text, build, argv, message):
+    with pytest.raises(DefinitionError) as exc:
+        build(parse_definition(text))
+    assert str(exc.value) == message
+    bad = tmp_path / "bad.def"
+    bad.write_text(text, encoding="utf-8")
+    assert main([*argv[:2], str(bad), *argv[2:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ['order = "999999999"', 'order = "101"', 'order = "' + "9" * 5000 + '"', 'operator.101 = [["1"]]',
+     'bracket.101.L.L = ["D"]'],
+    ids=["order-huge", "order", "order-5000-digits", "operator-key", "bracket-key"],
+)
+def test_deformation_order_is_bounded(entry):
+    file = parse_definition(DEFORMATION_HEAD + entry + "\n")
+    with pytest.raises(DefinitionError) as exc:
+        build_deformation(file, build_algebra(file), "d")
+    assert str(exc.value) == f"[deformation:d]: orders above {MAX_ORDER} are not supported"
+
+
+def test_deformation_orders_up_to_the_bound_are_read():
+    file = parse_definition(DEFORMATION_HEAD + f'order = "{MAX_ORDER}"\nbracket.0{MAX_ORDER}.L.L = ["0"]\n')
+    assert build_deformation(file, build_algebra(file), "d").order == MAX_ORDER
+    # a key of an order whose entries are all zero still declares the order
+    file = parse_definition(DEFORMATION_HEAD + 'bracket.3.L.L = ["0"]\n')
+    assert build_deformation(file, build_algebra(file), "d").order == 3
 
 
 # -- the scanner against its character-at-a-time reference --------------------
