@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from random import Random
 
-from .poly import D, MultiPoly, LinearForm, X, lam, substitution
+from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
 from .report import Report, _evaluation_scope, checked
 from .operators import deformed_bracket
 from .representation import Representation, eval_l, eval_r, induced_representation
@@ -488,6 +488,8 @@ def random_cochain(
     """Seeded random cochain with entries of total degree <= max_deg."""
     if arity < 1:
         raise ValueError("cochains start at arity 1")
+    if arity > MAX_ARITY:
+        raise ValueError(f"arities above {MAX_ARITY} are not supported")
     vs = [D] + [lam(i) for i in range(1, arity)]
     monomials = []
     for degs in itertools.product(range(max_deg + 1), repeat=len(vs)):

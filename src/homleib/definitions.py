@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .poly import (
+    MAX_ARITY,
     MAX_NESTING,
     MAX_ORDER,
     MultiPoly,
@@ -106,78 +108,12 @@ class DefinitionFile:
 # ---------------------------------------------------------------------------
 
 
-# Blanks and `#` comments; a comment ends before its newline.
-_SKIP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-# In a str pattern `\w` is exactly `str.isalnum()` or `_`.
-_IDENT = re.compile(r"\w*")
-# A string body runs to the next quote and may not cross a newline.
-_STRING_BODY = re.compile(r'[^"\n]*')
-
-
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip(self):
-        self.pos = _SKIP.match(self.text, self.pos).end()
-
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos : self.pos + 1]
-
-    def error(self, message: str) -> DefinitionError:
-        """The message at the current position, with a 1-based line and column."""
-        line = self.text.count("\n", 0, self.pos) + 1
-        col = self.pos - self.text.rfind("\n", 0, self.pos)
-        return DefinitionError(f"line {line}, column {col}: {message}")
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip()
-        start = self.pos
-        self.pos = _IDENT.match(self.text, start).end()
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.text[start : self.pos]
-
-    def string(self) -> str:
-        self.expect('"')
-        start = self.pos
-        self.pos = end = _STRING_BODY.match(self.text, start).end()
-        if end == len(self.text) or self.text[end] == "\n":
-            raise self.error("unterminated string")
-        self.pos = end + 1
-        return self.text[start:end]
-
-    def value(self, depth: int = 0):
-        ch = self.peek()
-        if ch == '"':
-            return self.string()
-        if ch == "[":
-            if depth == MAX_NESTING:
-                raise self.error(f"lists nested deeper than {MAX_NESTING} levels")
-            self.pos += 1
-            items = []
-            if self.peek() == "]":
-                self.pos += 1
-                return items
-            while True:
-                items.append(self.value(depth + 1))
-                ch = self.peek()
-                if ch == ",":
-                    self.pos += 1
-                elif ch == "]":
-                    self.pos += 1
-                    return items
-                else:
-                    raise self.error("expected ',' or ']' in list")
-        raise self.error("expected a string or a list")
-
+# One token per match, after any blanks and `#` comments: a string with
+# its quotes (the closing one missing when the string is unterminated), a
+# word (in a str pattern `\w` is exactly `str.isalnum()` or `_`), one other
+# character, or the empty match at the end.  The other character is never
+# a blank or `#`, so every position matches and findall skips nothing.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|#[^\n]*)*("[^"\n]*"?|\w+|[^ \t\r\n#]|\Z)')
 
 _KNOWN_KINDS = {
     "algebra",
@@ -190,33 +126,91 @@ _KNOWN_KINDS = {
 }
 
 
+def _error(text: str, index: int, message: str, shift: int = 0) -> DefinitionError:
+    """The message `shift` characters past the start of token `index`,
+    with a 1-based line and column; only an error pays for the position."""
+    pos = next(islice(_TOKEN.finditer(text), index, None)).start(1) + shift
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return DefinitionError(f"line {line}, column {col}: {message}")
+
+
+def _is_word(tok: str) -> bool:
+    return tok[:1].isalnum() or tok[:1] == "_"
+
+
+def _value(text: str, toks: list, i: int):
+    """The string or list value at token i, and the index after it."""
+    lists = []  # the open lists, innermost last
+    while True:
+        tok = toks[i]
+        if len(tok) > 1 and tok[-1] == '"':
+            value = tok[1:-1]
+            i += 1
+        elif tok == "[":
+            if len(lists) == MAX_NESTING:
+                raise _error(text, i, f"lists nested deeper than {MAX_NESTING} levels")
+            i += 1
+            if toks[i] != "]":
+                lists.append([])
+                continue
+            value = []
+            i += 1
+        elif tok[:1] == '"':
+            raise _error(text, i, "unterminated string", len(tok))
+        else:
+            raise _error(text, i, "expected a string or a list")
+        while lists:  # `value` is complete: file it, then read what follows it
+            lists[-1].append(value)
+            if toks[i] == ",":
+                i += 1
+                break
+            if toks[i] != "]":
+                raise _error(text, i, "expected ',' or ']' in list")
+            value = lists.pop()
+            i += 1
+        else:
+            return value, i
+
+
 def parse_definition(text: str) -> DefinitionFile:
-    tok = _Tok(text)
+    toks = _TOKEN.findall(text)
     sections: list[Section] = []
     seen: set[tuple[str, str | None]] = set()
-    while tok.peek():
-        if tok.peek() != "[":
-            raise tok.error("expected a section header")
-        tok.expect("[")
-        kind = tok.ident()
-        name = None
-        if tok.peek() == ":":
-            tok.pos += 1
-            name = tok.ident()
-        tok.expect("]")
+    i = 0
+    while toks[i]:
+        if toks[i] != "[":
+            raise _error(text, i, "expected a section header")
+        kind, name, i = toks[i + 1], None, i + 2
+        if not _is_word(kind):
+            raise _error(text, i - 1, "expected an identifier")
+        if toks[i] == ":":
+            name, i = toks[i + 1], i + 2
+            if not _is_word(name):
+                raise _error(text, i - 1, "expected an identifier")
+        if toks[i] != "]":
+            raise _error(text, i, "expected ']'")
         if kind not in _KNOWN_KINDS:
-            raise tok.error(f"unknown section kind {kind!r}")
+            raise _error(text, i, f"unknown section kind {kind!r}", 1)
         if (kind, name) in seen:
-            raise tok.error(f"duplicate section [{kind if name is None else kind + ':' + name}]")
+            raise _error(text, i, f"duplicate section [{kind if name is None else kind + ':' + name}]", 1)
         seen.add((kind, name))
         section = Section(kind, name)
-        while tok.peek() and tok.peek() != "[":
-            key = [tok.ident()]
-            while tok.peek() == ".":
-                tok.pos += 1
-                key.append(tok.ident())
-            tok.expect("=")
-            section.entries.append((tuple(key), tok.value()))
+        i += 1
+        while toks[i] and toks[i] != "[":
+            key = [toks[i]]
+            while True:
+                if not (toks[i].isalnum() or _is_word(toks[i])):  # isalnum: most keys, at C speed
+                    raise _error(text, i, "expected an identifier")
+                i += 1
+                if toks[i] != ".":
+                    break
+                i += 1
+                key.append(toks[i])
+            if toks[i] != "=":
+                raise _error(text, i, "expected '='")
+            value, i = _value(text, toks, i + 1)
+            section.entries.append((tuple(key), value))
         sections.append(section)
     if not sections:
         raise DefinitionError("empty definition file")
@@ -276,17 +270,19 @@ def _index(names: tuple[str, ...], token: str, where: str) -> int:
         raise DefinitionError(f"{where}: unknown basis name {token!r}") from None
 
 
-def _order(s: Section, text, shape: str) -> int:
-    """A deformation order: a decimal string no larger than MAX_ORDER."""
+def _bounded(s: Section, text, shape: str, bound: int, what: str) -> int:
+    """A decimal string no larger than `bound`.  Its length is checked
+    first: more digits than int() converts by default (Python 3.11+) are
+    too many on every version, and int() never reads them."""
     if not isinstance(text, str) or not text.isdecimal():
         raise DefinitionError(f"[{s.label}]: {shape}")
     try:
-        order = int(text)
-    except ValueError:  # more digits than int() converts
-        order = MAX_ORDER + 1
-    if order > MAX_ORDER:
-        raise DefinitionError(f"[{s.label}]: orders above {MAX_ORDER} are not supported")
-    return order
+        value = int(text) if len(text) <= 4300 else bound + 1
+    except ValueError:  # a lower digit limit set for int()
+        value = bound + 1
+    if value > bound:
+        raise DefinitionError(f"[{s.label}]: {what} above {bound} are not supported")
+    return value
 
 
 def _key(s: Section, key: tuple, segments: tuple, shape: str, where: str) -> tuple:
@@ -301,7 +297,7 @@ def _key(s: Section, key: tuple, segments: tuple, shape: str, where: str) -> tup
         if names is not None:
             out.append(_index(names, token, where))
             continue
-        out.append(_order(s, token, shape))
+        out.append(_bounded(s, token, shape, MAX_ORDER, "orders"))
         if out[-1] == 0:
             raise DefinitionError(f"[{s.label}]: order-0 bracket comes from [algebra]")
     return tuple(out)
@@ -377,10 +373,10 @@ def build_representation(file: DefinitionFile, alg: ConformalAlgebra) -> Represe
 
 def build_cochain(file: DefinitionFile, name: str, alg: ConformalAlgebra, rep_rank: int) -> Cochain:
     s = file.named("cochain", name)
-    arity_text = s.require("arity")
-    if not isinstance(arity_text, str) or not arity_text.isdecimal() or int(arity_text) < 1:
-        raise DefinitionError(f"[{s.label}]: arity must be a positive integer string")
-    arity = int(arity_text)
+    shape = "arity must be a positive integer string"
+    arity = _bounded(s, s.require("arity"), shape, MAX_ARITY, "arities")
+    if arity < 1:
+        raise DefinitionError(f"[{s.label}]: {shape}")
     table = _read_table(
         s,
         "value",
@@ -448,7 +444,7 @@ def build_deformation(
     for key, value in s.prefixed("operator"):
         if len(key) != 2:
             raise DefinitionError(f"[{s.label}]: {shape}")
-        order = _order(s, key[1], shape)
+        order = _bounded(s, key[1], shape, MAX_ORDER, "orders")
         m = _read_square(s, key, alg.rank, value)
         if order == 0:
             base_op = m
@@ -467,7 +463,7 @@ def build_deformation(
     declared = s.get("order")
     min_order = 0
     if declared is not None:
-        min_order = _order(s, declared, "order must be an integer string")
+        min_order = _bounded(s, declared, "order must be an integer string", MAX_ORDER, "orders")
     return make_deformation(alg, base_op, bracket_orders, operator_orders, min_order)
 
 

@@ -370,6 +370,9 @@ MAX_NESTING = 100
 # Highest deformation order a definition file may declare or key: an
 # order-n check does O(n^2) evaluations per basis pair.
 MAX_ORDER = 100
+# Highest cochain arity a definition file or a random cochain may have:
+# d at arity n visits rank^(n+1) keys.
+MAX_ARITY = 8
 
 
 class _Scanner:

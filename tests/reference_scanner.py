@@ -1,8 +1,10 @@
-"""Reference for the definition-file scanner: the character-at-a-time
-tokenizer that `definitions.parse_definition` replaced with compiled
-patterns.  It steps one character per call and keeps the line and column
-as it goes.  The differential tests in test_definitions.py require both
-to give the same sections, or the same error text, on every input."""
+"""Reference for the definition-file scanner: a character-at-a-time
+tokenizer.  It steps one character per call and keeps the line and column
+as it goes.  `definitions.parse_definition` instead splits the whole
+text with one compiled pattern and walks the token list by index,
+working out a position only when it raises.  The differential tests in
+test_definitions.py require both to give the same sections, or the same
+error text, on every input."""
 
 from homleib.definitions import _KNOWN_KINDS, DefinitionError
 from homleib.poly import MAX_NESTING

@@ -9,6 +9,7 @@ import pytest
 
 from homleib.cli import build_parser, main
 from homleib.definitions import parse_definition
+from homleib.poly import MAX_ARITY
 
 DEFS = os.path.join(os.path.dirname(__file__), "..", "defs")
 
@@ -188,6 +189,10 @@ def test_unicode_digit_is_one_line_error_naming_the_entry(capsys, tmp_path, text
         (("cohomology", "d2-zero", "virasoro.def", "--arity", "-3"), "cochains start at arity 1"),
         (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--arity", "0"),
          "cochains start at arity 1"),
+        (("cohomology", "d2-zero", "virasoro.def", "--arity", str(MAX_ARITY + 1)),
+         f"arities above {MAX_ARITY} are not supported"),
+        (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--arity", "1000000"),
+         f"arities above {MAX_ARITY} are not supported"),
     ],
 )
 def test_bad_argument_is_one_line_error(capsys, argv, message):

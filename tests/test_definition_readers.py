@@ -10,8 +10,8 @@ malformed input the library builders may raise nothing but
 DefinitionError, and must give the reference's outcome unless their
 error names a defect of a class the reference let through or reported
 otherwise, and the input really has it: a square matrix of the wrong
-shape, a variable other than D and x in a structure or action table, or
-a deformation order past MAX_ORDER.
+shape, a variable other than D and x in a structure or action table, a
+deformation order past MAX_ORDER, or a cochain arity past MAX_ARITY.
 """
 
 import os
@@ -29,7 +29,7 @@ from homleib import definitions as defs
 from homleib.cohomology import random_cochain
 from homleib.definitions import DefinitionError, parse_definition, section_to_text
 from homleib.ns import NSAlgebra
-from homleib.poly import MAX_ORDER, D, X, ParseError, parse_poly
+from homleib.poly import MAX_ARITY, MAX_ORDER, D, X, ParseError, parse_poly
 from homleib.representation import Representation
 from homleib.structure import ConformalAlgebra, virasoro
 
@@ -87,7 +87,7 @@ def _outcome(build):
 
 SHAPE = re.compile(r"\[([^\]]+)\]: (\S+) must be (\d+)x\3$")
 STRAY = re.compile(r"\[([^\]]+)\]: (\w+) entries may only use D and x$")
-BOUND = re.compile(rf"\[([^\]]+)\]: orders above {MAX_ORDER} are not supported$")
+BOUND = re.compile(rf"\[([^\]]+)\]: (orders above {MAX_ORDER}|arities above {MAX_ARITY}) are not supported$")
 
 
 def _wrong_shape(value, n: int) -> bool:
@@ -106,11 +106,11 @@ def _stray_variable(value) -> bool:
     return False
 
 
-def _past_bound(text) -> bool:
+def _past_bound(text, bound: int) -> bool:
     if not (isinstance(text, str) and text.isdecimal()):
         return False
     try:
-        return int(text) > MAX_ORDER
+        return int(text) > bound
     except ValueError:  # more digits than int() converts
         return True
 
@@ -130,9 +130,11 @@ def _names_real_new_defect(file, message: str) -> bool:
         return any(k == key and _wrong_shape(v, int(m[3])) for k, v in section.entries)
     if pattern is STRAY:
         return any(_stray_variable(v) for _, v in section.prefixed(m[2]))
+    if m[2].startswith("arities"):
+        return any(_past_bound(v, MAX_ARITY) for k, v in section.entries if k == ("arity",))
     orders = [v for k, v in section.entries if k == ("order",)]
     orders += [k[1] for k, _ in section.entries if len(k) > 1 and k[0] in ("operator", "bracket")]
-    return any(_past_bound(o) for o in orders)
+    return any(_past_bound(o, MAX_ORDER) for o in orders)
 
 
 def assert_builders_agree(text: str):
@@ -266,6 +268,7 @@ MALFORMED = [
     ALG + '[cochain:f]\narity = "2"\nvalue.L.L = ["l2"]\n',
     ALG + '[cochain:f]\narity = "1"\nvalue.L = ["x"]\nvalue.M = ["D"]\n',
     ALG + '[cochain:f]\narity = "0"\n',
+    ALG + '[cochain:f]\narity = "9"\nvalue.L = ["D"]\n',
     FIN + 'c.a = ["1", "0"]\n',
     FIN + 'c.a.z = ["1", "0"]\n',
     FIN + 'c.a.a = ["1"]\n',

@@ -1,13 +1,22 @@
-"""Dead code in src/homleib, found from the syntax tree alone.
+"""Dead code and too-new regex syntax in src/homleib.
 
-Two rules: every import is used in the module that makes it (package
-``__init__`` modules re-export and are exempt), and every private
-module-level function is referred to somewhere in the package besides
-its own definition.
+Found from the syntax tree alone: every import is used in the module
+that makes it (package ``__init__`` modules re-export and are exempt),
+and every private module-level function is referred to somewhere in the
+package besides its own definition.
+
+Found from the compiled patterns: no module-level pattern uses a
+possessive quantifier or an atomic group, which Python 3.11 added and
+the package's oldest supported Python (3.10) rejects.
 """
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+import re
+
+import homleib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "homleib"
 
@@ -66,3 +75,33 @@ def test_every_private_function_is_referred_to():
         and node.name not in referred
     ]
     assert not unreferred, unreferred
+
+
+# `re._parser` from Python 3.11; `sre_parse` before
+_PARSER = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+
+
+def _opcodes(node):
+    """The opcode names of a parsed pattern, nested groups included."""
+    if isinstance(node, _PARSER.SubPattern):
+        for op, av in node:
+            yield str(op)
+            yield from _opcodes(av)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item)
+
+
+def test_no_regex_syntax_newer_than_python_3_10():
+    patterns = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.walk_packages(homleib.__path__, "homleib.")
+        for name, value in vars(importlib.import_module(info.name)).items()
+        if isinstance(value, re.Pattern)
+    }
+    assert patterns, "no module-level pattern found"
+    too_new = {
+        where: sorted(set(_opcodes(_PARSER.parse(p.pattern, p.flags))) & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"})
+        for where, p in patterns.items()
+    }
+    assert not any(too_new.values()), too_new
