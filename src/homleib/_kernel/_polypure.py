@@ -41,6 +41,11 @@ def merge_keys(ka, kb):
         return kb
     if not kb:
         return ka
+    # disjoint variable ranges: the sorted product is a concatenation
+    if ka[-1][0] < kb[0][0]:
+        return ka + kb
+    if kb[-1][0] < ka[0][0]:
+        return kb + ka
     out = []
     i = j = 0
     la, lb = len(ka), len(kb)

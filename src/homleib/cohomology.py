@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from random import Random
 
 from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
@@ -45,7 +46,6 @@ from .structure import (
     basis_element,
     eval_bracket,
     normalize_table,
-    zero_element,
 )
 
 @dataclass(frozen=True)
@@ -223,6 +223,13 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     evaluator of f per pair (i, j) to the hoisted basis-pair brackets and
     twisted basis elements.  All of it runs in one evaluation scope, so
     each table is evaluated once per parameter.
+
+    No term that a structure constant makes zero is computed: an
+    insertion term whose bracket is zero is skipped before its argument
+    list is built, and the evaluator of f for (i, j) is built on first
+    use, so an empty bracket table builds none; in each action group, a
+    stored coordinate b is substituted only when some action vector in
+    column b is nonzero.  coboundary_HN inherits both rules.
     """
     _check_ranks(f, alg, rep)
     n = f.arity
@@ -237,18 +244,7 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
         total = total + w
     shift = LinearForm.variable(D)
     zero = MultiPoly.zero()
-    # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-    left = []
-    for i in range(1, n + 1):
-        targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
-        targets[D] = shift + ws[i - 1]
-        left.append(_substituted_values(f, substitution(targets)))
-    right = _substituted_values(f, substitution({D: -total}))
-    insert = {
-        (i, j): _evaluator(f, _insertion_lams(n, i, j))
-        for i in range(1, n + 2)
-        for j in range(i + 1, n + 2)
-    }
+    insert = {}  # (i, j) -> evaluator of f, built when a bracket needs it
     with _evaluation_scope():
         # l(a(e_t)) w_i e_b, and r(e_b) total a(e_t): row t, column b
         l_vectors = [
@@ -256,6 +252,13 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
             for i in range(1, n + 1)
         ]
         r_vectors = [[eval_r(rep, m, p, total).coords for m in mods] for p in acting]
+        # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
+        left = []
+        for i in range(1, n + 1):
+            targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
+            targets[D] = shift + ws[i - 1]
+            left.append(_substituted_values(f, substitution(targets), l_vectors[i - 1]))
+        right = _substituted_values(f, substitution({D: -total}), r_vectors)
         # [e_a w_i e_b] for every insertion parameter w_i
         brackets = {
             (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
@@ -275,29 +278,40 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
             values = right.get(key[:n])
             if values is not None:
                 _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
-            # bracket-insertion terms
+            # bracket-insertion terms; a zero bracket makes the term zero
             for i in range(1, n + 2):
                 for j in range(i + 1, n + 2):
                     inner = brackets[i, key[i - 1], key[j - 1]]
+                    if inner.is_zero:
+                        continue
+                    evaluate = insert.get((i, j))
+                    if evaluate is None:
+                        evaluate = insert[i, j] = _evaluator(f, _insertion_lams(n, i, j))
                     args = [
                         inner if s == j else twisted[key[s - 1]]
                         for s in range(1, n + 2)
                         if s != i
                     ]
-                    _add_value(out, insert[i, j](args).coords, i % 2 == 0)
+                    _add_value(out, evaluate(args).coords, i % 2 == 0)
             if any(not c.is_zero for c in out):
                 table[key] = tuple(out)
     return Cochain(n + 1, alg.rank, rep.rank, table)
 
 
-def _substituted_values(f: Cochain, subst) -> dict:
+def _substituted_values(f: Cochain, subst, vectors) -> dict:
     """f's stored values with `subst` applied to each coordinate, keeping
-    only the nonzero coordinates as (index, polynomial) pairs."""
+    only the nonzero coordinates as (index, polynomial) pairs.  A
+    coordinate b is substituted only when some row of the action
+    `vectors` is nonzero in column b: otherwise its term is zero."""
+    columns = [
+        b for b in range(f.rep_rank) if any(not c.is_zero for row in vectors for c in row[b])
+    ]
     out = {}
-    for key, vec in f.table.items():
-        nonzero = tuple((b, q) for b, p in enumerate(vec) if not (q := subst(p)).is_zero)
-        if nonzero:
-            out[key] = nonzero
+    if columns:
+        for key, vec in f.table.items():
+            nonzero = tuple((b, q) for b in columns if not (q := subst(vec[b])).is_zero)
+            if nonzero:
+                out[key] = nonzero
     return out
 
 
@@ -354,6 +368,11 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     cochains the arity-4 sum.  Only the scalar cases force the terms with
     two or more bare arguments; under the nilpotent operator of the
     rank-2 cases those terms vanish.
+
+    Terms that vanish by structure are not evaluated: a slot offers the
+    image n_op(e_t) only when it is nonzero, a mask whose power
+    nm^(n-|S|) is the zero map is skipped, and a zero evaluation is not
+    added into its count's sum.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
@@ -365,21 +384,30 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     nm_powers = [PdModuleMap.identity(rep.rank)]
     for _ in range(n):
         nm_powers.append(nm.compose(nm_powers[-1]))
+    live = [not m.is_zero for m in nm_powers]
     evaluate = _evaluator(f, _output_lams(n - 1))
-    basis = [basis_element(f.alg_rank, t) for t in range(f.alg_rank)]
-    mapped = [n_op.apply(e) for e in basis]
+    # each slot offers its bare basis element (mask 0) and, when nonzero,
+    # its image under n_op (mask 1): a zero image makes the term zero
+    offers = []
+    for t in range(f.alg_rank):
+        e = basis_element(f.alg_rank, t)
+        image = n_op.apply(e)
+        offers.append(((0, e),) if image.is_zero else ((0, e), (1, image)))
     table = {}
     for key in itertools.product(range(f.alg_rank), repeat=n):
         # nm^bare is linear: sum the evaluations with the same number of
         # bare arguments, then apply it once per count
-        by_bare = [zero_element(rep.rank)] * (n + 1)
-        for mask in itertools.product((0, 1), repeat=n):
-            bare = n - sum(mask)
-            args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
-            by_bare[bare] = by_bare[bare] + evaluate(args)
+        by_bare = [None] * (n + 1)
+        for choice in itertools.product(*(offers[t] for t in key)):
+            bare = n - sum(m for m, _ in choice)
+            if live[bare]:
+                v = evaluate([a for _, a in choice])
+                if not v.is_zero:
+                    by_bare[bare] = v if by_bare[bare] is None else by_bare[bare] + v
         out = [MultiPoly.zero()] * rep.rank
         for bare, v in enumerate(by_bare):
-            _add_value(out, nm_powers[bare].apply(v).coords, bare % 2 == 0)
+            if v is not None:
+                _add_value(out, nm_powers[bare].apply(v).coords, bare % 2 == 0)
         if any(not c.is_zero for c in out):
             table[key] = tuple(out)
     return Cochain(n, f.alg_rank, rep.rank, table)
@@ -478,6 +506,11 @@ def _add_nonzero_values(c: checked, x: Cochain | HNLAPair, label: str = "") -> N
 # ---------------------------------------------------------------------------
 
 
+# Coefficients one random_cochain call may draw: at 2-4 us each, a draw
+# stays under about 0.4 s (what the coboundaries then cost is not bounded).
+MAX_RANDOM_COEFFS = 10**5
+
+
 def random_cochain(
     alg_rank: int,
     rep_rank: int,
@@ -485,18 +518,22 @@ def random_cochain(
     rng: Random,
     max_deg: int = 2,
 ) -> Cochain:
-    """Seeded random cochain with entries of total degree <= max_deg."""
+    """Seeded random cochain with entries of total degree <= max_deg.
+
+    Every monomial of degree <= max_deg in D, l1..l(arity-1) gets a
+    coefficient from -2..2, in sorted monomial order, per coordinate of
+    each key.  A draw of more than MAX_RANDOM_COEFFS coefficients is
+    refused before anything is drawn."""
     if arity < 1:
         raise ValueError("cochains start at arity 1")
     if arity > MAX_ARITY:
         raise ValueError(f"arities above {MAX_ARITY} are not supported")
-    vs = [D] + [lam(i) for i in range(1, arity)]
-    monomials = []
-    for degs in itertools.product(range(max_deg + 1), repeat=len(vs)):
-        if sum(degs) <= max_deg:
-            key = tuple((v, e) for v, e in zip(vs, degs) if e)
-            monomials.append(key)
-    monomials.sort()
+    count = alg_rank**arity * rep_rank * comb(max_deg + arity, arity) if max_deg >= 0 else 0
+    if count > MAX_RANDOM_COEFFS:
+        raise ValueError(
+            f"a random cochain of {count} coefficients is above the bound of {MAX_RANDOM_COEFFS}"
+        )
+    monomials = sorted(_monomials([D] + [lam(i) for i in range(1, arity)], max_deg))
     table = {}
     for key in itertools.product(range(alg_rank), repeat=arity):
         vec = []
@@ -510,3 +547,15 @@ def random_cochain(
         if any(not p.is_zero for p in vec):
             table[key] = tuple(vec)
     return Cochain(arity, alg_rank, rep_rank, table)
+
+
+def _monomials(vs: list[int], budget: int) -> list[tuple]:
+    """Every monomial key in the variables `vs` (in increasing order) of
+    total degree at most `budget`; none when the budget is negative."""
+    if not vs:
+        return [()]
+    out = []
+    for e in range(budget + 1):
+        head = ((vs[0], e),) if e else ()
+        out.extend(head + rest for rest in _monomials(vs[1:], budget - e))
+    return out

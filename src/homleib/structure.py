@@ -310,10 +310,7 @@ def _evaluator(
     returned function refers to `table`, which keeps the table alive as
     long as the evaluator is; tables are never changed once built.
     """
-    last_shift = LinearForm.variable(D)
-    for w in lams:
-        last_shift = last_shift + w
-    coords = _slot_memo([(-w).to_poly() for w in lams] + [last_shift.to_poly()], rank)
+    coords = _slot_memo(_slot_targets(lams), rank)
     # stored variables -> lams, simultaneously: targets may mention them
     relabel = substitution(dict(zip(stored, lams)))
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
@@ -344,6 +341,24 @@ def _evaluator(
         return ConformalElement(tuple(out))
 
     return apply
+
+
+def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
+    """The D target of each slot of an evaluator at `lams`: -lams[s] for
+    slot s < n and D + lams[0] + ... + lams[n-2] for the last, read off
+    the forms' coefficient dicts in one pass."""
+    targets = []
+    shift, constant = {D: 1}, 0
+    for w in lams:
+        # a form's coefficients are stored nonzero and int-first
+        terms = {(): -w.constant} if w.constant else {}
+        for v, c in w.coeffs.items():
+            terms[((v, 1),)] = -c
+            shift[v] = shift.get(v, 0) + c
+        constant += w.constant
+        targets.append(MultiPoly._own(terms))
+    targets.append(LinearForm(shift, constant).to_poly())
+    return targets
 
 
 def _slot_memo(targets: Sequence[MultiPoly], rank: int | None = None):

@@ -193,6 +193,10 @@ def test_unicode_digit_is_one_line_error_naming_the_entry(capsys, tmp_path, text
          f"arities above {MAX_ARITY} are not supported"),
         (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--arity", "1000000"),
          f"arities above {MAX_ARITY} are not supported"),
+        (("cohomology", "d2-zero", "virasoro.def", "--arity", "2", "--max-deg", "1000"),
+         "a random cochain of 501501 coefficients is above the bound of 100000"),
+        (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--max-deg", "999999999"),
+         "a random cochain of 1000000000 coefficients is above the bound of 100000"),
     ],
 )
 def test_bad_argument_is_one_line_error(capsys, argv, message):

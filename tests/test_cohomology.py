@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import reference_coboundary
+from homleib import cohomology
 from homleib.operators import deformed_bracket
-from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
+from homleib.poly import MAX_ARITY, D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.structure import (
     L1,
     ConformalAlgebra,
@@ -333,12 +334,25 @@ def test_phi_vanishes_for_matching_scalars(vir):
 
 def test_phi_equals_per_mask_sum(twisted2):
     # the module operator power applied to each of the 2^n evaluations
-    # one mask at a time, under a D-dependent, non-nilpotent module
-    # operator, so every power and every mask count
-    d, one, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.zero()
-    n_op = PdModuleMap([[one, d], [z, MultiPoly.const(2)]])
-    nm = PdModuleMap([[d + one, one], [MultiPoly.const(2), d]])
-    rep = with_nm(adjoint_rep(twisted2), nm)
+    # one mask at a time
+    d, one, two, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.const(2), MultiPoly.zero()
+    cases = [
+        # D-dependent and non-nilpotent, so every power and every mask count
+        (PdModuleMap([[one, d], [z, two]]), PdModuleMap([[d + one, one], [two, d]])),
+        # N e_1 = 0: no mask puts the image of e_1 in a slot
+        (PdModuleMap([[one, z], [d, z]]), PdModuleMap([[d, one], [one, z]])),
+        # nm^2 = 0: only the masks with at most one bare slot count
+        (PdModuleMap([[one, d], [z, two]]), PdModuleMap([[z, d], [z, z]])),
+        (PdModuleMap([[z, one], [z, z]]), NIL),
+        (PdModuleMap.zero(2), NIL),
+    ]
+    for n_op, nm in cases:
+        _check_phi_per_mask(twisted2, n_op, nm)
+
+
+def _check_phi_per_mask(alg, n_op, nm):
+    z = MultiPoly.zero()
+    rep = with_nm(adjoint_rep(alg), nm)
     basis = [basis_element(2, t) for t in range(2)]
     mapped = [n_op.apply(e) for e in basis]
     rng = random.Random(61)
@@ -549,30 +563,114 @@ def _random_twist(rng, rank):
 def test_coboundary_equals_per_key_reference_on_random_pairs():
     """Random algebras and modules, with no axiom required: D-dependent
     twists, independent left and right tables (some empty, some sparse),
-    module ranks other than the algebra's, arities 1-3."""
+    module ranks other than the algebra's, arities 1-3; the last twelve
+    cases with a zero action column, half of them with no brackets."""
     rng = random.Random(2024)
-    for case in range(44):
+    for case in range(56):
         alg_rank = 1 if case % 4 == 0 else rng.randint(1, 3)
         rep_rank = rng.choice([r for r in (1, 2, 3) if r != alg_rank] if case % 2 else (alg_rank,))
         arity = 1 + case % 3 if alg_rank < 3 else 1 + case % 2
         density = 0.0 if case % 11 == 5 else rng.choice((0.3, 0.7, 1.0))
-        alg = ConformalAlgebra(
-            alg_rank,
-            tuple(f"e{i}" for i in range(alg_rank)),
-            _random_table(rng, alg_rank, alg_rank, alg_rank, density),
-            _random_twist(rng, alg_rank),
-        )
-        rep = Representation(
-            alg_rank,
-            rep_rank,
-            _random_table(rng, alg_rank, rep_rank, rep_rank, density),
-            _random_table(rng, rep_rank, alg_rank, rep_rank, rng.choice((0.0, 0.5, 1.0))),
-            _random_twist(rng, rep_rank),
-        )
+        brackets = _random_table(rng, alg_rank, alg_rank, alg_rank, density)
+        twist = _random_twist(rng, alg_rank)
+        l_table = _random_table(rng, alg_rank, rep_rank, rep_rank, density)
+        r_table = _random_table(rng, rep_rank, alg_rank, rep_rank, rng.choice((0.0, 0.5, 1.0)))
+        if case >= 44:
+            # l(e_a) e_b = 0 and r(e_b) e_a = 0 for one module basis
+            # element b, so column b of both action-vector tables is zero;
+            # every other such case has an empty bracket table as well
+            b = rng.randrange(rep_rank)
+            l_table = {k: v for k, v in l_table.items() if k[1] != b}
+            r_table = {k: v for k, v in r_table.items() if k[0] != b}
+            if case % 2:
+                brackets = {}
+        alg = ConformalAlgebra(alg_rank, tuple(f"e{i}" for i in range(alg_rank)), brackets, twist)
+        rep = Representation(alg_rank, rep_rank, l_table, r_table, _random_twist(rng, rep_rank))
         f = random_cochain(alg_rank, rep_rank, arity, rng, max_deg=rng.choice((1, 2)))
         assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
             reference_coboundary.coboundary_homL(f, alg, rep)
         ), case
+
+
+def test_structural_zeros_cost_no_work(monkeypatch):
+    """A zero bracket and zero actions make every term of the coboundary
+    zero: no stored value is substituted and no insertion evaluator is
+    built.  With n_op = 0 only the all-bare mask of phi survives: one
+    evaluation per key, or none once the module operator's power is 0."""
+    substituted, built, evaluated = [], [], []
+    real_substitution, real_evaluator = cohomology.substitution, cohomology._evaluator
+
+    def counting_substitution(targets):
+        apply = real_substitution(targets)
+        return lambda p: substituted.append(p) or apply(p)
+
+    def counting_evaluator(f, lams):
+        built.append(lams)
+        evaluate = real_evaluator(f, lams)
+        return lambda args: evaluated.append(args) or evaluate(args)
+
+    monkeypatch.setattr(cohomology, "substitution", counting_substitution)
+    monkeypatch.setattr(cohomology, "_evaluator", counting_evaluator)
+    alg = ConformalAlgebra(2, ("e0", "e1"), {}, PdModuleMap.identity(2))
+    rep = Representation(2, 2, {}, {}, PdModuleMap.identity(2))
+    rng = random.Random(5)
+    for arity in (1, 2, 3):
+        f = random_cochain(2, 2, arity, rng)
+        built.clear()
+        assert coboundary_homL(f, alg, rep).is_zero
+        assert substituted == [] and built == []
+        for nm, evaluations in ((PdModuleMap.scalar(2, 2), 2**arity), (NIL, 2 if arity == 1 else 0)):
+            evaluated.clear()
+            got = phi_map(f, PdModuleMap.zero(2), with_nm(rep, nm))
+            assert len(evaluated) == evaluations
+            if nm != NIL:
+                assert got == f.scale((-2) ** arity)
+
+
+def _former_random_cochain(alg_rank, rep_rank, arity, rng, max_deg):
+    """random_cochain as it was, its monomials from a walk over every
+    degree tuple in (max_deg + 1)^arity."""
+    vs = [D] + [lam(i) for i in range(1, arity)]
+    monomials = []
+    for degs in itertools.product(range(max_deg + 1), repeat=len(vs)):
+        if sum(degs) <= max_deg:
+            monomials.append(tuple((v, e) for v, e in zip(vs, degs) if e))
+    monomials.sort()
+    table = {}
+    for key in itertools.product(range(alg_rank), repeat=arity):
+        vec = []
+        for _ in range(rep_rank):
+            terms = {}
+            for mono in monomials:
+                c = rng.randint(-2, 2)
+                if c:
+                    terms[mono] = c
+            vec.append(MultiPoly(terms))
+        if any(not p.is_zero for p in vec):
+            table[key] = tuple(vec)
+    return Cochain(arity, alg_rank, rep_rank, table)
+
+
+@pytest.mark.parametrize("arity", range(1, MAX_ARITY + 1))
+def test_random_cochain_draws_as_before(arity):
+    rank = 2 if arity <= 3 else 1
+    for max_deg in range(-1, 5):
+        for seed in (0, 1, 7):
+            got = random_cochain(rank, rank, arity, random.Random(seed), max_deg)
+            want = _former_random_cochain(rank, rank, arity, random.Random(seed), max_deg)
+            assert _raw_table(got) == _raw_table(want), (max_deg, seed)
+
+
+def test_random_cochain_size_is_bounded_before_drawing(monkeypatch):
+    monkeypatch.setattr(cohomology, "MAX_RANDOM_COEFFS", 12)
+    rng = random.Random(3)
+    # 2 keys x 2 coordinates x 3 monomials of degree <= 2 in D
+    assert not random_cochain(2, 2, 1, rng, 2).is_zero
+    state = rng.getstate()
+    for args in ((2, 2, 1, rng, 3), (2, 2, 2, rng, 1), (1, 1, 1, rng, 10**100)):
+        with pytest.raises(ValueError, match="above the bound of 12"):
+            random_cochain(*args)
+    assert rng.getstate() == state
 
 
 def test_cochain_difference_equals_sum_with_negation():

@@ -230,6 +230,35 @@ def term_dicts(draw, max_terms=5, max_exp=3):
 
 
 @st.composite
+def key_pairs(draw):
+    """Two sorted monomial keys: over disjoint variable ranges in either
+    order, interleaved, equal, or with one of them empty."""
+    mode = draw(st.sampled_from(("disjoint", "interleaved", "equal", "empty")))
+    a, b = (draw(st.dictionaries(st.integers(0, 9), st.integers(1, 5))) for _ in range(2))
+    if mode == "disjoint":
+        cut = draw(st.integers(0, 10))
+        a = {v: e for v, e in a.items() if v < cut}
+        b = {v: e for v, e in b.items() if v >= cut}
+    elif mode == "equal":
+        b = dict(a)
+    elif mode == "empty":
+        a = {}
+    if draw(st.booleans()):
+        a, b = b, a
+    return tuple(sorted(a.items())), tuple(sorted(b.items()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(key_pairs())
+def test_merge_keys_equals_merge_through_exponent_dicts(pair):
+    ka, kb = pair
+    exps = dict(ka)
+    for v, e in kb:
+        exps[v] = exps.get(v, 0) + e
+    assert K.merge_keys(ka, kb) == tuple(sorted(exps.items()))
+
+
+@st.composite
 def target_maps(draw):
     """One to three substituted variables, each sent to a polynomial of
     degree at most 2 that may mention any variable, the others too."""
