@@ -1,18 +1,22 @@
 """Pure-Python polynomial kernel.
 
-A polynomial is a dict mapping a monomial key to a nonzero rational
-coefficient.  A monomial key is a tuple of (variable, exponent) pairs,
-sorted by variable id, with no zero exponents; the empty tuple is the
-constant monomial.  These functions are the hot loops of the whole engine.
+A polynomial is a dict mapping a monomial key to a nonzero coefficient.
+A monomial key is a tuple of (variable, exponent) pairs, sorted by
+variable id, with no zero exponents; the empty tuple is the constant
+monomial.  These functions are the hot loops of the whole engine.
 
-Coefficients are int-first: an integral coefficient is stored as an
-``int`` and only a non-integral one as a ``Fraction``, as in FLINT's
-fmpq_mpoly (an integer polynomial with a rational content).  Sums and
-products of ints stay ints; every function below turns an integral
-``Fraction`` result back into an ``int``, so int-first inputs give
-int-first results and each value has one stored form.  Invariant: no
-``/`` ever touches a bare ``int`` coefficient (int / int is a float and
-would end exactness); the kernel only adds and multiplies.
+``poly.MultiPoly`` holds integer numerators over one common denominator
+that it keeps itself, as FLINT's fmpq_mpoly holds an integer polynomial
+with a rational content, so every dict the engine hands the kernel has
+int coefficients.  The kernel itself stays type-generic and int-first,
+because a rational substitution target goes through it as rational
+values: an integral coefficient is stored as an ``int`` and only a
+non-integral one as a ``Fraction``.  Sums and products of ints stay
+ints; every function below turns an integral ``Fraction`` result back
+into an ``int``, so int-first inputs give int-first results and each
+value has one stored form.  Invariant: no ``/`` ever touches a bare
+``int`` coefficient (int / int is a float and would end exactness); the
+kernel only adds and multiplies.
 
 Term dicts are never mutated after they are built: a function fills its
 own fresh dict and hands it out, and neither the kernel nor its callers

@@ -174,9 +174,13 @@ def _value(text: str, toks: list, i: int):
 
 
 def parse_definition(text: str) -> DefinitionFile:
+    """The sections of a definition file.  A key given twice in one
+    section is an error, reported once the whole file has scanned: a
+    file that does not scan reports that first."""
     toks = _TOKEN.findall(text)
     sections: list[Section] = []
     seen: set[tuple[str, str | None]] = set()
+    duplicate = None  # (token index, message) of the first key given twice
     i = 0
     while toks[i]:
         if toks[i] != "[":
@@ -196,9 +200,10 @@ def parse_definition(text: str) -> DefinitionFile:
             raise _error(text, i, f"duplicate section [{kind if name is None else kind + ':' + name}]", 1)
         seen.add((kind, name))
         section = Section(kind, name)
+        keys = set()
         i += 1
         while toks[i] and toks[i] != "[":
-            key = [toks[i]]
+            start, key = i, [toks[i]]
             while True:
                 if not (toks[i].isalnum() or _is_word(toks[i])):  # isalnum: most keys, at C speed
                     raise _error(text, i, "expected an identifier")
@@ -210,10 +215,16 @@ def parse_definition(text: str) -> DefinitionFile:
             if toks[i] != "=":
                 raise _error(text, i, "expected '='")
             value, i = _value(text, toks, i + 1)
-            section.entries.append((tuple(key), value))
+            key = tuple(key)
+            if key in keys and duplicate is None:
+                duplicate = start, f"duplicate key '{'.'.join(key)}' in [{section.label}]"
+            keys.add(key)
+            section.entries.append((key, value))
         sections.append(section)
     if not sections:
         raise DefinitionError("empty definition file")
+    if duplicate is not None:
+        raise _error(text, *duplicate)
     return DefinitionFile(sections)
 
 

@@ -8,13 +8,15 @@ Variables live in a fixed namespace:
 
 ``D``, ``x`` and ``mu`` are reserved: definition files may not introduce
 them as user symbols.  Polynomials are immutable and normalized eagerly
-(no zero coefficients, no zero exponents), so structural equality is
-semantic equality.
+(no zero coefficients, no zero exponents, integer numerators over a
+denominator that shares no factor with all of them), so structural
+equality is semantic equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Union
 
 from . import _kernel as K
@@ -63,25 +65,33 @@ def _as_rational(c: Rat) -> Rat:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with rational (int-first) coefficients."""
+    """Immutable sparse polynomial over the rationals, held as integer
+    numerators over one common denominator, as FLINT's fmpq_mpoly holds
+    an integer polynomial with a rational content.
 
-    __slots__ = ("_terms",)
+    `_terms` maps each monomial key to a nonzero int numerator and
+    `_den` is a positive int.  The form is canonical: no prime divides
+    `_den` and every numerator, so `_den` is 1 for an integral or zero
+    polynomial, and two polynomials are equal exactly when both parts
+    are.  Ring operations hand the kernel int term dicts only; with
+    both denominators 1 they make no gcd or lcm at all.  Rational
+    values are built only where a caller asks for them (`raw`, `terms`,
+    `constant_value` and printing), int-first: an integral coefficient
+    as an int, another as a Fraction.
+    """
+
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[tuple, Rat] | None = None):
+        """From any dict of rational coefficients; zero ones are dropped."""
         out = {}
         if terms:
             for key, c in terms.items():
                 c = _as_rational(c)
                 if c:
                     out[key] = c
-        self._terms = out
-
-    @staticmethod
-    def _own(terms: dict) -> "MultiPoly":
-        """Wrap a normalized kernel result without copying it."""
-        p = _new(MultiPoly)
-        p._terms = terms
-        return p
+        p = MultiPoly.from_int_first(out)
+        self._terms, self._den = p._terms, p._den
 
     # -- constructors -------------------------------------------------
 
@@ -92,7 +102,9 @@ class MultiPoly:
     @staticmethod
     def const(c: Rat) -> "MultiPoly":
         c = _as_rational(c)
-        return MultiPoly._own({(): c} if c else {})
+        if type(c) is int:
+            return _own({(): c} if c else {}, 1)
+        return _own({(): c.numerator}, c.denominator)
 
     @staticmethod
     def var(v: int, exp: int = 1) -> "MultiPoly":
@@ -100,36 +112,82 @@ class MultiPoly:
             raise PolyError("negative exponent")
         if exp == 0:
             return MultiPoly.const(1)
-        return MultiPoly._own({((v, exp),): 1})
+        return _own({((v, exp),): 1}, 1)
+
+    @staticmethod
+    def from_int_first(terms: dict) -> "MultiPoly":
+        """From a dict of nonzero int-first coefficients, such as a kernel
+        result or the coefficients of a LinearForm.  An integral dict is
+        kept as it is, so it must not be changed afterwards.
+
+        The numerators are over the lcm of the denominators.  That form
+        is canonical: the lcm's full power of each prime divides some
+        coefficient's denominator, and that coefficient's numerator is
+        prime to it."""
+        den = 1
+        for c in terms.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        if den != 1:
+            terms = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+        return _own(terms, den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly._own(K.add_terms(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        den = self._den
+        if den == other._den:
+            out = K.add_terms(a, b)
+            return _own(out, 1) if den == 1 else _reduced(out, den)
+        a, b, den = _aligned(self, other)
+        return _reduced(K.add_terms(a, b), den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly._own(K.sub_terms(self._terms, other._terms))
+        if not other._terms:
+            return self
+        den = self._den
+        if den == other._den:
+            out = K.sub_terms(self._terms, other._terms)
+            return _own(out, 1) if den == 1 else _reduced(out, den)
+        a, b, den = _aligned(self, other)
+        return _reduced(K.sub_terms(a, b), den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._own(K.scale_terms(self._terms, -1))
+        return _own(K.scale_terms(self._terms, -1), self._den)
 
     def __mul__(self, other: "MultiPoly | Rat") -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            return MultiPoly._own(K.mul_terms(self._terms, other._terms))
-        return MultiPoly._own(K.scale_terms(self._terms, _as_rational(other)))
+            out = K.mul_terms(self._terms, other._terms)
+            den = self._den * other._den
+        else:
+            c = _as_rational(other)
+            out = K.scale_terms(self._terms, c.numerator)
+            den = self._den * c.denominator
+        return _own(out, 1) if den == 1 else _reduced(out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise PolyError("negative exponent")
-        return MultiPoly._own(K.pow_terms(self._terms, n))
+        # Gauss's lemma: the content of a power is the power of the
+        # content, so a power of a canonical form is canonical.
+        return _own(K.pow_terms(self._terms, n), self._den**n)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiPoly) and self._terms == other._terms
+        return (
+            isinstance(other, MultiPoly)
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -141,10 +199,18 @@ class MultiPoly:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[tuple, Rat]]:
-        return iter(self._terms.items())
+        return iter(self.raw().items())
 
     def raw(self) -> dict:
-        return self._terms
+        """The coefficients, int-first; built afresh unless the
+        denominator is 1.  Callers must not change the dict."""
+        den = self._den
+        if den == 1:
+            return self._terms
+        return {
+            key: c // den if c % den == 0 else Fraction(c, den)
+            for key, c in self._terms.items()
+        }
 
     def variables(self) -> set[int]:
         vs: set[int] = set()
@@ -158,7 +224,7 @@ class MultiPoly:
             return 0
         if set(self._terms) != {()}:
             raise PolyError(f"not a constant polynomial: {self}")
-        return self._terms[()]
+        return self.raw()[()]
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -182,9 +248,12 @@ class MultiPoly:
             return self
         if isinstance(target, LinearForm):
             target = target.to_poly()
+        if target._den != 1:
+            return MultiPoly.from_int_first(K.substitute_terms(self.raw(), v, target.raw()))
         if target._terms == {((v, 1),): 1}:
             return self
-        return MultiPoly._own(K.substitute_terms(self._terms, v, target._terms))
+        out = K.substitute_terms(self._terms, v, target._terms)
+        return _own(out, 1) if self._den == 1 else _reduced(out, self._den)
 
     def substitute_many(self, targets: Mapping[int, "LinearForm | MultiPoly"]) -> "MultiPoly":
         """Replace each variable v in `targets` by targets[v], all at once.
@@ -200,6 +269,35 @@ class MultiPoly:
 
 
 _new = object.__new__
+
+
+def _own(terms: dict, den: int) -> MultiPoly:
+    """Wrap canonical numerators and their denominator without copying."""
+    p = _new(MultiPoly)
+    p._terms = terms
+    p._den = den
+    return p
+
+
+def _reduced(terms: dict, den: int) -> MultiPoly:
+    """Integer numerators over den, divided by their common factor with
+    den: one gcd, and a division only when it is above 1."""
+    g = gcd(den, *terms.values())
+    if g > 1:
+        den //= g
+        terms = {key: c // g for key, c in terms.items()}
+    return _own(terms, den)
+
+
+def _aligned(a: MultiPoly, b: MultiPoly) -> tuple[dict, dict, int]:
+    """The numerators of a and b over the lcm of their denominators, and
+    that lcm."""
+    den = lcm(a._den, b._den)
+    ta = a._terms if a._den == den else K.scale_terms(a._terms, den // a._den)
+    tb = b._terms if b._den == den else K.scale_terms(b._terms, den // b._den)
+    return ta, tb, den
+
+
 _ZERO_POLY = MultiPoly()
 
 
@@ -211,25 +309,43 @@ def substitution(
     and monomial images it builds (see the kernel's `substitution`).
 
     Identity targets v -> v are dropped.  A polynomial in which no
-    substituted variable occurs comes back as the same object."""
-    raw = {
-        v: (t.to_poly() if isinstance(t, LinearForm) else t)._terms
-        for v, t in targets.items()
-    }
-    raw = {v: t for v, t in raw.items() if t != {((v, 1),): 1}}
+    substituted variable occurs comes back as the same object.  Integral
+    targets substitute the numerators and keep the denominator; a
+    rational target substitutes the rational coefficients."""
+    raw, integral = {}, True
+    for v, t in targets.items():
+        if isinstance(t, LinearForm):
+            t = t.to_poly()
+        if t._den != 1:
+            integral = False
+        elif t._terms == {((v, 1),): 1}:
+            continue  # v -> v is dropped
+        raw[v] = t.raw()
     if not raw:
         return _unchanged
     apply = K.substitution(raw)
+    if not integral:
+
+        def substituted_rational(p: MultiPoly) -> MultiPoly:
+            terms = p.raw()
+            out = apply(terms)
+            return p if out is terms else MultiPoly.from_int_first(out)
+
+        return substituted_rational
 
     def substituted(p: MultiPoly) -> MultiPoly:
-        out = apply(p._terms)
-        return p if out is p._terms else MultiPoly._own(out)
+        terms = p._terms
+        out = apply(terms)
+        if out is terms:
+            return p
+        return _own(out, 1) if p._den == 1 else _reduced(out, p._den)
 
     return substituted
 
 
 def _unchanged(p: MultiPoly) -> MultiPoly:
     return p
+
 
 ZERO = _ZERO_POLY
 ONE = MultiPoly.const(1)
@@ -282,7 +398,7 @@ class LinearForm:
             terms[()] = self.constant
         for v, c in self.coeffs.items():
             terms[((v, 1),)] = c
-        return MultiPoly._own(terms)
+        return MultiPoly.from_int_first(terms)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         coeffs = dict(self.coeffs)
@@ -331,9 +447,10 @@ def print_poly(p: MultiPoly) -> str:
     """Canonical string form; parse_poly(print_poly(p)) == p."""
     if p.is_zero:
         return "0"
+    terms = p.raw()
     pieces = []
-    for key in sorted(p.raw(), key=_key_sort):
-        c = p.raw()[key]
+    for key in sorted(terms, key=_key_sort):
+        c = terms[key]
         body = "*".join(
             var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in key
         )

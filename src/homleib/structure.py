@@ -356,7 +356,7 @@ def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
             terms[((v, 1),)] = -c
             shift[v] = shift.get(v, 0) + c
         constant += w.constant
-        targets.append(MultiPoly._own(terms))
+        targets.append(MultiPoly.from_int_first(terms))
     targets.append(LinearForm(shift, constant).to_poly())
     return targets
 

@@ -135,6 +135,16 @@ def test_wrong_shape_finite_twist_is_one_line_error(capsys, tmp_path):
     assert "twist must be 2x2" in err
 
 
+def test_key_given_twice_is_one_line_error(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path,
+        '[algebra]\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["l1"]\nbracket.L.L = ["D"]\n',
+        "check", "lie",
+    )
+    assert err.startswith("error: ")
+    assert err.endswith(": line 5, column 1: duplicate key 'bracket.L.L' in [algebra]\n")
+
+
 def test_nested_list_matrix_entry_prefixed_once(capsys, tmp_path):
     err = one_line_error(
         capsys, tmp_path, '[algebra]\nbasis = ["L"]\nalpha = [[["1"]]]\n', "check", "algebra"

@@ -3,6 +3,7 @@
 import glob
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -173,6 +174,33 @@ def test_syntax_error_messages(text, message):
     with pytest.raises(DefinitionError) as exc:
         parse_definition(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (VIRASORO_TEXT + 'bracket.L.L = ["D"]\n', "line 6, column 1: duplicate key 'bracket.L.L' in [algebra]"),
+        # the first key given twice, at its second place; spaced keys are the same key
+        (
+            '[cochain:f]\narity = "1"\nvalue . L = ["D"]\n  value.L = ["1"]\narity = "2"\n',
+            "line 4, column 3: duplicate key 'value.L' in [cochain:f]",
+        ),
+        # the file is scanned to its end first: a scan error is reported before it
+        (VIRASORO_TEXT + 'basis = ["M"]\n[finite\n', "line 8, column 1: expected ']'"),
+    ],
+)
+def test_a_key_given_twice_in_one_section_is_an_error(text, message):
+    with pytest.raises(DefinitionError) as exc:
+        parse_definition(text)
+    assert str(exc.value) == message
+
+
+def test_a_key_may_recur_in_another_section():
+    text = '[operator:a]\nmatrix = [["1"]]\n[operator:b]\nmatrix = [["2"]]\n'
+    assert [s.entries for s in parse_definition(text).sections] == [
+        [(("matrix",), [["1"]])],
+        [(("matrix",), [["2"]])],
+    ]
 
 
 # The scanner holds one list entry per token, 8 bytes for a one-character
@@ -456,8 +484,29 @@ def _sections(text):
     return [(s.kind, s.name, s.entries) for s in parse_definition(text).sections]
 
 
+def _first_duplicate(sections) -> str | None:
+    """The error a key given twice in one section now is, or None."""
+    for kind, name, entries in sections:
+        keys = set()
+        for key, _ in entries:
+            if key in keys:
+                label = kind if name is None else f"{kind}:{name}"
+                return f"duplicate key '{'.'.join(key)}' in [{label}]"
+            keys.add(key)
+    return None
+
+
 def assert_same_scan(text):
-    assert _outcome(_sections, text) == _outcome(reference_scanner.parse_sections, text), repr(text)
+    """The reference's outcome, except that a file the reference reads
+    with a key given twice in one section is now a located error."""
+    got, want = _outcome(_sections, text), _outcome(reference_scanner.parse_sections, text)
+    duplicate = _first_duplicate(want) if isinstance(want, list) else None
+    if duplicate is None:
+        assert got == want, repr(text)
+    else:
+        assert isinstance(got, str) and re.fullmatch(r"line \d+, column \d+: " + re.escape(duplicate), got), (
+            repr(text), got
+        )
 
 
 SHIPPED = sorted(glob.glob(os.path.join(DEFS_DIR, "*.def")))

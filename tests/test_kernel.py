@@ -221,7 +221,7 @@ KVARS = (0, 1, 3, 4, 5)  # D, x, l1, l2, l3
 
 @st.composite
 def term_dicts(draw, max_terms=5, max_exp=3):
-    """Int-first term dicts over KVARS, as every MultiPoly holds."""
+    """Int-first term dicts over KVARS, as `MultiPoly.raw` gives them."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         key = tuple((v, e) for v in KVARS if (e := draw(st.integers(0, max_exp))))

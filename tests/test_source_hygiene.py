@@ -1,9 +1,14 @@
-"""Dead code and too-new regex syntax in src/homleib.
+"""Dead code, the number format's owner and too-new regex syntax in
+src/homleib.
 
 Found from the syntax tree alone: every import is used in the module
 that makes it (package ``__init__`` modules re-export and are exempt),
 and every private module-level function is referred to somewhere in the
 package besides its own definition.
+
+Found from the syntax tree too: only poly.py knows how a polynomial
+stores its coefficients (integer numerators `_terms` over one
+denominator `_den`, wrapped by `_own`).
 
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
@@ -75,6 +80,16 @@ def test_every_private_function_is_referred_to():
         and node.name not in referred
     ]
     assert not unreferred, unreferred
+
+
+def test_only_poly_knows_the_number_format():
+    private = {"_terms", "_den", "_own"}
+    readers = {
+        name: sorted(_references(tree) & private)
+        for name, tree in _trees().items()
+        if name != "poly.py"
+    }
+    assert not any(readers.values()), readers
 
 
 # `re._parser` from Python 3.11; `sre_parse` before
