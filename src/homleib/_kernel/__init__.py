@@ -7,7 +7,6 @@ from ._polypure import (
     pow_terms,
     scale_terms,
     sub_terms,
-    substitute_many,
     substitute_terms,
     substitution,
 )

@@ -1,22 +1,17 @@
 """Pure-Python polynomial kernel.
 
-A polynomial is a dict mapping a monomial key to a nonzero coefficient.
-A monomial key is a tuple of (variable, exponent) pairs, sorted by
-variable id, with no zero exponents; the empty tuple is the constant
-monomial.  These functions are the hot loops of the whole engine.
+A polynomial is a dict mapping a monomial key to a nonzero int
+coefficient.  A monomial key is a tuple of (variable, exponent) pairs,
+sorted by variable id, with no zero exponents; the empty tuple is the
+constant monomial.  These functions are the hot loops of the whole
+engine.
 
-``poly.MultiPoly`` holds integer numerators over one common denominator
-that it keeps itself, as FLINT's fmpq_mpoly holds an integer polynomial
-with a rational content, so every dict the engine hands the kernel has
-int coefficients.  The kernel itself stays type-generic and int-first,
-because a rational substitution target goes through it as rational
-values: an integral coefficient is stored as an ``int`` and only a
-non-integral one as a ``Fraction``.  Sums and products of ints stay
-ints; every function below turns an integral ``Fraction`` result back
-into an ``int``, so int-first inputs give int-first results and each
-value has one stored form.  Invariant: no ``/`` ever touches a bare
-``int`` coefficient (int / int is a float and would end exactness); the
-kernel only adds and multiplies.
+The coefficients are the integer numerators that ``poly.MultiPoly``
+hands over: it keeps the one common denominator itself, as FLINT's
+fmpq_mpoly holds an integer polynomial with a rational content, and
+clears the denominator of a rational substitution target before the
+kernel sees it.  So the kernel only adds and multiplies ints, and
+every result is an int dict.
 
 Term dicts are never mutated after they are built: a function fills its
 own fresh dict and hands it out, and neither the kernel nor its callers
@@ -29,14 +24,6 @@ targets, and the powers it builds from them, for as long as it lives.
 """
 
 from functools import partial
-
-
-def _settle(out):
-    """Store the integral Fraction values of `out` as int, in place."""
-    for key, c in out.items():
-        if type(c) is not int and c.denominator == 1:
-            out[key] = c.numerator
-    return out
 
 
 def merge_keys(ka, kb):
@@ -87,7 +74,7 @@ def add_terms(a, b):
                 out[key] = c
             else:
                 del out[key]
-    return _settle(out)
+    return out
 
 
 def sub_terms(a, b):
@@ -105,13 +92,13 @@ def sub_terms(a, b):
                 out[key] = c
             else:
                 del out[key]
-    return _settle(out)
+    return out
 
 
 def scale_terms(a, coeff):
     if not coeff:
         return {}
-    return _settle({key: c * coeff for key, c in a.items()})
+    return {key: c * coeff for key, c in a.items()}
 
 
 def mul_terms(a, b):
@@ -134,7 +121,7 @@ def mul_terms(a, b):
                     out[key] = c
                 else:
                     del out[key]
-    return _settle(out)
+    return out
 
 
 def pow_terms(a, n):
@@ -154,16 +141,11 @@ def substitute_terms(terms, var, target):
     return _substitute({var: [None, target]}, {}, terms)
 
 
-def substitute_many(terms, targets):
-    """Replace every variable v in `targets` by the polynomial targets[v],
-    all at once, fully expanded.  Targets may mention the substituted
-    variables themselves (l1 -> l2 and l2 -> l1 swap them)."""
-    return _substitute({v: [None, t] for v, t in targets.items()}, {}, terms)
-
-
 def substitution(targets):
-    """The simultaneous substitution of `substitute_many`, compiled once
-    for many polynomials: a function from a term dict to its image.
+    """Replace every variable v in `targets` by the polynomial targets[v],
+    all at once, fully expanded, compiled once for many polynomials: a
+    function from a term dict to its image.  Targets may mention the
+    substituted variables themselves (l1 -> l2 and l2 -> l1 swap them).
 
     Powers of each target, and the product of target powers for each
     substituted part of a key, are kept across every polynomial it is
@@ -222,4 +204,4 @@ def _substitute(powers, products, terms):
                     out[pk] = c
                 else:
                     del out[pk]
-    return _settle(out)
+    return out

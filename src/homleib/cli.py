@@ -214,11 +214,21 @@ def cmd_construct(args) -> int:
 # -- cohomology ---------------------------------------------------------------
 
 
+def _check_sampling(args) -> None:
+    """A sampled check passes only after at least one trial on cochains
+    that are not zero by construction."""
+    if args.random < 1:
+        raise CliError(f"--random must be at least 1, not {args.random}")
+    if args.max_deg < 0:
+        raise CliError(f"--max-deg must be at least 0, not {args.max_deg}")
+
+
 def cmd_cohomology(args) -> int:
     file = _load(args.file)
     alg = defs.build_algebra(file)
     what = args.what
     if what == "d2-zero":
+        _check_sampling(args)
         rep = _rep_or_adjoint(file, alg)
         rng = Random(args.seed)
         with checked(f"d2_zero_arity{args.arity}") as c:
@@ -229,6 +239,7 @@ def cmd_cohomology(args) -> int:
                     c.add((trial,), "nonzero square")
         return _emit([c.report], args.format)
     if what == "square-lemma":
+        _check_sampling(args)
         op = defs.build_operator(file, _need_op(args))
         rep = _rep_with_module_operator(file, alg, op)
         rng = Random(args.seed)
@@ -304,7 +315,10 @@ def _common_flags(p):
 def _fraction(text: str):
     from fractions import Fraction
 
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,6 +16,7 @@ equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Union
 
@@ -57,7 +58,7 @@ class PolyError(ValueError):
 
 def _as_rational(c: Rat) -> Rat:
     """The exact value of c in its stored form: int when integral,
-    Fraction otherwise (see the kernel's int-first invariant)."""
+    Fraction otherwise."""
     if type(c) is int:
         return c
     c = Fraction(c)
@@ -73,11 +74,13 @@ class MultiPoly:
     `_den` is a positive int.  The form is canonical: no prime divides
     `_den` and every numerator, so `_den` is 1 for an integral or zero
     polynomial, and two polynomials are equal exactly when both parts
-    are.  Ring operations hand the kernel int term dicts only; with
-    both denominators 1 they make no gcd or lcm at all.  Rational
-    values are built only where a caller asks for them (`raw`, `terms`,
-    `constant_value` and printing), int-first: an integral coefficient
-    as an int, another as a Fraction.
+    are.  This class is the only place that knows about rationals: ring
+    operations and substitutions hand the kernel int term dicts only (a
+    rational substitution target has its denominator cleared first, see
+    `_substituted`), and with every denominator 1 they make no gcd or lcm
+    at all.  Rational values are built only where a caller asks for them
+    (`raw`, `terms`, `constant_value` and printing), int-first: an
+    integral coefficient as an int, another as a Fraction.
     """
 
     __slots__ = ("_terms", "_den")
@@ -248,12 +251,12 @@ class MultiPoly:
             return self
         if isinstance(target, LinearForm):
             target = target.to_poly()
-        if target._den != 1:
-            return MultiPoly.from_int_first(K.substitute_terms(self.raw(), v, target.raw()))
-        if target._terms == {((v, 1),): 1}:
+        num, den = target._terms, target._den
+        if den == 1 and num == {((v, 1),): 1}:
             return self
-        out = K.substitute_terms(self._terms, v, target._terms)
-        return _own(out, 1) if self._den == 1 else _reduced(out, self._den)
+        return _substituted(
+            lambda terms: K.substitute_terms(terms, v, num), {v: den} if den != 1 else {}, self
+        )
 
     def substitute_many(self, targets: Mapping[int, "LinearForm | MultiPoly"]) -> "MultiPoly":
         """Replace each variable v in `targets` by targets[v], all at once.
@@ -309,50 +312,57 @@ def substitution(
     and monomial images it builds (see the kernel's `substitution`).
 
     Identity targets v -> v are dropped.  A polynomial in which no
-    substituted variable occurs comes back as the same object.  Integral
-    targets substitute the numerators and keep the denominator; a
-    rational target substitutes the rational coefficients."""
-    raw, integral = {}, True
+    substituted variable occurs comes back as the same object."""
+    nums, dens = {}, {}
     for v, t in targets.items():
         if isinstance(t, LinearForm):
             t = t.to_poly()
         if t._den != 1:
-            integral = False
+            dens[v] = t._den
         elif t._terms == {((v, 1),): 1}:
             continue  # v -> v is dropped
-        raw[v] = t.raw()
-    if not raw:
+        nums[v] = t._terms
+    if not nums:
         return _unchanged
-    apply = K.substitution(raw)
-    if not integral:
+    return partial(_substituted, K.substitution(nums), dens)
 
-        def substituted_rational(p: MultiPoly) -> MultiPoly:
-            terms = p.raw()
-            out = apply(terms)
-            return p if out is terms else MultiPoly.from_int_first(out)
 
-        return substituted_rational
+def _substituted(apply, dens: dict, p: MultiPoly) -> MultiPoly:
+    """p with each substituted variable v replaced by its target T_v / d_v.
 
-    def substituted(p: MultiPoly) -> MultiPoly:
-        terms = p._terms
-        out = apply(terms)
-        if out is terms:
-            return p
-        return _own(out, 1) if p._den == 1 else _reduced(out, p._den)
-
-    return substituted
+    `apply` is the kernel substitution v -> T_v on integer numerators,
+    and `dens` maps each v with d_v above 1 to d_v.  Such a d_v is
+    cleared first: with top the highest power of v in p, a term holding
+    v^e is multiplied by d_v^(top - e) and p's denominator by d_v^top, so
+    that v -> T_v stays integral.  Returns p itself when nothing changes."""
+    terms, den = p._terms, p._den
+    if dens:
+        tops = dict.fromkeys(dens, 0)
+        for key in terms:
+            for v, e in key:
+                if v in tops and e > tops[v]:
+                    tops[v] = e
+        full = 1
+        for v, top in tops.items():
+            full *= dens[v] ** top
+        if full != 1:
+            den *= full
+            scaled = {}
+            for key, c in terms.items():
+                f = full
+                for v, e in key:
+                    if v in dens:
+                        f //= dens[v] ** e
+                scaled[key] = c * f
+            terms = scaled
+    out = apply(terms)
+    if out is p._terms:
+        return p
+    return _own(out, 1) if den == 1 else _reduced(out, den)
 
 
 def _unchanged(p: MultiPoly) -> MultiPoly:
     return p
-
-
-ZERO = _ZERO_POLY
-ONE = MultiPoly.const(1)
-
-
-def is_zero(p: MultiPoly) -> bool:
-    return p.is_zero
 
 
 class LinearForm:

@@ -1,9 +1,10 @@
 """Reference for polynomial arithmetic: the rational-dict `MultiPoly`
 that the integer-content `homleib.poly.MultiPoly` replaced.  Each
 coefficient is stored as its own int-first rational (an int when
-integral, a Fraction otherwise) and the kernel works on those values
-directly.  The differential tests in test_poly.py require both to give
-the same `raw()` dict, coefficient types included."""
+integral, a Fraction otherwise); the kernel works on those values
+directly, and each result is brought back to int-first form here.  The
+differential tests in test_poly_content.py require both to give the same
+`raw()` dict, coefficient types included."""
 
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -34,8 +35,11 @@ class RationalPoly:
 
     @staticmethod
     def _own(terms: dict) -> "RationalPoly":
+        """Wrap a kernel result, each coefficient in its int-first form:
+        the kernel computes with the Fractions it is given and leaves an
+        integral one a Fraction."""
         p = object.__new__(RationalPoly)
-        p._terms = terms
+        p._terms = {key: _as_rational(c) for key, c in terms.items()}
         return p
 
     def __add__(self, other):

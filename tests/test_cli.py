@@ -207,6 +207,13 @@ def test_unicode_digit_is_one_line_error_naming_the_entry(capsys, tmp_path, text
          "a random cochain of 501501 coefficients is above the bound of 100000"),
         (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--max-deg", "999999999"),
          "a random cochain of 1000000000 coefficients is above the bound of 100000"),
+        (("cohomology", "d2-zero", "virasoro.def", "--random", "0"), "--random must be at least 1, not 0"),
+        (("cohomology", "d2-zero", "virasoro.def", "--random", "-4"), "--random must be at least 1, not -4"),
+        (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--random", "0"),
+         "--random must be at least 1, not 0"),
+        (("cohomology", "d2-zero", "virasoro.def", "--max-deg", "-5"), "--max-deg must be at least 0, not -5"),
+        (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--max-deg", "-5"),
+         "--max-deg must be at least 0, not -5"),
     ],
 )
 def test_bad_argument_is_one_line_error(capsys, argv, message):
@@ -350,6 +357,12 @@ def usage_error(capsys, *argv):
         main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+def test_weight_with_zero_denominator_is_a_usage_error(capsys):
+    err = usage_error(capsys, "check", "rb", path("virasoro_ops.def"), "--op", "ident", "--weight", "1/0")
+    assert err.splitlines()[-1] == "homleib check: error: argument --weight: zero denominator in '1/0'"
+    assert "Traceback" not in err
 
 
 def test_usage_error_leaves_main_unchanged(capsys):

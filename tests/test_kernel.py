@@ -1,4 +1,4 @@
-"""The polynomial kernel: basics, int-first coefficients, powers and
+"""The polynomial kernel: basics, int coefficients in and out, powers and
 simultaneous substitution, one-shot and compiled."""
 
 import random
@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from homleib import _kernel
 from homleib._kernel import _polypure
 from homleib.poly import LinearForm, MultiPoly, parse_poly, print_poly, substitution
 
@@ -20,6 +21,15 @@ def rand_terms(rng, nvars=4, deg=4, nterms=6, den=4):
         if c:
             out[key] = out.get(key, Fraction(0)) + c
     return {k: v for k, v in out.items() if v}
+
+
+def int_terms(rng, **kw):
+    """rand_terms with int coefficients, as MultiPoly hands them over."""
+    return {k: int(c) for k, c in rand_terms(rng, den=1, **kw).items()}
+
+
+def all_int(terms):
+    return all(type(c) is int for c in terms.values())
 
 
 def as_fractions(terms):
@@ -70,16 +80,13 @@ def test_product_by_one_returns_the_other_operand():
 def test_sub_terms_equals_adding_the_negation():
     rng = random.Random(23)
     for i in range(200):
-        den = 1 if i % 2 else 4  # integral coefficients, or some not
-        a = rand_terms(rng, den=den, nterms=rng.randint(0, 6))
-        b = rand_terms(rng, den=den, nterms=rng.randint(0, 6))
-        # int-first inputs, as every MultiPoly holds
-        a, b = MultiPoly(a).raw(), MultiPoly(b).raw()
+        a = int_terms(rng, nterms=rng.randint(0, 6))
+        b = int_terms(rng, nterms=rng.randint(0, 6))
         if i % 3 == 0:
             b = {**b, **{k: rng.choice((c, -c)) for k, c in a.items()}}  # shared keys
         out = K.sub_terms(a, b)
         assert out == K.add_terms(a, K.scale_terms(b, -1))
-        assert all_int_first(out)
+        assert all_int(out)
 
 
 def test_an_empty_operand_returns_the_other():
@@ -102,24 +109,27 @@ def test_pow_terms_equals_repeated_multiplication():
             expected = K.mul_terms(expected, a)
 
 
-def test_substitute_many_equals_two_pass():
+def test_simultaneous_substitution_equals_two_pass():
     rng = random.Random(7)
     for _ in range(200):
-        terms = rand_terms(rng, nvars=5, deg=3)
+        terms = int_terms(rng, nvars=5, deg=3)
         subst = rng.sample(range(5), rng.randint(1, 3))
-        targets = {v: rand_terms(rng, nvars=5, deg=1, nterms=3) for v in subst}
-        assert K.substitute_many(terms, targets) == two_pass_substitute(terms, targets)
+        targets = {v: int_terms(rng, nvars=5, deg=1, nterms=3) for v in subst}
+        out = K.substitution(targets)(terms)
+        assert out == two_pass_substitute(terms, targets)
+        assert all_int(out)
 
 
-def test_substitute_many_swap_and_self_reference():
+def test_simultaneous_substitution_swap_and_self_reference():
     l1, l2, d = 3, 4, 0
-    p = {((l1, 2), (l2, 1)): 3, ((d, 1), (l1, 1)): Fraction(1, 2), (): 1}
-    swap = {l1: {((l2, 1),): 1}, l2: {((l1, 1),): 1}}
-    assert K.substitute_many(p, swap) == {((l1, 1), (l2, 2)): 3, ((d, 1), (l2, 1)): Fraction(1, 2), (): 1}
-    assert K.substitute_many(K.substitute_many(p, swap), swap) == p
+    p = {((l1, 2), (l2, 1)): 3, ((d, 1), (l1, 1)): 5, (): 1}
+    swap = K.substitution({l1: {((l2, 1),): 1}, l2: {((l1, 1),): 1}})
+    assert swap(p) == {((l1, 1), (l2, 2)): 3, ((d, 1), (l2, 1)): 5, (): 1}
+    assert swap(swap(p)) == p
     # targets that mention the substituted variables themselves
     mixed = {l1: {((l1, 1),): 1, ((l2, 1),): 1}, l2: {((d, 1),): -1, ((l1, 1),): 2}}
-    assert K.substitute_many(p, mixed) == two_pass_substitute(p, mixed)
+    out = K.substitution(mixed)(p)
+    assert out == two_pass_substitute(p, mixed) and all_int(out)
 
 
 def test_int_first_storage():
@@ -132,16 +142,16 @@ def test_int_first_storage():
     assert type((half * half).raw()[()]) is Fraction
     rng = random.Random(11)
     for _ in range(200):
-        a, b = rand_terms(rng), rand_terms(rng)
+        a, b = int_terms(rng), int_terms(rng)
         for out in (
             K.add_terms(a, b),
             K.sub_terms(a, b),
             K.mul_terms(a, b),
-            K.scale_terms(a, Fraction(4)),
+            K.scale_terms(a, 4),
             K.pow_terms(a, 2),
-            K.substitute_terms(a, 1, rand_terms(rng, nvars=3, deg=1, nterms=3)),
+            K.substitute_terms(a, 1, int_terms(rng, nvars=3, deg=1, nterms=3)),
         ):
-            assert all_int_first(out)
+            assert all_int(out)
 
 
 def test_int_inputs_agree_with_fraction_inputs():
@@ -156,7 +166,7 @@ def test_int_inputs_agree_with_fraction_inputs():
         assert K.mul_terms(ia, ib) == K.mul_terms(fa, fb)
         assert K.pow_terms(ia, 3) == K.pow_terms(fa, 3)
         assert K.substitute_terms(ia, 2, it) == K.substitute_terms(fa, 2, ft)
-        assert all(type(c) is int for c in K.mul_terms(fa, fb).values())
+        assert all_int(K.mul_terms(ia, ib))
 
 
 def test_print_parse_round_trip_unchanged():
@@ -175,24 +185,24 @@ def test_print_parse_round_trip_unchanged():
 
 def test_substitution_that_touches_nothing_returns_its_input():
     d, l1, l2 = 0, 3, 4
-    terms = {((d, 2),): 3, ((d, 1), (l2, 1)): Fraction(1, 2), (): 1}
+    terms = {((d, 2),): 3, ((d, 1), (l2, 1)): 5, (): 1}
     target = {((l1, 1),): 1, (): 1}
     assert K.substitute_terms(terms, l1, target) is terms
-    assert K.substitute_many(terms, {1: target, l1: target}) is terms
+    assert K.substitution({1: target, l1: target})(terms) is terms
     empty = {}
     assert K.substitute_terms(empty, d, target) is empty
     # one key mentions a target: a new dict holding the full substitution
     assert K.substitute_terms(terms, l2, target) == {
-        ((d, 2),): 3, ((d, 1), (l1, 1)): Fraction(1, 2), ((d, 1),): Fraction(1, 2), (): 1
+        ((d, 2),): 3, ((d, 1), (l1, 1)): 5, ((d, 1),): 5, (): 1
     }
-    assert K.substitute_many(terms, {l1: target, l2: target}) == two_pass_substitute(
+    assert K.substitution({l1: target, l2: target})(terms) == two_pass_substitute(
         terms, {l1: target, l2: target}
     )
     rng = random.Random(19)
     for _ in range(200):
-        terms = rand_terms(rng, nvars=5, deg=2, nterms=rng.randint(0, 3))
+        terms = int_terms(rng, nvars=5, deg=2, nterms=rng.randint(0, 3))
         v = rng.randrange(5)
-        t = rand_terms(rng, nvars=5, deg=1, nterms=2)
+        t = int_terms(rng, nvars=5, deg=1, nterms=2)
         out = K.substitute_terms(terms, v, t)
         if any(u == v for key in terms for u, _ in key):
             assert out is not terms and out == two_pass_substitute(terms, {v: t})
@@ -214,6 +224,47 @@ def test_wrapper_substitution_drops_identity_targets():
     assert p.substitute_many(collapse) == p.substitute(l2, v1)
 
 
+def _numbers(value):
+    """Every coefficient, exponent and variable id in a kernel argument."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    else:
+        yield value
+
+
+def test_poly_hands_the_kernel_ints_only(monkeypatch):
+    seen = []
+
+    def watched(fn):
+        def wrapper(*args):
+            for a in args:
+                seen.extend(type(c) for c in _numbers(a))
+            out = fn(*args)
+            return watched(out) if callable(out) else out  # a compiled substitution
+
+        return wrapper
+
+    for name in ("add_terms", "sub_terms", "scale_terms", "mul_terms", "pow_terms",
+                 "substitute_terms", "substitution"):
+        monkeypatch.setattr(_kernel, name, watched(getattr(_kernel, name)))
+    d, l1, l2 = 0, 3, 4
+    a = MultiPoly({((d, 2),): Fraction(1, 2), ((l1, 1),): Fraction(2, 3), (): 1})
+    b = MultiPoly({((d, 1), (l1, 1)): Fraction(3, 4), (): Fraction(5, 2)})
+    c = MultiPoly({((d, 1),): 2, ((l2, 1),): -1})
+    t = LinearForm({l2: Fraction(1, 3)}, Fraction(1, 2))
+    swap = {l1: MultiPoly.var(l2), l2: MultiPoly.var(l1)}
+    apply = substitution({d: t, **swap})
+    results = [parse_poly("(1/2*D - 2/3*l1)^2 + 3/4*l2*x")]
+    for p in (a, b, c):
+        for q in (a, b, c):
+            results += [p + q, p - q, p * q]
+        results += [p * Fraction(3, 5), Fraction(-2, 7) * p, -p, p**3]
+        results += [p.substitute(d, b), p.substitute(l1, t), p.substitute(l2, c)]
+        results += [p.substitute_many({d: t, l1: b}), p.substitute_many(swap), apply(p), apply(p)]
+    assert seen and set(seen) == {int}
+
+
 # -- the compiled substitution ---------------------------------------------------
 
 KVARS = (0, 1, 3, 4, 5)  # D, x, l1, l2, l3
@@ -221,12 +272,12 @@ KVARS = (0, 1, 3, 4, 5)  # D, x, l1, l2, l3
 
 @st.composite
 def term_dicts(draw, max_terms=5, max_exp=3):
-    """Int-first term dicts over KVARS, as `MultiPoly.raw` gives them."""
+    """Int term dicts over KVARS, as `MultiPoly` hands them over."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         key = tuple((v, e) for v in KVARS if (e := draw(st.integers(0, max_exp))))
-        terms[key] = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from((1, 1, 2, 3))))
-    return MultiPoly(terms).raw()
+        terms[key] = draw(st.integers(-4, 4))
+    return {key: c for key, c in terms.items() if c}
 
 
 @st.composite
@@ -273,9 +324,8 @@ def test_compiled_substitution_equals_one_shot(targets, polys):
     # one compiled substitution applied to many inputs in turn, some twice
     for terms in polys + polys[::-1]:
         out = apply(terms)
-        assert out == K.substitute_many(terms, targets)
         assert out == two_pass_substitute(terms, targets)
-        assert all_int_first(out)
+        assert all_int(out)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -12,7 +12,13 @@ import pytest
 import sympy
 
 from homleib.poly import D, MultiPoly, parse_poly
-from homleib.structure import ConformalAlgebra, PdModuleMap
+from homleib.structure import (
+    ConformalAlgebra,
+    PdModuleMap,
+    verify_hom_leibniz,
+    verify_multiplicativity,
+    verify_skew_symmetry,
+)
 from homleib.operators import (
     OperatorKind,
     PreconditionError,
@@ -238,3 +244,21 @@ def test_correspondences_on_standard_operators(vir, cur2, case):
 def test_correspondence_case_validation(vir):
     with pytest.raises(ValueError):
         nijenhuis_rb_correspondence(vir, PdModuleMap.identity(1), 5)
+
+
+@pytest.mark.parametrize("name", ["virm1_r2", "trunc_r3"])
+def test_fixtures_where_the_twist_matters_give_their_known_verdicts(request, name):
+    # known by construction: a Yau-twisted Lie bracket and a square-zero Q
+    # that commutes with the twist
+    alg, q = request.getfixturevalue(name)
+    assert verify_hom_leibniz(alg).passed
+    assert verify_multiplicativity(alg).passed
+    assert verify_skew_symmetry(alg).passed
+    for kind in (
+        OperatorKind.nijenhuis(),
+        OperatorKind.rota_baxter(0),
+        OperatorKind.modified_rota_baxter(0),
+    ):
+        assert verify_operator(alg, q, kind).passed, kind
+    # negative control: [id x, id y] = [x, y], but id([id x, y] + [x, id y]) = 2 [x, y]
+    assert not verify_operator(alg, PdModuleMap.identity(alg.rank), OperatorKind.rota_baxter(0)).passed
