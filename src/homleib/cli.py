@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 from random import Random
 
@@ -312,9 +313,26 @@ def _common_flags(p):
     p.add_argument("--phi", help="name of an arity-2 [cochain:NAME] section")
 
 
+# The longest --weight text read; a longer one is refused before any
+# integer is built from it.
+MAX_WEIGHT_CHARS = 100
+# an integer, a fraction p/q or a plain decimal, with an optional sign:
+# no exponent, so the size of the value is bounded by the text's length
+_WEIGHT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _fraction(text: str):
+    """The exact value of a --weight text.  A text of another form, or
+    one longer than MAX_WEIGHT_CHARS, is a one-line error naming the flag;
+    a zero denominator is a usage error."""
     from fractions import Fraction
 
+    if len(text) > MAX_WEIGHT_CHARS:
+        raise CliError(
+            f"argument --weight: a value of {len(text)} characters is above the bound of {MAX_WEIGHT_CHARS}"
+        )
+    if not _WEIGHT.fullmatch(text):
+        raise CliError(f"argument --weight: {text!r} is not an integer, a fraction p/q or a decimal")
     try:
         return Fraction(text)
     except ZeroDivisionError:

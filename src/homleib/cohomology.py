@@ -34,17 +34,17 @@ from math import comb
 from random import Random
 
 from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
-from .report import Report, _evaluation_scope, checked
+from .report import Report, checked
 from .operators import deformed_bracket
-from .representation import Representation, eval_l, eval_r, induced_representation
+from .representation import Representation, induced_representation
 from .structure import (
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
     PdModuleMap,
     _evaluator as _sesquilinear,
+    _grid,
     basis_element,
-    eval_bracket,
     normalize_table,
 )
 
@@ -217,12 +217,14 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     acting basis element; the right-action term is the stored value at
     the first n indices at D = -(w_1 + ... + w_n) against the vectors
     r(e_b)_(w_1+...+w_n) a(e_t).  Each stored value is substituted once
-    per term group, by one compiled substitution, and the action vectors
-    are evaluated once per call; the loop over output keys then only
-    multiplies, adds and looks up.  The insertion terms apply one
-    evaluator of f per pair (i, j) to the hoisted basis-pair brackets and
-    twisted basis elements.  All of it runs in one evaluation scope, so
-    each table is evaluated once per parameter.
+    per term group, by one compiled substitution.  The structure data is
+    one grid (`structure._grid`) per table and parameter: the basis-pair
+    brackets at each w_i, the left action vectors at each w_i and the
+    right action vectors at w_1+...+w_n, each from one evaluator built
+    for this call.  The loop over output keys then only multiplies, adds
+    and looks up.  The insertion terms apply one evaluator of f per pair
+    (i, j) to the basis-pair brackets and twisted basis elements.  The
+    call opens no evaluation scope and leaves an open one alone.
 
     No term that a structure constant makes zero is computed: an
     insertion term whose bracket is zero is skipped before its argument
@@ -245,56 +247,48 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     shift = LinearForm.variable(D)
     zero = MultiPoly.zero()
     insert = {}  # (i, j) -> evaluator of f, built when a bracket needs it
-    with _evaluation_scope():
-        # l(a(e_t)) w_i e_b, and r(e_b) total a(e_t): row t, column b
-        l_vectors = [
-            [[eval_l(rep, p, m, ws[i - 1]).coords for m in mods] for p in acting]
-            for i in range(1, n + 1)
-        ]
-        r_vectors = [[eval_r(rep, m, p, total).coords for m in mods] for p in acting]
-        # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-        left = []
+    # [e_a w_i e_b] at [i - 1][a][b]
+    brackets = [_grid(alg.structure, alg.rank, basis, basis, w) for w in ws]
+    # l(a(e_t)) w_i e_b at [i - 1][t][b], and r(e_b) total a(e_t) at [t][b]
+    l_grids = [_grid(rep.l_structure, rep.rank, acting, mods, w) for w in ws]
+    l_vectors = [[[v.coords for v in row] for row in grid] for grid in l_grids]
+    r_vectors = [[v.coords for v in col] for col in zip(*_grid(rep.r_structure, rep.rank, mods, acting, total))]
+    # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
+    left = []
+    for i in range(1, n + 1):
+        targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
+        targets[D] = shift + ws[i - 1]
+        left.append(_substituted_values(f, substitution(targets), l_vectors[i - 1]))
+    right = _substituted_values(f, substitution({D: -total}), r_vectors)
+    table = {}
+    for key in itertools.product(range(alg.rank), repeat=n + 1):
+        out = [zero] * rep.rank
+        # left-action terms
         for i in range(1, n + 1):
-            targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
-            targets[D] = shift + ws[i - 1]
-            left.append(_substituted_values(f, substitution(targets), l_vectors[i - 1]))
-        right = _substituted_values(f, substitution({D: -total}), r_vectors)
-        # [e_a w_i e_b] for every insertion parameter w_i
-        brackets = {
-            (i, a, b): eval_bracket(alg, basis[a], basis[b], ws[i - 1])
-            for i in range(1, n + 1)
-            for a in range(alg.rank)
-            for b in range(alg.rank)
-        }
-        table = {}
-        for key in itertools.product(range(alg.rank), repeat=n + 1):
-            out = [zero] * rep.rank
-            # left-action terms
-            for i in range(1, n + 1):
-                values = left[i - 1].get(key[: i - 1] + key[i:])
-                if values is not None:
-                    _add_action(out, values, l_vectors[i - 1][key[i - 1]], i % 2 == 1)
-            # right-action term
-            values = right.get(key[:n])
+            values = left[i - 1].get(key[: i - 1] + key[i:])
             if values is not None:
-                _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
-            # bracket-insertion terms; a zero bracket makes the term zero
-            for i in range(1, n + 2):
-                for j in range(i + 1, n + 2):
-                    inner = brackets[i, key[i - 1], key[j - 1]]
-                    if inner.is_zero:
-                        continue
-                    evaluate = insert.get((i, j))
-                    if evaluate is None:
-                        evaluate = insert[i, j] = _evaluator(f, _insertion_lams(n, i, j))
-                    args = [
-                        inner if s == j else twisted[key[s - 1]]
-                        for s in range(1, n + 2)
-                        if s != i
-                    ]
-                    _add_value(out, evaluate(args).coords, i % 2 == 0)
-            if any(not c.is_zero for c in out):
-                table[key] = tuple(out)
+                _add_action(out, values, l_vectors[i - 1][key[i - 1]], i % 2 == 1)
+        # right-action term
+        values = right.get(key[:n])
+        if values is not None:
+            _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
+        # bracket-insertion terms; a zero bracket makes the term zero
+        for i in range(1, n + 2):
+            for j in range(i + 1, n + 2):
+                inner = brackets[i - 1][key[i - 1]][key[j - 1]]
+                if inner.is_zero:
+                    continue
+                evaluate = insert.get((i, j))
+                if evaluate is None:
+                    evaluate = insert[i, j] = _evaluator(f, _insertion_lams(n, i, j))
+                args = [
+                    inner if s == j else twisted[key[s - 1]]
+                    for s in range(1, n + 2)
+                    if s != i
+                ]
+                _add_value(out, evaluate(args).coords, i % 2 == 0)
+        if any(not c.is_zero for c in out):
+            table[key] = tuple(out)
     return Cochain(n + 1, alg.rank, rep.rank, table)
 
 
@@ -416,6 +410,8 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
 def _check_ranks(f: Cochain, alg: ConformalAlgebra | None, rep: Representation):
     if alg is not None and f.alg_rank != alg.rank:
         raise DimensionError("cochain is over a different algebra rank")
+    if alg is not None and rep.alg_rank != alg.rank:
+        raise DimensionError("representation is over a different algebra rank")
     if f.rep_rank != rep.rank:
         raise DimensionError("cochain values live in a different module rank")
 

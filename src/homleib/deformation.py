@@ -221,13 +221,13 @@ def equivalence_order1_check(
     if psi1.rows != rank or psi1.cols != rank:
         raise DimensionError("psi1 has the wrong shape")
 
-    a0, a1 = (partial(eval_table_bracket, data_a.bracket_table(o), rank) for o in (0, 1))
-    b1 = partial(eval_table_bracket, data_b.bracket_table(1), rank)
+    a1, b1 = (partial(eval_table_bracket, d.bracket_table(1), rank) for d in (data_a, data_b))
     with checked("equivalence_order1") as c:
         # b1 - a1 - (a0 deformed by psi1)
         basis, images = _basis_and_images(rank, psi1)
         b1s, a1s = (_products(ev, basis, basis, XF) for ev in (b1, a1))
-        for i, row in enumerate(_deformed_products(a0, (basis, images), (basis, images), psi1, XF)):
+        a0 = data_a.bracket_table(0)
+        for i, row in enumerate(_deformed_products(a0, rank, (basis, images), (basis, images), psi1, XF)):
             for j, v in enumerate(row):
                 c.add_nonzero(("bracket_relation", i, j), b1s[i][j] - a1s[i][j] - v)
         op_res = (

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 from .poly import Rat
-from .report import Report, _evaluation_scope, checked
+from .report import Report, checked
 from .structure import (
     XF,
     L1,
@@ -108,10 +108,8 @@ def deformed_bracket(
             raise PreconditionError(
                 f"operator is not Nijenhuis; first residual at {rep.violations[0].context}"
             )
-    with _evaluation_scope():
-        algs = _basis_and_images(alg.rank, n)
-        products = _deformed_products(partial(eval_bracket, alg), algs, algs, n, XF)
-    return alg.with_structure(_table(products))
+    algs = _basis_and_images(alg.rank, n)
+    return alg.with_structure(_table(_deformed_products(alg.structure, alg.rank, algs, algs, n, XF)))
 
 
 def check_morphism(

@@ -7,7 +7,7 @@ be byte-identical across runs for the same input and seed.
 
 Each check also runs in its own evaluation scope: a per-thread store in
 which the evaluators of bracket and action tables (``structure._evaluator``,
-looked up by ``structure._eval_table``) are kept for reuse while the
+looked up by ``structure._table_evaluator``) are kept for reuse while the
 check runs and dropped when it exits.
 """
 

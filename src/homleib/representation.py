@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .poly import LinearForm
-from .report import Report, _evaluation_scope, checked
+from .report import Report, checked
 from .structure import (
     XF,
     L1,
@@ -164,14 +164,13 @@ def verify_nijenhuis_representation(
     nm = rep.n_m
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
-        act_l, act_r = partial(eval_l, rep), partial(eval_r, rep)
         algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
-        l_inner = _deformed_products(act_l, algs, mods, nm, L1)
-        r_inner = _deformed_products(act_r, mods, algs, nm, L1)
+        l_inner = _deformed_products(rep.l_structure, rep.rank, algs, mods, nm, L1)
+        r_inner = _deformed_products(rep.r_structure, rep.rank, mods, algs, nm, L1)
         for i, np_ in enumerate(algs[1]):
             for k, nmm in enumerate(mods[1]):
-                c.add_nonzero(("l", i, k), act_l(np_, nmm, L1) - nm.apply(l_inner[i][k]))
-                c.add_nonzero(("r", i, k), act_r(nmm, np_, L1) - nm.apply(r_inner[k][i]))
+                c.add_nonzero(("l", i, k), eval_l(rep, np_, nmm, L1) - nm.apply(l_inner[i][k]))
+                c.add_nonzero(("r", i, k), eval_r(rep, nmm, np_, L1) - nm.apply(r_inner[k][i]))
     return c.report
 
 
@@ -186,6 +185,8 @@ def induced_representation(
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
+    if rep.alg_rank != alg.rank or (n.rows, n.cols) != (alg.rank, alg.rank):
+        raise DimensionError("operator or representation does not match the algebra rank")
     if strict:
         for pre in (
             verify_operator(alg, n, OperatorKind.nijenhuis()),
@@ -193,9 +194,7 @@ def induced_representation(
         ):
             if not pre.passed:
                 raise PreconditionError(f"{pre.check_name} fails")
-    nm = rep.n_m
-    with _evaluation_scope():
-        algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
-        l_structure = _table(_deformed_products(partial(eval_l, rep), algs, mods, nm, XF))
-        r_structure = _table(_deformed_products(partial(eval_r, rep), mods, algs, nm, XF))
+    algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, rep.n_m)
+    l_structure = _table(_deformed_products(rep.l_structure, rep.rank, algs, mods, rep.n_m, XF))
+    r_structure = _table(_deformed_products(rep.r_structure, rep.rank, mods, algs, rep.n_m, XF))
     return dataclasses.replace(rep, l_structure=l_structure, r_structure=r_structure)

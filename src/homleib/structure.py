@@ -273,19 +273,37 @@ def _eval_table(
     f of `first` and g of `second`: the table as an arity-2 cochain.
 
     Each argument runs over its own length: in an action the algebra and
-    the module ranks differ.  Brackets and both actions evaluate here.
-    Inside an evaluation scope (each check and each coboundary opens
-    one) the evaluator of (table, out_rank, w) is built once and reused;
-    outside, a one-shot evaluator is built.
+    the module ranks differ.  Brackets and both actions evaluate here,
+    pair by pair, with the evaluator that `_table_evaluator` returns.
     """
+    return _table_evaluator(table, out_rank, w)((first, second))
+
+
+def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
+    """The evaluator of `table` at x = w.  Inside an evaluation scope
+    (each check opens one) it is built once per (table, out_rank, w) and
+    kept in the scope, so per-pair calls and grids share its relabelled
+    entries and slot memo; outside, a one-shot evaluator is built."""
     scope = _SCOPE.get()
     if scope is None:
-        return _evaluator(table, (X,), out_rank, (w,))((first, second))
+        return _evaluator(table, (X,), out_rank, (w,))
     key = (id(table), out_rank, w._value_key())
     evaluate = scope.get(key)
     if evaluate is None:
         evaluate = scope[key] = _evaluator(table, (X,), out_rank, (w,))
-    return evaluate((first, second))
+    return evaluate
+
+
+def _grid(
+    table: BracketTable, out_rank: int, firsts: list, seconds: list, w: LinearForm
+) -> list[list]:
+    """The table at x = w on every pair: row i, column j holds its value
+    on (firsts[i], seconds[j]).  One evaluator is built for the call and
+    dropped with it; an open evaluation scope is left alone."""
+    return _evaluator(table, (X,), out_rank, (w,)).grid(firsts, seconds)
+
+
+_ONE = MultiPoly.const(1)
 
 
 def _evaluator(
@@ -309,6 +327,13 @@ def _evaluator(
     is given.  Applying the result then only multiplies and adds.  The
     returned function refers to `table`, which keeps the table alive as
     long as the evaluator is; tables are never changed once built.
+
+    For a two-slot table the function also has a batched form,
+    `grid(firsts, seconds)`: the values on every pair, row i and column
+    j for (firsts[i], seconds[j]), term for term those of applying it
+    pair by pair.  Each argument's coordinates are looked up once per
+    list element and a coefficient equal to 1 is not multiplied, so a
+    cell of two basis elements is a read of the relabelled entry.
     """
     coords = _slot_memo(_slot_targets(lams), rank)
     # stored variables -> lams, simultaneously: targets may mention them
@@ -317,6 +342,12 @@ def _evaluator(
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
     later_slots = range(1, len(lams) + 1)
+
+    def entry(key: tuple[int, ...]) -> tuple[tuple[int, MultiPoly], ...]:
+        values = relabelled[key] = tuple(
+            (k, q) for k, p in enumerate(table.get(key, ())) if not (q := relabel(p)).is_zero
+        )
+        return values
 
     def apply(args: Sequence[ConformalElement]) -> ConformalElement:
         coeffs = [coords(s, a) for s, a in enumerate(args)]
@@ -327,10 +358,7 @@ def _evaluator(
         for key in itertools.product(*coeffs):
             values = relabelled.get(key)
             if values is None:
-                vec = table.get(key, ())
-                values = relabelled[key] = tuple(
-                    (k, q) for k, p in enumerate(vec) if not (q := relabel(p)).is_zero
-                )
+                values = entry(key)
             if not values:
                 continue
             factor = coeffs[0][key[0]]
@@ -340,7 +368,32 @@ def _evaluator(
                 out[k] = out[k] + factor * p
         return ConformalElement(tuple(out))
 
+    def grid(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> list[list]:
+        # each element's coordinates, with None for a coefficient equal to 1
+        lefts = [[(i, None if c == _ONE else c) for i, c in coords(0, p).items()] for p in firsts]
+        rights = [[(j, None if c == _ONE else c) for j, c in coords(1, q).items()] for q in seconds]
+        rows = []
+        for left in lefts:
+            row = []
+            for right in rights:
+                out = [zero] * out_rank
+                for i, f in left:
+                    for j, g in right:
+                        values = relabelled.get((i, j))
+                        if values is None:
+                            values = entry((i, j))
+                        if not values:
+                            continue
+                        factor = g if f is None else f if g is None else f * g
+                        for k, p in values:
+                            out[k] = out[k] + (p if factor is None else factor * p)
+                row.append(ConformalElement(tuple(out)))
+            rows.append(row)
+        return rows
+
+    apply.grid = grid
     return apply
+
 
 
 def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
@@ -449,16 +502,21 @@ def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
             c.add_nonzero(prefix + (i, j), m.apply(v) - mv)
 
 
-def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, w) -> list[list]:
-    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) at w on every basis pair:
-    row i, column j for p = e_i and q = e_j.  `first` and `second` are the
-    two arguments' bases with their images under a and b, as
-    `_basis_and_images` gives them.  With a = b = outer = N it is the
-    Nijenhuis-deformed bracket."""
+def _deformed_products(
+    table: BracketTable, out_rank: int, first: tuple, second: tuple, outer: PdModuleMap, w: LinearForm
+) -> list[list]:
+    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) at w on every basis pair,
+    where ev is `table` evaluated into rank out_rank: row i, column j for
+    p = e_i and q = e_j.  `first` and `second` are the two arguments'
+    bases with their images under a and b, as `_basis_and_images` gives
+    them.  The three terms are grids of one evaluator, the open scope's
+    when a check runs.  With a = b = outer = N it is the Nijenhuis-deformed
+    bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
+    grid = _table_evaluator(table, out_rank, w).grid
     return [
-        [ev(ap, q, w) + ev(p, bq, w) - outer.apply(ev(p, q, w)) for q, bq in zip(seconds, b_images)]
-        for p, ap in zip(firsts, a_images)
+        [u + v - outer.apply(p) for u, v, p in zip(*rows)]
+        for rows in zip(grid(a_images, seconds), grid(firsts, b_images), grid(firsts, seconds))
     ]
 
 

@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from homleib.cli import build_parser, main
+from homleib.cli import MAX_WEIGHT_CHARS, _fraction, build_parser, main
 from homleib.definitions import parse_definition
 from homleib.poly import MAX_ARITY
 
@@ -214,6 +215,15 @@ def test_unicode_digit_is_one_line_error_naming_the_entry(capsys, tmp_path, text
         (("cohomology", "d2-zero", "virasoro.def", "--max-deg", "-5"), "--max-deg must be at least 0, not -5"),
         (("cohomology", "square-lemma", "virasoro_ops.def", "--op", "scale_2", "--max-deg", "-5"),
          "--max-deg must be at least 0, not -5"),
+        # an exponent would build 10^e before anything checks the size
+        *(
+            (("check", "rb", "virasoro_ops.def", "--op", "ident", f"--weight={text}"),
+             f"argument --weight: {text!r} is not an integer, a fraction p/q or a decimal")
+            for text in ("1e5000", "2E3", "-1.5e-2", "inf", "nan", "1/2/3", "0x1f", "1_000", " 1", ".5", "5.",
+                         "1/-2", "\u0663", "")
+        ),
+        (("check", "mrb", "virasoro_ops.def", "--op", "ident", "--weight", "1" * (MAX_WEIGHT_CHARS + 1)),
+         f"argument --weight: a value of {MAX_WEIGHT_CHARS + 1} characters is above the bound of {MAX_WEIGHT_CHARS}"),
     ],
 )
 def test_bad_argument_is_one_line_error(capsys, argv, message):
@@ -357,6 +367,17 @@ def usage_error(capsys, *argv):
         main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-1", -1), ("-9/4", Fraction(-9, 4)), ("0.5", Fraction(1, 2)), ("+3", 3), ("007/014", Fraction(1, 2)),
+     ("1" * MAX_WEIGHT_CHARS, int("1" * MAX_WEIGHT_CHARS))],
+)
+def test_weight_reads_integers_fractions_and_decimals(capsys, text, value):
+    assert _fraction(text) == value
+    argv = ("check", "rb", path("virasoro_ops.def"), "--op", "ident", "--format", "records", f"--weight={text}")
+    assert run(capsys, *argv)[:2] == run(capsys, *argv[:-1], f"--weight={value}")[:2]
 
 
 def test_weight_with_zero_denominator_is_a_usage_error(capsys):

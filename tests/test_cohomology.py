@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import reference_coboundary
-from homleib import cohomology
+from homleib import cohomology, representation, structure
 from homleib.operators import deformed_bracket
 from homleib.poly import MAX_ARITY, D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.structure import (
@@ -449,6 +449,21 @@ def test_pair_shape_validation(vir):
         HNLAPair(zero_cochain(2, 1, 1), zero_cochain(2, 1, 1))
 
 
+def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
+    # a grid reads any argument against the table, so the ranks are
+    # checked before one is built
+    rep = with_nm(adjoint_rep(cur2), NIL)
+    f = random_cochain(1, 2, 1, random.Random(7))
+    for call in (
+        lambda: coboundary_homL(f, vir, rep),
+        lambda: coboundary_HN(f, vir, PdModuleMap.identity(1), rep),
+        lambda: induced_representation(vir, PdModuleMap.identity(1), rep),
+        lambda: induced_representation(cur2, PdModuleMap([[MultiPoly.const(1)] * 2] * 3), rep),
+    ):
+        with pytest.raises(DimensionError):
+            call()
+
+
 # -- nontrivial twist ---------------------------------------------------------------
 
 
@@ -592,11 +607,69 @@ def test_coboundary_equals_per_key_reference_on_random_pairs():
         ), case
 
 
-def test_structural_zeros_cost_no_work(monkeypatch):
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, arity):
+    """The brackets and action vectors of a coboundary are one grid per
+    table and parameter: with every per-pair route to a table made to
+    raise, it returns the same cochain, and it builds exactly one table
+    evaluator per (table, parameter), here over a D-dependent twist."""
+    alg, _ = virm1_r2
+    rep = adjoint_rep(alg)
+    f = random_cochain(alg.rank, rep.rank, arity, random.Random(43 + arity))
+    expected = coboundary_homL(f, alg, rep)
+
+    def failing(*args):
+        raise AssertionError("a table evaluated pair by pair")
+
+    assert not {"eval_bracket", "eval_l", "eval_r"} & set(vars(cohomology))
+    for module, name in [
+        (structure, "eval_bracket"), (structure, "eval_table_bracket"), (structure, "_eval_table"),
+        (representation, "eval_l"), (representation, "eval_r"),
+    ]:
+        monkeypatch.setattr(module, name, failing)
+    built = []
+    original = structure._evaluator
+
+    def counting(table, stored, out_rank, lams, rank=None):
+        built.append((id(table), out_rank, tuple(w._value_key() for w in lams)))
+        return original(table, stored, out_rank, lams, rank)
+
+    monkeypatch.setattr(structure, "_evaluator", counting)
+    assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(expected)
+    ws = _output_lams(arity)
+    total = sum(ws[1:], ws[0])
+    tables = [(alg.structure, w) for w in ws] + [(rep.l_structure, w) for w in ws] + [(rep.r_structure, total)]
+    assert sorted(built) == sorted((id(t), alg.rank, (w._value_key(),)) for t, w in tables)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_coboundary_equals_per_key_reference_on_unit_and_empty_cochains(virm1_r2, arity):
+    """Each unit cochain (a 1 at one key and coordinate) and the empty
+    cochain, over a D-dependent twist, for d and for d_HN."""
+    alg, q = virm1_r2
+    rep = with_nm(adjoint_rep(alg), q)
+    deformed, induced = deformed_bracket(alg, q), induced_representation(alg, q, rep)
+    units = [
+        Cochain(arity, alg.rank, rep.rank, {key: tuple(MultiPoly.const(int(b == k)) for b in range(rep.rank))})
+        for key in itertools.product(range(alg.rank), repeat=arity)
+        for k in range(rep.rank)
+    ]
+    for f in units + [zero_cochain(arity, alg.rank, rep.rank)]:
+        assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
+            reference_coboundary.coboundary_homL(f, alg, rep)
+        )
+        assert _raw_table(coboundary_HN(f, alg, q, rep)) == _raw_table(
+            reference_coboundary.coboundary_homL(f, deformed, induced)
+        )
+
+
+def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
     """A zero bracket and zero actions make every term of the coboundary
     zero: no stored value is substituted and no insertion evaluator is
     built.  With n_op = 0 only the all-bare mask of phi survives: one
-    evaluation per key, or none once the module operator's power is 0."""
+    evaluation per key, or none once the module operator's power is 0.
+    The zero operator pair deforms any bracket and actions to zero, so
+    d_HN under it is zero at the same cost."""
     substituted, built, evaluated = [], [], []
     real_substitution, real_evaluator = cohomology.substitution, cohomology._evaluator
 
@@ -625,6 +698,11 @@ def test_structural_zeros_cost_no_work(monkeypatch):
             assert len(evaluated) == evaluations
             if nm != NIL:
                 assert got == f.scale((-2) ** arity)
+        zero_pair = with_nm(adjoint_rep(twisted2), PdModuleMap.zero(2))
+        substituted.clear()
+        built.clear()
+        assert coboundary_HN(f, twisted2, PdModuleMap.zero(2), zero_pair).is_zero
+        assert substituted == [] and built == []
 
 
 def _former_random_cochain(alg_rank, rep_rank, arity, rng, max_deg):

@@ -10,6 +10,10 @@ Found from the syntax tree too: only poly.py knows how a polynomial
 stores its coefficients (integer numerators `_terms` over one
 denominator `_den`, wrapped by `_own`).
 
+Found from the syntax tree too: cohomology.py opens no evaluation scope
+(the coboundaries build one evaluator per table and parameter for the
+call and evaluate it as grids).
+
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
 the package's oldest supported Python (3.10) rejects.
@@ -90,6 +94,12 @@ def test_only_poly_knows_the_number_format():
         if name != "poly.py"
     }
     assert not any(readers.values()), readers
+
+
+def test_cohomology_opens_no_evaluation_scope():
+    tree = _trees()["cohomology.py"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {"_evaluation_scope", "_SCOPE"} & (imported | _references(tree))
 
 
 # `re._parser` from Python 3.11; `sre_parse` before

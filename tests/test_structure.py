@@ -400,10 +400,17 @@ def test_scope_is_dropped_when_a_check_returns_or_raises(cur2, monkeypatch):
     def failing(*args):
         raise RuntimeError("inside the coboundary")
 
-    monkeypatch.setattr(cohomology, "eval_l", failing)
+    # the coboundary evaluates its structure data as grids: a raise in one
+    # leaves no scope behind, outside a check or inside one
+    monkeypatch.setattr(cohomology, "_grid", failing)
     with pytest.raises(RuntimeError):
         coboundary_homL(f, cur2, rep)
     assert _SCOPE.get() is None
+    with pytest.raises(RuntimeError):
+        with checked("outer"):
+            outer = _SCOPE.get()
+            coboundary_homL(f, cur2, rep)
+    assert _SCOPE.get() is None and outer == {}
 
 
 def test_concurrent_checks_keep_their_own_scopes(vir, cur2, twisted2):
@@ -590,6 +597,48 @@ def test_table_evaluation_equals_former_evaluator():
         with checked("scoped"):
             for got, expected in pairs():
                 assert _raw(got) == _raw(expected), case
+
+
+def _grid_arguments(rng, rank):
+    """Arguments for a grid: the basis, its images under a matrix over D,
+    D-dependent elements, one with a coordinate equal to 1 beside a
+    D-dependent one, the zero element, and one object listed twice."""
+    basis = [basis_element(rank, i) for i in range(rank)]
+    m = PdModuleMap([[rand_dpoly(rng, 1) for _ in range(rank)] for _ in range(rank)])
+    one_and_d = ConformalElement((MultiPoly.const(1),) + tuple(rand_dpoly(rng) for _ in range(rank - 1)))
+    twice = rand_element(rng, rank)
+    return basis + [m.apply(e) for e in basis] + [twice, one_and_d, structure.zero_element(rank), twice]
+
+
+def test_grid_equals_per_pair_evaluation():
+    # brackets, and actions on a module of another rank, some tables
+    # empty, at each parameter form: every cell has the term dicts of its
+    # pair evaluated alone and of the former evaluator, outside any scope
+    # (one evaluator for the grid) and inside one (the scope's evaluator,
+    # which later per-pair calls share)
+    ref = reference_evaluator.eval_table
+    rng = random.Random(89)
+    forms = [XF, L1, L1 + L2, -L1 - LinearForm.variable(D)]
+
+    def raw_rows(rows):
+        return [[_raw(v) for v in row] for row in rows]
+
+    for case, (alg_rank, mod_rank) in enumerate([(1, 2), (2, 1), (2, 3), (3, 2), (2, 2)]):
+        shapes = [(alg_rank, alg_rank, alg_rank), (alg_rank, mod_rank, mod_rank), (mod_rank, alg_rank, mod_rank)]
+        for first_rank, second_rank, out_rank in shapes:
+            table = {} if case == 3 else _random_table(rng, first_rank, second_rank, out_rank)
+            firsts, seconds = _grid_arguments(rng, first_rank), _grid_arguments(rng, second_rank)
+            for w in forms:
+                expected = [[structure._eval_table(table, out_rank, p, q, w) for q in seconds] for p in firsts]
+                former = [[ref(table, out_rank, p, q, w) for q in seconds] for p in firsts]
+                assert raw_rows(expected) == raw_rows(former), (case, w)
+                got = structure._grid(table, out_rank, firsts, seconds, w)
+                assert raw_rows(got) == raw_rows(expected), (case, w)
+                with checked("scoped"):
+                    got = structure._table_evaluator(table, out_rank, w).grid(firsts, seconds)
+                    again = [[structure._eval_table(table, out_rank, p, q, w) for q in seconds] for p in firsts]
+                    assert len(_SCOPE.get()) == 1
+                assert raw_rows(got) == raw_rows(again) == raw_rows(expected), (case, w)
 
 
 def test_a_table_is_the_arity2_cochain():
