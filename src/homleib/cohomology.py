@@ -43,7 +43,7 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _evaluator as _sesquilinear,
-    _grid,
+    _table_at,
     basis_element,
     normalize_table,
 )
@@ -218,13 +218,12 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     the first n indices at D = -(w_1 + ... + w_n) against the vectors
     r(e_b)_(w_1+...+w_n) a(e_t).  Each stored value is substituted once
     per term group, by one compiled substitution.  The structure data is
-    one grid (`structure._grid`) per table and parameter: the basis-pair
+    one grid per table and parameter (`structure._table_at`): the basis-pair
     brackets at each w_i, the left action vectors at each w_i and the
     right action vectors at w_1+...+w_n, each from one evaluator built
     for this call.  The loop over output keys then only multiplies, adds
     and looks up.  The insertion terms apply one evaluator of f per pair
-    (i, j) to the basis-pair brackets and twisted basis elements.  The
-    call opens no evaluation scope and leaves an open one alone.
+    (i, j) to the basis-pair brackets and twisted basis elements.
 
     No term that a structure constant makes zero is computed: an
     insertion term whose bracket is zero is skipped before its argument
@@ -248,11 +247,11 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     zero = MultiPoly.zero()
     insert = {}  # (i, j) -> evaluator of f, built when a bracket needs it
     # [e_a w_i e_b] at [i - 1][a][b]
-    brackets = [_grid(alg.structure, alg.rank, basis, basis, w) for w in ws]
+    brackets = [_table_at(alg.structure, alg.rank, w).grid(basis, basis) for w in ws]
     # l(a(e_t)) w_i e_b at [i - 1][t][b], and r(e_b) total a(e_t) at [t][b]
-    l_grids = [_grid(rep.l_structure, rep.rank, acting, mods, w) for w in ws]
+    l_grids = [_table_at(rep.l_structure, rep.rank, w).grid(acting, mods) for w in ws]
     l_vectors = [[[v.coords for v in row] for row in grid] for grid in l_grids]
-    r_vectors = [[v.coords for v in col] for col in zip(*_grid(rep.r_structure, rep.rank, mods, acting, total))]
+    r_vectors = [[v.coords for v in col] for col in zip(*_table_at(rep.r_structure, rep.rank, total).grid(mods, acting))]
     # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
     left = []
     for i in range(1, n + 1):

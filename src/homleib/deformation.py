@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 from types import MappingProxyType
 
 from .poly import LinearForm, MultiPoly, X, lam
@@ -20,6 +19,7 @@ from .structure import (
     XF,
     L1,
     L2,
+    L12,
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
@@ -27,8 +27,7 @@ from .structure import (
     _deformed_products,
     _leibniz,
     _morphism,
-    _products,
-    eval_table_bracket,
+    _table_at,
     normalize_table,
     zero_element,
 )
@@ -42,7 +41,7 @@ from .cohomology import (
 )
 
 # the bracket of every order past the stored ones: one table, so a check
-# builds one evaluator per parameter for all of them
+# builds one evaluator per parameter for all of them (`_order_evaluators`)
 _NO_BRACKET = MappingProxyType({})
 
 
@@ -109,8 +108,10 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
       operator         : the convolution over i+j+k=n of the operator
                          identity (outer operator, inner operator, bracket)
 
-    Order 0 reproduces the base axioms verbatim.  The basis-pair products
-    of every order, at w1 and at w2, are built once per check.
+    Order 0 reproduces the base axioms verbatim.  Each distinct bracket
+    table is one evaluator at each of w1, w2 and w1+w2, and the
+    basis-pair products of every order, at w1 and at w2, are built once
+    per check.
     """
     if n < 0:
         raise ValueError(f"order {n} is negative")
@@ -121,28 +122,42 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
     ops = [data.operator(o) for o in range(n + 1)]
     with checked(f"deformation_order_{n}") as c:
         c.add_nonzero(("multiplicativity", "operator_twist"), a.compose(ops[n]) - ops[n].compose(a))
-        evs = [partial(eval_table_bracket, data.bracket_table(o), rank) for o in range(n + 1)]
-        _morphism(c, ("multiplicativity",), a, evs[n], evs[n])
+        top = _table_at(data.bracket_table(n), rank, XF)
+        _morphism(c, ("multiplicativity",), a, top, top)
+        evs = _order_evaluators(data, n)
         basis, twisted = _basis_and_images(rank, a)
-        at1 = [_products(ev, basis, basis, L1) for ev in evs]
-        at2 = [_products(ev, basis, basis, L2) for ev in evs]
-        _leibniz(c, ("leibniz",), twisted, [(evs[n - o], at1[o], at2[o]) for o in range(n + 1)])
+        at1 = [e1.grid(basis, basis) for e1, _, _ in evs]
+        at2 = [e2.grid(basis, basis) for _, e2, _ in evs]
+        # order n - o outside, order o inside
+        _leibniz(c, ("leibniz",), twisted, [
+            ((e1, a2), (e12, a1), (e2, a1)) for (e1, e2, e12), a1, a2 in zip(reversed(evs), at1, at2)
+        ])
         images = [[op.apply(e) for e in basis] for op in ops]
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
+        terms = []
+        for o1 in range(n + 1):
+            for o2 in range(n + 1 - o1):
+                o3 = n - o1 - o2
+                both = evs[o1][0].grid(images[o2], images[o3])
+                inner = _deformed_products(evs[o3][0], (basis, images[o2]), (basis, images[o2]), ops[o2])
+                terms.append((both, ops[o1], inner))
+        for i in range(rank):
+            for j in range(rank):
                 acc = zero_element(rank)
-                for o1 in range(n + 1):
-                    for o2 in range(n + 1 - o1):
-                        o3 = n - o1 - o2
-                        acc = acc + evs[o1](images[o2][i], images[o3][j], L1)
-                        inner = (
-                            evs[o3](p, images[o2][j], L1)
-                            + evs[o3](images[o2][i], q, L1)
-                            - ops[o2].apply(at1[o3][i][j])
-                        )
-                        acc = acc - ops[o1].apply(inner)
+                for both, outer, inner in terms:
+                    acc = acc + both[i][j] - outer.apply(inner[i][j])
                 c.add_nonzero(("operator", i, j), acc)
     return c.report
+
+
+def _order_evaluators(data: DeformationData, n: int) -> list[tuple]:
+    """The bracket of each order 0..n at w1, w2 and w1+w2, one evaluator
+    per distinct table: orders that share a table share its evaluators."""
+    built = {}
+    for o in range(n + 1):
+        table = data.bracket_table(o)
+        if id(table) not in built:
+            built[id(table)] = tuple(_table_at(table, data.base.rank, w) for w in (L1, L2, L12))
+    return [built[id(data.bracket_table(o))] for o in range(n + 1)]
 
 
 def infinitesimal_pair(data: DeformationData) -> HNLAPair:
@@ -221,13 +236,12 @@ def equivalence_order1_check(
     if psi1.rows != rank or psi1.cols != rank:
         raise DimensionError("psi1 has the wrong shape")
 
-    a1, b1 = (partial(eval_table_bracket, d.bracket_table(1), rank) for d in (data_a, data_b))
     with checked("equivalence_order1") as c:
         # b1 - a1 - (a0 deformed by psi1)
         basis, images = _basis_and_images(rank, psi1)
-        b1s, a1s = (_products(ev, basis, basis, XF) for ev in (b1, a1))
-        a0 = data_a.bracket_table(0)
-        for i, row in enumerate(_deformed_products(a0, rank, (basis, images), (basis, images), psi1, XF)):
+        b1s, a1s = (_table_at(d.bracket_table(1), rank, XF).grid(basis, basis) for d in (data_b, data_a))
+        a0 = _table_at(data_a.bracket_table(0), rank, XF)
+        for i, row in enumerate(_deformed_products(a0, (basis, images), (basis, images), psi1)):
             for j, v in enumerate(row):
                 c.add_nonzero(("bracket_relation", i, j), b1s[i][j] - a1s[i][j] - v)
         op_res = (

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
-from .poly import MultiPoly, Rat
-from .report import Report, _evaluation_scope, checked
+from .poly import D, LinearForm, MultiPoly, Rat
+from .report import Report, checked
 from .structure import (
     XF,
     L1,
@@ -25,17 +24,16 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _basis_and_images,
+    _leibniz,
     _morphism,
-    _products,
     _relative_operator,
     _skew,
     _table,
+    _table_at,
     basis_element,
-    eval_bracket,
-    eval_table_bracket,
     normalize_table,
 )
-from .representation import Representation, eval_l, eval_r
+from .representation import Representation
 from .operators import OperatorKind, PreconditionError, verify_operator
 from .cohomology import Cochain, _add_nonzero_values, _evaluator, coboundary_homL
 
@@ -68,39 +66,29 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
     a, n = ns.alpha, ns.rank
     with checked("ns_axioms") as c:
         basis, twisted = _basis_and_images(n, a)
-        evs = {name: partial(eval_table_bracket, getattr(ns, name), n) for name in ("left", "right", "vee")}
-        for name, ev in evs.items():
+        for name in ("left", "right", "vee"):
+            ev = _table_at(getattr(ns, name), n, XF)
             _morphism(c, ("multiplicativity", name), a, ev, ev)
-        lf, rt, ve = evs.values()
-
-        def products(w):
-            """The three products and their sum on every basis pair, at w."""
-            left, right, vee = (_products(ev, basis, basis, w) for ev in (lf, rt, ve))
-            star = [[x + y + z for x, y, z in zip(*rows)] for rows in zip(left, right, vee)]
-            return left, right, vee, star
-
-        left1, right1, vee1, star1 = products(L1)
-        left2, right2, vee2, star2 = products(L2)
-        for i, ap in enumerate(twisted):
-            for j, aq in enumerate(twisted):
-                for k, ar in enumerate(twisted):
-                    res1 = rt(ap, star2[j][k], L1) - rt(right1[i][j], ar, L12) - lf(aq, right1[i][k], L2)
-                    c.add_nonzero(("right_star", i, j, k), res1)
-                    res2 = lf(ap, right2[j][k], L1) - rt(left1[i][j], ar, L12) - rt(aq, star1[i][k], L2)
-                    c.add_nonzero(("left_right", i, j, k), res2)
-                    res3 = lf(ap, left2[j][k], L1) - lf(star1[i][j], ar, L12) - lf(aq, left1[i][k], L2)
-                    c.add_nonzero(("left_left", i, j, k), res3)
-                    res4 = (
-                        ve(ap, star2[j][k], L1)
-                        - ve(aq, star1[i][k], L2)
-                        - ve(star1[i][j], ar, L12)
-                        + lf(ap, vee2[j][k], L1)
-                        - lf(aq, vee1[i][k], L2)
-                        - rt(vee1[i][j], ar, L12)
-                    )
-                    c.add_nonzero(("vee", i, j, k), res4)
+        # each product at w1, w2 and w1 + w2
+        lf1, lf2, lf12 = (_table_at(ns.left, n, w) for w in (L1, L2, L12))
+        rt1, rt2, rt12 = (_table_at(ns.right, n, w) for w in (L1, L2, L12))
+        ve1, ve2, ve12 = (_table_at(ns.vee, n, w) for w in (L1, L2, L12))
+        # the three products and their sum on every basis pair, at w1 and at w2
+        left1, right1, vee1 = (ev.grid(basis, basis) for ev in (lf1, rt1, ve1))
+        left2, right2, vee2 = (ev.grid(basis, basis) for ev in (lf2, rt2, ve2))
+        star1, star2 = (
+            [[x + y + z for x, y, z in zip(*rows)] for rows in zip(*products)]
+            for products in ((left1, right1, vee1), (left2, right2, vee2))
+        )
+        _leibniz(c, ("right_star",), twisted, [((rt1, star2), (rt12, right1), (lf2, right1))])
+        _leibniz(c, ("left_right",), twisted, [((lf1, right2), (rt12, left1), (rt2, star1))])
+        _leibniz(c, ("left_left",), twisted, [((lf1, left2), (lf12, star1), (lf2, left1))])
+        _leibniz(c, ("vee",), twisted, [
+            ((ve1, star2), (ve12, star1), (ve2, star1)),
+            ((lf1, vee2), (rt12, vee1), (lf2, vee1)),
+        ])
         if check_vee_skew:
-            _skew(c, ("vee_skew",), ve, n)
+            _skew(c, ("vee_skew",), ve1, _table_at(ns.vee, n, -L1 - LinearForm.variable(D)), n)
     return c.report
 
 
@@ -123,7 +111,7 @@ def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
     """m must commute with all three products."""
     with checked("ns_morphism") as c:
         for name in ("left", "right", "vee"):
-            ev = partial(eval_table_bracket, getattr(ns, name), ns.rank)
+            ev = _table_at(getattr(ns, name), ns.rank, XF)
             _morphism(c, (name,), m, ev, ev)
     return c.report
 
@@ -165,15 +153,10 @@ def ns_from_nijenhuis(
         pre = verify_operator(alg, n, OperatorKind.nijenhuis())
         if not pre.passed:
             raise PreconditionError("operator is not Nijenhuis")
-    with _evaluation_scope():
-        br = partial(eval_bracket, alg)
-        basis, images = _basis_and_images(alg.rank, n)
-        return _ns(
-            alg.rank, alg.basis_names, alg.alpha,
-            _products(br, images, basis, XF),
-            _products(br, basis, images, XF),
-            _products(lambda p, q, w: -n.apply(br(p, q, w)), basis, basis, XF),
-        )
+    br = _table_at(alg.structure, alg.rank, XF)
+    basis, images = _basis_and_images(alg.rank, n)
+    vee = [[-n.apply(v) for v in row] for row in br.grid(basis, basis)]
+    return _ns(alg.rank, alg.basis_names, alg.alpha, br.grid(images, basis), br.grid(basis, images), vee)
 
 
 def ns_from_rb(
@@ -185,15 +168,10 @@ def ns_from_rb(
         pre = verify_operator(alg, r_op, OperatorKind.rota_baxter(weight))
         if not pre.passed:
             raise PreconditionError("operator is not Rota-Baxter of this weight")
-    with _evaluation_scope():
-        br = partial(eval_bracket, alg)
-        basis, images = _basis_and_images(alg.rank, r_op)
-        return _ns(
-            alg.rank, alg.basis_names, alg.alpha,
-            _products(br, images, basis, XF),
-            _products(br, basis, images, XF),
-            _products(lambda p, q, w: br(p, q, w).scale(weight), basis, basis, XF),
-        )
+    br = _table_at(alg.structure, alg.rank, XF)
+    basis, images = _basis_and_images(alg.rank, r_op)
+    vee = [[v.scale(weight) for v in row] for row in br.grid(basis, basis)]
+    return _ns(alg.rank, alg.basis_names, alg.alpha, br.grid(images, basis), br.grid(basis, images), vee)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +235,10 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
         if not pre.passed:
             raise PreconditionError("twisted Rota-Baxter identity fails")
     rep = data.rep
-    with _evaluation_scope():
-        mods, images = _basis_and_images(rep.rank, data.t_map)
-        phi_x = _evaluator(data.phi, [XF])
-        return _ns(
-            rep.rank, rep.basis_names, rep.beta,
-            _products(partial(eval_l, rep), images, mods, XF),
-            _products(partial(eval_r, rep), mods, images, XF),
-            _products(lambda p, q, w: phi_x([p, q]), images, images, XF),
-        )
+    mods, images = _basis_and_images(rep.rank, data.t_map)
+    return _ns(
+        rep.rank, rep.basis_names, rep.beta,
+        _table_at(rep.l_structure, rep.rank, XF).grid(images, mods),
+        _table_at(rep.r_structure, rep.rank, XF).grid(mods, images),
+        _evaluator(data.phi, [XF]).grid(images, images),
+    )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .poly import Rat
 from .report import Report, checked
@@ -19,7 +18,7 @@ from .structure import (
     _deformed_products,
     _morphism,
     _table,
-    eval_bracket,
+    _table_at,
     verify_hom_leibniz,
 )
 
@@ -75,19 +74,19 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
     _check_square(alg, op)
     with checked(f"operator_{kind.tag}") as c:
         _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
+        br = _table_at(alg.structure, alg.rank, L1)
         basis, images = _basis_and_images(alg.rank, op)
-        for i, (p, np_) in enumerate(zip(basis, images)):
-            for j, (q, nq) in enumerate(zip(basis, images)):
-                lhs = eval_bracket(alg, np_, nq, L1)
-                mixed = eval_bracket(alg, np_, q, L1) + eval_bracket(alg, p, nq, L1)
-                plain = eval_bracket(alg, p, q, L1)
+        both, left, right = br.grid(images, images), br.grid(images, basis), br.grid(basis, images)
+        for i, row in enumerate(br.grid(basis, basis)):
+            for j, plain in enumerate(row):
+                mixed = left[i][j] + right[i][j]
                 if kind.tag == NIJENHUIS:
                     rhs = op.apply(mixed - op.apply(plain))
                 elif kind.tag == ROTA_BAXTER:
                     rhs = op.apply(mixed + plain.scale(kind.weight))
                 else:
                     rhs = op.apply(mixed) + plain.scale(kind.weight)
-                c.add_nonzero((i, j), lhs - rhs)
+                c.add_nonzero((i, j), both[i][j] - rhs)
     return c.report
 
 
@@ -109,7 +108,7 @@ def deformed_bracket(
                 f"operator is not Nijenhuis; first residual at {rep.violations[0].context}"
             )
     algs = _basis_and_images(alg.rank, n)
-    return alg.with_structure(_table(_deformed_products(alg.structure, alg.rank, algs, algs, n, XF)))
+    return alg.with_structure(_table(_deformed_products(_table_at(alg.structure, alg.rank, XF), algs, algs, n)))
 
 
 def check_morphism(
@@ -128,7 +127,7 @@ def check_morphism(
         _add_nonzero_entries(c, "twist", f.compose(src.alpha) - dst.alpha.compose(f))
         if n_src is not None:
             _add_nonzero_entries(c, "operator", f.compose(n_src) - n_dst.compose(f))
-        _morphism(c, ("bracket",), f, partial(eval_bracket, src), partial(eval_bracket, dst))
+        _morphism(c, ("bracket",), f, _table_at(src.structure, src.rank, XF), _table_at(dst.structure, dst.rank, XF))
     return c.report
 
 

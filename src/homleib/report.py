@@ -4,36 +4,13 @@ Every checker returns a Report rather than a boolean so the CLI can show
 which basis tuple failed and with what residual.  The record form (one
 JSON object per line) deliberately omits the timing field: records must
 be byte-identical across runs for the same input and seed.
-
-Each check also runs in its own evaluation scope: a per-thread store in
-which the evaluators of bracket and action tables (``structure._evaluator``,
-looked up by ``structure._table_evaluator``) are kept for reuse while the
-check runs and dropped when it exits.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-
-# The open evaluation scope of this thread (None outside any scope): a
-# dict from (table identity, output rank, parameter value) to the
-# evaluator of that table at that parameter.  Each evaluator refers to
-# its table, so no table id is reused while the scope lives.
-_SCOPE: ContextVar[dict | None] = ContextVar("homleib_evaluation_scope", default=None)
-
-
-@contextmanager
-def _evaluation_scope():
-    """A fresh scope for the block, replacing any outer one until it exits."""
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -82,15 +59,12 @@ class checked:
 
     Violations are appended as (context, residual-string) pairs; they are
     sorted on exit so report order never depends on evaluation order.
-    The block runs in a fresh evaluation scope.
     """
 
     def __init__(self, name: str):
         self.report = Report(name)
 
     def __enter__(self) -> "checked":
-        self._scope = _evaluation_scope()
-        self._scope.__enter__()
         self._t0 = time.perf_counter()
         return self
 
@@ -104,7 +78,6 @@ class checked:
         self.add(context, str(residual))
 
     def __exit__(self, exc_type, exc, tb):
-        self._scope.__exit__(exc_type, exc, tb)
         # a label and an index may share a position (("multiplicativity",
         # "operator_twist") beside ("multiplicativity", i, j)): indices first
         self.report.violations.sort(key=lambda v: (tuple((type(x) is str, x) for x in v.context), v.residual))

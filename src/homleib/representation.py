@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 
 from .poly import LinearForm
 from .report import Report, checked
@@ -28,12 +27,12 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _basis_and_images,
+    _by_cells,
+    _cells_by,
     _deformed_products,
-    _eval_table,
-    _products,
     _table,
+    _table_at,
     basis_element,
-    eval_bracket,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
 
@@ -68,7 +67,7 @@ def eval_l(
     """Left action l(p) at parameter w applied to m."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("left action rank mismatch")
-    return _eval_table(rep.l_structure, rep.rank, p, m, w)
+    return _table_at(rep.l_structure, rep.rank, w)((p, m))
 
 
 def eval_r(
@@ -77,7 +76,7 @@ def eval_r(
     """Right action r(m) at parameter w applied to p."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("right action rank mismatch")
-    return _eval_table(rep.r_structure, rep.rank, m, p, w)
+    return _table_at(rep.r_structure, rep.rank, w)((m, p))
 
 
 def adjoint_rep(alg: ConformalAlgebra) -> Representation:
@@ -112,38 +111,44 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
 
       r_consistency : r(r(m) w1 p + l(p) w2 m) w1+w2 a(q) = 0
 
-    Basis-pair brackets and actions are built once per check, and the
-    term l(a(p)) w2 (r(m) w1 q) that both r_bracket forms share once per
-    triple.
+    The bracket and both actions are one evaluator per parameter, each
+    evaluated as grids; the basis-pair brackets and actions are built
+    once per check, and so is the term l(a(p)) w2 (r(m) w1 q) that both
+    r_bracket forms share.
     """
     if rep.alg_rank != alg.rank:
         raise DimensionError("representation is over a different algebra rank")
     b = rep.beta
     with checked("representation") as c:
-        br, act_l, act_r = partial(eval_bracket, alg), partial(eval_l, rep), partial(eval_r, rep)
+        br1, br2 = (_table_at(alg.structure, alg.rank, w) for w in (L1, L2))
+        l1, l2, l12 = (_table_at(rep.l_structure, rep.rank, w) for w in (L1, L2, L12))
+        r1, r12 = (_table_at(rep.r_structure, rep.rank, w) for w in (L1, L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
         mods, bmods = _basis_and_images(rep.rank, b)
-        br1, br2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
-        l1, l2 = _products(act_l, basis, mods, L1), _products(act_l, basis, mods, L2)
-        r1 = _products(act_r, mods, basis, L1)
+        brs1, brs2 = br1.grid(basis, basis), br2.grid(basis, basis)
+        ls1, ls2 = l1.grid(basis, mods), l2.grid(basis, mods)
+        rs1 = r1.grid(mods, basis)
+        # three-index grids, indexed in argument order (`_by_cells`, `_cells_by`)
+        lhs = _by_cells(r1, bmods, brs2)
+        shared = _by_cells(l2, twisted, rs1)
+        via_r = _cells_by(r12, rs1, twisted)
+        via_l = _cells_by(r12, ls2, twisted)
+        lhs_ll = _by_cells(l1, twisted, ls2)
+        first_ll, second_ll = _cells_by(l12, brs1, bmods), _by_cells(l2, twisted, ls1)
         for i in range(alg.rank):
             for j in range(alg.rank):
                 for k in range(rep.rank):
-                    lhs = act_r(bmods[k], br2[i][j], L1)
-                    shared = act_l(twisted[i], r1[k][j], L2)
-                    via_r = act_r(r1[k][i], twisted[j], L12)
-                    via_l = act_r(l2[i][k], twisted[j], L12)
-                    c.add_nonzero(("r_bracket_a", i, j, k), lhs - (via_r + shared))
-                    c.add_nonzero(("r_bracket_b", i, j, k), lhs - (shared - via_l))
-                    lhs_ll = act_l(twisted[i], l2[j][k], L1)
-                    rhs_ll = act_l(br1[i][j], bmods[k], L12) + act_l(twisted[j], l1[i][k], L2)
-                    c.add_nonzero(("l_l", i, j, k), lhs_ll - rhs_ll)
+                    c.add_nonzero(("r_bracket_a", i, j, k), lhs[k][i][j] - (via_r[k][i][j] + shared[i][k][j]))
+                    c.add_nonzero(("r_bracket_b", i, j, k), lhs[k][i][j] - (shared[i][k][j] - via_l[i][k][j]))
+                    rhs_ll = first_ll[i][j][k] + second_ll[j][i][k]
+                    c.add_nonzero(("l_l", i, j, k), lhs_ll[i][j][k] - rhs_ll)
                     # r is additive in its module argument
-                    c.add_nonzero(("r_consistency", i, j, k), via_r + via_l)
+                    c.add_nonzero(("r_consistency", i, j, k), via_r[k][i][j] + via_l[i][k][j])
+        l_twisted, r_twisted = l1.grid(twisted, bmods), r1.grid(bmods, twisted)
         for i in range(alg.rank):
             for k in range(rep.rank):
-                c.add_nonzero(("beta_l", i, k), b.apply(l1[i][k]) - act_l(twisted[i], bmods[k], L1))
-                c.add_nonzero(("beta_r", i, k), b.apply(r1[k][i]) - act_r(bmods[k], twisted[i], L1))
+                c.add_nonzero(("beta_l", i, k), b.apply(ls1[i][k]) - l_twisted[i][k])
+                c.add_nonzero(("beta_r", i, k), b.apply(rs1[k][i]) - r_twisted[k][i])
     return c.report
 
 
@@ -165,12 +170,14 @@ def verify_nijenhuis_representation(
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
         algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
-        l_inner = _deformed_products(rep.l_structure, rep.rank, algs, mods, nm, L1)
-        r_inner = _deformed_products(rep.r_structure, rep.rank, mods, algs, nm, L1)
-        for i, np_ in enumerate(algs[1]):
-            for k, nmm in enumerate(mods[1]):
-                c.add_nonzero(("l", i, k), eval_l(rep, np_, nmm, L1) - nm.apply(l_inner[i][k]))
-                c.add_nonzero(("r", i, k), eval_r(rep, nmm, np_, L1) - nm.apply(r_inner[k][i]))
+        act_l, act_r = _table_at(rep.l_structure, rep.rank, L1), _table_at(rep.r_structure, rep.rank, L1)
+        l_inner = _deformed_products(act_l, algs, mods, nm)
+        r_inner = _deformed_products(act_r, mods, algs, nm)
+        l_outer, r_outer = act_l.grid(algs[1], mods[1]), act_r.grid(mods[1], algs[1])
+        for i in range(alg.rank):
+            for k in range(rep.rank):
+                c.add_nonzero(("l", i, k), l_outer[i][k] - nm.apply(l_inner[i][k]))
+                c.add_nonzero(("r", i, k), r_outer[k][i] - nm.apply(r_inner[k][i]))
     return c.report
 
 
@@ -195,6 +202,7 @@ def induced_representation(
             if not pre.passed:
                 raise PreconditionError(f"{pre.check_name} fails")
     algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, rep.n_m)
-    l_structure = _table(_deformed_products(rep.l_structure, rep.rank, algs, mods, rep.n_m, XF))
-    r_structure = _table(_deformed_products(rep.r_structure, rep.rank, mods, algs, rep.n_m, XF))
+    act_l, act_r = _table_at(rep.l_structure, rep.rank, XF), _table_at(rep.r_structure, rep.rank, XF)
+    l_structure = _table(_deformed_products(act_l, algs, mods, rep.n_m))
+    r_structure = _table(_deformed_products(act_r, mods, algs, rep.n_m))
     return dataclasses.replace(rep, l_structure=l_structure, r_structure=r_structure)

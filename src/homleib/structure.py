@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 from .poly import (
@@ -29,7 +28,7 @@ from .poly import (
     print_poly,
     substitution,
 )
-from .report import _SCOPE, Report, checked
+from .report import Report, checked
 
 BracketTable = Mapping[tuple[int, int], tuple[MultiPoly, ...]]
 
@@ -255,52 +254,23 @@ def eval_table_bracket(
     """Sesquilinear extension of a structure table, at parameter w.
 
     w may mention D (the skew-symmetry check passes -D - l1); the D in w
-    then refers to the D acting on the result.
+    then refers to the D acting on the result.  One evaluator is built
+    for the call: checks and constructions build one per table and
+    parameter with `_table_at` and evaluate it as grids instead.
     """
     if left.ambient_rank != rank or right.ambient_rank != rank:
         raise DimensionError("element rank does not match the bracket table")
-    return _eval_table(table, rank, left, right, w)
+    return _table_at(table, rank, w)((left, right))
 
 
-def _eval_table(
-    table: BracketTable,
-    out_rank: int,
-    first: ConformalElement,
-    second: ConformalElement,
-    w: LinearForm,
-) -> ConformalElement:
-    """f(-w) g(D + w) table[i, j] at x = w, summed over the coordinates
-    f of `first` and g of `second`: the table as an arity-2 cochain.
-
-    Each argument runs over its own length: in an action the algebra and
-    the module ranks differ.  Brackets and both actions evaluate here,
-    pair by pair, with the evaluator that `_table_evaluator` returns.
-    """
-    return _table_evaluator(table, out_rank, w)((first, second))
-
-
-def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
-    """The evaluator of `table` at x = w.  Inside an evaluation scope
-    (each check opens one) it is built once per (table, out_rank, w) and
-    kept in the scope, so per-pair calls and grids share its relabelled
-    entries and slot memo; outside, a one-shot evaluator is built."""
-    scope = _SCOPE.get()
-    if scope is None:
-        return _evaluator(table, (X,), out_rank, (w,))
-    key = (id(table), out_rank, w._value_key())
-    evaluate = scope.get(key)
-    if evaluate is None:
-        evaluate = scope[key] = _evaluator(table, (X,), out_rank, (w,))
-    return evaluate
-
-
-def _grid(
-    table: BracketTable, out_rank: int, firsts: list, seconds: list, w: LinearForm
-) -> list[list]:
-    """The table at x = w on every pair: row i, column j holds its value
-    on (firsts[i], seconds[j]).  One evaluator is built for the call and
-    dropped with it; an open evaluation scope is left alone."""
-    return _evaluator(table, (X,), out_rank, (w,)).grid(firsts, seconds)
+def _table_at(table: BracketTable, out_rank: int, w: LinearForm):
+    """The evaluator of a two-slot table at x = w: f(-w) g(D + w)
+    table[i, j], summed over the coordinates f of its first argument and
+    g of its second, as `_evaluator` builds it (the table as an arity-2
+    cochain).  Each argument runs over its own length: in an action the
+    algebra and the module ranks differ.  Its `grid` evaluates it on
+    every pair of two argument lists."""
+    return _evaluator(table, (X,), out_rank, (w,))
 
 
 _ONE = MultiPoly.const(1)
@@ -464,10 +434,12 @@ XF = LinearForm.variable(X)
 L12 = L1 + L2
 
 
-# Checks and constructions draw their arguments from lists built once:
-# the basis, its images under a twist or operator, and the basis-pair
-# products per table and parameter.  An evaluator's slot memo then meets
-# the same argument objects again and again.
+# Each check and construction builds one evaluator per table and
+# parameter (`_table_at`), names it and evaluates it as grids.  The
+# argument lists are built once: the basis, its images under a twist or
+# operator, and the basis-pair products per table and parameter.  An
+# evaluator's slot memo then meets the same argument objects again and
+# again.
 
 
 def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
@@ -476,65 +448,76 @@ def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
     return basis, [m.apply(e) for e in basis]
 
 
-def _products(ev, firsts: list, seconds: list, w: LinearForm) -> list[list]:
-    """ev(p, q, w) on every pair: row i, column j holds ev(firsts[i], seconds[j], w)."""
-    return [[ev(p, q, w) for q in seconds] for p in firsts]
-
-
 def _table(products: list[list]) -> dict:
     """A basis-pair product list as a table: (i, j) -> the coordinates of
     row i, column j, for the nonzero entries only."""
     return {(i, j): v.coords for i, row in enumerate(products) for j, v in enumerate(row) if not v.is_zero}
 
 
+def _by_cells(ev, firsts: list, products: list[list]) -> list:
+    """ev(firsts[a], products[b][c]) at [a][b][c]: one grid whose second
+    argument list is the cells of a product list, row after row."""
+    width = len(products[0]) if products else 0
+    return [
+        [row[b * width:(b + 1) * width] for b in range(len(products))]
+        for row in ev.grid(firsts, [v for cells in products for v in cells])
+    ]
+
+
+def _cells_by(ev, products: list[list], seconds: list) -> list:
+    """ev(products[a][b], seconds[c]) at [a][b][c]: one grid whose first
+    argument list is the cells of a product list, row after row."""
+    width = len(products[0]) if products else 0
+    rows = ev.grid([v for cells in products for v in cells], seconds)
+    return [rows[a * width:(a + 1) * width] for a in range(len(products))]
+
+
 # The identities that the checks and constructions share, each written
-# once.  `ev`, `src` and `dst` are product functions ev(p, q, w): a
-# bracket, an action or an NS product bound to its table.  Residuals go
-# to the checked block `c` at `prefix` + the basis indices.
+# once.  They take evaluators, as `_table_at` builds them, and the
+# product lists of their grids.  Residuals go to the checked block `c`
+# at `prefix` + the basis indices.
 
 
 def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
-    """m(src(p, q)) - dst(m p, m q) at x on every basis pair."""
+    """m(src(p, q)) - dst(m p, m q) on every basis pair, where src and dst
+    evaluate the source and the target table at one parameter."""
     basis, images = _basis_and_images(m.cols, m)
-    before, after = _products(src, basis, basis, XF), _products(dst, images, images, XF)
-    for i, (row, mapped) in enumerate(zip(before, after)):
-        for j, (v, mv) in enumerate(zip(row, mapped)):
-            c.add_nonzero(prefix + (i, j), m.apply(v) - mv)
+    after = dst.grid(images, images)
+    for i, row in enumerate(src.grid(basis, basis)):
+        for j, v in enumerate(row):
+            c.add_nonzero(prefix + (i, j), m.apply(v) - after[i][j])
 
 
-def _deformed_products(
-    table: BracketTable, out_rank: int, first: tuple, second: tuple, outer: PdModuleMap, w: LinearForm
-) -> list[list]:
-    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) at w on every basis pair,
-    where ev is `table` evaluated into rank out_rank: row i, column j for
-    p = e_i and q = e_j.  `first` and `second` are the two arguments'
-    bases with their images under a and b, as `_basis_and_images` gives
-    them.  The three terms are grids of one evaluator, the open scope's
-    when a check runs.  With a = b = outer = N it is the Nijenhuis-deformed
+def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap) -> list[list]:
+    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) on every basis pair, for
+    an evaluator ev of a table: row i, column j for p = e_i and q = e_j.
+    `first` and `second` are the two arguments' bases with their images
+    under a and b, as `_basis_and_images` gives them.  The three terms
+    are grids of ev.  With a = b = outer = N it is the Nijenhuis-deformed
     bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
-    grid = _table_evaluator(table, out_rank, w).grid
     return [
         [u + v - outer.apply(p) for u, v, p in zip(*rows)]
-        for rows in zip(grid(a_images, seconds), grid(firsts, b_images), grid(firsts, seconds))
+        for rows in zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), ev.grid(firsts, seconds))
     ]
 
 
 def _leibniz(c: checked, prefix: tuple, twisted: list, terms: list) -> None:
-    """The sum over (ev, at1, at2) in terms of
+    """The sum over ((f, fs), (g, gs), (h, hs)) in terms of
 
-        ev(a p, at2[j][k], w1) - (ev(at1[i][j], a r, w1+w2) + ev(a q, at1[i][k], w2))
+        f(a p, fs[j][k]) - (g(gs[i][j], a r) + h(a q, hs[i][k]))
 
-    on every basis triple (p, q, r) = (e_i, e_j, e_k), where twisted holds
-    the a(e_i) and at1, at2 the basis-pair products of a table at w1, w2."""
-    for i, ap in enumerate(twisted):
-        for j, aq in enumerate(twisted):
-            for k, ar in enumerate(twisted):
-                res = [
-                    ev(ap, at2[j][k], L1) - (ev(at1[i][j], ar, L12) + ev(aq, at1[i][k], L2))
-                    for ev, at1, at2 in terms
-                ]
-                c.add_nonzero(prefix + (i, j, k), sum(res[1:], res[0]))
+    on every basis triple (p, q, r) = (e_i, e_j, e_k), where twisted
+    holds the a(e_i), f, g and h evaluate tables at w1, w1+w2 and w2,
+    and fs, gs and hs are basis-pair product lists.  Each of the three
+    is one grid per term."""
+    parts = [
+        (_by_cells(f, twisted, fs), _cells_by(g, gs, twisted), _by_cells(h, twisted, hs))
+        for (f, fs), (g, gs), (h, hs) in terms
+    ]
+    for i, j, k in itertools.product(range(len(twisted)), repeat=3):
+        res = [lhs[i][j][k] - (via[i][j][k] + other[j][i][k]) for lhs, via, other in parts]
+        c.add_nonzero(prefix + (i, j, k), sum(res[1:], res[0]))
 
 
 def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=None) -> None:
@@ -543,24 +526,29 @@ def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=
 
         [t m, t n] - t(l(t m) n + r(m) t n [+ phi(t m, t n)]),
 
-    with phi applied to the argument list; before it, the entries of
-    alpha t - t beta, labelled twist_compat."""
+    with phi an evaluator of two arguments at l1; before it, the entries
+    of alpha t - t beta, labelled twist_compat.  The bracket and both
+    actions are one evaluator and one grid each."""
     _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
     mods, images = _basis_and_images(rep.rank, t)
-    for i, (m, tm) in enumerate(zip(mods, images)):
-        for j, (n, tn) in enumerate(zip(mods, images)):
-            inner = _eval_table(rep.l_structure, rep.rank, tm, n, L1)
-            inner = inner + _eval_table(rep.r_structure, rep.rank, m, tn, L1)
-            if phi is not None:
-                inner = inner + phi([tm, tn])
-            c.add_nonzero(prefix + (i, j), eval_bracket(alg, tm, tn, L1) - t.apply(inner))
+    inners = [
+        _table_at(rep.l_structure, rep.rank, L1).grid(images, mods),
+        _table_at(rep.r_structure, rep.rank, L1).grid(mods, images),
+    ]
+    if phi is not None:
+        inners.append(phi.grid(images, images))
+    for i, row in enumerate(_table_at(alg.structure, alg.rank, L1).grid(images, images)):
+        for j, v in enumerate(row):
+            inner = [grid[i][j] for grid in inners]
+            c.add_nonzero(prefix + (i, j), v - t.apply(sum(inner[1:], inner[0])))
 
 
-def _skew(c: checked, prefix: tuple, ev, rank: int) -> None:
-    """ev(p, q, l1) + ev(q, p, -l1 - D) on every basis pair."""
+def _skew(c: checked, prefix: tuple, ev, flip, rank: int) -> None:
+    """ev(p, q) + flip(q, p) on every basis pair, where ev and flip
+    evaluate one table at l1 and at -l1 - D."""
     basis = [basis_element(rank, i) for i in range(rank)]
-    flipped = _products(ev, basis, basis, -L1 - LinearForm.variable(D))
-    for i, row in enumerate(_products(ev, basis, basis, L1)):
+    flipped = flip.grid(basis, basis)
+    for i, row in enumerate(ev.grid(basis, basis)):
         for j, v in enumerate(row):
             c.add_nonzero(prefix + (i, j), v + flipped[j][i])
 
@@ -568,7 +556,7 @@ def _skew(c: checked, prefix: tuple, ev, rank: int) -> None:
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
     """twist([e_i x e_j]) must equal [twist(e_i) x twist(e_j)]."""
     with checked("multiplicativity") as c:
-        br = partial(eval_bracket, alg)
+        br = _table_at(alg.structure, alg.rank, XF)
         _morphism(c, (), alg.alpha, br, br)
     return c.report
 
@@ -578,19 +566,22 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
 
     [a(p) w1 [q w2 r]] = [[p w1 q] w1+w2 a(r)] + [a(q) w2 [p w1 r]]
 
-    The basis-pair brackets at w1 and at w2 are built once per check.
+    The bracket is one evaluator at each of w1, w2 and w1+w2, and the
+    basis-pair brackets at w1 and at w2 are built once per check.
     """
     with checked("hom_leibniz") as c:
-        br = partial(eval_bracket, alg)
+        br1, br2, br12 = (_table_at(alg.structure, alg.rank, w) for w in (L1, L2, L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        _leibniz(c, (), twisted, [(br, _products(br, basis, basis, L1), _products(br, basis, basis, L2))])
+        at1, at2 = br1.grid(basis, basis), br2.grid(basis, basis)
+        _leibniz(c, (), twisted, [((br1, at2), (br12, at1), (br2, at1))])
     return c.report
 
 
 def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
     with checked("skew_symmetry") as c:
-        _skew(c, (), partial(eval_bracket, alg), alg.rank)
+        br, flip = (_table_at(alg.structure, alg.rank, w) for w in (L1, -L1 - LinearForm.variable(D)))
+        _skew(c, (), br, flip, alg.rank)
     return c.report
 
 

@@ -25,8 +25,8 @@ from homleib.deformation import DeformationData
 from homleib.ns import NSAlgebra, TwistedRBData
 from homleib.operators import OperatorKind, PreconditionError, _check_square, verify_operator
 from homleib.poly import D, LinearForm, Rat
-from homleib.report import Report, _evaluation_scope, checked
-from homleib.representation import Representation, adjoint_rep, eval_l, eval_r
+from homleib.report import Report
+from homleib.representation import Representation, adjoint_rep
 from homleib.structure import (
     XF,
     L1,
@@ -38,11 +38,17 @@ from homleib.structure import (
     PdModuleMap,
     _add_nonzero_entries,
     _basis_and_images,
-    _products,
-    eval_bracket,
-    eval_table_bracket,
     normalize_table,
     zero_element,
+)
+from reference_scope import (
+    _evaluation_scope,
+    _products,
+    checked,
+    eval_bracket,
+    eval_l,
+    eval_r,
+    eval_table_bracket,
 )
 
 # ---------------------------------------------------------------------------

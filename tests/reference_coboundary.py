@@ -16,9 +16,9 @@ from homleib.cohomology import (
     _output_lams,
 )
 from homleib.poly import LinearForm
-from homleib.report import _evaluation_scope
-from homleib.representation import Representation, eval_l, eval_r
-from homleib.structure import ConformalAlgebra, eval_bracket, zero_element
+from homleib.representation import Representation
+from homleib.structure import ConformalAlgebra, zero_element
+from reference_scope import _evaluation_scope, eval_bracket, eval_l, eval_r
 
 
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:

@@ -623,7 +623,7 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
 
     assert not {"eval_bracket", "eval_l", "eval_r"} & set(vars(cohomology))
     for module, name in [
-        (structure, "eval_bracket"), (structure, "eval_table_bracket"), (structure, "_eval_table"),
+        (structure, "eval_bracket"), (structure, "eval_table_bracket"),
         (representation, "eval_l"), (representation, "eval_r"),
     ]:
         monkeypatch.setattr(module, name, failing)

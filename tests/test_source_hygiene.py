@@ -10,9 +10,9 @@ Found from the syntax tree too: only poly.py knows how a polynomial
 stores its coefficients (integer numerators `_terms` over one
 denominator `_den`, wrapped by `_own`).
 
-Found from the syntax tree too: cohomology.py opens no evaluation scope
-(the coboundaries build one evaluator per table and parameter for the
-call and evaluate it as grids).
+Found from the syntax tree too: no module keeps an ambient evaluation
+scope (each check, construction and coboundary builds one evaluator per
+table and parameter and evaluates it as grids).
 
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
@@ -96,10 +96,14 @@ def test_only_poly_knows_the_number_format():
     assert not any(readers.values()), readers
 
 
-def test_cohomology_opens_no_evaluation_scope():
-    tree = _trees()["cohomology.py"]
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not {"_evaluation_scope", "_SCOPE"} & (imported | _references(tree))
+def test_no_module_opens_an_evaluation_scope():
+    scope = {"ContextVar", "_SCOPE", "_evaluation_scope", "_table_evaluator", "_products"}
+    named = {}
+    for name, tree in _trees().items():
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        named[name] = sorted(scope & (imported | defined | _references(tree)))
+    assert not any(named.values()), named
 
 
 # `re._parser` from Python 3.11; `sre_parse` before

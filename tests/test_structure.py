@@ -15,18 +15,20 @@ import pytest
 import sympy
 
 import reference_evaluator
-from homleib import cohomology, structure
+from homleib import cohomology, deformation, ns, operators, representation, structure
 from homleib.cohomology import coboundary_homL, cochain_from_bracket_table, eval_cochain, random_cochain
-from homleib.ns import ns_from_nijenhuis
-from homleib.operators import deformed_bracket
+from homleib.deformation import DeformationData, verify_deformation_order
+from homleib.ns import ns_from_nijenhuis, verify_ns_axioms
+from homleib.operators import OperatorKind, check_morphism, deformed_bracket, verify_operator
 from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly
-from homleib.report import _SCOPE, checked
+from homleib.report import checked
 from homleib.representation import (
     Representation,
     adjoint_rep,
     eval_l,
     eval_r,
     induced_representation,
+    verify_nijenhuis_representation,
     verify_representation,
 )
 from homleib.structure import (
@@ -315,7 +317,7 @@ def test_rank_mismatch_raises(vir):
 
 
 # ---------------------------------------------------------------------------
-# evaluation scopes
+# per-pair evaluation, inside checks and across threads
 # ---------------------------------------------------------------------------
 
 
@@ -361,56 +363,40 @@ def test_scoped_evaluation_matches_fresh_evaluation(vir, cur2, twisted2):
                     out.append(eval_r(rep, a, b, w))
             return out
 
-        assert _SCOPE.get() is None
         fresh = values(forms)
         with checked("scoped"):
-            scope = _SCOPE.get()
             assert values(forms) == fresh
             assert values(twins) == fresh
-            # one evaluator per (table, output rank, value of w): the twins added none
-            assert len(scope) == 3 * len(forms)
-        assert _SCOPE.get() is None
 
 
 def test_scope_is_dropped_when_a_check_returns_or_raises(cur2, monkeypatch):
     p, q = cur2.basis(1), cur2.basis(1)
-    assert _SCOPE.get() is None
     assert verify_hom_leibniz(cur2).passed
-    assert _SCOPE.get() is None
     with pytest.raises(RuntimeError):
         with checked("raises"):
             eval_bracket(cur2, p, q, L1)
-            assert len(_SCOPE.get()) == 1
             raise RuntimeError("inside the check")
-    assert _SCOPE.get() is None
-    # a nested check opens its own scope and leaves the outer one alone,
-    # and so does a coboundary
+    # a nested check and a coboundary inside an open check
     rep = adjoint_rep(cur2)
     f = random_cochain(2, 2, 2, random.Random(3))
     with checked("outer"):
-        outer = _SCOPE.get()
         eval_bracket(cur2, p, q, L1)
         with checked("inner"):
-            assert _SCOPE.get() == {} and _SCOPE.get() is not outer
             eval_bracket(cur2, p, q, L2)
         coboundary_homL(f, cur2, rep)
-        assert _SCOPE.get() is outer and len(outer) == 1
-    assert _SCOPE.get() is None
 
     def failing(*args):
         raise RuntimeError("inside the coboundary")
 
-    # the coboundary evaluates its structure data as grids: a raise in one
-    # leaves no scope behind, outside a check or inside one
-    monkeypatch.setattr(cohomology, "_grid", failing)
+    # the coboundary builds its structure data's evaluators with
+    # `_table_at`: a raise there reaches the caller, outside a check or
+    # inside one
+    monkeypatch.setattr(cohomology, "_table_at", failing)
     with pytest.raises(RuntimeError):
         coboundary_homL(f, cur2, rep)
-    assert _SCOPE.get() is None
     with pytest.raises(RuntimeError):
         with checked("outer"):
-            outer = _SCOPE.get()
             coboundary_homL(f, cur2, rep)
-    assert _SCOPE.get() is None and outer == {}
 
 
 def test_concurrent_checks_keep_their_own_scopes(vir, cur2, twisted2):
@@ -438,35 +424,19 @@ def test_concurrent_checks_keep_their_own_scopes(vir, cur2, twisted2):
     assert not verify_representation(other, adjoint_rep(other)).passed
     assert results == [[e] * 3 for e in expected]
 
-    # a scope open in one thread is not seen from another
-    opened, done, seen = threading.Event(), threading.Event(), []
-
-    def holder():
-        with checked("held"):
-            eval_bracket(cur2, cur2.basis(1), cur2.basis(1), L1)
-            opened.set()
-            done.wait(10)
-
-    t = threading.Thread(target=holder)
-    t.start()
-    assert opened.wait(10)
-    seen.append(_SCOPE.get())
-    done.set()
-    t.join(10)
-    assert not t.is_alive() and seen == [None]
-
 
 # ---------------------------------------------------------------------------
-# per-argument slot memo and construction scopes
+# per-argument slot memo, and one evaluator per table and parameter
 # ---------------------------------------------------------------------------
 
 
 def test_slot_memo_serves_no_dropped_argument(twisted2):
     # Arguments built and dropped one at a time, so that a new one gets
-    # the id of a dropped one (the unscoped run shows that ids repeat); one
-    # scope evaluates them all, with the bracket and both actions in both
-    # slots, and each value must equal the fresh, unscoped one.  A memo
-    # keyed by id alone, not holding its arguments, fails here.
+    # the id of a dropped one (the one-shot run shows that ids repeat);
+    # one evaluator per (table, parameter), held across the run,
+    # evaluates them all, with the bracket and both actions in both
+    # slots, and each value must equal the one-shot one.  A memo keyed by
+    # id alone, not holding its arguments, fails here.
     alg = ConformalAlgebra(
         2, ("a", "b"),
         {(0, 1): (parse_poly("D + x"), parse_poly("x^2")), (1, 1): (parse_poly("0"), parse_poly("2*D - x"))},
@@ -476,32 +446,36 @@ def test_slot_memo_serves_no_dropped_argument(twisted2):
     forms = [XF, L1, L1 + L2, -L1 - LinearForm.variable(D)]
     fixed = [alg.basis(0), alg.alpha.apply(alg.basis(1))]
 
-    def run():
+    tables = [alg.structure, rep.l_structure, rep.r_structure]
+
+    def run(at):
         rng = random.Random(67)
         values, ids = [], []
         for _ in range(150):
             a = rand_element(rng, 2)
             b, w = rng.choice(fixed), rng.choice(forms)
-            values.append(tuple(str(v) for v in (
-                eval_bracket(alg, a, b, w), eval_bracket(alg, b, a, w),
-                eval_l(rep, a, b, w), eval_r(rep, b, a, w),
-            )))
+            br, act_l, act_r = (at(table, w) for table in tables)
+            values.append(tuple(str(v) for v in (br((a, b)), br((b, a)), act_l((a, b)), act_r((b, a)))))
             ids.append(id(a))
             del a
         return values, ids
 
-    fresh, fresh_ids = run()
+    fresh, fresh_ids = run(lambda table, w: structure._table_at(table, 2, w))
     assert len(set(fresh_ids)) < len(fresh_ids)
-    with checked("transients"):
-        scoped, _ = run()
-        assert len(_SCOPE.get()) == 3 * len(forms)
-    assert scoped == fresh
+    held = {(id(table), w._value_key()): structure._table_at(table, 2, w) for table in tables for w in forms}
+    reused, _ = run(lambda table, w: held[id(table), w._value_key()])
+    assert reused == fresh
 
 
-@pytest.mark.parametrize("build", ["deformed_bracket", "induced_representation", "ns_from_nijenhuis"])
+@pytest.mark.parametrize("build", [
+    "deformed_bracket", "induced_representation", "ns_from_nijenhuis",
+    "verify_hom_leibniz", "verify_representation", "verify_nijenhuis_representation", "verify_operator",
+    "verify_ns_axioms", "verify_deformation_order", "check_morphism",
+])
 def test_constructions_build_one_evaluator_per_table_and_parameter(monkeypatch, build):
-    # a construction runs its loop in one evaluation scope: each table it
-    # evaluates gets one evaluator per parameter, not one per basis pair
+    # each table a construction or check evaluates gets one evaluator per
+    # parameter, not one per basis tuple, and no table is evaluated pair
+    # by pair: with every per-pair route made to raise, the result stays
     alg = ConformalAlgebra(
         2, ("a", "b"),
         {(0, 1): (parse_poly("D + x"), parse_poly("x^2")), (1, 1): (parse_poly("1"), parse_poly("2*D - x"))},
@@ -509,19 +483,37 @@ def test_constructions_build_one_evaluator_per_table_and_parameter(monkeypatch, 
     )
     n = PdModuleMap([[parse_poly("D"), parse_poly("1")], [parse_poly("0"), parse_poly("2")]])
     rep = dataclasses.replace(adjoint_rep(alg), n_m=n)
+    deformed, ns_alg = deformed_bracket(alg, n), ns_from_nijenhuis(alg, n)
+    # orders 2 and 3 have no stored bracket: they share one empty table
+    deformation_data = DeformationData(alg, (alg.structure, {(1, 0): (parse_poly("x"), parse_poly("D"))}), (n, n, n, n))
     run = {
         "deformed_bracket": lambda: deformed_bracket(alg, n),
         "induced_representation": lambda: induced_representation(alg, n, rep),
         "ns_from_nijenhuis": lambda: ns_from_nijenhuis(alg, n),
+        "verify_hom_leibniz": lambda: verify_hom_leibniz(alg).to_record(),
+        "verify_representation": lambda: verify_representation(alg, rep).to_record(),
+        "verify_nijenhuis_representation": lambda: verify_nijenhuis_representation(alg, n, rep).to_record(),
+        "verify_operator": lambda: verify_operator(alg, n, OperatorKind.nijenhuis()).to_record(),
+        "verify_ns_axioms": lambda: verify_ns_axioms(ns_alg, check_vee_skew=True).to_record(),
+        "verify_deformation_order": lambda: verify_deformation_order(deformation_data, 3).to_record(),
+        "check_morphism": lambda: check_morphism(n, deformed, alg, n_src=n, n_dst=n).to_record(),
     }[build]
-    built = []
+    built, tables = [], []
     original = structure._evaluator
 
     def counting(table, stored, out_rank, lams, rank=None):
-        built.append((id(table), out_rank, str(lams)))
+        tables.append(table)  # keeps each id unique while the test runs
+        built.append((id(table), out_rank, tuple(w._value_key() for w in lams)))
         return original(table, stored, out_rank, lams, rank)
 
+    def failing(*args):
+        raise AssertionError("a table evaluated pair by pair")
+
     expected = run()
+    for module in (structure, representation, operators, ns, deformation, cohomology):
+        for name in ("eval_bracket", "eval_table_bracket", "eval_l", "eval_r"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, failing)
     monkeypatch.setattr(structure, "_evaluator", counting)
     assert run() == expected
     assert built and len(built) == len(set(built))
@@ -562,8 +554,8 @@ def _random_table(rng, rows, cols, out_rank):
 def test_table_evaluation_equals_former_evaluator():
     # brackets of rank 1-3 and actions on a module of another rank, on
     # D-dependent elements and a basis element, at each parameter form,
-    # outside any scope and inside one: the same term dicts, coefficient
-    # types included
+    # one evaluator per call and one held per (table, parameter): the
+    # same term dicts, coefficient types included
     ref = reference_evaluator.eval_table
     rng = random.Random(71)
     for case in range(9):
@@ -581,21 +573,24 @@ def test_table_evaluation_equals_former_evaluator():
         ps = [rand_element(rng, alg_rank) for _ in range(3)] + [alg.basis(alg_rank - 1)]
         ms = [rand_element(rng, mod_rank) for _ in range(3)]
 
-        def pairs():
+        def pairs(br, act_l, act_r):
             for w in FORMS:
                 for p, q in itertools.product(ps, ps):
-                    yield (
-                        eval_table_bracket(alg.structure, alg_rank, p, q, w),
-                        ref(alg.structure, alg_rank, p, q, w),
-                    )
+                    yield br(p, q, w), ref(alg.structure, alg_rank, p, q, w)
                 for p, m in itertools.product(ps, ms):
-                    yield eval_l(rep, p, m, w), ref(rep.l_structure, mod_rank, p, m, w)
-                    yield eval_r(rep, m, p, w), ref(rep.r_structure, mod_rank, m, p, w)
+                    yield act_l(p, m, w), ref(rep.l_structure, mod_rank, p, m, w)
+                    yield act_r(m, p, w), ref(rep.r_structure, mod_rank, m, p, w)
 
-        for got, expected in pairs():
-            assert _raw(got) == _raw(expected), case
-        with checked("scoped"):
-            for got, expected in pairs():
+        one_shot = (
+            lambda p, q, w: eval_table_bracket(alg.structure, alg_rank, p, q, w),
+            lambda p, m, w: eval_l(rep, p, m, w),
+            lambda m, p, w: eval_r(rep, m, p, w),
+        )
+        tables = ((alg.structure, alg_rank), (rep.l_structure, mod_rank), (rep.r_structure, mod_rank))
+        held = {(id(t), w._value_key()): structure._table_at(t, r, w) for t, r in tables for w in FORMS}
+        shared = [lambda a, b, w, t=t: held[id(t), w._value_key()]((a, b)) for t, _ in tables]
+        for evaluators in (one_shot, shared):
+            for got, expected in pairs(*evaluators):
                 assert _raw(got) == _raw(expected), case
 
 
@@ -613,9 +608,8 @@ def _grid_arguments(rng, rank):
 def test_grid_equals_per_pair_evaluation():
     # brackets, and actions on a module of another rank, some tables
     # empty, at each parameter form: every cell has the term dicts of its
-    # pair evaluated alone and of the former evaluator, outside any scope
-    # (one evaluator for the grid) and inside one (the scope's evaluator,
-    # which later per-pair calls share)
+    # pair evaluated alone and of the former evaluator, on a fresh
+    # evaluator and on one that later per-pair calls share
     ref = reference_evaluator.eval_table
     rng = random.Random(89)
     forms = [XF, L1, L1 + L2, -L1 - LinearForm.variable(D)]
@@ -629,16 +623,15 @@ def test_grid_equals_per_pair_evaluation():
             table = {} if case == 3 else _random_table(rng, first_rank, second_rank, out_rank)
             firsts, seconds = _grid_arguments(rng, first_rank), _grid_arguments(rng, second_rank)
             for w in forms:
-                expected = [[structure._eval_table(table, out_rank, p, q, w) for q in seconds] for p in firsts]
+                alone = [[structure._table_at(table, out_rank, w)((p, q)) for q in seconds] for p in firsts]
                 former = [[ref(table, out_rank, p, q, w) for q in seconds] for p in firsts]
-                assert raw_rows(expected) == raw_rows(former), (case, w)
-                got = structure._grid(table, out_rank, firsts, seconds, w)
-                assert raw_rows(got) == raw_rows(expected), (case, w)
-                with checked("scoped"):
-                    got = structure._table_evaluator(table, out_rank, w).grid(firsts, seconds)
-                    again = [[structure._eval_table(table, out_rank, p, q, w) for q in seconds] for p in firsts]
-                    assert len(_SCOPE.get()) == 1
-                assert raw_rows(got) == raw_rows(again) == raw_rows(expected), (case, w)
+                assert raw_rows(alone) == raw_rows(former), (case, w)
+                got = structure._table_at(table, out_rank, w).grid(firsts, seconds)
+                assert raw_rows(got) == raw_rows(alone), (case, w)
+                shared = structure._table_at(table, out_rank, w)
+                got = shared.grid(firsts, seconds)
+                again = [[shared((p, q)) for q in seconds] for p in firsts]
+                assert raw_rows(got) == raw_rows(again) == raw_rows(alone), (case, w)
 
 
 def test_a_table_is_the_arity2_cochain():
