@@ -40,8 +40,7 @@ from .cohomology import (
     coboundary_HNLA,
 )
 
-# the bracket of every order past the stored ones: one table, so a check
-# builds one evaluator per parameter for all of them (`_order_evaluators`)
+# the bracket of every order past the stored ones
 _NO_BRACKET = MappingProxyType({})
 
 
@@ -124,7 +123,8 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
         c.add_nonzero(("multiplicativity", "operator_twist"), a.compose(ops[n]) - ops[n].compose(a))
         top = _table_at(data.bracket_table(n), rank, XF)
         _morphism(c, ("multiplicativity",), a, top, top)
-        evs = _order_evaluators(data, n)
+        # the bracket of each order 0..n at w1, w2 and w1+w2
+        evs = [tuple(_table_at(data.bracket_table(o), rank, w) for w in (L1, L2, L12)) for o in range(n + 1)]
         basis, twisted = _basis_and_images(rank, a)
         at1 = [e1.grid(basis, basis) for e1, _, _ in evs]
         at2 = [e2.grid(basis, basis) for _, e2, _ in evs]
@@ -147,17 +147,6 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
                     acc = acc + both[i][j] - outer.apply(inner[i][j])
                 c.add_nonzero(("operator", i, j), acc)
     return c.report
-
-
-def _order_evaluators(data: DeformationData, n: int) -> list[tuple]:
-    """The bracket of each order 0..n at w1, w2 and w1+w2, one evaluator
-    per distinct table: orders that share a table share its evaluators."""
-    built = {}
-    for o in range(n + 1):
-        table = data.bracket_table(o)
-        if id(table) not in built:
-            built[id(table)] = tuple(_table_at(table, data.base.rank, w) for w in (L1, L2, L12))
-    return [built[id(data.bracket_table(o))] for o in range(n + 1)]
 
 
 def infinitesimal_pair(data: DeformationData) -> HNLAPair:

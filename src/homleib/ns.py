@@ -34,7 +34,7 @@ from .structure import (
     normalize_table,
 )
 from .representation import Representation
-from .operators import OperatorKind, PreconditionError, verify_operator
+from .operators import OperatorKind, PreconditionError, _check_square, verify_operator
 from .cohomology import Cochain, _add_nonzero_values, _evaluator, coboundary_homL
 
 
@@ -149,6 +149,7 @@ def ns_from_nijenhuis(
     alg: ConformalAlgebra, n: PdModuleMap, strict: bool = False
 ) -> NSAlgebra:
     """p <| q = [n(p) q],  p |> q = [p n(q)],  p v q = -n[p q]."""
+    _check_square(alg, n)
     if strict:
         pre = verify_operator(alg, n, OperatorKind.nijenhuis())
         if not pre.passed:
@@ -163,6 +164,7 @@ def ns_from_rb(
     alg: ConformalAlgebra, r_op: PdModuleMap, weight: Rat, strict: bool = False
 ) -> NSAlgebra:
     """p <| q = [r(p) q],  p |> q = [p r(q)],  p v q = weight [p q]."""
+    _check_square(alg, r_op)
     weight = Fraction(weight)
     if strict:
         pre = verify_operator(alg, r_op, OperatorKind.rota_baxter(weight))

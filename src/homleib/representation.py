@@ -166,6 +166,8 @@ def verify_nijenhuis_representation(
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
+    if rep.alg_rank != alg.rank or (n.rows, n.cols) != (alg.rank, alg.rank):
+        raise DimensionError("operator or representation does not match the algebra rank")
     nm = rep.n_m
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))

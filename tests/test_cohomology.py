@@ -32,7 +32,9 @@ from homleib.representation import (
     eval_l,
     eval_r,
     induced_representation,
+    verify_nijenhuis_representation,
 )
+from homleib.ns import ns_from_nijenhuis, ns_from_rb
 from homleib.cohomology import (
     Cochain,
     HNLAPair,
@@ -451,14 +453,20 @@ def test_pair_shape_validation(vir):
 
 def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
     # a grid reads any argument against the table, so the ranks are
-    # checked before one is built
+    # checked before one is built: a 3x2 operator on cur2, and a
+    # representation over cur2 used with the rank-1 vir
     rep = with_nm(adjoint_rep(cur2), NIL)
     f = random_cochain(1, 2, 1, random.Random(7))
+    tall = PdModuleMap([[MultiPoly.const(1)] * 2] * 3)
     for call in (
         lambda: coboundary_homL(f, vir, rep),
         lambda: coboundary_HN(f, vir, PdModuleMap.identity(1), rep),
         lambda: induced_representation(vir, PdModuleMap.identity(1), rep),
-        lambda: induced_representation(cur2, PdModuleMap([[MultiPoly.const(1)] * 2] * 3), rep),
+        lambda: induced_representation(cur2, tall, rep),
+        lambda: verify_nijenhuis_representation(cur2, tall, rep),
+        lambda: verify_nijenhuis_representation(vir, PdModuleMap.identity(1), rep),
+        lambda: ns_from_nijenhuis(cur2, tall),
+        lambda: ns_from_rb(cur2, tall, 1),
     ):
         with pytest.raises(DimensionError):
             call()
