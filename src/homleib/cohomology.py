@@ -35,13 +35,15 @@ from random import Random
 
 from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
 from .report import Report, checked
-from .operators import deformed_bracket
-from .representation import Representation, induced_representation
+from .operators import _check_square
+from .representation import Representation
 from .structure import (
+    XF,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _deformed_products,
     _evaluator as _sesquilinear,
     _table_at,
     basis_element,
@@ -206,89 +208,112 @@ def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
     """The degree-raising operator of the two-sided module complex.
 
-    The action terms go through action vectors.  By sesquilinearity
+    Each structure table is evaluated once, at the formal parameter x,
+    as one grid of one evaluator (`structure._table_at`): [e_a x e_b],
+    l(a(e_t))_x e_b and r(e_b)_x a(e_t), with a the twist to the power
+    n - 1.  `_coboundary` sums the terms off these grids.
+    """
+    _check_ranks(f, alg, rep)
+    basis, twisted, acting, mods = _grid_arguments(f.arity, alg, rep)
+    brackets = _table_at(alg.structure, alg.rank, XF).grid(basis, basis)
+    l_grid = _table_at(rep.l_structure, rep.rank, XF).grid(acting, mods)
+    r_grid = _table_at(rep.r_structure, rep.rank, XF).grid(mods, acting)
+    return _coboundary(f, twisted, rep.rank, brackets, l_grid, r_grid)
+
+
+def _grid_arguments(n: int, alg: ConformalAlgebra, rep: Representation) -> tuple[list, list, list, list]:
+    """The algebra basis, its images under the twist a and under a^(n-1)
+    (a applied n - 1 times), and the module basis."""
+    basis = [alg.basis(t) for t in range(alg.rank)]
+    twisted = [alg.alpha.apply(e) for e in basis]
+    acting = basis if n == 1 else twisted
+    for _ in range(n - 2):
+        acting = [alg.alpha.apply(a) for a in acting]
+    return basis, twisted, acting, [rep.module_basis(b) for b in range(rep.rank)]
+
+
+def _coboundary(f: Cochain, twisted: list, rep_rank: int, brackets, l_grid, r_grid) -> Cochain:
+    """d f from the twisted basis a(e_t) and the grids at x of
+    `coboundary_homL`: brackets[a][b], l_grid[t][b] and r_grid[b][t].
+
+    No grid argument mentions x, so each term group reads its data off
+    the grids by one compiled substitution of x, applied to the nonzero
+    coordinates: w_i for the left group i and the brackets of the
+    insertion pairs (i, j), w_1 + ... + w_n for the right group.  By
+    sesquilinearity
 
         l(p)_w (sum_b v_b e_b) = sum_b v_b(D + w) l(p)_w e_b,
         r(sum_b m_b e_b)_w q   = sum_b m_b(-w) r(e_b)_w q,
 
     so the left-action term i at a key is the stored value at the key
     with slot i removed, relabelled to the term's parameters and shifted
-    by D -> D + w_i, against the vectors l(a(e_t))_(w_i) e_b of the
-    acting basis element; the right-action term is the stored value at
-    the first n indices at D = -(w_1 + ... + w_n) against the vectors
-    r(e_b)_(w_1+...+w_n) a(e_t).  Each stored value is substituted once
-    per term group, by one compiled substitution.  The structure data is
-    one grid per table and parameter (`structure._table_at`): the basis-pair
-    brackets at each w_i, the left action vectors at each w_i and the
-    right action vectors at w_1+...+w_n, each from one evaluator built
-    for this call.  The loop over output keys then only multiplies, adds
-    and looks up.  The insertion terms apply one evaluator of f per pair
-    (i, j) to the basis-pair brackets and twisted basis elements.
-
-    No term that a structure constant makes zero is computed: an
-    insertion term whose bracket is zero is skipped before its argument
-    list is built, and the evaluator of f for (i, j) is built on first
-    use, so an empty bracket table builds none; in each action group, a
-    stored coordinate b is substituted only when some action vector in
-    column b is nonzero.  coboundary_HN inherits both rules.
+    by D -> D + w_i, against the vectors l(a^(n-1)(e_t))_(w_i) e_b; the
+    right-action term is the stored value at the first n indices at
+    D = -(w_1 + ... + w_n) against the vectors r(e_b)_(w_1+...+w_n)
+    a^(n-1)(e_t).  Each stored value is substituted once per group, by
+    one compiled substitution, and only in a column b where some action
+    vector is nonzero: otherwise its term is zero.
     """
-    _check_ranks(f, alg, rep)
     n = f.arity
-    alpha_pow = alg.alpha.power(n - 1)
-    basis = [alg.basis(t) for t in range(alg.rank)]
-    twisted = [alg.alpha.apply(e) for e in basis]
-    acting = [alpha_pow.apply(e) for e in basis]
-    mods = [rep.module_basis(b) for b in range(rep.rank)]
-    ws = _output_lams(n)
-    total = LinearForm()
-    for w in ws:
-        total = total + w
-    shift = LinearForm.variable(D)
+    ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
+    total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
+    stored = [lam(k) for k in range(1, n)]
     zero = MultiPoly.zero()
-    insert = {}  # (i, j) -> evaluator of f, built when a bracket needs it
-    # [e_a w_i e_b] at [i - 1][a][b]
-    brackets = [_table_at(alg.structure, alg.rank, w).grid(basis, basis) for w in ws]
-    # l(a(e_t)) w_i e_b at [i - 1][t][b], and r(e_b) total a(e_t) at [t][b]
-    l_grids = [_table_at(rep.l_structure, rep.rank, w).grid(acting, mods) for w in ws]
-    l_vectors = [[[v.coords for v in row] for row in grid] for grid in l_grids]
-    r_vectors = [[v.coords for v in col] for col in zip(*_table_at(rep.r_structure, rep.rank, total).grid(mods, acting))]
+    at = [substitution({X: w}) for w in ls]
+    # l(a^(n-1)(e_t))_(w_i) e_b at [i - 1][t][b], and r(e_b)_(w_1+...+w_n) a^(n-1)(e_t) at [t][b]
+    l_vectors = [_vectors(l_grid, subst) for subst in at]
+    r_vectors = _vectors(list(zip(*r_grid)), substitution({X: total}))
     # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
     left = []
     for i in range(1, n + 1):
-        targets = {lam(k): w for k, w in enumerate(_l_term_lams(n, i), 1)}
-        targets[D] = shift + ws[i - 1]
+        targets = dict(zip(stored, _l_term_lams(n, i)))
+        targets[D] = MultiPoly.var(D) + ls[i - 1]
         left.append(_substituted_values(f, substitution(targets), l_vectors[i - 1]))
     right = _substituted_values(f, substitution({D: -total}), r_vectors)
+    inserted = _insertions(f, twisted, rep_rank, brackets, at)
     table = {}
-    for key in itertools.product(range(alg.rank), repeat=n + 1):
-        out = [zero] * rep.rank
-        # left-action terms
+    for key in itertools.product(range(len(twisted)), repeat=n + 1):
+        out = inserted.get(key) or [zero] * rep_rank
         for i in range(1, n + 1):
             values = left[i - 1].get(key[: i - 1] + key[i:])
             if values is not None:
                 _add_action(out, values, l_vectors[i - 1][key[i - 1]], i % 2 == 1)
-        # right-action term
         values = right.get(key[:n])
         if values is not None:
             _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
-        # bracket-insertion terms; a zero bracket makes the term zero
-        for i in range(1, n + 2):
-            for j in range(i + 1, n + 2):
-                inner = brackets[i - 1][key[i - 1]][key[j - 1]]
-                if inner.is_zero:
-                    continue
-                evaluate = insert.get((i, j))
-                if evaluate is None:
-                    evaluate = insert[i, j] = _evaluator(f, _insertion_lams(n, i, j))
-                args = [
-                    inner if s == j else twisted[key[s - 1]]
-                    for s in range(1, n + 2)
-                    if s != i
-                ]
-                _add_value(out, evaluate(args).coords, i % 2 == 0)
         if any(not c.is_zero for c in out):
             table[key] = tuple(out)
-    return Cochain(n + 1, alg.rank, rep.rank, table)
+    return Cochain(n + 1, len(twisted), rep_rank, table)
+
+
+def _vectors(grid: list[list], at) -> list[list]:
+    """Each cell of the grid as its nonzero coordinates (k, at(c))."""
+    return [[tuple((k, at(c)) for k, c in enumerate(v.coords) if not c.is_zero) for v in row] for row in grid]
+
+
+def _insertions(f: Cochain, twisted: list, rep_rank: int, brackets: list[list], at: list) -> dict:
+    """The insertion terms of d f summed per output key: the term (i, j)
+    is f with argument i removed, [e_a w_i e_b] at position j and the
+    other arguments twisted, with sign (-1)^i.  Per pair it is one batch
+    of one evaluator of f, with the nonzero brackets at x = w_i (by
+    at[i - 1]) in the bracket's slot.  All-zero brackets build nothing."""
+    n = f.arity
+    cells = [(a, b, v) for a, row in enumerate(brackets) for b, v in enumerate(row) if not v.is_zero]
+    out = {}
+    if not cells:
+        return out
+    for i in range(1, n + 1):
+        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for _, _, v in cells]
+        for j in range(i + 1, n + 2):
+            slots = [twisted] * (n - 1)
+            slots.insert(j - 2, inner)  # f's argument positions: 1..n+1 but i
+            values = _evaluator(f, _insertion_lams(n, i, j)).batch(slots)
+            for idx, v in zip(itertools.product(*map(range, map(len, slots))), values):
+                if v is not None:
+                    a, b, _ = cells[idx[j - 2]]
+                    key = idx[: i - 1] + (a,) + idx[i - 1 : j - 2] + (b,) + idx[j - 1 :]
+                    _add_value(out.setdefault(key, [MultiPoly.zero()] * rep_rank), v.coords, i % 2 == 0)
+    return out
 
 
 def _substituted_values(f: Cochain, subst, vectors) -> dict:
@@ -296,9 +321,7 @@ def _substituted_values(f: Cochain, subst, vectors) -> dict:
     only the nonzero coordinates as (index, polynomial) pairs.  A
     coordinate b is substituted only when some row of the action
     `vectors` is nonzero in column b: otherwise its term is zero."""
-    columns = [
-        b for b in range(f.rep_rank) if any(not c.is_zero for row in vectors for c in row[b])
-    ]
+    columns = [b for b in range(f.rep_rank) if any(row[b] for row in vectors)]
     out = {}
     if columns:
         for key, vec in f.table.items():
@@ -309,11 +332,11 @@ def _substituted_values(f: Cochain, subst, vectors) -> dict:
 
 
 def _add_action(out: list, values, vectors, plus: bool) -> None:
-    """out += (or -=) the sum over b of values[b] times vectors[b], in place."""
+    """out += (or -=) the sum over b of values[b] times vectors[b], in
+    place; vectors[b] lists its nonzero coordinates (k, c)."""
     for b, v in values:
-        for k, c in enumerate(vectors[b]):
-            if not c.is_zero:
-                out[k] = out[k] + v * c if plus else out[k] - v * c
+        for k, c in vectors[b]:
+            out[k] = out[k] + v * c if plus else out[k] - v * c
 
 
 def _add_value(out: list, coords, plus: bool) -> None:
@@ -323,26 +346,30 @@ def _add_value(out: list, coords, plus: bool) -> None:
             out[k] = out[k] + c if plus else out[k] - c
 
 
-def coboundary_HN(
-    g: Cochain,
-    alg: ConformalAlgebra,
-    n_op: PdModuleMap,
-    rep: Representation,
-) -> Cochain:
+def coboundary_HN(g: Cochain, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Representation) -> Cochain:
     """The operator-twisted coboundary: the plain coboundary over the
-    deformed bracket [p q]_N with coefficients in the induced actions.
+    deformed bracket [p q]_N = [Np q] + [p Nq] - N[p q] with
+    coefficients in the induced actions
 
-    Expanding it, each group of terms splits in three: left actions act
-    through n_op on the argument, through the module operator on the
-    value, and once more with the module operator pulled outside (with a
-    minus sign); the right-action and insertion groups split the same
-    way.  Both constructions are total and linear, so this holds for
-    every operator pair, Nijenhuis or not.
+        l'(p) m = l(Np) m + l(p) nm(m) - nm(l(p) m),
+        r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).
+
+    The deformed tables are never built: by sesquilinearity their grids
+    at x are `_deformed_products` of the original tables' evaluators at
+    x, which go to `_coboundary` as in d.  Both constructions are total
+    and linear, so this holds for every operator pair, Nijenhuis or not.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
     _check_ranks(g, alg, rep)
-    return coboundary_homL(g, deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep))
+    _check_square(alg, n_op)
+    basis, twisted, acting, mods = _grid_arguments(g.arity, alg, rep)
+    algs, actings = (basis, [n_op.apply(e) for e in basis]), (acting, [n_op.apply(a) for a in acting])
+    modules = (mods, [rep.n_m.apply(m) for m in mods])
+    brackets = _deformed_products(_table_at(alg.structure, alg.rank, XF), algs, algs, n_op)
+    l_grid = _deformed_products(_table_at(rep.l_structure, rep.rank, XF), actings, modules, rep.n_m)
+    r_grid = _deformed_products(_table_at(rep.r_structure, rep.rank, XF), modules, actings, rep.n_m)
+    return _coboundary(g, twisted, rep.rank, brackets, l_grid, r_grid)
 
 
 def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:

@@ -298,12 +298,12 @@ def _evaluator(
     returned function refers to `table`, which keeps the table alive as
     long as the evaluator is; tables are never changed once built.
 
-    For a two-slot table the function also has a batched form,
-    `grid(firsts, seconds)`: the values on every pair, row i and column
-    j for (firsts[i], seconds[j]), term for term those of applying it
-    pair by pair.  Each argument's coordinates are looked up once per
-    list element and a coefficient equal to 1 is not multiplied, so a
-    cell of two basis elements is a read of the relabelled entry.
+    `batch(slots)` gives the values on the product of the per-slot
+    argument lists, in product order (None where no nonzero entry is
+    met), term for term those of applying it tuple by tuple.  It reads
+    each argument's coordinates once, shares the coefficient products
+    of a tuple's first slots and never multiplies by 1; `grid(firsts,
+    seconds)` is its two-slot case, with row i, column j.
     """
     coords = _slot_memo(_slot_targets(lams), rank)
     # stored variables -> lams, simultaneously: targets may mention them
@@ -338,32 +338,45 @@ def _evaluator(
                 out[k] = out[k] + factor * p
         return ConformalElement(tuple(out))
 
-    def grid(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> list[list]:
-        # each element's coordinates, with None for a coefficient equal to 1
-        lefts = [[(i, None if c == _ONE else c) for i, c in coords(0, p).items()] for p in firsts]
-        rights = [[(j, None if c == _ONE else c) for j, c in coords(1, q).items()] for q in seconds]
-        rows = []
-        for left in lefts:
-            row = []
-            for right in rights:
-                out = [zero] * out_rank
-                for i, f in left:
-                    for j, g in right:
-                        values = relabelled.get((i, j))
+    def batch(slots: Sequence[Sequence[ConformalElement]]) -> list:
+        # per slot and argument: (key part, coefficient or None for 1) pairs
+        items = [
+            [[((i,), None if c == _ONE else c) for i, c in coords(s, a).items()] for a in args]
+            for s, args in enumerate(slots)
+        ]
+        # per tuple of arguments of the slots before the last: (partial key, coefficient product) pairs
+        partial = items[0] if len(items) > 1 else [[((), None)]]
+        for arguments in items[1:-1]:
+            partial = [[(key + i, c if f is None else f if c is None else f * c) for key, f in heads for i, c in arg]
+                       for heads in partial for arg in arguments]
+        out = []
+        for heads in partial:
+            for arg in items[-1]:
+                acc = None
+                for head, f in heads:
+                    for i, c in arg:
+                        key = head + i
+                        values = relabelled.get(key)
                         if values is None:
-                            values = entry((i, j))
+                            values = entry(key)
                         if not values:
                             continue
-                        factor = g if f is None else f if g is None else f * g
+                        if acc is None:
+                            acc = [zero] * out_rank
+                        factor = c if f is None else f if c is None else f * c
                         for k, p in values:
-                            out[k] = out[k] + (p if factor is None else factor * p)
-                row.append(ConformalElement(tuple(out)))
-            rows.append(row)
-        return rows
+                            acc[k] = acc[k] + (p if factor is None else factor * p)
+                out.append(acc if acc is None else ConformalElement(tuple(acc)))
+        return out
 
+    def grid(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> list[list]:
+        values, width = batch((firsts, seconds)), len(seconds)
+        empty = ConformalElement((zero,) * out_rank)
+        return [[v or empty for v in values[i * width:(i + 1) * width]] for i in range(len(firsts))]
+
+    apply.batch = batch
     apply.grid = grid
     return apply
-
 
 
 def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:

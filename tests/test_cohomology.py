@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 import reference_coboundary
-from homleib import cohomology, representation, structure
+from homleib import cohomology, operators, representation, structure
 from homleib.operators import deformed_bracket
 from homleib.poly import MAX_ARITY, D, X, LinearForm, MultiPoly, lam, parse_poly
 from homleib.structure import (
     L1,
+    XF,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
@@ -251,15 +252,17 @@ def test_cocycle_detection(vir):
 # -- square zero --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_delta_squared_is_zero(vir, cur2, arity):
-    for alg in (vir, cur2):
-        rep = adjoint_rep(alg)
+    # d, and d_HN under a Nijenhuis pair (n_op, nm = n_op) on the adjoint module
+    for alg, n_op in ((vir, PdModuleMap.scalar(1, Fraction(2))), (cur2, NIL)):
+        rep = with_nm(adjoint_rep(alg), n_op)
         rng = random.Random(7)
         for _ in range(6):
             f = random_cochain(alg.rank, rep.rank, arity, rng, 2)
             image = coboundary_homL(coboundary_homL(f, alg, rep), alg, rep)
             assert image.is_zero
+            assert coboundary_HN(coboundary_HN(f, alg, n_op, rep), alg, n_op, rep).is_zero
 
 
 # -- operator-twisted coboundary -------------------------------------------------
@@ -381,7 +384,7 @@ def _check_phi_per_mask(alg, n_op, nm):
 # -- commuting square and the combined complex ------------------------------------
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2)])
 def test_commuting_square_scalar(vir, arity, c):
     n = PdModuleMap.scalar(1, c)
@@ -394,7 +397,7 @@ def test_commuting_square_scalar(vir, arity, c):
         assert (lhs - rhs).is_zero
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_commuting_square_nilpotent(cur2, arity):
     rep = with_nm(adjoint_rep(cur2), NIL)
     rng = random.Random(16)
@@ -457,10 +460,12 @@ def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
     # representation over cur2 used with the rank-1 vir
     rep = with_nm(adjoint_rep(cur2), NIL)
     f = random_cochain(1, 2, 1, random.Random(7))
+    g = random_cochain(2, 2, 1, random.Random(7))  # over cur2
     tall = PdModuleMap([[MultiPoly.const(1)] * 2] * 3)
     for call in (
         lambda: coboundary_homL(f, vir, rep),
         lambda: coboundary_HN(f, vir, PdModuleMap.identity(1), rep),
+        lambda: coboundary_HN(g, cur2, tall, rep),
         lambda: induced_representation(vir, PdModuleMap.identity(1), rep),
         lambda: induced_representation(cur2, tall, rep),
         lambda: verify_nijenhuis_representation(cur2, tall, rep),
@@ -470,6 +475,13 @@ def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
     ):
         with pytest.raises(DimensionError):
             call()
+    # d_HN checks the module operator, then the ranks, then the operator's shape
+    with pytest.raises(ValueError, match="no module operator"):
+        coboundary_HN(f, vir, tall, adjoint_rep(cur2))
+    with pytest.raises(DimensionError, match="cochain is over a different algebra rank"):
+        coboundary_HN(f, cur2, tall, rep)
+    with pytest.raises(DimensionError, match="operator shape does not match algebra rank"):
+        coboundary_HN(g, cur2, tall, rep)
 
 
 # -- nontrivial twist ---------------------------------------------------------------
@@ -536,7 +548,7 @@ def _raw_table(f):
     }
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["vir", "cur2", "twisted2"])
 def test_coboundary_equals_per_key_reference(request, name, arity):
     alg = request.getfixturevalue(name)
@@ -587,8 +599,12 @@ def test_coboundary_equals_per_key_reference_on_random_pairs():
     """Random algebras and modules, with no axiom required: D-dependent
     twists, independent left and right tables (some empty, some sparse),
     module ranks other than the algebra's, arities 1-3; the last twelve
-    cases with a zero action column, half of them with no brackets."""
+    cases with a zero action column, half of them with no brackets.
+    The cases 0, 1 and 4 mod 8 (ranks 1-3, arities 1-3) also check
+    d_HN, under random D-dependent operators N and nm, against the
+    reference over the deformed bracket and the induced actions."""
     rng = random.Random(2024)
+    operators = random.Random(2025)  # its own stream: the cases are drawn as before
     for case in range(56):
         alg_rank = 1 if case % 4 == 0 else rng.randint(1, 3)
         rep_rank = rng.choice([r for r in (1, 2, 3) if r != alg_rank] if case % 2 else (alg_rank,))
@@ -608,31 +624,43 @@ def test_coboundary_equals_per_key_reference_on_random_pairs():
             if case % 2:
                 brackets = {}
         alg = ConformalAlgebra(alg_rank, tuple(f"e{i}" for i in range(alg_rank)), brackets, twist)
-        rep = Representation(alg_rank, rep_rank, l_table, r_table, _random_twist(rng, rep_rank))
+        n_op, nm = (
+            PdModuleMap([[_random_poly(operators, (D,), 1, 2) for _ in range(r)] for _ in range(r)])
+            for r in (alg_rank, rep_rank)
+        )
+        rep = Representation(alg_rank, rep_rank, l_table, r_table, _random_twist(rng, rep_rank), nm)
         f = random_cochain(alg_rank, rep_rank, arity, rng, max_deg=rng.choice((1, 2)))
         assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
             reference_coboundary.coboundary_homL(f, alg, rep)
         ), case
+        if case % 8 in (0, 1, 4):
+            expected = reference_coboundary.coboundary_homL(
+                f, deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep)
+            )
+            assert _raw_table(coboundary_HN(f, alg, n_op, rep)) == _raw_table(expected), case
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, arity):
-    """The brackets and action vectors of a coboundary are one grid per
-    table and parameter: with every per-pair route to a table made to
-    raise, it returns the same cochain, and it builds exactly one table
-    evaluator per (table, parameter), here over a D-dependent twist."""
-    alg, _ = virm1_r2
-    rep = adjoint_rep(alg)
+    """d and d_HN evaluate each structure table once, at x, as grids:
+    with every per-pair route to a table made to raise, and for d_HN
+    the constructions of the deformed bracket and the induced actions
+    too, they return the same cochains, and each builds exactly one
+    table evaluator per table of the algebra and module, at x, here
+    over a D-dependent twist and a D-dependent operator pair."""
+    alg, q = virm1_r2
+    rep = with_nm(adjoint_rep(alg), q)
     f = random_cochain(alg.rank, rep.rank, arity, random.Random(43 + arity))
-    expected = coboundary_homL(f, alg, rep)
+    expected, expected_hn = coboundary_homL(f, alg, rep), coboundary_HN(f, alg, q, rep)
 
-    def failing(*args):
-        raise AssertionError("a table evaluated pair by pair")
+    def failing(*args, **kwargs):
+        raise AssertionError("a table evaluated pair by pair, or a deformed table built")
 
-    assert not {"eval_bracket", "eval_l", "eval_r"} & set(vars(cohomology))
+    assert not {"eval_bracket", "eval_l", "eval_r", "deformed_bracket", "induced_representation"} & set(vars(cohomology))
     for module, name in [
         (structure, "eval_bracket"), (structure, "eval_table_bracket"),
         (representation, "eval_l"), (representation, "eval_r"),
+        (operators, "deformed_bracket"), (representation, "induced_representation"),
     ]:
         monkeypatch.setattr(module, name, failing)
     built = []
@@ -643,11 +671,13 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
         return original(table, stored, out_rank, lams, rank)
 
     monkeypatch.setattr(structure, "_evaluator", counting)
+    tables = [alg.structure, rep.l_structure, rep.r_structure]
+    once = sorted((id(t), alg.rank, (XF._value_key(),)) for t in tables)
     assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(expected)
-    ws = _output_lams(arity)
-    total = sum(ws[1:], ws[0])
-    tables = [(alg.structure, w) for w in ws] + [(rep.l_structure, w) for w in ws] + [(rep.r_structure, total)]
-    assert sorted(built) == sorted((id(t), alg.rank, (w._value_key(),)) for t, w in tables)
+    assert sorted(built) == once
+    built.clear()
+    assert _raw_table(coboundary_HN(f, alg, q, rep)) == _raw_table(expected_hn)
+    assert sorted(built) == once
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])

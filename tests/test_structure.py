@@ -637,6 +637,29 @@ def test_grid_equals_per_pair_evaluation():
                 assert raw_rows(got) == raw_rows(again) == raw_rows(alone), (case, w)
 
 
+def test_batch_equals_per_tuple_evaluation():
+    # the batched form of a cochain's evaluator at arities 1-4, on
+    # per-slot lists of basis, D-dependent, zero and repeated arguments,
+    # at mixed parameter forms: the values come in product order, each
+    # with the term dicts of its tuple applied alone (None where the
+    # tuple meets no nonzero entry, which applied alone is zero)
+    rng = random.Random(97)
+    for arity in (1, 2, 3, 4):
+        for rank in (1, 2):
+            f = random_cochain(rank, 2, arity, rng, 1)
+            lams = [rng.choice(FORMS) for _ in range(arity - 1)]
+            args = _grid_arguments(rng, rank)
+            slots = [rng.sample(args, 4 if arity <= 2 else 3) for _ in range(arity)]
+            got = cohomology._evaluator(f, lams).batch(slots)
+            tuples = list(itertools.product(*slots))
+            assert len(got) == len(tuples)
+            alone = cohomology._evaluator(f, lams)
+            for value, tup in zip(got, tuples):
+                expected = alone(list(tup))
+                assert _raw(expected if value is None else value) == _raw(expected), (arity, rank)
+                assert value is not None or expected.is_zero
+
+
 def test_a_table_is_the_arity2_cochain():
     rng = random.Random(73)
     for rank in (1, 2, 3):
