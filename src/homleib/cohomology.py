@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from random import Random
 
@@ -205,36 +206,107 @@ def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
     return out
 
 
-def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
-    """The degree-raising operator of the two-sided module complex.
+class Complex:
+    """The Hom-Leibniz complex of `alg` with coefficients in `rep`, with
+    its coboundary `d` and `twisted(n_op)` its operator-twisted view.
 
-    Each structure table is evaluated once, at the formal parameter x,
-    as one grid of one evaluator (`structure._table_at`): [e_a x e_b],
-    l(a(e_t))_x e_b and r(e_b)_x a(e_t), with a the twist to the power
-    n - 1.  `_coboundary` sums the terms off these grids.
+    It holds what every coboundary reads, for as long as it lives: the
+    basis e_t, its twist a(e_t) and the module basis; one evaluator per
+    table at x (`structure._table_at`) and, per arity n, their grids
+    [e_a x e_b], l(a^(n-1)(e_t))_x e_b and r(e_b)_x a^(n-1)(e_t), built
+    on first use.  The module functions build a fresh complex per call.
     """
-    _check_ranks(f, alg, rep)
-    basis, twisted, acting, mods = _grid_arguments(f.arity, alg, rep)
-    brackets = _table_at(alg.structure, alg.rank, XF).grid(basis, basis)
-    l_grid = _table_at(rep.l_structure, rep.rank, XF).grid(acting, mods)
-    r_grid = _table_at(rep.r_structure, rep.rank, XF).grid(mods, acting)
-    return _coboundary(f, twisted, rep.rank, brackets, l_grid, r_grid)
+
+    def __init__(self, alg: ConformalAlgebra, rep: Representation):
+        self.alg, self.rep = alg, rep
+        self.basis = [alg.basis(t) for t in range(alg.rank)]
+        self.twisted_basis = [alg.alpha.apply(e) for e in self.basis]
+        self.mods = [rep.module_basis(b) for b in range(rep.rank)]
+        self._grids: dict[int, tuple] = {}  # arity -> the grids at x
+
+    def d(self, f: Cochain) -> Cochain:
+        """The degree-raising operator of the two-sided module complex."""
+        _check_ranks(f, self.alg, self.rep)
+        return _coboundary(f, self.twisted_basis, self.rep.rank, self.grids)
+
+    def twisted(self, n_op: PdModuleMap) -> "TwistedComplex":
+        return TwistedComplex(self, n_op)
+
+    def acting(self, n: int) -> list:
+        """a^(n-1)(e_t) for each basis element e_t, a applied n - 1 times."""
+        acting = self.basis if n == 1 else self.twisted_basis
+        for _ in range(n - 2):
+            acting = [self.alg.alpha.apply(a) for a in acting]
+        return acting
+
+    @cached_property
+    def evaluators(self) -> tuple:
+        """The bracket, l and r tables, each one evaluator at x."""
+        alg, rep = self.alg, self.rep
+        return (_table_at(alg.structure, alg.rank, XF), _table_at(rep.l_structure, rep.rank, XF),
+                _table_at(rep.r_structure, rep.rank, XF))
+
+    def grids(self, n: int) -> tuple:
+        """The bracket, l and r grids at x that d reads at arity n."""
+        if n not in self._grids:
+            (br, l_ev, r_ev), acting = self.evaluators, self.acting(n)
+            basis, mods = self.basis, self.mods
+            self._grids[n] = (br.grid(basis, basis), l_ev.grid(acting, mods), r_ev.grid(mods, acting))
+        return self._grids[n]
 
 
-def _grid_arguments(n: int, alg: ConformalAlgebra, rep: Representation) -> tuple[list, list, list, list]:
-    """The algebra basis, its images under the twist a and under a^(n-1)
-    (a applied n - 1 times), and the module basis."""
-    basis = [alg.basis(t) for t in range(alg.rank)]
-    twisted = [alg.alpha.apply(e) for e in basis]
-    acting = basis if n == 1 else twisted
-    for _ in range(n - 2):
-        acting = [alg.alpha.apply(a) for a in acting]
-    return basis, twisted, acting, [rep.module_basis(b) for b in range(rep.rank)]
+class TwistedComplex:
+    """A `Complex` twisted by the operator pair (n_op, rep.n_m): d_HN is
+    the plain coboundary over the deformed bracket [p q]_N = [Np q] +
+    [p Nq] - N[p q] and the induced actions l'(p) m = l(Np) m + l(p) nm(m)
+    - nm(l(p) m), r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).  By
+    sesquilinearity their grids at x are `_deformed_products` of the
+    plain evaluators and grids, so no deformed table is built; this
+    holds for every operator pair, Nijenhuis or not.  The view keeps its
+    grids per arity and reads everything else from the plain complex.
+    """
+
+    def __init__(self, plain: Complex, n_op: PdModuleMap):
+        self.plain, self.n_op = plain, n_op
+        self._grids: dict[int, tuple] = {}
+
+    def d(self, g: Cochain) -> Cochain:
+        """d_HN; it checks the module operator, the ranks, then n_op's shape."""
+        if self.plain.rep.n_m is None:
+            raise ValueError("representation carries no module operator")
+        _check_ranks(g, self.plain.alg, self.plain.rep)
+        _check_square(self.plain.alg, self.n_op)
+        return _coboundary(g, self.plain.twisted_basis, self.plain.rep.rank, self.grids)
+
+    def phi(self, f: Cochain) -> Cochain:
+        return phi_map(f, self.n_op, self.plain.rep)
+
+    def d_hnla(self, pair: "HNLAPair") -> "HNLAPair":
+        """d(f, g) = (delta f, -partial g - phi f)."""
+        df, second = self.plain.d(pair.f), -self.phi(pair.f)
+        return HNLAPair(df, second if pair.g is None else second - self.d(pair.g))
+
+    def grids(self, n: int) -> tuple:
+        """The deformed bracket, l and r grids at x that d_HN reads at arity n."""
+        if n not in self._grids:
+            c, n_op, nm = self.plain, self.n_op, self.plain.rep.n_m
+            acting = c.acting(n)
+            algs, actings = (c.basis, [n_op.apply(e) for e in c.basis]), (acting, [n_op.apply(a) for a in acting])
+            mods = (c.mods, [nm.apply(m) for m in c.mods])
+            products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.grids(n))
+            self._grids[n] = tuple(_deformed_products(*args) for args in products)
+        return self._grids[n]
 
 
-def _coboundary(f: Cochain, twisted: list, rep_rank: int, brackets, l_grid, r_grid) -> Cochain:
-    """d f from the twisted basis a(e_t) and the grids at x of
-    `coboundary_homL`: brackets[a][b], l_grid[t][b] and r_grid[b][t].
+def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
+    """`Complex.d` over a fresh complex."""
+    return Complex(alg, rep).d(f)
+
+
+def _coboundary(f: Cochain, twisted: list, rep_rank: int, grids) -> Cochain:
+    """d f from the twisted basis a(e_t) and the grids at x that
+    `grids(n)` gives: brackets[a][b], l_grid[t][b] and r_grid[b][t].  A
+    cochain with no stored key maps to zero at once and reads nothing.
 
     No grid argument mentions x, so each term group reads its data off
     the grids by one compiled substitution of x, applied to the nonzero
@@ -255,6 +327,9 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, brackets, l_grid, r_gr
     vector is nonzero: otherwise its term is zero.
     """
     n = f.arity
+    if not f.table:
+        return Cochain(n + 1, len(twisted), rep_rank, {})
+    brackets, l_grid, r_grid = grids(n)
     ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
     total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
     stored = [lam(k) for k in range(1, n)]
@@ -347,29 +422,8 @@ def _add_value(out: list, coords, plus: bool) -> None:
 
 
 def coboundary_HN(g: Cochain, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Representation) -> Cochain:
-    """The operator-twisted coboundary: the plain coboundary over the
-    deformed bracket [p q]_N = [Np q] + [p Nq] - N[p q] with
-    coefficients in the induced actions
-
-        l'(p) m = l(Np) m + l(p) nm(m) - nm(l(p) m),
-        r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).
-
-    The deformed tables are never built: by sesquilinearity their grids
-    at x are `_deformed_products` of the original tables' evaluators at
-    x, which go to `_coboundary` as in d.  Both constructions are total
-    and linear, so this holds for every operator pair, Nijenhuis or not.
-    """
-    if rep.n_m is None:
-        raise ValueError("representation carries no module operator")
-    _check_ranks(g, alg, rep)
-    _check_square(alg, n_op)
-    basis, twisted, acting, mods = _grid_arguments(g.arity, alg, rep)
-    algs, actings = (basis, [n_op.apply(e) for e in basis]), (acting, [n_op.apply(a) for a in acting])
-    modules = (mods, [rep.n_m.apply(m) for m in mods])
-    brackets = _deformed_products(_table_at(alg.structure, alg.rank, XF), algs, algs, n_op)
-    l_grid = _deformed_products(_table_at(rep.l_structure, rep.rank, XF), actings, modules, rep.n_m)
-    r_grid = _deformed_products(_table_at(rep.r_structure, rep.rank, XF), modules, actings, rep.n_m)
-    return _coboundary(g, twisted, rep.rank, brackets, l_grid, r_grid)
+    """`TwistedComplex.d`, d_HN, over a fresh complex."""
+    return Complex(alg, rep).twisted(n_op).d(g)
 
 
 def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
@@ -478,18 +532,9 @@ class HNLAPair:
         )
 
 
-def coboundary_HNLA(
-    pair: HNLAPair,
-    alg: ConformalAlgebra,
-    n_op: PdModuleMap,
-    rep: Representation,
-) -> HNLAPair:
-    """d(f, g) = (delta f, -partial g - phi f)."""
-    df = coboundary_homL(pair.f, alg, rep)
-    second = -phi_map(pair.f, n_op, rep)
-    if pair.g is not None:
-        second = second - coboundary_HN(pair.g, alg, n_op, rep)
-    return HNLAPair(df, second)
+def coboundary_HNLA(pair: HNLAPair, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Representation) -> HNLAPair:
+    """`TwistedComplex.d_hnla` over a fresh complex."""
+    return Complex(alg, rep).twisted(n_op).d_hnla(pair)
 
 
 def is_cocycle(

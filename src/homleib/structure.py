@@ -27,6 +27,7 @@ from .poly import (
     lam,
     print_poly,
     substitution,
+    _unchanged,
 )
 from .report import Report, checked
 
@@ -290,13 +291,14 @@ def _evaluator(
     out_rank over D and the stored parameter variables `stored` (n - 1
     of them).  Argument slot s < n sets D to -lams[s], the last slot
     sets D to D + lams[0] + ... + lams[n-2], and the stored variables
-    become `lams` through one compiled simultaneous substitution; a
-    table entry is substituted the first time its key is met.  Each
-    argument's nonzero coordinates at its slot's D are kept per (slot,
-    argument object) by `_slot_memo`, which also checks `rank` when it
-    is given.  Applying the result then only multiplies and adds.  The
-    returned function refers to `table`, which keeps the table alive as
-    long as the evaluator is; tables are never changed once built.
+    become `lams` through one compiled simultaneous substitution of those
+    that move (none for a table at x); a table entry is substituted the
+    first time its key is met.  Each argument's nonzero coordinates at
+    its slot's D are kept per (slot, argument object) by `_slot_memo`,
+    which also checks `rank` when it is given.  Applying the result then
+    only multiplies and adds.  The returned function refers to `table`,
+    which keeps the table alive as long as the evaluator is; tables are
+    never changed once built.
 
     `batch(slots)` gives the values on the product of the per-slot
     argument lists, in product order (None where no nonzero entry is
@@ -307,7 +309,8 @@ def _evaluator(
     """
     coords = _slot_memo(_slot_targets(lams), rank)
     # stored variables -> lams, simultaneously: targets may mention them
-    relabel = substitution(dict(zip(stored, lams)))
+    moved = {v: w for v, w in zip(stored, lams) if w.constant or w.coeffs != {v: 1}}
+    relabel = substitution(moved) if moved else _unchanged
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
@@ -501,17 +504,18 @@ def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
             c.add_nonzero(prefix + (i, j), m.apply(v) - after[i][j])
 
 
-def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap) -> list[list]:
+def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plain=None) -> list[list]:
     """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) on every basis pair, for
     an evaluator ev of a table: row i, column j for p = e_i and q = e_j.
     `first` and `second` are the two arguments' bases with their images
     under a and b, as `_basis_and_images` gives them.  The three terms
-    are grids of ev.  With a = b = outer = N it is the Nijenhuis-deformed
-    bracket."""
+    are grids of ev; `plain`, when given, is the grid ev(p, q) already
+    built.  With a = b = outer = N it is the Nijenhuis-deformed bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
+    plain = ev.grid(firsts, seconds) if plain is None else plain
     return [
         [u + v - outer.apply(p) for u, v, p in zip(*rows)]
-        for rows in zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), ev.grid(firsts, seconds))
+        for rows in zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), plain)
     ]
 
 

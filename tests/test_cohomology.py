@@ -38,6 +38,7 @@ from homleib.representation import (
 from homleib.ns import ns_from_nijenhuis, ns_from_rb
 from homleib.cohomology import (
     Cochain,
+    Complex,
     HNLAPair,
     check_cochain_compat,
     coboundary_HN,
@@ -678,6 +679,15 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
     built.clear()
     assert _raw_table(coboundary_HN(f, alg, q, rep)) == _raw_table(expected_hn)
     assert sorted(built) == once
+    # the same counts through a complex: its first view builds the three
+    # evaluators at x, and its d and a second view read them
+    built.clear()
+    plain = Complex(alg, rep)
+    assert _raw_table(plain.twisted(q).d(f)) == _raw_table(expected_hn)
+    assert sorted(built) == once
+    assert _raw_table(plain.d(f)) == _raw_table(expected)
+    assert _raw_table(plain.twisted(q).d(f)) == _raw_table(expected_hn)
+    assert sorted(built) == once
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -724,23 +734,154 @@ def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
     monkeypatch.setattr(cohomology, "_evaluator", counting_evaluator)
     alg = ConformalAlgebra(2, ("e0", "e1"), {}, PdModuleMap.identity(2))
     rep = Representation(2, 2, {}, {}, PdModuleMap.identity(2))
-    rng = random.Random(5)
+    zero_pair = with_nm(adjoint_rep(twisted2), PdModuleMap.zero(2))
+    # the module functions, then held complexes and views, with the same counts
+    held = Complex(alg, rep), Complex(twisted2, zero_pair).twisted(PdModuleMap.zero(2))
+    routes = [
+        (coboundary_homL, phi_map, coboundary_HN),
+        (
+            lambda f, alg, rep: held[0].d(f),
+            lambda f, n_op, rep: Complex(alg, rep).twisted(n_op).phi(f),
+            lambda g, alg, n_op, rep: held[1].d(g),
+        ),
+    ]
+    for d, phi, d_hn in routes:
+        rng = random.Random(5)
+        for arity in (1, 2, 3):
+            f = random_cochain(2, 2, arity, rng)
+            built.clear()
+            assert d(f, alg, rep).is_zero
+            assert substituted == [] and built == []
+            for nm, evaluations in ((PdModuleMap.scalar(2, 2), 2**arity), (NIL, 2 if arity == 1 else 0)):
+                evaluated.clear()
+                got = phi(f, PdModuleMap.zero(2), with_nm(rep, nm))
+                assert len(evaluated) == evaluations
+                if nm != NIL:
+                    assert got == f.scale((-2) ** arity)
+            substituted.clear()
+            built.clear()
+            assert d_hn(f, twisted2, PdModuleMap.zero(2), zero_pair).is_zero
+            assert substituted == [] and built == []
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The compiled substitutions, the evaluators and the grids built from
+    now on, as one list: every `poly.substitution` that cohomology or
+    structure compiles, every `structure._evaluator`, the cochain ones
+    included, and every grid of one."""
+    built = []
+    real_substitution, real_evaluator = cohomology.substitution, structure._evaluator
+
+    def counting_substitution(targets):
+        built.append(("substitution", dict(targets)))
+        return real_substitution(targets)
+
+    def counting_evaluator(table, *args):
+        built.append(("evaluator", id(table)))
+        evaluate = real_evaluator(table, *args)
+        grid = evaluate.grid
+        evaluate.grid = lambda *lists: built.append(("grid", id(table))) or grid(*lists)
+        return evaluate
+
+    for module in (cohomology, structure):
+        monkeypatch.setattr(module, "substitution", counting_substitution)
+    monkeypatch.setattr(structure, "_evaluator", counting_evaluator)
+    monkeypatch.setattr(cohomology, "_sesquilinear", counting_evaluator)
+    return built
+
+
+@pytest.mark.parametrize("name", ["vir", "cur2", "twisted2", "virm1_r2", "trunc_r3"])
+def test_an_empty_cochain_costs_a_held_complex_nothing(monkeypatch, request, name):
+    """d and d_HN of a cochain with no stored key, through a held complex
+    and its view, build no evaluator and compile no substitution: before
+    any grid is built and after, at arities 1-3."""
+    alg, n_op = _with_operator(request, name)
+    rep = with_nm(adjoint_rep(alg), n_op)
+    built = _counting_builds(monkeypatch)
+    plain = Complex(alg, rep)
+    view = plain.twisted(n_op)
     for arity in (1, 2, 3):
-        f = random_cochain(2, 2, arity, rng)
-        built.clear()
-        assert coboundary_homL(f, alg, rep).is_zero
-        assert substituted == [] and built == []
-        for nm, evaluations in ((PdModuleMap.scalar(2, 2), 2**arity), (NIL, 2 if arity == 1 else 0)):
-            evaluated.clear()
-            got = phi_map(f, PdModuleMap.zero(2), with_nm(rep, nm))
-            assert len(evaluated) == evaluations
-            if nm != NIL:
-                assert got == f.scale((-2) ** arity)
-        zero_pair = with_nm(adjoint_rep(twisted2), PdModuleMap.zero(2))
-        substituted.clear()
-        built.clear()
-        assert coboundary_HN(f, twisted2, PdModuleMap.zero(2), zero_pair).is_zero
-        assert substituted == [] and built == []
+        empty = zero_cochain(arity, alg.rank, rep.rank)
+        for _ in range(2):
+            assert plain.d(empty) == zero_cochain(arity + 1, alg.rank, rep.rank)
+            assert view.d(empty) == zero_cochain(arity + 1, alg.rank, rep.rank)
+            assert built == []
+            unit = _unit_cochains(arity, alg.rank, rep.rank, [(0,) * arity])[0]
+            plain.d(unit)
+            view.d(unit)
+            built.clear()
+
+
+@pytest.mark.parametrize("name", ["vir", "twisted2", "virm1_r2"])
+def test_a_held_complex_builds_its_structure_evaluators_once(monkeypatch, request, name):
+    """Two d calls on one complex at the same arity, and its twisted
+    view's d_HN, build no second structure evaluator: one per table in
+    all, whatever the arities.  Each grid is built once per arity: three
+    for d, and for d_HN the two twisted terms of each deformed product,
+    whose untwisted term is d's grid."""
+    alg, n_op = _with_operator(request, name)
+    rep = with_nm(adjoint_rep(alg), n_op)
+    built = _counting_builds(monkeypatch)
+    tables = {id(alg.structure), id(rep.l_structure), id(rep.r_structure)}
+    plain = Complex(alg, rep)
+    view = plain.twisted(n_op)
+    rng = random.Random(71)
+    for arity in (1, 2, 2, 3, 1):
+        for _ in range(2):
+            f = random_cochain(alg.rank, rep.rank, arity, rng)
+            plain.d(f)
+            view.d(f)
+    structural = [table for kind, table in built if kind == "evaluator" and table in tables]
+    assert sorted(structural) == sorted(tables)
+    grids = [table for kind, table in built if kind == "grid"]
+    assert sorted(grids) == sorted(list(tables) * 3 * 3)
+
+
+def _with_operator(request, name):
+    """A fixture algebra and an operator N on it: 2 on vir, the nilpotent
+    NIL on cur2 and twisted2, and the file's Q on the others."""
+    alg = request.getfixturevalue(name)
+    if isinstance(alg, tuple):
+        return alg
+    return alg, PdModuleMap.scalar(1, Fraction(2)) if alg.rank == 1 else NIL
+
+
+def _unit_cochains(arity, alg_rank, rep_rank, keys):
+    """A 1 at one of `keys` and one coordinate, for each pair."""
+    return [
+        Cochain(arity, alg_rank, rep_rank, {key: tuple(MultiPoly.const(int(b == k)) for b in range(rep_rank))})
+        for key in keys
+        for k in range(rep_rank)
+    ]
+
+
+@pytest.mark.parametrize("name", ["vir", "cur2", "twisted2", "virm1_r2", "trunc_r3"])
+def test_a_held_complex_equals_the_module_functions_and_the_reference(request, name):
+    """One complex and one twisted view, held over every cochain at
+    arities 1-3: d, d_HN, phi and d_HNLA equal the module functions term
+    for term, and d and d_HN equal the per-key reference (d_HN over the
+    deformed bracket and the induced actions) on random, unit and empty
+    cochains.  Equalities only: no square is claimed to vanish."""
+    alg, n_op = _with_operator(request, name)
+    rep = with_nm(adjoint_rep(alg), n_op)
+    deformed, induced = deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep)
+    plain = Complex(alg, rep)
+    view = plain.twisted(n_op)
+    rng = random.Random(73)
+    for arity in (1, 2, 3):
+        keys = list(itertools.product(range(alg.rank), repeat=arity))
+        units = _unit_cochains(arity, alg.rank, rep.rank, keys if len(keys) <= 8 else rng.sample(keys, 3))
+        randoms = [random_cochain(alg.rank, rep.rank, arity, rng) for _ in range(2)]
+        for f in randoms + units + [zero_cochain(arity, alg.rank, rep.rank)]:
+            d, d_hn = plain.d(f), view.d(f)
+            assert _raw_table(d) == _raw_table(coboundary_homL(f, alg, rep))
+            assert _raw_table(d) == _raw_table(reference_coboundary.coboundary_homL(f, alg, rep))
+            assert _raw_table(d_hn) == _raw_table(coboundary_HN(f, alg, n_op, rep))
+            assert _raw_table(d_hn) == _raw_table(reference_coboundary.coboundary_homL(f, deformed, induced))
+            assert _raw_table(view.phi(f)) == _raw_table(phi_map(f, n_op, rep))
+        for f, g in zip(randoms, [None] if arity == 1 else [random_cochain(alg.rank, rep.rank, arity - 1, rng)] * 2):
+            got, want = view.d_hnla(HNLAPair(f, g)), coboundary_HNLA(HNLAPair(f, g), alg, n_op, rep)
+            assert _raw_table(got.f) == _raw_table(want.f) and _raw_table(got.g) == _raw_table(want.g)
 
 
 def _former_random_cochain(alg_rank, rep_rank, arity, rng, max_deg):

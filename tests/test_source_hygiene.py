@@ -14,6 +14,10 @@ Found from the syntax tree too: no module keeps an ambient evaluation
 scope (each check, construction and coboundary builds one evaluator per
 table and parameter and evaluates it as grids).
 
+Found from the syntax tree too: no module keeps a function cache
+(`functools.cache` or `lru_cache`) between calls, except the argument
+parser `cli._parser`; state lives in objects a caller builds and holds.
+
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
 the package's oldest supported Python (3.10) rejects.
@@ -104,6 +108,29 @@ def test_no_module_opens_an_evaluation_scope():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         named[name] = sorted(scope & (imported | defined | _references(tree)))
     assert not any(named.values()), named
+
+
+def test_no_module_keeps_a_cache_between_calls():
+    caches = {"cache", "lru_cache"}
+    found = []
+    for name, tree in _trees().items():
+        allowed = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and (name, node.name) == ("cli.py", "_parser")
+            for decorator in node.decorator_list
+            for sub in ast.walk(decorator)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if caches & {alias.name for alias in node.names}:
+                    found.append(f"{name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute) and node.attr in caches
+                and isinstance(node.value, ast.Name) and node.value.id == "functools" and id(node) not in allowed
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
 
 
 # `re._parser` from Python 3.11; `sre_parse` before

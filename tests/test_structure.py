@@ -669,3 +669,41 @@ def test_a_table_is_the_arity2_cochain():
             for _ in range(4):
                 p, q = rand_element(rng, rank), rand_element(rng, rank)
                 assert eval_cochain(f, [p, q], [w]) == eval_table_bracket(table, rank, p, q, w)
+
+
+def test_an_evaluator_at_its_own_variables_compiles_no_relabel(monkeypatch):
+    """A table at x and a cochain at l1..l(n-1) keep every stored
+    variable, so their evaluators compile no substitution; an evaluator
+    that moves some of them compiles one, of those only.  The values do
+    not change: a table at x on basis pairs and a cochain on basis tuples
+    give the stored entries, and on other arguments the former evaluator's
+    values (the sympy oracle above covers the cochain ones)."""
+    compiled = []
+    real = structure.substitution
+
+    def counting(targets):
+        compiled.append(dict(targets))
+        return real(targets)
+
+    monkeypatch.setattr(structure, "substitution", counting)
+    rng = random.Random(103)
+    for rank in (1, 2, 3):
+        table = _random_table(rng, rank, rank, rank)
+        basis, args = [basis_element(rank, i) for i in range(rank)], _grid_arguments(rng, rank)
+        at_x = structure._table_at(table, rank, XF)
+        on_basis, got = at_x.grid(basis, basis), at_x.grid(args, args)
+        assert compiled == []
+        for (i, j), vec in table.items():
+            assert on_basis[i][j].coords == vec
+        expected = [[reference_evaluator.eval_table(table, rank, p, q, XF) for q in args] for p in args]
+        assert [[_raw(v) for v in row] for row in got] == [[_raw(v) for v in row] for row in expected]
+    l1, l2 = LinearForm.variable(lam(1)), LinearForm.variable(lam(2))
+    for arity in (1, 2, 3):
+        f = random_cochain(2, 2, arity, rng)
+        compiled.clear()
+        evaluate = cohomology._evaluator(f, [l1, l2][: arity - 1])
+        for key in itertools.product(range(2), repeat=arity):
+            assert evaluate([basis_element(2, t) for t in key]).coords == f.value(key)
+        assert compiled == []
+    cohomology._evaluator(f, [l1 + l2, l2])
+    assert compiled == [{lam(1): l1 + l2}]
