@@ -168,14 +168,15 @@ def _evaluator(f: Cochain, lams: list[LinearForm]):
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
     """Twist equivariance: f applied to twisted arguments equals the module
-    twist of f.  Checked, not enforced, so counterexamples stay expressible."""
-    evaluate = _evaluator(f, _output_lams(f.arity - 1))
+    twist of f.  Checked, not enforced, so counterexamples stay expressible.
+    The left side is one batch of f over the twisted basis in every slot."""
+    _check_ranks(f, alg, rep)
     twisted = [alg.alpha.apply(alg.basis(t)) for t in range(alg.rank)]
+    values = _evaluator(f, _output_lams(f.arity - 1)).batch([twisted] * f.arity)
     with checked("cochain_twist_equivariance") as c:
-        for key in itertools.product(range(alg.rank), repeat=f.arity):
-            lhs = evaluate([twisted[t] for t in key])
+        for key, lhs in zip(itertools.product(range(alg.rank), repeat=f.arity), values):
             rhs = rep.beta.apply(ConformalElement(f.value(key)))
-            c.add_nonzero(key, lhs - rhs)
+            c.add_nonzero(key, -rhs if lhs is None else lhs - rhs)
     return c.report
 
 
@@ -324,7 +325,10 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, grids) -> Cochain:
     D = -(w_1 + ... + w_n) against the vectors r(e_b)_(w_1+...+w_n)
     a^(n-1)(e_t).  Each stored value is substituted once per group, by
     one compiled substitution, and only in a column b where some action
-    vector is nonzero: otherwise its term is zero.
+    vector is nonzero: otherwise its term is zero.  Both groups add into
+    the sums of the insertion terms, from each stored key of f to the
+    output keys its nonzero action vectors reach, with t at slot i or
+    last; the table lists its nonzero sums in sorted key order.
     """
     n = f.arity
     if not f.table:
@@ -333,31 +337,20 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, grids) -> Cochain:
     ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
     total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
     stored = [lam(k) for k in range(1, n)]
-    zero = MultiPoly.zero()
     at = [substitution({X: w}) for w in ls]
     # l(a^(n-1)(e_t))_(w_i) e_b at [i - 1][t][b], and r(e_b)_(w_1+...+w_n) a^(n-1)(e_t) at [t][b]
     l_vectors = [_vectors(l_grid, subst) for subst in at]
     r_vectors = _vectors(list(zip(*r_grid)), substitution({X: total}))
+    sums = _insertions(f, twisted, rep_rank, brackets, at)
     # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-    left = []
     for i in range(1, n + 1):
         targets = dict(zip(stored, _l_term_lams(n, i)))
         targets[D] = MultiPoly.var(D) + ls[i - 1]
-        left.append(_substituted_values(f, substitution(targets), l_vectors[i - 1]))
-    right = _substituted_values(f, substitution({D: -total}), r_vectors)
-    inserted = _insertions(f, twisted, rep_rank, brackets, at)
-    table = {}
-    for key in itertools.product(range(len(twisted)), repeat=n + 1):
-        out = inserted.get(key) or [zero] * rep_rank
-        for i in range(1, n + 1):
-            values = left[i - 1].get(key[: i - 1] + key[i:])
-            if values is not None:
-                _add_action(out, values, l_vectors[i - 1][key[i - 1]], i % 2 == 1)
-        values = right.get(key[:n])
-        if values is not None:
-            _add_action(out, values, r_vectors[key[n]], (n + 1) % 2 == 0)
-        if any(not c.is_zero for c in out):
-            table[key] = tuple(out)
+        values = _substituted_values(f, substitution(targets), l_vectors[i - 1])
+        _add_actions(sums, values, l_vectors[i - 1], i - 1, i % 2 == 1, rep_rank)
+    values = _substituted_values(f, substitution({D: -total}), r_vectors)
+    _add_actions(sums, values, r_vectors, n, (n + 1) % 2 == 0, rep_rank)
+    table = {key: tuple(sums[key]) for key in sorted(sums) if any(not c.is_zero for c in sums[key])}
     return Cochain(n + 1, len(twisted), rep_rank, table)
 
 
@@ -406,12 +399,18 @@ def _substituted_values(f: Cochain, subst, vectors) -> dict:
     return out
 
 
-def _add_action(out: list, values, vectors, plus: bool) -> None:
-    """out += (or -=) the sum over b of values[b] times vectors[b], in
-    place; vectors[b] lists its nonzero coordinates (k, c)."""
-    for b, v in values:
-        for k, c in vectors[b]:
-            out[k] = out[k] + v * c if plus else out[k] - v * c
+def _add_actions(sums: dict, values: dict, vectors: list, pos: int, plus: bool, rep_rank: int) -> None:
+    """sums[key[:pos] + (t,) + key[pos:]] += (or -=) the sum over b of
+    values[key][b] times vectors[t][b], in place, for each key of values
+    and each t with a nonzero vector; vectors[t][b] lists its nonzero
+    coordinates (k, c).  A key met first starts at zero."""
+    reached = [(t, row) for t, row in enumerate(vectors) if any(row)]
+    for key, vals in values.items():
+        for t, row in reached:
+            out = sums.setdefault(key[:pos] + (t,) + key[pos:], [MultiPoly.zero()] * rep_rank)
+            for b, v in vals:
+                for k, c in row[b]:
+                    out[k] = out[k] + v * c if plus else out[k] - v * c
 
 
 def _add_value(out: list, coords, plus: bool) -> None:
@@ -443,10 +442,11 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     two or more bare arguments; under the nilpotent operator of the
     rank-2 cases those terms vanish.
 
-    Terms that vanish by structure are not evaluated: a slot offers the
-    image n_op(e_t) only when it is nonzero, a mask whose power
-    nm^(n-|S|) is the zero map is skipped, and a zero evaluation is not
-    added into its count's sum.
+    Each subset S is one batch of f, with the images n_op(e_t) in the
+    slots of S and the basis in the others.  Terms that vanish by
+    structure are not evaluated: a zero image has no coordinates, so its
+    tuples meet no entry; a mask whose power nm^(n-|S|) is the zero map
+    is skipped, and a zero evaluation is not added into its count's sum.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
@@ -458,30 +458,26 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     nm_powers = [PdModuleMap.identity(rep.rank)]
     for _ in range(n):
         nm_powers.append(nm.compose(nm_powers[-1]))
-    live = [not m.is_zero for m in nm_powers]
-    evaluate = _evaluator(f, _output_lams(n - 1))
-    # each slot offers its bare basis element (mask 0) and, when nonzero,
-    # its image under n_op (mask 1): a zero image makes the term zero
-    offers = []
-    for t in range(f.alg_rank):
-        e = basis_element(f.alg_rank, t)
-        image = n_op.apply(e)
-        offers.append(((0, e),) if image.is_zero else ((0, e), (1, image)))
+    batch = _evaluator(f, _output_lams(n - 1)).batch
+    basis = [basis_element(f.alg_rank, t) for t in range(f.alg_rank)]
+    images = [n_op.apply(e) for e in basis]
+    keys = list(itertools.product(range(f.alg_rank), repeat=n))
+    # nm^bare is linear: per key, sum the evaluations with the same number
+    # of bare arguments, then apply it once per count
+    by_bare = [{} for _ in range(n + 1)]
+    for mask in itertools.product((basis, images), repeat=n):
+        bare = sum(slot is basis for slot in mask)
+        if not nm_powers[bare].is_zero:
+            sums = by_bare[bare]
+            for key, v in zip(keys, batch(mask)):
+                if v is not None and not v.is_zero:
+                    sums[key] = sums[key] + v if key in sums else v
     table = {}
-    for key in itertools.product(range(f.alg_rank), repeat=n):
-        # nm^bare is linear: sum the evaluations with the same number of
-        # bare arguments, then apply it once per count
-        by_bare = [None] * (n + 1)
-        for choice in itertools.product(*(offers[t] for t in key)):
-            bare = n - sum(m for m, _ in choice)
-            if live[bare]:
-                v = evaluate([a for _, a in choice])
-                if not v.is_zero:
-                    by_bare[bare] = v if by_bare[bare] is None else by_bare[bare] + v
+    for key in keys:
         out = [MultiPoly.zero()] * rep.rank
-        for bare, v in enumerate(by_bare):
-            if v is not None:
-                _add_value(out, nm_powers[bare].apply(v).coords, bare % 2 == 0)
+        for bare, sums in enumerate(by_bare):
+            if key in sums:
+                _add_value(out, nm_powers[bare].apply(sums[key]).coords, bare % 2 == 0)
         if any(not c.is_zero for c in out):
             table[key] = tuple(out)
     return Cochain(n, f.alg_rank, rep.rank, table)

@@ -295,17 +295,18 @@ def _evaluator(
     that move (none for a table at x); a table entry is substituted the
     first time its key is met.  Each argument's nonzero coordinates at
     its slot's D are kept per (slot, argument object) by `_slot_memo`,
-    which also checks `rank` when it is given.  Applying the result then
-    only multiplies and adds.  The returned function refers to `table`,
+    which also checks `rank` when it is given.  Evaluating then only
+    multiplies and adds.  The returned function refers to `table`,
     which keeps the table alive as long as the evaluator is; tables are
     never changed once built.
 
-    `batch(slots)` gives the values on the product of the per-slot
-    argument lists, in product order (None where no nonzero entry is
-    met), term for term those of applying it tuple by tuple.  It reads
-    each argument's coordinates once, shares the coefficient products
-    of a tuple's first slots and never multiplies by 1; `grid(firsts,
-    seconds)` is its two-slot case, with row i, column j.
+    `batch(slots)` is its one term loop: the values on the product of
+    the per-slot argument lists, in product order (None where no
+    nonzero entry is met).  It reads each argument's coordinates once,
+    shares the coefficient products of a tuple's first slots and never
+    multiplies by 1.  Applying the evaluator to one argument tuple is
+    its one-tuple case (the zero element where that is None), and
+    `grid(firsts, seconds)` its two-slot case, with row i, column j.
     """
     coords = _slot_memo(_slot_targets(lams), rank)
     # stored variables -> lams, simultaneously: targets may mention them
@@ -314,7 +315,6 @@ def _evaluator(
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
-    later_slots = range(1, len(lams) + 1)
 
     def entry(key: tuple[int, ...]) -> tuple[tuple[int, MultiPoly], ...]:
         values = relabelled[key] = tuple(
@@ -323,23 +323,7 @@ def _evaluator(
         return values
 
     def apply(args: Sequence[ConformalElement]) -> ConformalElement:
-        coeffs = [coords(s, a) for s, a in enumerate(args)]
-        out = [zero] * out_rank
-        if not all(coeffs):
-            return ConformalElement(tuple(out))
-        # each dict lists its coordinates in increasing order
-        for key in itertools.product(*coeffs):
-            values = relabelled.get(key)
-            if values is None:
-                values = entry(key)
-            if not values:
-                continue
-            factor = coeffs[0][key[0]]
-            for s in later_slots:
-                factor = factor * coeffs[s][key[s]]
-            for k, p in values:
-                out[k] = out[k] + factor * p
-        return ConformalElement(tuple(out))
+        return batch([[a] for a in args])[0] or ConformalElement((zero,) * out_rank)
 
     def batch(slots: Sequence[Sequence[ConformalElement]]) -> list:
         # per slot and argument: (key part, coefficient or None for 1) pairs

@@ -1,12 +1,67 @@
-"""Reference for table evaluation: the arity-2 evaluator that
-`structure._evaluator` replaced for brackets and both actions.  It
-substitutes D + w into the second argument lazily, only where a nonzero
-table entry needs it, and keeps nothing of it.  The differential tests
-in test_structure.py require `eval_table_bracket`, `eval_l` and
-`eval_r` to give the same value, term dict for term dict."""
+"""References for table evaluation, frozen as they were replaced.
 
-from homleib.poly import D, X, LinearForm, MultiPoly
-from homleib.structure import BracketTable, ConformalElement, _slot_memo
+`eval_table` is the arity-2 evaluator that `structure._evaluator`
+replaced for brackets and both actions.  It substitutes D + w into the
+second argument lazily, only where a nonzero table entry needs it, and
+keeps nothing of it.  The differential tests in test_structure.py
+require `eval_table_bracket`, `eval_l` and `eval_r` to give the same
+value, term dict for term dict.
+
+`per_tuple_evaluator` is `structure._evaluator` with the per-tuple term
+loop it had beside its batched one: one argument tuple at a time, every
+coefficient product formed in full.  test_structure.py requires the
+batched loop to give its values, term dict for term dict."""
+
+import itertools
+from typing import Mapping, Sequence
+
+from homleib.poly import D, X, LinearForm, MultiPoly, substitution, _unchanged
+from homleib.structure import BracketTable, ConformalElement, _slot_memo, _slot_targets
+
+
+def per_tuple_evaluator(
+    table: Mapping,
+    stored: Sequence[int],
+    out_rank: int,
+    lams: Sequence[LinearForm],
+    rank: int | None = None,
+):
+    """The sesquilinear extension of `table` at `lams`, with the
+    arguments of `structure._evaluator`, as a function of one argument
+    tuple."""
+    coords = _slot_memo(_slot_targets(lams), rank)
+    moved = {v: w for v, w in zip(stored, lams) if w.constant or w.coeffs != {v: 1}}
+    relabel = substitution(moved) if moved else _unchanged
+    relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
+    zero = MultiPoly.zero()
+    later_slots = range(1, len(lams) + 1)
+
+    def entry(key: tuple[int, ...]) -> tuple[tuple[int, MultiPoly], ...]:
+        values = relabelled[key] = tuple(
+            (k, q) for k, p in enumerate(table.get(key, ())) if not (q := relabel(p)).is_zero
+        )
+        return values
+
+    def apply(args: Sequence[ConformalElement]) -> ConformalElement:
+        coeffs = [coords(s, a) for s, a in enumerate(args)]
+        out = [zero] * out_rank
+        if not all(coeffs):
+            return ConformalElement(tuple(out))
+        # each dict lists its coordinates in increasing order
+        for key in itertools.product(*coeffs):
+            values = relabelled.get(key)
+            if values is None:
+                values = entry(key)
+            if not values:
+                continue
+            factor = coeffs[0][key[0]]
+            for s in later_slots:
+                factor = factor * coeffs[s][key[s]]
+            for k, p in values:
+                out[k] = out[k] + factor * p
+        return ConformalElement(tuple(out))
+
+    return apply
 
 
 def eval_table(

@@ -483,6 +483,16 @@ def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
         coboundary_HN(f, cur2, tall, rep)
     with pytest.raises(DimensionError, match="operator shape does not match algebra rank"):
         coboundary_HN(g, cur2, tall, rep)
+    # the twist-compatibility check refuses the shapes d refuses, with d's messages
+    h = random_cochain(1, 1, 1, random.Random(7))
+    over_rank2 = Representation(2, 1, {}, {}, PdModuleMap.identity(1))
+    for call, message in (
+        (lambda: check_cochain_compat(h, vir, over_rank2), "representation is over a different algebra rank"),
+        (lambda: check_cochain_compat(g, vir, adjoint_rep(vir)), "cochain is over a different algebra rank"),
+        (lambda: check_cochain_compat(f, vir, adjoint_rep(vir)), "cochain values live in a different module rank"),
+    ):
+        with pytest.raises(DimensionError, match=message):
+            call()
 
 
 # -- nontrivial twist ---------------------------------------------------------------
@@ -691,31 +701,32 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
-def test_coboundary_equals_per_key_reference_on_unit_and_empty_cochains(virm1_r2, arity):
+def test_coboundary_equals_per_key_reference_on_unit_and_empty_cochains(request, arity):
     """Each unit cochain (a 1 at one key and coordinate) and the empty
-    cochain, over a D-dependent twist, for d and for d_HN."""
-    alg, q = virm1_r2
-    rep = with_nm(adjoint_rep(alg), q)
-    deformed, induced = deformed_bracket(alg, q), induced_representation(alg, q, rep)
-    units = [
-        Cochain(arity, alg.rank, rep.rank, {key: tuple(MultiPoly.const(int(b == k)) for b in range(rep.rank))})
-        for key in itertools.product(range(alg.rank), repeat=arity)
-        for k in range(rep.rank)
-    ]
-    for f in units + [zero_cochain(arity, alg.rank, rep.rank)]:
-        assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(
-            reference_coboundary.coboundary_homL(f, alg, rep)
-        )
-        assert _raw_table(coboundary_HN(f, alg, q, rep)) == _raw_table(
-            reference_coboundary.coboundary_homL(f, deformed, induced)
-        )
+    cochain, over a D-dependent twist, for d and for d_HN: on virm1_r2,
+    and at arities 1-2 on the rank-3 trunc_r3, whose sparse bracket lets
+    a unit cochain reach only a few output keys.  d's table lists its
+    keys in sorted order."""
+    for name in ["virm1_r2"] + (["trunc_r3"] if arity <= 2 else []):
+        alg, q = request.getfixturevalue(name)
+        rep = with_nm(adjoint_rep(alg), q)
+        deformed, induced = deformed_bracket(alg, q), induced_representation(alg, q, rep)
+        keys = list(itertools.product(range(alg.rank), repeat=arity))
+        for f in _unit_cochains(arity, alg.rank, rep.rank, keys) + [zero_cochain(arity, alg.rank, rep.rank)]:
+            df = coboundary_homL(f, alg, rep)
+            assert _raw_table(df) == _raw_table(reference_coboundary.coboundary_homL(f, alg, rep)), name
+            assert list(df.table) == sorted(df.table)
+            assert _raw_table(coboundary_HN(f, alg, q, rep)) == _raw_table(
+                reference_coboundary.coboundary_homL(f, deformed, induced)
+            ), name
 
 
 def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
     """A zero bracket and zero actions make every term of the coboundary
     zero: no stored value is substituted and no insertion evaluator is
-    built.  With n_op = 0 only the all-bare mask of phi survives: one
-    evaluation per key, or none once the module operator's power is 0.
+    built.  With n_op = 0 only the all-bare mask of phi has tuples
+    without a zero argument: one per key, or none once the module
+    operator's power is 0 and the mask is skipped.
     The zero operator pair deforms any bracket and actions to zero, so
     d_HN under it is zero at the same cost."""
     substituted, built, evaluated = [], [], []
@@ -726,9 +737,14 @@ def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
         return lambda p: substituted.append(p) or apply(p)
 
     def counting_evaluator(f, lams):
+        # counts the tuples its batches meet that have no zero argument
         built.append(lams)
         evaluate = real_evaluator(f, lams)
-        return lambda args: evaluated.append(args) or evaluate(args)
+        batch = evaluate.batch
+        evaluate.batch = lambda slots: evaluated.extend(
+            args for args in itertools.product(*slots) if not any(a.is_zero for a in args)
+        ) or batch(slots)
+        return evaluate
 
     monkeypatch.setattr(cohomology, "substitution", counting_substitution)
     monkeypatch.setattr(cohomology, "_evaluator", counting_evaluator)

@@ -14,6 +14,10 @@ Found from the syntax tree too: no module keeps an ambient evaluation
 scope (each check, construction and coboundary builds one evaluator per
 table and parameter and evaluates it as grids).
 
+Found from the source of `structure._evaluator`: it has one term loop,
+its batched one, which is the only place that reads a relabelled table
+entry; applying it to one tuple is a batch of one.
+
 Found from the syntax tree too: no module keeps a function cache
 (`functools.cache` or `lru_cache`) between calls, except the argument
 parser `cli._parser`; state lives in objects a caller builds and holds.
@@ -108,6 +112,13 @@ def test_no_module_opens_an_evaluation_scope():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         named[name] = sorted(scope & (imported | defined | _references(tree)))
     assert not any(named.values()), named
+
+
+def test_the_evaluator_has_one_term_loop():
+    tree = _trees()["structure.py"]
+    (evaluator,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_evaluator"]
+    source = ast.get_source_segment((SRC / "structure.py").read_text(encoding="utf-8"), evaluator)
+    assert source.count("relabelled.get(") == 1
 
 
 def test_no_module_keeps_a_cache_between_calls():

@@ -641,8 +641,9 @@ def test_batch_equals_per_tuple_evaluation():
     # the batched form of a cochain's evaluator at arities 1-4, on
     # per-slot lists of basis, D-dependent, zero and repeated arguments,
     # at mixed parameter forms: the values come in product order, each
-    # with the term dicts of its tuple applied alone (None where the
-    # tuple meets no nonzero entry, which applied alone is zero)
+    # with the term dicts of the frozen per-tuple loop on its tuple (None
+    # where the tuple meets no nonzero entry, which there is zero); the
+    # evaluator applied to one tuple gives the same
     rng = random.Random(97)
     for arity in (1, 2, 3, 4):
         for rank in (1, 2):
@@ -650,14 +651,17 @@ def test_batch_equals_per_tuple_evaluation():
             lams = [rng.choice(FORMS) for _ in range(arity - 1)]
             args = _grid_arguments(rng, rank)
             slots = [rng.sample(args, 4 if arity <= 2 else 3) for _ in range(arity)]
-            got = cohomology._evaluator(f, lams).batch(slots)
+            evaluate = cohomology._evaluator(f, lams)
+            got = evaluate.batch(slots)
             tuples = list(itertools.product(*slots))
             assert len(got) == len(tuples)
-            alone = cohomology._evaluator(f, lams)
+            stored = [lam(i) for i in range(1, arity)]
+            alone = reference_evaluator.per_tuple_evaluator(f.table, stored, f.rep_rank, lams, f.alg_rank)
             for value, tup in zip(got, tuples):
                 expected = alone(list(tup))
                 assert _raw(expected if value is None else value) == _raw(expected), (arity, rank)
                 assert value is not None or expected.is_zero
+                assert _raw(evaluate(list(tup))) == _raw(expected), (arity, rank)
 
 
 def test_a_table_is_the_arity2_cochain():
