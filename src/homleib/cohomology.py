@@ -486,7 +486,7 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
 def _check_ranks(f: Cochain, alg: ConformalAlgebra | None, rep: Representation):
     if alg is not None and f.alg_rank != alg.rank:
         raise DimensionError("cochain is over a different algebra rank")
-    if alg is not None and rep.alg_rank != alg.rank:
+    if rep.alg_rank != f.alg_rank:
         raise DimensionError("representation is over a different algebra rank")
     if f.rep_rank != rep.rank:
         raise DimensionError("cochain values live in a different module rank")

@@ -109,6 +109,7 @@ def adjacent_algebra(ns: NSAlgebra) -> ConformalAlgebra:
 
 def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
     """m must commute with all three products."""
+    _check_square(ns, m)
     with checked("ns_morphism") as c:
         for name in ("left", "right", "vee"):
             ev = _table_at(getattr(ns, name), ns.rank, XF)
@@ -123,6 +124,7 @@ def twist_ns_by_morphism(ns: NSAlgebra, m: PdModuleMap, strict: bool = False) ->
     and m commutes with the products; the morphism check is reported (or
     enforced with strict=True) but the construction itself is total.
     """
+    _check_square(ns, m)
     if strict:
         pre = check_ns_morphism(ns, m)
         if not pre.passed:

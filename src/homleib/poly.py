@@ -229,11 +229,6 @@ class MultiPoly:
             raise PolyError(f"not a constant polynomial: {self}")
         return self.raw()[()]
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in key) for key in self._terms)
-
     # -- substitution ---------------------------------------------------
 
     def substitute(self, v: int, target: "LinearForm | MultiPoly") -> "MultiPoly":

@@ -293,22 +293,20 @@ def _evaluator(
     sets D to D + lams[0] + ... + lams[n-2], and the stored variables
     become `lams` through one compiled simultaneous substitution of those
     that move (none for a table at x); a table entry is substituted the
-    first time its key is met.  Each argument's nonzero coordinates at
-    its slot's D are kept per (slot, argument object) by `_slot_memo`,
-    which also checks `rank` when it is given.  Evaluating then only
-    multiplies and adds.  The returned function refers to `table`,
+    first time its key is met.  The returned function refers to `table`,
     which keeps the table alive as long as the evaluator is; tables are
-    never changed once built.
+    never changed once built.  Nothing is kept per argument.
 
     `batch(slots)` is its one term loop: the values on the product of
     the per-slot argument lists, in product order (None where no
-    nonzero entry is met).  It reads each argument's coordinates once,
+    nonzero entry is met).  It reads each argument's coordinates at
+    its slot's D once per call (`_coords`, checking `rank` if given),
     shares the coefficient products of a tuple's first slots and never
     multiplies by 1.  Applying the evaluator to one argument tuple is
     its one-tuple case (the zero element where that is None), and
     `grid(firsts, seconds)` its two-slot case, with row i, column j.
     """
-    coords = _slot_memo(_slot_targets(lams), rank)
+    targets = _slot_targets(lams)
     # stored variables -> lams, simultaneously: targets may mention them
     moved = {v: w for v, w in zip(stored, lams) if w.constant or w.coeffs != {v: 1}}
     relabel = substitution(moved) if moved else _unchanged
@@ -327,10 +325,7 @@ def _evaluator(
 
     def batch(slots: Sequence[Sequence[ConformalElement]]) -> list:
         # per slot and argument: (key part, coefficient or None for 1) pairs
-        items = [
-            [[((i,), None if c == _ONE else c) for i, c in coords(s, a).items()] for a in args]
-            for s, args in enumerate(slots)
-        ]
+        items = [[_coords(a, targets[s], rank) for a in args] for s, args in enumerate(slots)]
         # per tuple of arguments of the slots before the last: (partial key, coefficient product) pairs
         partial = items[0] if len(items) > 1 else [[((), None)]]
         for arguments in items[1:-1]:
@@ -384,34 +379,20 @@ def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
     return targets
 
 
-def _slot_memo(targets: Sequence[MultiPoly], rank: int | None = None):
-    """Per-argument memo of an evaluator that sets D to targets[s] in slot s.
-
-    `coords(s, a)` maps the index of each nonzero coordinate of `a` to
-    that coordinate at D = targets[s], leaving out those that become
-    zero.  It is built once per (slot, argument object) and kept next
-    to the argument itself, so the argument's id is not reused while
-    the memo lives.  With `rank` given, an argument of another rank
-    raises DimensionError when it is first met.
-    """
-    met: dict[tuple[int, int], tuple[ConformalElement, dict[int, MultiPoly]]] = {}
-
-    def coords(s: int, a: ConformalElement) -> dict[int, MultiPoly]:
-        hit = met.get((s, id(a)))
-        if hit is not None:
-            return hit[1]
-        if rank is not None and a.ambient_rank != rank:
-            raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
-        values = {}
-        for b, c in enumerate(a.coords):
+def _coords(a: ConformalElement, target: MultiPoly, rank: int | None) -> list:
+    """The nonzero coordinates of `a` at D = target, as ((index,),
+    coefficient) pairs with None for a coefficient equal to 1, leaving
+    out those that become zero.  With `rank` given, an argument of
+    another rank raises DimensionError."""
+    if rank is not None and a.ambient_rank != rank:
+        raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
+    out = []
+    for b, c in enumerate(a.coords):
+        if not c.is_zero:
+            c = c.substitute(D, target)
             if not c.is_zero:
-                c = c.substitute(D, targets[s])
-                if not c.is_zero:
-                    values[b] = c
-        met[s, id(a)] = (a, values)
-        return values
-
-    return coords
+                out.append(((b,), None if c == _ONE else c))
+    return out
 
 
 def eval_bracket(
@@ -437,9 +418,8 @@ L12 = L1 + L2
 # Each check and construction builds one evaluator per table and
 # parameter (`_table_at`), names it and evaluates it as grids.  The
 # argument lists are built once: the basis, its images under a twist or
-# operator, and the basis-pair products per table and parameter.  An
-# evaluator's slot memo then meets the same argument objects again and
-# again.
+# operator, and the basis-pair products per table and parameter, so
+# each twist or operator image is applied once.
 
 
 def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:

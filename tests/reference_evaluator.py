@@ -10,13 +10,17 @@ value, term dict for term dict.
 `per_tuple_evaluator` is `structure._evaluator` with the per-tuple term
 loop it had beside its batched one: one argument tuple at a time, every
 coefficient product formed in full.  test_structure.py requires the
-batched loop to give its values, term dict for term dict."""
+batched loop to give its values, term dict for term dict.
+
+`_slot_memo` is the per-argument memo both oracles read their
+arguments through, as the evaluator kept it while it had a per-tuple
+loop."""
 
 import itertools
 from typing import Mapping, Sequence
 
 from homleib.poly import D, X, LinearForm, MultiPoly, substitution, _unchanged
-from homleib.structure import BracketTable, ConformalElement, _slot_memo, _slot_targets
+from homleib.structure import BracketTable, ConformalElement, DimensionError, _slot_targets
 
 
 def per_tuple_evaluator(
@@ -118,3 +122,33 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
         return ConformalElement(tuple(out))
 
     return evaluate
+
+
+def _slot_memo(targets: Sequence[MultiPoly], rank: int | None = None):
+    """Per-argument memo of an evaluator that sets D to targets[s] in slot s.
+
+    `coords(s, a)` maps the index of each nonzero coordinate of `a` to
+    that coordinate at D = targets[s], leaving out those that become
+    zero.  It is built once per (slot, argument object) and kept next
+    to the argument itself, so the argument's id is not reused while
+    the memo lives.  With `rank` given, an argument of another rank
+    raises DimensionError when it is first met.
+    """
+    met: dict[tuple[int, int], tuple[ConformalElement, dict[int, MultiPoly]]] = {}
+
+    def coords(s: int, a: ConformalElement) -> dict[int, MultiPoly]:
+        hit = met.get((s, id(a)))
+        if hit is not None:
+            return hit[1]
+        if rank is not None and a.ambient_rank != rank:
+            raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
+        values = {}
+        for b, c in enumerate(a.coords):
+            if not c.is_zero:
+                c = c.substitute(D, targets[s])
+                if not c.is_zero:
+                    values[b] = c
+        met[s, id(a)] = (a, values)
+        return values
+
+    return coords

@@ -483,11 +483,14 @@ def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
         coboundary_HN(f, cur2, tall, rep)
     with pytest.raises(DimensionError, match="operator shape does not match algebra rank"):
         coboundary_HN(g, cur2, tall, rep)
-    # the twist-compatibility check refuses the shapes d refuses, with d's messages
+    # the twist-compatibility check and phi refuse the shapes d refuses, with d's messages
     h = random_cochain(1, 1, 1, random.Random(7))
     over_rank2 = Representation(2, 1, {}, {}, PdModuleMap.identity(1))
+    with_op = Representation(2, 1, {}, {}, PdModuleMap.identity(1), n_m=PdModuleMap.identity(1))
     for call, message in (
         (lambda: check_cochain_compat(h, vir, over_rank2), "representation is over a different algebra rank"),
+        (lambda: coboundary_homL(h, vir, with_op), "representation is over a different algebra rank"),
+        (lambda: phi_map(h, PdModuleMap.scalar(1, 2), with_op), "representation is over a different algebra rank"),
         (lambda: check_cochain_compat(g, vir, adjoint_rep(vir)), "cochain is over a different algebra rank"),
         (lambda: check_cochain_compat(f, vir, adjoint_rep(vir)), "cochain values live in a different module rank"),
     ):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from homleib.poly import MultiPoly, parse_poly
-from homleib.structure import PdModuleMap, verify_hom_leibniz
+from homleib.structure import DimensionError, PdModuleMap, verify_hom_leibniz
 from homleib.representation import adjoint_rep
 from homleib.operators import OperatorKind, PreconditionError, deformed_bracket, verify_operator
 from homleib.cohomology import Cochain
@@ -137,6 +137,21 @@ def test_twist_by_scalar_scales_but_fails_morphism(vir):
     out = twist_ns_by_morphism(base, m)
     assert out.left[(0, 0)][0] == base.left[(0, 0)][0] * 2
     assert verify_ns_axioms(out).passed
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 1)])
+def test_a_map_of_another_shape_is_refused(cur2, rows, cols):
+    # a 3x2 map once gave a rank-2 structure with product vectors of
+    # length 3, which the axiom check then read out of range
+    base = ns_from_rb(cur2, PdModuleMap.identity(2), 1)
+    m = PdModuleMap([[MultiPoly.const(1)] * cols] * rows)
+    for call in (
+        lambda: check_ns_morphism(base, m),
+        lambda: twist_ns_by_morphism(base, m),
+        lambda: twist_ns_by_morphism(base, m, strict=True),
+    ):
+        with pytest.raises(DimensionError, match="operator shape does not match algebra rank"):
+            call()
 
 
 # -- relative operators -----------------------------------------------------------

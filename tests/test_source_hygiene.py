@@ -4,7 +4,9 @@ src/homleib.
 Found from the syntax tree alone: every import is used in the module
 that makes it (package ``__init__`` modules re-export and are exempt),
 and every private module-level function is referred to somewhere in the
-package besides its own definition.
+package besides its own definition.  Every other module function and
+every method that is neither a dunder nor inherited from a base class
+is referred to in the package, its tests or its benchmark.
 
 Found from the syntax tree too: only poly.py knows how a polynomial
 stores its coefficients (integer numerators `_terms` over one
@@ -17,6 +19,9 @@ table and parameter and evaluates it as grids).
 Found from the source of `structure._evaluator`: it has one term loop,
 its batched one, which is the only place that reads a relabelled table
 entry; applying it to one tuple is a batch of one.
+
+Found from the syntax tree too: no module calls the builtin `id`, so
+nothing is kept per argument object.
 
 Found from the syntax tree too: no module keeps a function cache
 (`functools.cache` or `lru_cache`) between calls, except the argument
@@ -94,6 +99,41 @@ def test_every_private_function_is_referred_to():
     assert not unreferred, unreferred
 
 
+def _overrides(module: str, cls: str) -> set:
+    """The names a class of the package inherits from its bases, which
+    call them (argparse calls its parser's `_print_message`)."""
+    bases = getattr(importlib.import_module(module), cls).__mro__[1:]
+    return set().union(*(vars(base) for base in bases))
+
+
+def test_every_function_and_method_is_referred_to():
+    # public module functions and non-dunder methods too, referred to in
+    # the package, its tests or its benchmark
+    root = SRC.parent.parent
+    referred = set().union(*(
+        _references(ast.parse(path.read_text(encoding="utf-8")))
+        for folder in (SRC, root / "tests", root / "perfbench")
+        for path in folder.rglob("*.py")
+    ))
+    defined = []
+    for name, tree in _trees().items():
+        module = "homleib." + name[:-len(".py")].replace("/", ".").removesuffix(".__init__")
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                inherited = _overrides(module, top.name)
+                defined += [(name, node) for node in top.body if getattr(node, "name", None) not in inherited]
+            else:
+                defined.append((name, top))
+    unreferred = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__")
+        and node.name not in referred
+    ]
+    assert not unreferred, unreferred
+
+
 def test_only_poly_knows_the_number_format():
     private = {"_terms", "_den", "_own"}
     readers = {
@@ -119,6 +159,18 @@ def test_the_evaluator_has_one_term_loop():
     (evaluator,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_evaluator"]
     source = ast.get_source_segment((SRC / "structure.py").read_text(encoding="utf-8"), evaluator)
     assert source.count("relabelled.get(") == 1
+
+
+def test_no_module_calls_id():
+    # an object's id is reused once the object is dropped, so a memo
+    # keyed by it must hold its objects; nothing in the package keys by it
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert not calls, calls
 
 
 def test_no_module_keeps_a_cache_between_calls():
