@@ -30,6 +30,7 @@ from random import Random
 from . import __version__
 from .report import Report, checked
 from .structure import (
+    ConformalElement,
     current_algebra,
     verify_hom_leibniz,
     verify_multiplicativity,
@@ -236,8 +237,7 @@ def cmd_cohomology(args) -> int:
         with checked(f"d2_zero_arity{args.arity}") as c:
             for trial in range(args.random):
                 f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
-                if not plain.d(plain.d(f)).is_zero:
-                    c.add((trial,), "nonzero square")
+                _add_residual(c, trial, plain.d(plain.d(f)))
         return _emit([c.report], args.format)
     if what == "square-lemma":
         _check_sampling(args)
@@ -248,8 +248,7 @@ def cmd_cohomology(args) -> int:
         with checked(f"square_lemma_arity{args.arity}") as c:
             for trial in range(args.random):
                 f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
-                if not (hn.phi(plain.d(f)) - hn.d(hn.phi(f))).is_zero:
-                    c.add((trial,), "square does not commute")
+                _add_residual(c, trial, hn.phi(plain.d(f)) - hn.d(hn.phi(f)))
         return _emit([c.report], args.format)
     rep = _rep_or_adjoint(file, alg)
     if not args.cochain:
@@ -273,6 +272,12 @@ def cmd_cohomology(args) -> int:
         sys.stdout.write("\n")
         return _section_out(defs.cochain_to_section(out.g, alg, "d_lower"))
     raise CliError(f"unknown cohomology command {what!r}")
+
+
+def _add_residual(c: checked, trial: int, residual) -> None:
+    """Record each nonzero value of a trial's residual cochain at (trial,) + key."""
+    for key in sorted(residual.table):
+        c.add_nonzero((trial,) + key, ConformalElement(residual.value(key)))
 
 
 # -- deform -------------------------------------------------------------------

@@ -280,6 +280,7 @@ class TwistedComplex:
         return _coboundary(g, self.plain.twisted_basis, self.plain.rep.rank, self.grids)
 
     def phi(self, f: Cochain) -> Cochain:
+        _check_ranks(f, self.plain.alg, self.plain.rep)
         return phi_map(f, self.n_op, self.plain.rep)
 
     def d_hnla(self, pair: "HNLAPair") -> "HNLAPair":
@@ -426,60 +427,54 @@ def coboundary_HN(g: Cochain, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Rep
 
 
 def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
-    """Comparison map between the plain and operator-twisted complexes.
-
-    Alternating sum over argument subsets: arguments outside the subset
-    stay bare and contribute one factor of the module operator outside,
+    """Comparison map between the plain and operator-twisted complexes,
+    the alternating sum over argument subsets S
 
         sum over S of (-1)^(n-|S|) nm^(n-|S|) f(n_op on S, bare off S).
 
-    At arity 2 this is the familiar four-term expression
-    f(Np, Nq) - nm f(p, Nq) - nm f(Np, q) + nm^2 f(p, q); at arity 1 it is
-    f(Np) - nm f(p).  The commuting-square tests force the higher terms:
-    the square applies phi to delta f, one arity above f, so the square on
-    arity-2 cochains forces the arity-3 sum and the square on arity-3
-    cochains the arity-4 sum.  Only the scalar cases force the terms with
-    two or more bare arguments; under the nilpotent operator of the
-    rank-2 cases those terms vanish.
+    At arity 2 this is f(Np, Nq) - nm f(p, Nq) - nm f(Np, q) + nm^2 f(p, q),
+    at arity 1 f(Np) - nm f(p); the commuting square on arity-n cochains
+    applies phi at arity n + 1.
 
-    Each subset S is one batch of f, with the images n_op(e_t) in the
-    slots of S and the basis in the others.  Terms that vanish by
-    structure are not evaluated: a zero image has no coordinates, so its
-    tuples meet no entry; a mask whose power nm^(n-|S|) is the zero map
-    is skipped, and a zero evaluation is not added into its count's sum.
+    It is computed as the product (A_n - nm)...(A_1 - nm) f, where A_k g
+    puts n_op in slot k of g only and nm g applies nm to g's values.  A_k
+    acts on arguments and nm on values, so the factors commute, and
+    expanding the product picks per slot either n_op there or one factor
+    -nm outside: the subset sum.  Step k is one batch of the running
+    table g, with the images n_op(e_t) in slot k and the basis elsewhere
+    (a zero image meets no entry), minus nm of g's stored values.  An
+    empty step table ends the loop, as every later step keeps it zero:
+    for scalar N = nm, the first step already cancels.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
     _check_ranks(f, alg=None, rep=rep)
     if n_op.rows != f.alg_rank or n_op.cols != f.alg_rank:
         raise DimensionError("operator shape does not match the cochain")
-    n = f.arity
-    nm = rep.n_m
-    nm_powers = [PdModuleMap.identity(rep.rank)]
-    for _ in range(n):
-        nm_powers.append(nm.compose(nm_powers[-1]))
-    batch = _evaluator(f, _output_lams(n - 1)).batch
+    n, one = f.arity, MultiPoly.const(1)
     basis = [basis_element(f.alg_rank, t) for t in range(f.alg_rank)]
     images = [n_op.apply(e) for e in basis]
+    # column j of nm as its nonzero entries (i, entry), None for an entry of 1
+    columns = [[(i, None if p == one else p) for i, row in enumerate(rep.n_m.entries) if not (p := row[j]).is_zero]
+               for j in range(rep.rank)]
+    stored, lams = [lam(i) for i in range(1, n)], _output_lams(n - 1)
     keys = list(itertools.product(range(f.alg_rank), repeat=n))
-    # nm^bare is linear: per key, sum the evaluations with the same number
-    # of bare arguments, then apply it once per count
-    by_bare = [{} for _ in range(n + 1)]
-    for mask in itertools.product((basis, images), repeat=n):
-        bare = sum(slot is basis for slot in mask)
-        if not nm_powers[bare].is_zero:
-            sums = by_bare[bare]
-            for key, v in zip(keys, batch(mask)):
-                if v is not None and not v.is_zero:
-                    sums[key] = sums[key] + v if key in sums else v
-    table = {}
-    for key in keys:
-        out = [MultiPoly.zero()] * rep.rank
-        for bare, sums in enumerate(by_bare):
-            if key in sums:
-                _add_value(out, nm_powers[bare].apply(sums[key]).coords, bare % 2 == 0)
-        if any(not c.is_zero for c in out):
-            table[key] = tuple(out)
+    table = f.table
+    for k in range(n):
+        if not table:
+            break
+        slots = [basis] * k + [images] + [basis] * (n - 1 - k)
+        values = _sesquilinear(table, stored, rep.rank, lams, f.alg_rank).batch(slots)
+        step = {}
+        for key, v in zip(keys, values):
+            out = [MultiPoly.zero()] * rep.rank if v is None else list(v.coords)
+            for c, column in zip(table.get(key, ()), columns):
+                if not c.is_zero:
+                    for i, p in column:
+                        out[i] = out[i] - (c if p is None else p * c)
+            if any(not c.is_zero for c in out):
+                step[key] = tuple(out)
+        table = step
     return Cochain(n, f.alg_rank, rep.rank, table)
 
 

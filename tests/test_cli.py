@@ -1,15 +1,20 @@
 """End-to-end command tests against the shipped definition files."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from homleib.cli import MAX_WEIGHT_CHARS, _fraction, build_parser, main
-from homleib.definitions import parse_definition
+from homleib.cohomology import Complex, random_cochain
+from homleib.definitions import build_algebra, build_operator, parse_definition
+from homleib.representation import adjoint_rep
+from homleib.structure import ConformalElement
 from homleib.poly import MAX_ARITY
 
 DEFS = os.path.join(os.path.dirname(__file__), "..", "defs")
@@ -318,6 +323,46 @@ def test_deform_pipeline(capsys):
         "--psi", "psi1",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("what", ["d2-zero", "square-lemma"])
+def test_a_failing_trial_records_its_residual(capsys, tmp_path, what):
+    """A failing sampled trial records each nonzero output key at
+    (trial,) + key, with the residual there, recomputed here through
+    Complex: d(d f) over a bracket D + 3*x, which breaks the twisted
+    Leibniz identity, and phi(d f) - d_HN(phi f) under the operator D,
+    which is not Nijenhuis."""
+    if what == "d2-zero":
+        file = tmp_path / "bad.def"
+        file.write_text('[algebra]\nname = "bad"\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["D + 3*x"]\n')
+        assert run(capsys, "check", "algebra", str(file))[0] == 1
+        flags = ()
+    else:
+        file, flags = path("virasoro_ops.def"), ("--op", "dscale")
+    code, out, _ = run(
+        capsys, "cohomology", what, str(file), *flags,
+        "--arity", "1", "--random", "2", "--seed", "3", "--format", "records",
+    )
+    with open(file, encoding="utf-8") as text:
+        definition = parse_definition(text.read())
+    alg = build_algebra(definition)
+    rep = adjoint_rep(alg)
+    if flags:
+        rep = dataclasses.replace(rep, n_m=build_operator(definition, "dscale"))
+    plain, rng, expected = Complex(alg, rep), Random(3), []
+    for trial in range(2):
+        f = random_cochain(1, 1, 1, rng)
+        if what == "d2-zero":
+            residual = plain.d(plain.d(f))
+        else:
+            hn = plain.twisted(rep.n_m)
+            residual = hn.phi(plain.d(f)) - hn.d(hn.phi(f))
+        expected += [
+            {"context": [trial, *key], "residual": str(ConformalElement(residual.value(key)))}
+            for key in sorted(residual.table)
+        ]
+    assert code == 1 and expected
+    assert json.loads(out)["violations"] == expected
 
 
 def test_records_are_valid_json_and_deterministic(capsys):

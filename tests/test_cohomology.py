@@ -338,45 +338,49 @@ def test_phi_vanishes_for_matching_scalars(vir):
         assert phi_map(f, n, rep).is_zero
 
 
-def test_phi_equals_per_mask_sum(twisted2):
+def test_phi_equals_per_mask_sum(twisted2, trunc_r3):
     # the module operator power applied to each of the 2^n evaluations
-    # one mask at a time
+    # one mask at a time, at arities 1-4 (1-3 on the rank-3 trunc_r3,
+    # whose 81 arity-4 keys alone take about 2 s)
     d, one, two, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.const(2), MultiPoly.zero()
     cases = [
         # D-dependent and non-nilpotent, so every power and every mask count
-        (PdModuleMap([[one, d], [z, two]]), PdModuleMap([[d + one, one], [two, d]])),
+        (twisted2, PdModuleMap([[one, d], [z, two]]), PdModuleMap([[d + one, one], [two, d]])),
         # N e_1 = 0: no mask puts the image of e_1 in a slot
-        (PdModuleMap([[one, z], [d, z]]), PdModuleMap([[d, one], [one, z]])),
+        (twisted2, PdModuleMap([[one, z], [d, z]]), PdModuleMap([[d, one], [one, z]])),
         # nm^2 = 0: only the masks with at most one bare slot count
-        (PdModuleMap([[one, d], [z, two]]), PdModuleMap([[z, d], [z, z]])),
-        (PdModuleMap([[z, one], [z, z]]), NIL),
-        (PdModuleMap.zero(2), NIL),
+        (twisted2, PdModuleMap([[one, d], [z, two]]), PdModuleMap([[z, d], [z, z]])),
+        (twisted2, PdModuleMap([[z, one], [z, z]]), NIL),
+        (twisted2, PdModuleMap.zero(2), NIL),
     ]
-    for n_op, nm in cases:
-        _check_phi_per_mask(twisted2, n_op, nm)
+    for alg, n_op, nm in cases:
+        _check_phi_per_mask(alg, n_op, nm, (1, 2, 3, 4))
+    # rank 3 under a D-dependent twist, with a D-dependent, non-nilpotent pair
+    n_op = PdModuleMap([[one, d, z], [z, two, one], [d, z, one]])
+    _check_phi_per_mask(trunc_r3[0], n_op, PdModuleMap([[d + one, z, one], [one, d, z], [z, two, one]]), (1, 2, 3))
 
 
-def _check_phi_per_mask(alg, n_op, nm):
-    z = MultiPoly.zero()
+def _check_phi_per_mask(alg, n_op, nm, arities):
+    rank = alg.rank
     rep = with_nm(adjoint_rep(alg), nm)
-    basis = [basis_element(2, t) for t in range(2)]
+    basis = [basis_element(rank, t) for t in range(rank)]
     mapped = [n_op.apply(e) for e in basis]
     rng = random.Random(61)
-    for arity in (1, 2, 3):
-        f = random_cochain(2, 2, arity, rng)
-        lams = _output_lams(arity - 1)
+    for arity in arities:
+        f = random_cochain(rank, rank, arity, rng)
+        lams, powers = _output_lams(arity - 1), [nm.power(k) for k in range(arity + 1)]
         table = {}
-        for key in itertools.product(range(2), repeat=arity):
-            acc = ConformalElement((z, z))
+        for key in itertools.product(range(rank), repeat=arity):
+            acc = ConformalElement((MultiPoly.zero(),) * rank)
             for mask in itertools.product((0, 1), repeat=arity):
                 bare = arity - sum(mask)
                 args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
-                v = nm.power(bare).apply(eval_cochain(f, args, lams))
+                v = powers[bare].apply(eval_cochain(f, args, lams))
                 acc = acc + v if bare % 2 == 0 else acc - v
             if not acc.is_zero:
                 table[key] = acc.coords
         got = phi_map(f, n_op, rep)
-        assert got == Cochain(arity, 2, 2, table)
+        assert got == Cochain(arity, rank, rank, table)
         assert {k: tuple(map(str, v)) for k, v in got.table.items()} == {
             k: tuple(map(str, v)) for k, v in table.items()
         }
@@ -428,11 +432,14 @@ def test_combined_coboundary_components(vir):
 
 
 def test_combined_square_zero(vir, cur2):
-    # (arity of f, arity of g) = (2, 1), and (3, 2) on cur2
+    # (arity of f, arity of g) = (2, 1), (3, 2) and on cur2 (4, 3): phi
+    # runs at arities up to 5
     cases = [
         (vir, PdModuleMap.scalar(1, Fraction(2)), 2),
         (cur2, NIL, 2),
         (cur2, NIL, 3),
+        (vir, PdModuleMap.scalar(1, Fraction(2)), 3),
+        (cur2, NIL, 4),
     ]
     for alg, n, arity in cases:
         rep = with_nm(adjoint_rep(alg), n)
@@ -491,6 +498,9 @@ def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
         (lambda: check_cochain_compat(h, vir, over_rank2), "representation is over a different algebra rank"),
         (lambda: coboundary_homL(h, vir, with_op), "representation is over a different algebra rank"),
         (lambda: phi_map(h, PdModuleMap.scalar(1, 2), with_op), "representation is over a different algebra rank"),
+        # a view over vir whose representation sits over cur2: phi as d
+        (lambda: Complex(vir, rep).twisted(PdModuleMap.identity(2)).phi(g), "cochain is over a different algebra rank"),
+        (lambda: Complex(vir, rep).twisted(PdModuleMap.identity(2)).d(g), "cochain is over a different algebra rank"),
         (lambda: check_cochain_compat(g, vir, adjoint_rep(vir)), "cochain is over a different algebra rank"),
         (lambda: check_cochain_compat(f, vir, adjoint_rep(vir)), "cochain values live in a different module rank"),
     ):
@@ -529,7 +539,7 @@ def test_delta_squared_zero_under_unipotent_twist(twisted2, arity):
         assert coboundary_homL(coboundary_homL(f, twisted2, rep), twisted2, rep).is_zero
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_commuting_square_under_unipotent_twist(twisted2, arity):
     rep = with_nm(adjoint_rep(twisted2), NIL)
     rng = random.Random(42)
@@ -543,7 +553,7 @@ def test_commuting_square_under_unipotent_twist(twisted2, arity):
 def test_combined_square_zero_under_unipotent_twist(twisted2):
     rep = with_nm(adjoint_rep(twisted2), NIL)
     rng = random.Random(43)
-    for arity in (2, 2, 2, 3, 3):
+    for arity in (2, 2, 2, 3, 3, 4):
         pair = HNLAPair(
             random_cochain(2, 2, arity, rng, 2), random_cochain(2, 2, arity - 1, rng, 2)
         )
@@ -727,22 +737,21 @@ def test_coboundary_equals_per_key_reference_on_unit_and_empty_cochains(request,
 def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
     """A zero bracket and zero actions make every term of the coboundary
     zero: no stored value is substituted and no insertion evaluator is
-    built.  With n_op = 0 only the all-bare mask of phi has tuples
-    without a zero argument: one per key, or none once the module
-    operator's power is 0 and the mask is skipped.
+    built.  With n_op = 0 each step of phi has the zero image in its
+    operator slot, so no tuple phi evaluates is free of a zero argument.
     The zero operator pair deforms any bracket and actions to zero, so
     d_HN under it is zero at the same cost."""
     substituted, built, evaluated = [], [], []
-    real_substitution, real_evaluator = cohomology.substitution, cohomology._evaluator
+    real_substitution, real_evaluator = cohomology.substitution, cohomology._sesquilinear
 
     def counting_substitution(targets):
         apply = real_substitution(targets)
         return lambda p: substituted.append(p) or apply(p)
 
-    def counting_evaluator(f, lams):
+    def counting_evaluator(table, *args):
         # counts the tuples its batches meet that have no zero argument
-        built.append(lams)
-        evaluate = real_evaluator(f, lams)
+        built.append(args)
+        evaluate = real_evaluator(table, *args)
         batch = evaluate.batch
         evaluate.batch = lambda slots: evaluated.extend(
             args for args in itertools.product(*slots) if not any(a.is_zero for a in args)
@@ -750,7 +759,7 @@ def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
         return evaluate
 
     monkeypatch.setattr(cohomology, "substitution", counting_substitution)
-    monkeypatch.setattr(cohomology, "_evaluator", counting_evaluator)
+    monkeypatch.setattr(cohomology, "_sesquilinear", counting_evaluator)
     alg = ConformalAlgebra(2, ("e0", "e1"), {}, PdModuleMap.identity(2))
     rep = Representation(2, 2, {}, {}, PdModuleMap.identity(2))
     zero_pair = with_nm(adjoint_rep(twisted2), PdModuleMap.zero(2))
@@ -771,16 +780,38 @@ def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
             built.clear()
             assert d(f, alg, rep).is_zero
             assert substituted == [] and built == []
-            for nm, evaluations in ((PdModuleMap.scalar(2, 2), 2**arity), (NIL, 2 if arity == 1 else 0)):
+            for nm in (PdModuleMap.scalar(2, 2), NIL):
                 evaluated.clear()
                 got = phi(f, PdModuleMap.zero(2), with_nm(rep, nm))
-                assert len(evaluated) == evaluations
+                assert evaluated == []
                 if nm != NIL:
                     assert got == f.scale((-2) ** arity)
             substituted.clear()
             built.clear()
             assert d_hn(f, twisted2, PdModuleMap.zero(2), zero_pair).is_zero
             assert substituted == [] and built == []
+
+
+def test_phi_builds_one_evaluator_per_step(monkeypatch, vir, twisted2):
+    """phi at arity n is at most n steps, each one batch of one evaluator
+    of the running table, and builds none once a step's table is empty:
+    one at every arity for N = nm = 2 on vir, whose first step cancels,
+    n for a D-dependent, non-nilpotent pair on twisted2, and none for an
+    empty cochain."""
+    d, one, two, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.const(2), MultiPoly.zero()
+    scalar = PdModuleMap.scalar(1, Fraction(2))
+    pair = PdModuleMap([[one, d], [z, two]]), PdModuleMap([[d + one, one], [two, d]])
+    built = _counting_builds(monkeypatch)
+    rng = random.Random(81)
+    for alg, (n_op, nm), steps in ((vir, (scalar, scalar), lambda n: 1), (twisted2, pair, lambda n: n)):
+        rep = with_nm(adjoint_rep(alg), nm)
+        for arity in (1, 2, 3, 4):
+            f = random_cochain(alg.rank, rep.rank, arity, rng)
+            assert f.table
+            for g, count in ((f, steps(arity)), (zero_cochain(arity, alg.rank, rep.rank), 0)):
+                built.clear()
+                phi_map(g, n_op, rep)
+                assert [kind for kind, _ in built if kind == "evaluator"] == ["evaluator"] * count
 
 
 def _counting_builds(monkeypatch) -> list:
