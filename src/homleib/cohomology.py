@@ -63,7 +63,7 @@ class Cochain:
             raise ValueError("cochains start at arity 1")
         allowed = {D} | {lam(i) for i in range(1, self.arity)}
         for key, vec in self.table.items():
-            if len(key) != self.arity or len(vec) != self.rep_rank:
+            if len(key) != self.arity or len(vec) != self.rep_rank or min(key) < 0 or max(key) >= self.alg_rank:
                 raise DimensionError(f"bad cochain entry at {key}")
             for p in vec:
                 if p.variables() - allowed:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .poly import (
     MAX_ARITY,
+    MAX_DIGITS,
     MAX_NESTING,
     MAX_ORDER,
     MultiPoly,
@@ -34,6 +34,7 @@ from .poly import (
     lam,
     parse_poly,
     print_poly,
+    token_start,
 )
 from .structure import (
     ConformalAlgebra,
@@ -129,7 +130,7 @@ _KNOWN_KINDS = {
 def _error(text: str, index: int, message: str, shift: int = 0) -> DefinitionError:
     """The message `shift` characters past the start of token `index`,
     with a 1-based line and column; only an error pays for the position."""
-    pos = next(islice(_TOKEN.finditer(text), index, None)).start(1) + shift
+    pos = token_start(_TOKEN, text, index) + shift
     line = text.count("\n", 0, pos) + 1
     col = pos - text.rfind("\n", 0, pos)
     return DefinitionError(f"line {line}, column {col}: {message}")
@@ -283,12 +284,11 @@ def _index(names: tuple[str, ...], token: str, where: str) -> int:
 
 def _bounded(s: Section, text, shape: str, bound: int, what: str) -> int:
     """A decimal string no larger than `bound`.  Its length is checked
-    first: more digits than int() converts by default (Python 3.11+) are
-    too many on every version, and int() never reads them."""
+    first, so int() never reads more than MAX_DIGITS digits."""
     if not isinstance(text, str) or not text.isdecimal():
         raise DefinitionError(f"[{s.label}]: {shape}")
     try:
-        value = int(text) if len(text) <= 4300 else bound + 1
+        value = int(text) if len(text) <= MAX_DIGITS else bound + 1
     except ValueError:  # a lower digit limit set for int()
         value = bound + 1
     if value > bound:

@@ -31,6 +31,7 @@ from .structure import (
     _table,
     _table_at,
     basis_element,
+    check_table,
     normalize_table,
 )
 from .representation import Representation
@@ -50,6 +51,8 @@ class NSAlgebra:
     def __post_init__(self):
         if self.alpha.rows != self.rank or self.alpha.cols != self.rank:
             raise DimensionError("twist shape does not match rank")
+        for name in ("left", "right", "vee"):
+            check_table(name, getattr(self, name), self.rank, self.rank, self.rank)
 
     def basis(self, i: int) -> ConformalElement:
         return basis_element(self.rank, i)

@@ -15,8 +15,10 @@ equality is semantic equality.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Union
 
@@ -216,10 +218,7 @@ class MultiPoly:
         }
 
     def variables(self) -> set[int]:
-        vs: set[int] = set()
-        for key in self._terms:
-            vs.update(v for v, _ in key)
-        return vs
+        return {v for key in self._terms for v, _ in key}
 
     def constant_value(self) -> Rat:
         """The rational value of a constant polynomial."""
@@ -495,35 +494,38 @@ MAX_ORDER = 100
 # Highest cochain arity a definition file or a random cochain may have:
 # d at arity n visits rank^(n+1) keys.
 MAX_ARITY = 8
+# Most digits a numeral may have, on every version: Python 3.11's int() refuses more.
+MAX_DIGITS = 4300
+
+# One token per match, after any blanks: a run of decimal digits (`\d` is
+# `str.isdecimal()`, so not "²"), one other character, or the empty end token.
+_TOKEN = re.compile(r"\s*(\d+|.|\Z)", re.DOTALL)
+_VARS = {"D": D, "x": X}
 
 
-class _Scanner:
+def token_start(pattern: re.Pattern, text: str, index: int) -> int:
+    """Where group 1 of match `index` of `pattern` in `text` starts; only an error pays for it."""
+    return next(islice(pattern.finditer(text), index, None)).start(1)
+
+
+class _Tokens:
+    """A polynomial string's tokens, the next one's index and the nesting
+    depth; an error is `shift` characters into the token `back` before it."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # open parentheses and unary minus signs
+        self.text, self.toks, self.i, self.depth = text, _TOKEN.findall(text), 0, 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str, back: int = 0, shift: int = 0) -> ParseError:
+        return ParseError(message, token_start(_TOKEN, self.text, self.i - back) + shift)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def read_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+    def uint(self) -> int:
+        tok = self.toks[self.i]
+        if not tok.isdecimal():
+            raise self.error("expected an integer")
+        if len(tok) > MAX_DIGITS:
+            raise self.error(f"numerals of more than {MAX_DIGITS} digits are not supported")
+        self.i += 1
+        return int(tok)
 
 
 def parse_poly(text: str) -> MultiPoly:
@@ -534,91 +536,78 @@ def parse_poly(text: str) -> MultiPoly:
     factor := atom ('^' uint)?
     atom   := rational | var | '(' expr ')'
     var    := 'D' | 'x' | 'l' uint
+
+    Blanks may stand between any two tokens (digit runs and single
+    characters): "l 3" reads as l3 and "1 / 2" as 1/2.
     """
-    sc = _Scanner(text)
-    p = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("unexpected trailing input", sc.pos)
+    t = _Tokens(text)
+    p = _parse_expr(t)
+    if t.toks[t.i]:
+        raise t.error("unexpected trailing input")
     return p
 
 
-def _parse_expr(sc: _Scanner) -> MultiPoly:
-    ch = sc.peek()
-    negate = False
-    if ch == "-":
-        sc.pos += 1
-        negate = True
-    elif ch == "+":
-        sc.pos += 1
-    p = _parse_term(sc)
-    if negate:
-        p = -p
-    while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.pos += 1
-            p = p + _parse_term(sc)
-        elif ch == "-":
-            sc.pos += 1
-            p = p - _parse_term(sc)
-        else:
-            return p
-
-
-def _parse_term(sc: _Scanner) -> MultiPoly:
-    p = _parse_factor(sc)
-    while sc.peek() == "*":
-        sc.pos += 1
-        p = p * _parse_factor(sc)
+def _parse_expr(t: _Tokens) -> MultiPoly:
+    sign = t.toks[t.i]
+    if sign == "-" or sign == "+":
+        t.i += 1
+    p = -_parse_term(t) if sign == "-" else _parse_term(t)
+    while (sign := t.toks[t.i]) == "+" or sign == "-":
+        t.i += 1
+        q = _parse_term(t)
+        p = p + q if sign == "+" else p - q
     return p
 
 
-def _parse_factor(sc: _Scanner) -> MultiPoly:
-    p = _parse_atom(sc)
-    if sc.peek() == "^":
-        sc.pos += 1
-        return p ** sc.read_uint()
+def _parse_term(t: _Tokens) -> MultiPoly:
+    p = _parse_factor(t)
+    while t.toks[t.i] == "*":
+        t.i += 1
+        p = p * _parse_factor(t)
     return p
 
 
-def _parse_atom(sc: _Scanner) -> MultiPoly:
-    ch = sc.peek()
-    if ch == "(" or ch == "-":
-        if sc.depth == MAX_NESTING:
-            raise ParseError(f"nested deeper than {MAX_NESTING} levels", sc.pos)
-        sc.depth += 1
-        sc.pos += 1
-        if ch == "(":
-            p = _parse_expr(sc)
-            sc.expect(")")
+def _parse_factor(t: _Tokens) -> MultiPoly:
+    p = _parse_atom(t)
+    if t.toks[t.i] == "^":
+        t.i += 1
+        return p ** t.uint()
+    return p
+
+
+def _parse_atom(t: _Tokens) -> MultiPoly:
+    tok = t.toks[t.i]
+    if tok == "(" or tok == "-":
+        if t.depth == MAX_NESTING:
+            raise t.error(f"nested deeper than {MAX_NESTING} levels")
+        t.depth += 1
+        t.i += 1
+        if tok == "(":
+            p = _parse_expr(t)
+            if t.toks[t.i] != ")":
+                raise t.error("expected ')'")
+            t.i += 1
         else:
             # Unary minus inside a factor; tolerated beyond the strict grammar.
-            p = -_parse_atom(sc)
-        sc.depth -= 1
+            p = -_parse_atom(t)
+        t.depth -= 1
         return p
-    if ch.isdecimal():
-        num = sc.read_uint()
-        if sc.peek() == "/":
-            sc.pos += 1
-            den = sc.read_uint()
+    if tok.isdecimal():
+        num = t.uint()
+        if t.toks[t.i] == "/":
+            t.i += 1
+            den = t.uint()
             if den == 0:
-                raise ParseError("zero denominator", sc.pos)
+                raise t.error("zero denominator", 1, len(t.toks[t.i - 1]))
             return MultiPoly.const(Fraction(num, den))
         return MultiPoly.const(num)
-    if ch == "D":
-        sc.pos += 1
-        return MultiPoly.var(D)
-    if ch == "x":
-        sc.pos += 1
-        return MultiPoly.var(X)
-    if ch == "l":
-        sc.pos += 1
-        start = sc.pos
-        index = sc.read_uint()
+    if tok in _VARS:
+        t.i += 1
+        return MultiPoly.var(_VARS[tok])
+    if tok == "l":
+        t.i += 1
+        index = t.uint()
         if index < 1:
-            raise ParseError("lambda variables are numbered from 1", start)
+            raise t.error("lambda variables are numbered from 1", 2, 1)
         return MultiPoly.var(lam(index))
-    if ch == "":
-        raise ParseError("unexpected end of input", sc.pos)
-    raise ParseError(f"unexpected character {ch!r}", sc.pos)
+    raise t.error(f"unexpected character {tok!r}" if tok else "unexpected end of input")

@@ -33,6 +33,7 @@ from .structure import (
     _table,
     _table_at,
     basis_element,
+    check_table,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
 
@@ -52,6 +53,8 @@ class Representation:
             raise DimensionError("module twist shape does not match module rank")
         if self.n_m is not None and (self.n_m.rows != self.rank or self.n_m.cols != self.rank):
             raise DimensionError("module operator shape does not match module rank")
+        check_table("l_structure", self.l_structure, self.alg_rank, self.rank, self.rank)
+        check_table("r_structure", self.r_structure, self.rank, self.alg_rank, self.rank)
         if not self.basis_names:
             object.__setattr__(
                 self, "basis_names", tuple(f"m{i+1}" for i in range(self.rank))

@@ -214,21 +214,23 @@ class ConformalAlgebra:
             raise DimensionError("basis names do not match rank")
         if self.alpha.rows != self.rank or self.alpha.cols != self.rank:
             raise DimensionError("twist matrix shape does not match rank")
-        for (i, j), vec in self.structure.items():
-            if not (0 <= i < self.rank and 0 <= j < self.rank) or len(vec) != self.rank:
-                raise DimensionError(f"bad structure entry at {(i, j)}")
-            for p in vec:
-                bad = p.variables() - {D, X}
-                if bad:
-                    raise ValueError(
-                        f"structure polynomial at {(i, j)} uses a forbidden variable"
-                    )
+        check_table("structure", self.structure, self.rank, self.rank, self.rank)
 
     def basis(self, i: int) -> ConformalElement:
         return basis_element(self.rank, i)
 
     def with_structure(self, table: BracketTable) -> "ConformalAlgebra":
         return ConformalAlgebra(self.rank, self.basis_names, normalize_table(dict(table), self.rank), self.alpha)
+
+
+def check_table(name: str, table: dict, rows: int, cols: int, rank: int) -> None:
+    """Refuse a key of table `name` outside range(rows) x range(cols), a
+    vector whose length is not `rank`, and a variable other than D and x."""
+    for (i, j), vec in table.items():
+        if not (0 <= i < rows and 0 <= j < cols) or len(vec) != rank:
+            raise DimensionError(f"bad {name} entry at {(i, j)}")
+        if any(p.variables() - {D, X} for p in vec):
+            raise ValueError(f"{name} polynomial at {(i, j)} uses a forbidden variable")
 
 
 def normalize_table(table: dict, rank: int) -> dict:

@@ -15,7 +15,7 @@ from homleib.cohomology import Complex, random_cochain
 from homleib.definitions import build_algebra, build_operator, parse_definition
 from homleib.representation import adjoint_rep
 from homleib.structure import ConformalElement
-from homleib.poly import MAX_ARITY
+from homleib.poly import MAX_ARITY, MAX_DIGITS
 
 DEFS = os.path.join(os.path.dirname(__file__), "..", "defs")
 
@@ -149,6 +149,18 @@ def test_key_given_twice_is_one_line_error(capsys, tmp_path):
     )
     assert err.startswith("error: ")
     assert err.endswith(": line 5, column 1: duplicate key 'bracket.L.L' in [algebra]\n")
+
+
+def test_a_numeral_of_too_many_digits_is_one_line_error(capsys, tmp_path):
+    err = one_line_error(
+        capsys, tmp_path,
+        '[algebra]\nbasis = ["L"]\nalpha = [["1"]]\nbracket.L.L = ["x^' + "9" * 5000 + '"]\n',
+        "check", "lie",
+    )
+    assert err == (
+        f"error: [algebra] bracket.L.L: numerals of more than {MAX_DIGITS} digits"
+        " are not supported (at position 2)\n"
+    )
 
 
 def test_nested_list_matrix_entry_prefixed_once(capsys, tmp_path):

@@ -8,6 +8,7 @@ nonzero but their sum cancels exactly.
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -986,3 +987,11 @@ def test_cochain_difference_equals_sum_with_negation():
         f, g = (random_cochain(2, 3, arity, rng) for _ in range(2))
         assert _raw_table(f - g) == _raw_table(f + g.scale(-1))
         assert (f - f).table == {}
+
+
+@pytest.mark.parametrize("key", [(5,), (-1,), (0, 1, 2), (0, -1, 0)])
+def test_cochain_keys_name_basis_elements(key):
+    # a key index outside range(alg_rank) is refused, not carried into d's keys
+    with pytest.raises(DimensionError, match=re.escape(f"bad cochain entry at {key}")):
+        Cochain(len(key), 2, 1, {key: (MultiPoly.const(1),)})
+    assert Cochain(1, 2, 1, {(1,): (MultiPoly.const(1),)}).table

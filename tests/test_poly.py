@@ -1,12 +1,20 @@
 """Ring axioms, substitution, and parse/print round-trips."""
 
+import glob
+import os
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_scanner
+from homleib import poly
 from homleib.poly import (
     D,
+    MAX_DIGITS,
     MAX_NESTING,
     X,
     LinearForm,
@@ -219,3 +227,75 @@ def test_print_is_canonical_and_deterministic():
     assert print_poly(p) == print_poly(q) == "D + x + 2"
     assert print_poly(MultiPoly.zero()) == "0"
     assert print_poly(parse_poly("-D - 1/2")) == "-D - 1/2"
+
+
+# -- the token-list parser against its character-at-a-time reference ---------
+
+
+def _parse_outcome(parse, text):
+    """The printed value, or the error's type, message and position."""
+    try:
+        return print_poly(parse(text))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+def assert_same_parse(text):
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(reference_scanner.parse_poly, text), repr(text)
+
+
+DEFS_DIR = os.path.join(os.path.dirname(__file__), "..", "defs")
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DEFS_DIR, "*.def"))), ids=os.path.basename)
+def test_parser_matches_reference_on_shipped_strings(path):
+    with open(path, encoding="utf-8") as fh:
+        strings = re.findall(r'"([^"\n]*)"', fh.read())
+    assert strings
+    for text in strings:
+        assert_same_parse(text)
+
+
+def _nested(k):
+    # a leading sign of an expression is not a nesting level
+    return ["(" * k + "D" + ")" * k, "-" + "(" * k + "D" + ")" * k, "2*" + "-" * k + "D"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "l 3", "1 / 2", "1/ 0 ", "l 0", "D + l0", "x^²", "²*D", "x^٣", "", "   ", "-(D", "D)", "--D", "-+D",
+        *_nested(MAX_NESTING - 1), *_nested(MAX_NESTING), *_nested(MAX_NESTING + 1),
+        "(" * 3000, "D*" + "-" * 3000 + "1",
+    ],
+)
+def test_parser_matches_reference_on_edges(text):
+    assert_same_parse(text)
+
+
+def test_parser_matches_reference_on_random_strings():
+    alphabet = list("Dxl0123456789+-*/^()") + [" ", "\t", "\n", "²", "٣", "\u00a0", "é"]
+    rng = random.Random(5)
+    for _ in range(5000):
+        assert_same_parse("".join(rng.choices(alphabet, k=rng.randint(0, 12))))
+
+
+def test_token_classes_are_isspace_and_isdecimal():
+    # the parser skips what str.isspace() calls blank and reads what
+    # str.isdecimal() calls a digit, on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for cls, method in ((r"\s", str.isspace), (r"\d", str.isdecimal)):
+        assert cls in poly._TOKEN.pattern
+        assert re.findall(cls, every, poly._TOKEN.flags) == list(filter(method, every))
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [("x^" + "9" * 5000, 2), ("l" + "9" * 5000, 1), ("9" * 5000 + "*D", 0), ("1/ " + "7" * (MAX_DIGITS + 1), 3)],
+)
+def test_a_numeral_of_too_many_digits_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"numerals of more than {MAX_DIGITS} digits are not supported (at position {pos})"
+    assert exc.value.pos == pos
+    assert parse_poly("9" * MAX_DIGITS) == MultiPoly.const(10**MAX_DIGITS - 1)

@@ -711,3 +711,46 @@ def test_an_evaluator_at_its_own_variables_compiles_no_relabel(monkeypatch):
         assert compiled == []
     cohomology._evaluator(f, [l1 + l2, l2])
     assert compiled == [{lam(1): l1 + l2}]
+
+
+# -- one table check for every structure that holds a table --------------------
+
+_ONE = MultiPoly.const(1)
+_ID1 = PdModuleMap.identity(1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ConformalAlgebra(1, ("L",), {(0, 1): (_ONE,)}, _ID1), DimensionError, "bad structure entry at (0, 1)"),
+        (lambda: ConformalAlgebra(1, ("L",), {(0, 0): (_ONE, _ONE)}, _ID1), DimensionError, "bad structure entry at (0, 0)"),
+        (
+            lambda: ConformalAlgebra(1, ("L",), {(0, 0): (parse_poly("l1"),)}, _ID1),
+            ValueError,
+            "structure polynomial at (0, 0) uses a forbidden variable",
+        ),
+        # keys range over algebra x module for l and module x algebra for r
+        (lambda: Representation(1, 1, {(5, 0): (_ONE,)}, {}, _ID1), DimensionError, "bad l_structure entry at (5, 0)"),
+        (lambda: Representation(2, 1, {(0, 1): (_ONE,)}, {}, _ID1), DimensionError, "bad l_structure entry at (0, 1)"),
+        (lambda: Representation(2, 1, {}, {(1, 0): (_ONE,)}, _ID1), DimensionError, "bad r_structure entry at (1, 0)"),
+        (lambda: Representation(1, 1, {}, {(0, 0): (_ONE, _ONE)}, _ID1), DimensionError, "bad r_structure entry at (0, 0)"),
+        (
+            lambda: Representation(1, 1, {(0, 0): (parse_poly("l1"),)}, {}, _ID1),
+            ValueError,
+            "l_structure polynomial at (0, 0) uses a forbidden variable",
+        ),
+        (lambda: ns.NSAlgebra(1, ("a",), {(0, -1): (_ONE,)}, {}, {}, _ID1), DimensionError, "bad left entry at (0, -1)"),
+        (lambda: ns.NSAlgebra(1, ("a",), {}, {(1, 0): (_ONE,)}, {}, _ID1), DimensionError, "bad right entry at (1, 0)"),
+        (lambda: ns.NSAlgebra(1, ("a",), {}, {}, {(0, 0): (_ONE, _ONE)}, _ID1), DimensionError, "bad vee entry at (0, 0)"),
+    ],
+)
+def test_every_table_is_checked_on_construction(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_in_range_tables_still_construct():
+    rep = Representation(2, 1, {(1, 0): (_ONE,)}, {(0, 1): (parse_poly("D + x"),)}, _ID1)
+    assert rep.l_structure and rep.r_structure
+    assert ns.NSAlgebra(1, ("a",), {(0, 0): (_ONE,)}, {}, {(0, 0): (parse_poly("x"),)}, _ID1).vee
