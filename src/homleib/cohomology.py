@@ -213,9 +213,10 @@ class Complex:
 
     It holds what every coboundary reads, for as long as it lives: the
     basis e_t, its twist a(e_t) and the module basis; one evaluator per
-    table at x (`structure._table_at`) and, per arity n, their grids
-    [e_a x e_b], l(a^(n-1)(e_t))_x e_b and r(e_b)_x a^(n-1)(e_t), built
-    on first use.  The module functions build a fresh complex per call.
+    table at x (`structure._table_at`); and, per arity n, their grids
+    [e_a x e_b], l(a^(n-1)(e_t))_x e_b and r(e_b)_x a^(n-1)(e_t) and d's
+    frame (`_frame`), built on first use.  The module functions build a
+    fresh complex per call.
     """
 
     def __init__(self, alg: ConformalAlgebra, rep: Representation):
@@ -224,11 +225,12 @@ class Complex:
         self.twisted_basis = [alg.alpha.apply(e) for e in self.basis]
         self.mods = [rep.module_basis(b) for b in range(rep.rank)]
         self._grids: dict[int, tuple] = {}  # arity -> the grids at x
+        self._frames = _Frames(self.grids)
 
     def d(self, f: Cochain) -> Cochain:
         """The degree-raising operator of the two-sided module complex."""
         _check_ranks(f, self.alg, self.rep)
-        return _coboundary(f, self.twisted_basis, self.rep.rank, self.grids)
+        return _coboundary(f, self.twisted_basis, self.rep.rank, self._frames)
 
     def twisted(self, n_op: PdModuleMap) -> "TwistedComplex":
         return TwistedComplex(self, n_op)
@@ -260,16 +262,16 @@ class TwistedComplex:
     """A `Complex` twisted by the operator pair (n_op, rep.n_m): d_HN is
     the plain coboundary over the deformed bracket [p q]_N = [Np q] +
     [p Nq] - N[p q] and the induced actions l'(p) m = l(Np) m + l(p) nm(m)
-    - nm(l(p) m), r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).  By
-    sesquilinearity their grids at x are `_deformed_products` of the
-    plain evaluators and grids, so no deformed table is built; this
-    holds for every operator pair, Nijenhuis or not.  The view keeps its
-    grids per arity and reads everything else from the plain complex.
+    - nm(l(p) m), r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).  Their
+    grids at x are `_deformed_products` of the plain evaluators and
+    grids, so no deformed table is built; this holds for every operator
+    pair, Nijenhuis or not.  The view keeps its own frame per arity and
+    reads everything else from the plain complex.
     """
 
     def __init__(self, plain: Complex, n_op: PdModuleMap):
         self.plain, self.n_op = plain, n_op
-        self._grids: dict[int, tuple] = {}
+        self._frames = _Frames(self.grids)
 
     def d(self, g: Cochain) -> Cochain:
         """d_HN; it checks the module operator, the ranks, then n_op's shape."""
@@ -277,7 +279,7 @@ class TwistedComplex:
             raise ValueError("representation carries no module operator")
         _check_ranks(g, self.plain.alg, self.plain.rep)
         _check_square(self.plain.alg, self.n_op)
-        return _coboundary(g, self.plain.twisted_basis, self.plain.rep.rank, self.grids)
+        return _coboundary(g, self.plain.twisted_basis, self.plain.rep.rank, self._frames)
 
     def phi(self, f: Cochain) -> Cochain:
         _check_ranks(f, self.plain.alg, self.plain.rep)
@@ -289,15 +291,27 @@ class TwistedComplex:
         return HNLAPair(df, second if pair.g is None else second - self.d(pair.g))
 
     def grids(self, n: int) -> tuple:
-        """The deformed bracket, l and r grids at x that d_HN reads at arity n."""
-        if n not in self._grids:
-            c, n_op, nm = self.plain, self.n_op, self.plain.rep.n_m
-            acting = c.acting(n)
-            algs, actings = (c.basis, [n_op.apply(e) for e in c.basis]), (acting, [n_op.apply(a) for a in acting])
-            mods = (c.mods, [nm.apply(m) for m in c.mods])
-            products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.grids(n))
-            self._grids[n] = tuple(_deformed_products(*args) for args in products)
-        return self._grids[n]
+        """The deformed bracket, l and r grids at x that d_HN reads at
+        arity n, built once per arity for the view's frame."""
+        c, n_op, nm = self.plain, self.n_op, self.plain.rep.n_m
+        acting = c.acting(n)
+        algs, actings = (c.basis, [n_op.apply(e) for e in c.basis]), (acting, [n_op.apply(a) for a in acting])
+        mods = (c.mods, [nm.apply(m) for m in c.mods])
+        products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.grids(n))
+        return tuple(_deformed_products(*args) for args in products)
+
+
+class _Frames(dict):
+    """Arity n -> d's frame at n (`_frame`), built on first use from
+    `grids(n)`; a complex and each of its views hold one."""
+
+    def __init__(self, grids):
+        super().__init__()
+        self.grids = grids
+
+    def __missing__(self, n: int) -> tuple:
+        frame = self[n] = _frame(n, *self.grids(n))
+        return frame
 
 
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:
@@ -305,16 +319,18 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     return Complex(alg, rep).d(f)
 
 
-def _coboundary(f: Cochain, twisted: list, rep_rank: int, grids) -> Cochain:
-    """d f from the twisted basis a(e_t) and the grids at x that
-    `grids(n)` gives: brackets[a][b], l_grid[t][b] and r_grid[b][t].  A
-    cochain with no stored key maps to zero at once and reads nothing.
+def _frame(n: int, brackets: list[list], l_grid: list[list], r_grid: list[list]) -> tuple:
+    """What d reads at arity n besides f, from the grids at x
+    brackets[a][b], l_grid[t][b] and r_grid[b][t], as (cells, insertions,
+    groups).  Every compiled substitution of the coboundary is made here.
 
-    No grid argument mentions x, so each term group reads its data off
-    the grids by one compiled substitution of x, applied to the nonzero
-    coordinates: w_i for the left group i and the brackets of the
-    insertion pairs (i, j), w_1 + ... + w_n for the right group.  By
-    sesquilinearity
+    No grid mentions x, so each term group reads its data off the grids
+    by one compiled substitution of x, applied to the nonzero coordinates:
+    w_i for the left group i and the brackets of the insertion pairs
+    (i, j), w_1 + ... + w_n for the right group.  `cells` lists the
+    (a, b) of the nonzero brackets and `insertions` has, per pair (i, j),
+    i, j, its parameters and those brackets at x = w_i (none when every
+    bracket is zero).  By sesquilinearity
 
         l(p)_w (sum_b v_b e_b) = sum_b v_b(D + w) l(p)_w e_b,
         r(sum_b m_b e_b)_w q   = sum_b m_b(-w) r(e_b)_w q,
@@ -324,101 +340,77 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, grids) -> Cochain:
     by D -> D + w_i, against the vectors l(a^(n-1)(e_t))_(w_i) e_b; the
     right-action term is the stored value at the first n indices at
     D = -(w_1 + ... + w_n) against the vectors r(e_b)_(w_1+...+w_n)
-    a^(n-1)(e_t).  Each stored value is substituted once per group, by
-    one compiled substitution, and only in a column b where some action
-    vector is nonzero: otherwise its term is zero.  Both groups add into
-    the sums of the insertion terms, from each stored key of f to the
-    output keys its nonzero action vectors reach, with t at slot i or
-    last; the table lists its nonzero sums in sorted key order.
+    a^(n-1)(e_t).  Each of these n + 1 groups is (the slot of t in the
+    output key, its sign, the compiled substitution of stored values, the
+    columns b where some vector is nonzero, and the rows t whose vector
+    is nonzero as (t, its nonzero coordinates (k, c) per b)).  A group
+    whose vectors are all zero is left out.
+    """
+    ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
+    total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
+    at = [substitution({X: w}) for w in ls]
+    cells = [(a, b, v) for a, row in enumerate(brackets) for b, v in enumerate(row) if not v.is_zero]
+    insertions = []
+    for i in range(1, n + 1) if cells else ():
+        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for _, _, v in cells]
+        insertions += [(i, j, _insertion_lams(n, i, j), inner) for j in range(i + 1, n + 2)]
+    stored, actions = [lam(k) for k in range(1, n)], []
+    for i in range(1, n + 1):  # stored l1..l(n-1) -> the term's parameters, D -> D + w_i
+        targets = dict(zip(stored, _l_term_lams(n, i)))
+        targets[D] = MultiPoly.var(D) + ls[i - 1]
+        actions.append((i - 1, i % 2 == 1, l_grid, at[i - 1], targets))
+    actions.append((n, n % 2 == 1, list(zip(*r_grid)), substitution({X: total}), {D: -total}))
+    groups = []
+    for pos, plus, grid, at_w, targets in actions:
+        vectors = [[tuple((k, at_w(c)) for k, c in enumerate(v.coords) if not c.is_zero) for v in row] for row in grid]
+        columns = sorted({b for row in vectors for b, vector in enumerate(row) if vector})
+        if columns:
+            rows = [(t, row) for t, row in enumerate(vectors) if any(row)]
+            groups.append((pos, plus, substitution(targets), columns, rows))
+    return [(a, b) for a, b, _ in cells], insertions, groups
+
+
+def _coboundary(f: Cochain, twisted: list, rep_rank: int, frames) -> Cochain:
+    """d f from the twisted basis a(e_t) and the frame at f's arity,
+    `frames[n]` (`_frame`).  A cochain with no stored key maps to zero at
+    once and reads no frame.
+
+    The insertion term (i, j) is f with argument i removed, [e_a w_i e_b]
+    at position j and the other arguments twisted, with sign (-1)^i: one
+    batch of one evaluator of f, with the frame's brackets at w_i in the
+    bracket's slot.  Each action group substitutes each stored value of f
+    once, in the group's columns only, and adds its products with the
+    group's vectors into the same sums, from each stored key of f to the
+    output keys its rows reach.  The table lists the nonzero sums in
+    sorted key order.
     """
     n = f.arity
     if not f.table:
         return Cochain(n + 1, len(twisted), rep_rank, {})
-    brackets, l_grid, r_grid = grids(n)
-    ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
-    total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
-    stored = [lam(k) for k in range(1, n)]
-    at = [substitution({X: w}) for w in ls]
-    # l(a^(n-1)(e_t))_(w_i) e_b at [i - 1][t][b], and r(e_b)_(w_1+...+w_n) a^(n-1)(e_t) at [t][b]
-    l_vectors = [_vectors(l_grid, subst) for subst in at]
-    r_vectors = _vectors(list(zip(*r_grid)), substitution({X: total}))
-    sums = _insertions(f, twisted, rep_rank, brackets, at)
-    # left group i: stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-    for i in range(1, n + 1):
-        targets = dict(zip(stored, _l_term_lams(n, i)))
-        targets[D] = MultiPoly.var(D) + ls[i - 1]
-        values = _substituted_values(f, substitution(targets), l_vectors[i - 1])
-        _add_actions(sums, values, l_vectors[i - 1], i - 1, i % 2 == 1, rep_rank)
-    values = _substituted_values(f, substitution({D: -total}), r_vectors)
-    _add_actions(sums, values, r_vectors, n, (n + 1) % 2 == 0, rep_rank)
+    cells, insertions, groups = frames[n]
+    sums, zeros = {}, [MultiPoly.zero()] * rep_rank
+    for i, j, lams, inner in insertions:
+        slots = [twisted] * (n - 1)
+        slots.insert(j - 2, inner)  # f's argument positions: 1..n+1 but i
+        values = _evaluator(f, lams).batch(slots)
+        for idx, v in zip(itertools.product(*map(range, map(len, slots))), values):
+            if v is not None:
+                a, b = cells[idx[j - 2]]
+                key = idx[: i - 1] + (a,) + idx[i - 1 : j - 2] + (b,) + idx[j - 1 :]
+                out = sums.setdefault(key, zeros.copy())
+                for k, c in enumerate(v.coords):
+                    if not c.is_zero:
+                        out[k] = out[k] + c if i % 2 == 0 else out[k] - c
+    for pos, plus, subst, columns, rows in groups:
+        for key, vec in f.table.items():
+            vals = [(b, q) for b in columns if not (q := subst(vec[b])).is_zero]
+            for t, row in rows if vals else ():
+                out = sums.setdefault(key[:pos] + (t,) + key[pos:], zeros.copy())
+                for b, v in vals:
+                    for k, c in row[b]:
+                        out[k] = out[k] + v * c if plus else out[k] - v * c
     table = {key: tuple(sums[key]) for key in sorted(sums) if any(not c.is_zero for c in sums[key])}
     return Cochain(n + 1, len(twisted), rep_rank, table)
-
-
-def _vectors(grid: list[list], at) -> list[list]:
-    """Each cell of the grid as its nonzero coordinates (k, at(c))."""
-    return [[tuple((k, at(c)) for k, c in enumerate(v.coords) if not c.is_zero) for v in row] for row in grid]
-
-
-def _insertions(f: Cochain, twisted: list, rep_rank: int, brackets: list[list], at: list) -> dict:
-    """The insertion terms of d f summed per output key: the term (i, j)
-    is f with argument i removed, [e_a w_i e_b] at position j and the
-    other arguments twisted, with sign (-1)^i.  Per pair it is one batch
-    of one evaluator of f, with the nonzero brackets at x = w_i (by
-    at[i - 1]) in the bracket's slot.  All-zero brackets build nothing."""
-    n = f.arity
-    cells = [(a, b, v) for a, row in enumerate(brackets) for b, v in enumerate(row) if not v.is_zero]
-    out = {}
-    if not cells:
-        return out
-    for i in range(1, n + 1):
-        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for _, _, v in cells]
-        for j in range(i + 1, n + 2):
-            slots = [twisted] * (n - 1)
-            slots.insert(j - 2, inner)  # f's argument positions: 1..n+1 but i
-            values = _evaluator(f, _insertion_lams(n, i, j)).batch(slots)
-            for idx, v in zip(itertools.product(*map(range, map(len, slots))), values):
-                if v is not None:
-                    a, b, _ = cells[idx[j - 2]]
-                    key = idx[: i - 1] + (a,) + idx[i - 1 : j - 2] + (b,) + idx[j - 1 :]
-                    _add_value(out.setdefault(key, [MultiPoly.zero()] * rep_rank), v.coords, i % 2 == 0)
-    return out
-
-
-def _substituted_values(f: Cochain, subst, vectors) -> dict:
-    """f's stored values with `subst` applied to each coordinate, keeping
-    only the nonzero coordinates as (index, polynomial) pairs.  A
-    coordinate b is substituted only when some row of the action
-    `vectors` is nonzero in column b: otherwise its term is zero."""
-    columns = [b for b in range(f.rep_rank) if any(row[b] for row in vectors)]
-    out = {}
-    if columns:
-        for key, vec in f.table.items():
-            nonzero = tuple((b, q) for b in columns if not (q := subst(vec[b])).is_zero)
-            if nonzero:
-                out[key] = nonzero
-    return out
-
-
-def _add_actions(sums: dict, values: dict, vectors: list, pos: int, plus: bool, rep_rank: int) -> None:
-    """sums[key[:pos] + (t,) + key[pos:]] += (or -=) the sum over b of
-    values[key][b] times vectors[t][b], in place, for each key of values
-    and each t with a nonzero vector; vectors[t][b] lists its nonzero
-    coordinates (k, c).  A key met first starts at zero."""
-    reached = [(t, row) for t, row in enumerate(vectors) if any(row)]
-    for key, vals in values.items():
-        for t, row in reached:
-            out = sums.setdefault(key[:pos] + (t,) + key[pos:], [MultiPoly.zero()] * rep_rank)
-            for b, v in vals:
-                for k, c in row[b]:
-                    out[k] = out[k] + v * c if plus else out[k] - v * c
-
-
-def _add_value(out: list, coords, plus: bool) -> None:
-    """out += (or -=) coords, in place."""
-    for k, c in enumerate(coords):
-        if not c.is_zero:
-            out[k] = out[k] + c if plus else out[k] - c
 
 
 def coboundary_HN(g: Cochain, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Representation) -> Cochain:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .poly import (
     MAX_ARITY,
-    MAX_DIGITS,
     MAX_NESTING,
     MAX_ORDER,
     MultiPoly,
@@ -31,6 +30,7 @@ from .poly import (
     RESERVED_NAMES,
     X,
     D,
+    _digit_limit,
     lam,
     parse_poly,
     print_poly,
@@ -284,13 +284,10 @@ def _index(names: tuple[str, ...], token: str, where: str) -> int:
 
 def _bounded(s: Section, text, shape: str, bound: int, what: str) -> int:
     """A decimal string no larger than `bound`.  Its length is checked
-    first, so int() never reads more than MAX_DIGITS digits."""
+    first, so int() never reads more than `poly._digit_limit()` digits."""
     if not isinstance(text, str) or not text.isdecimal():
         raise DefinitionError(f"[{s.label}]: {shape}")
-    try:
-        value = int(text) if len(text) <= MAX_DIGITS else bound + 1
-    except ValueError:  # a lower digit limit set for int()
-        value = bound + 1
+    value = int(text) if len(text) <= _digit_limit() else bound + 1
     if value > bound:
         raise DefinitionError(f"[{s.label}]: {what} above {bound} are not supported")
     return value

@@ -28,6 +28,7 @@ from .structure import (
     _leibniz,
     _morphism,
     _table_at,
+    check_table,
     normalize_table,
     zero_element,
 )
@@ -55,6 +56,8 @@ class DeformationData:
             raise ValueError("a deformation needs at least the order-0 data")
         if normalize_table(dict(self.brackets[0]), self.base.rank) != self.base.structure:
             raise ValueError("order-0 bracket must be the base structure")
+        for o, table in enumerate(self.brackets):
+            check_table(f"order-{o} bracket", table, self.base.rank, self.base.rank, self.base.rank)
         for m in self.operators:
             if m.rows != self.base.rank or m.cols != self.base.rank:
                 raise DimensionError("operator order has wrong shape")

@@ -49,6 +49,8 @@ class NSAlgebra:
     alpha: PdModuleMap
 
     def __post_init__(self):
+        if len(self.basis_names) != self.rank:
+            raise DimensionError("basis names do not match rank")
         if self.alpha.rows != self.rank or self.alpha.cols != self.rank:
             raise DimensionError("twist shape does not match rank")
         for name in ("left", "right", "vee"):

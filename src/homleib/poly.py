@@ -16,6 +16,7 @@ equality is semantic equality.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -497,6 +498,14 @@ MAX_ARITY = 8
 # Most digits a numeral may have, on every version: Python 3.11's int() refuses more.
 MAX_DIGITS = 4300
 
+
+def _digit_limit() -> int:
+    """The most digits a numeral may have: MAX_DIGITS, or the lower limit
+    set for int() by `sys.set_int_max_str_digits` (0 sets none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(MAX_DIGITS, limit) if limit else MAX_DIGITS
+
+
 # One token per match, after any blanks: a run of decimal digits (`\d` is
 # `str.isdecimal()`, so not "²"), one other character, or the empty end token.
 _TOKEN = re.compile(r"\s*(\d+|.|\Z)", re.DOTALL)
@@ -522,8 +531,8 @@ class _Tokens:
         tok = self.toks[self.i]
         if not tok.isdecimal():
             raise self.error("expected an integer")
-        if len(tok) > MAX_DIGITS:
-            raise self.error(f"numerals of more than {MAX_DIGITS} digits are not supported")
+        if len(tok) > (limit := _digit_limit()):
+            raise self.error(f"numerals of more than {limit} digits are not supported")
         self.i += 1
         return int(tok)
 

@@ -59,6 +59,8 @@ class Representation:
             object.__setattr__(
                 self, "basis_names", tuple(f"m{i+1}" for i in range(self.rank))
             )
+        if len(self.basis_names) != self.rank:
+            raise DimensionError("module basis names do not match module rank")
 
     def module_basis(self, j: int) -> ConformalElement:
         return basis_element(self.rank, j)

@@ -224,13 +224,14 @@ class ConformalAlgebra:
 
 
 def check_table(name: str, table: dict, rows: int, cols: int, rank: int) -> None:
-    """Refuse a key of table `name` outside range(rows) x range(cols), a
-    vector whose length is not `rank`, and a variable other than D and x."""
-    for (i, j), vec in table.items():
-        if not (0 <= i < rows and 0 <= j < cols) or len(vec) != rank:
-            raise DimensionError(f"bad {name} entry at {(i, j)}")
+    """Refuse a key of table `name` that is not a pair in range(rows) x
+    range(cols), a vector whose length is not `rank`, and a variable
+    other than D and x."""
+    for key, vec in table.items():
+        if len(key) != 2 or not (0 <= key[0] < rows and 0 <= key[1] < cols) or len(vec) != rank:
+            raise DimensionError(f"bad {name} entry at {key}")
         if any(p.variables() - {D, X} for p in vec):
-            raise ValueError(f"{name} polynomial at {(i, j)} uses a forbidden variable")
+            raise ValueError(f"{name} polynomial at {key} uses a forbidden variable")
 
 
 def normalize_table(table: dict, rank: int) -> dict:

@@ -888,6 +888,35 @@ def test_a_held_complex_builds_its_structure_evaluators_once(monkeypatch, reques
     assert sorted(grids) == sorted(list(tables) * 3 * 3)
 
 
+@pytest.mark.parametrize("name", ["vir", "twisted2", "virm1_r2"])
+def test_a_held_complex_builds_each_frame_once(monkeypatch, request, name):
+    """The first d of a held complex at an arity, and the first d_HN of
+    its view, build that arity's frame; every later one at an arity
+    already met compiles no substitution in cohomology and builds no
+    grid, whatever arities come between."""
+    alg, n_op = _with_operator(request, name)
+    rep = with_nm(adjoint_rep(alg), n_op)
+    compiled, real = [], cohomology.substitution
+    built = _counting_builds(monkeypatch)
+    monkeypatch.setattr(cohomology, "substitution", lambda targets: compiled.append(targets) or real(targets))
+    plain = Complex(alg, rep)
+    view = plain.twisted(n_op)
+    rng = random.Random(79)
+    met = set()
+    for arity in (1, 3, 2, 1, 3, 2):
+        for op, coboundary in (("d", plain.d), ("d_HN", view.d)):
+            f = random_cochain(alg.rank, rep.rank, arity, rng)
+            compiled.clear()
+            built.clear()
+            coboundary(f)
+            grids = [kind for kind, _ in built if kind == "grid"]
+            if (op, arity) in met:
+                assert compiled == [] and grids == [], (op, arity)
+            else:
+                assert compiled, (op, arity)
+            met.add((op, arity))
+
+
 def _with_operator(request, name):
     """A fixture algebra and an operator N on it: 2 on vir, the nilpotent
     NIL on cur2 and twisted2, and the file's Q on the others."""
@@ -909,17 +938,19 @@ def _unit_cochains(arity, alg_rank, rep_rank, keys):
 @pytest.mark.parametrize("name", ["vir", "cur2", "twisted2", "virm1_r2", "trunc_r3"])
 def test_a_held_complex_equals_the_module_functions_and_the_reference(request, name):
     """One complex and one twisted view, held over every cochain at
-    arities 1-3: d, d_HN, phi and d_HNLA equal the module functions term
-    for term, and d and d_HN equal the per-key reference (d_HN over the
-    deformed bracket and the induced actions) on random, unit and empty
-    cochains.  Equalities only: no square is claimed to vanish."""
+    arities 1-3, met in the order 1, 3, 2, 1, 3 so that a frame kept at
+    one arity is never read at another: d, d_HN, phi and d_HNLA equal
+    the module functions term for term, and d and d_HN equal the per-key
+    reference (d_HN over the deformed bracket and the induced actions) on
+    random, unit and empty cochains.  Equalities only: no square is
+    claimed to vanish."""
     alg, n_op = _with_operator(request, name)
     rep = with_nm(adjoint_rep(alg), n_op)
     deformed, induced = deformed_bracket(alg, n_op), induced_representation(alg, n_op, rep)
     plain = Complex(alg, rep)
     view = plain.twisted(n_op)
     rng = random.Random(73)
-    for arity in (1, 2, 3):
+    for arity in (1, 3, 2, 1, 3):
         keys = list(itertools.product(range(alg.rank), repeat=arity))
         units = _unit_cochains(arity, alg.rank, rep.rank, keys if len(keys) <= 8 else rng.sample(keys, 3))
         randoms = [random_cochain(alg.rank, rep.rank, arity, rng) for _ in range(2)]

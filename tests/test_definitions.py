@@ -4,6 +4,7 @@ import glob
 import os
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -434,6 +435,19 @@ def test_deformation_order_is_bounded(entry):
     with pytest.raises(DefinitionError) as exc:
         build_deformation(file, build_algebra(file), "d")
     assert str(exc.value) == f"[deformation:d]: orders above {MAX_ORDER} are not supported"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+def test_a_lower_digit_limit_for_int_bounds_orders_too():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        file = parse_definition(DEFORMATION_HEAD + 'order = "' + "9" * 1000 + '"\n')
+        with pytest.raises(DefinitionError) as exc:
+            build_deformation(file, build_algebra(file), "d")
+        assert str(exc.value) == f"[deformation:d]: orders above {MAX_ORDER} are not supported"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_deformation_orders_up_to_the_bound_are_read():

@@ -299,3 +299,18 @@ def test_a_numeral_of_too_many_digits_is_a_parse_error(text, pos):
     assert str(exc.value) == f"numerals of more than {MAX_DIGITS} digits are not supported (at position {pos})"
     assert exc.value.pos == pos
     assert parse_poly("9" * MAX_DIGITS) == MultiPoly.const(10**MAX_DIGITS - 1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+def test_a_lower_digit_limit_for_int_is_a_parse_error_too():
+    # int() refuses a numeral above its own limit, which a program may set
+    # below MAX_DIGITS; the parser refuses it first, at the numeral
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_poly("x^" + "9" * 1000)
+        assert str(exc.value) == "numerals of more than 640 digits are not supported (at position 2)"
+        assert parse_poly("9" * 640) == MultiPoly.const(10**640 - 1)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -20,6 +20,9 @@ Found from the source of `structure._evaluator`: it has one term loop,
 its batched one, which is the only place that reads a relabelled table
 entry; applying it to one tuple is a batch of one.
 
+Found from the syntax tree too: cohomology.py compiles a substitution
+only in `_frame`, which builds what d reads at one arity once per complex.
+
 Found from the syntax tree too: no module calls the builtin `id`, so
 nothing is kept per argument object.
 
@@ -159,6 +162,20 @@ def test_the_evaluator_has_one_term_loop():
     (evaluator,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_evaluator"]
     source = ast.get_source_segment((SRC / "structure.py").read_text(encoding="utf-8"), evaluator)
     assert source.count("relabelled.get(") == 1
+
+
+def test_cohomology_compiles_substitutions_only_in_the_frame():
+    # d's frame is built once per complex and arity; a substitution
+    # compiled anywhere else in cohomology.py would be compiled per call
+    tree = _trees()["cohomology.py"]
+    where = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "substitution"
+        or isinstance(node, ast.Attribute) and node.attr == "substitution"
+    }
+    assert where == {"_frame"}
 
 
 def test_no_module_calls_id():
