@@ -20,7 +20,10 @@ itself: a substitution that changes nothing returns its input, a sum
 with an empty operand and a difference with an empty subtrahend return
 the other operand, and a product by the constant 1 returns its other
 operand.  For the same reason a compiled substitution may keep its
-targets, and the powers it builds from them, for as long as it lives.
+targets, the powers it builds from them and the image of every monomial
+key it meets (its terms, with the untouched variables merged in) for as
+long as it lives: applied again, it maps a key it has met by one pass
+over that image, with no product and no key merge.
 """
 
 from functools import partial
@@ -147,18 +150,21 @@ def substitution(targets):
     function from a term dict to its image.  Targets may mention the
     substituted variables themselves (l1 -> l2 and l2 -> l1 swap them).
 
-    Powers of each target, and the product of target powers for each
-    substituted part of a key, are kept across every polynomial it is
-    applied to; they depend on the targets alone.
+    Powers of each target, and the image of each monomial key met, are
+    kept across every polynomial it is applied to; they depend on the
+    targets alone.  A key met before costs one accumulation pass over its
+    image and no product.
     """
     return partial(_substitute, {v: [None, t] for v, t in targets.items()}, {})
 
 
-def _substitute(powers, products, terms):
+def _substitute(powers, images, terms):
     # `powers` maps each substituted variable to the list of its target's
-    # powers built so far (index 1 is the target), `products` each
-    # substituted part of a key to its image; both grow as keys are met.
-    # A substitution that touches no key returns `terms` itself (see the
+    # powers built so far (index 1 is the target), `images` each key met
+    # to its image as (key, coefficient) pairs: the product of the target
+    # powers of its substituted variables, with the variables it leaves
+    # alone merged into every key.  Both grow as keys are met.  A
+    # substitution that touches no key returns `terms` itself (see the
     # no-mutation invariant above).
     for key in terms:
         for v, _ in key:
@@ -171,30 +177,24 @@ def _substitute(powers, products, terms):
         return terms
     out = {}
     for key, coeff in terms.items():
-        rest = []
-        sub = []
-        for ve in key:
-            if ve[0] in powers:
-                sub.append(ve)
-            else:
-                rest.append(ve)
-        if not sub:
-            pieces = ((key, 1),)
-            rest = ()
-        else:
-            sub = tuple(sub)
-            prod = products.get(sub)
+        image = images.get(key)
+        if image is None:
+            rest, prod = [], None
+            for v, e in key:
+                cache = powers.get(v)
+                if cache is None:
+                    rest.append((v, e))
+                    continue
+                while len(cache) <= e:
+                    cache.append(mul_terms(cache[-1], cache[1]))
+                prod = cache[e] if prod is None else mul_terms(prod, cache[e])
             if prod is None:
-                for v, e in sub:
-                    cache = powers[v]
-                    while len(cache) <= e:
-                        cache.append(mul_terms(cache[-1], cache[1]))
-                    prod = cache[e] if prod is None else mul_terms(prod, cache[e])
-                products[sub] = prod
-            pieces = prod.items()
-            rest = tuple(rest)
-        for pk, pc in pieces:
-            pk = merge_keys(rest, pk)
+                image = ((key, 1),)
+            else:
+                rest = tuple(rest)
+                image = [(merge_keys(rest, pk), pc) for pk, pc in prod.items()]
+            images[key] = image
+        for pk, pc in image:
             c = out.get(pk)
             if c is None:
                 out[pk] = coeff * pc

@@ -91,7 +91,7 @@ class Cochain:
         table = {
             k: tuple(op(a, b) for a, b in zip(self.value(k), other.value(k))) for k in keys
         }
-        return Cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
+        return _cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
@@ -100,7 +100,7 @@ class Cochain:
         if not isinstance(c, MultiPoly):
             c = MultiPoly.const(c)
         table = {k: tuple(c * p for p in vec) for k, vec in self.table.items()}
-        return Cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
+        return (Cochain if c.variables() else _cochain)(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cochain):
@@ -115,6 +115,14 @@ class Cochain:
             other.rep_rank,
         ):
             raise DimensionError("cochain shapes differ")
+
+
+def _cochain(arity: int, alg_rank: int, rep_rank: int, table: dict) -> Cochain:
+    """A cochain the engine builds from checked data (or by a constant
+    factor), valid by construction: made without `Cochain`'s checks."""
+    f = object.__new__(Cochain)
+    f.__dict__.update(arity=arity, alg_rank=alg_rank, rep_rank=rep_rank, table=table)
+    return f
 
 
 def zero_cochain(arity: int, alg_rank: int, rep_rank: int) -> Cochain:
@@ -213,10 +221,10 @@ class Complex:
 
     It holds what every coboundary reads, for as long as it lives: the
     basis e_t, its twist a(e_t) and the module basis; one evaluator per
-    table at x (`structure._table_at`); and, per arity n, their grids
-    [e_a x e_b], l(a^(n-1)(e_t))_x e_b and r(e_b)_x a^(n-1)(e_t) and d's
-    frame (`_frame`), built on first use.  The module functions build a
-    fresh complex per call.
+    table at x (`structure._table_at`); and, per arity n, the nonzero
+    cells of [e_a x e_b], l(a^(n-1)(e_t))_x e_b and r(e_b)_x a^(n-1)(e_t)
+    and d's frame (`_frame`), built on first use.  The module functions
+    build a fresh complex per call.
     """
 
     def __init__(self, alg: ConformalAlgebra, rep: Representation):
@@ -224,8 +232,8 @@ class Complex:
         self.basis = [alg.basis(t) for t in range(alg.rank)]
         self.twisted_basis = [alg.alpha.apply(e) for e in self.basis]
         self.mods = [rep.module_basis(b) for b in range(rep.rank)]
-        self._grids: dict[int, tuple] = {}  # arity -> the grids at x
-        self._frames = _Frames(self.grids)
+        self._cells: dict[int, tuple] = {}  # arity -> the cells at x
+        self._frames = _Frames(self.cells)
 
     def d(self, f: Cochain) -> Cochain:
         """The degree-raising operator of the two-sided module complex."""
@@ -249,13 +257,13 @@ class Complex:
         return (_table_at(alg.structure, alg.rank, XF), _table_at(rep.l_structure, rep.rank, XF),
                 _table_at(rep.r_structure, rep.rank, XF))
 
-    def grids(self, n: int) -> tuple:
-        """The bracket, l and r grids at x that d reads at arity n."""
-        if n not in self._grids:
+    def cells(self, n: int) -> tuple:
+        """The bracket, l and r cells at x that d reads at arity n."""
+        if n not in self._cells:
             (br, l_ev, r_ev), acting = self.evaluators, self.acting(n)
             basis, mods = self.basis, self.mods
-            self._grids[n] = (br.grid(basis, basis), l_ev.grid(acting, mods), r_ev.grid(mods, acting))
-        return self._grids[n]
+            self._cells[n] = (br.cells(basis, basis), l_ev.cells(acting, mods), r_ev.cells(mods, acting))
+        return self._cells[n]
 
 
 class TwistedComplex:
@@ -263,15 +271,15 @@ class TwistedComplex:
     the plain coboundary over the deformed bracket [p q]_N = [Np q] +
     [p Nq] - N[p q] and the induced actions l'(p) m = l(Np) m + l(p) nm(m)
     - nm(l(p) m), r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).  Their
-    grids at x are `_deformed_products` of the plain evaluators and
-    grids, so no deformed table is built; this holds for every operator
+    cells at x are `_deformed_products` of the plain evaluators and
+    cells, so no deformed table is built; this holds for every operator
     pair, Nijenhuis or not.  The view keeps its own frame per arity and
     reads everything else from the plain complex.
     """
 
     def __init__(self, plain: Complex, n_op: PdModuleMap):
         self.plain, self.n_op = plain, n_op
-        self._frames = _Frames(self.grids)
+        self._frames = _Frames(self.cells)
 
     def d(self, g: Cochain) -> Cochain:
         """d_HN; it checks the module operator, the ranks, then n_op's shape."""
@@ -290,27 +298,27 @@ class TwistedComplex:
         df, second = self.plain.d(pair.f), -self.phi(pair.f)
         return HNLAPair(df, second if pair.g is None else second - self.d(pair.g))
 
-    def grids(self, n: int) -> tuple:
-        """The deformed bracket, l and r grids at x that d_HN reads at
+    def cells(self, n: int) -> tuple:
+        """The deformed bracket, l and r cells at x that d_HN reads at
         arity n, built once per arity for the view's frame."""
         c, n_op, nm = self.plain, self.n_op, self.plain.rep.n_m
         acting = c.acting(n)
         algs, actings = (c.basis, [n_op.apply(e) for e in c.basis]), (acting, [n_op.apply(a) for a in acting])
         mods = (c.mods, [nm.apply(m) for m in c.mods])
-        products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.grids(n))
+        products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.cells(n))
         return tuple(_deformed_products(*args) for args in products)
 
 
 class _Frames(dict):
     """Arity n -> d's frame at n (`_frame`), built on first use from
-    `grids(n)`; a complex and each of its views hold one."""
+    `cells(n)`; a complex and each of its views hold one."""
 
-    def __init__(self, grids):
+    def __init__(self, cells):
         super().__init__()
-        self.grids = grids
+        self.cells = cells
 
     def __missing__(self, n: int) -> tuple:
-        frame = self[n] = _frame(n, *self.grids(n))
+        frame = self[n] = _frame(n, *self.cells(n))
         return frame
 
 
@@ -319,12 +327,12 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     return Complex(alg, rep).d(f)
 
 
-def _frame(n: int, brackets: list[list], l_grid: list[list], r_grid: list[list]) -> tuple:
-    """What d reads at arity n besides f, from the grids at x
-    brackets[a][b], l_grid[t][b] and r_grid[b][t], as (cells, insertions,
-    groups).  Every compiled substitution of the coboundary is made here.
+def _frame(n: int, brackets: dict, l_cells: dict, r_cells: dict) -> tuple:
+    """What d reads at arity n besides f, from the cells at x brackets[a, b],
+    l_cells[t, b] and r_cells[b, t], as (cells, insertions, groups).
+    Every compiled substitution of the coboundary is made here.
 
-    No grid mentions x, so each term group reads its data off the grids
+    No cell mentions x, so each term group reads its data off the cells
     by one compiled substitution of x, applied to the nonzero coordinates:
     w_i for the left group i and the brackets of the insertion pairs
     (i, j), w_1 + ... + w_n for the right group.  `cells` lists the
@@ -343,31 +351,31 @@ def _frame(n: int, brackets: list[list], l_grid: list[list], r_grid: list[list])
     a^(n-1)(e_t).  Each of these n + 1 groups is (the slot of t in the
     output key, its sign, the compiled substitution of stored values, the
     columns b where some vector is nonzero, and the rows t whose vector
-    is nonzero as (t, its nonzero coordinates (k, c) per b)).  A group
+    is nonzero as (t, {b: its nonzero coordinates (k, c)})).  A group
     whose vectors are all zero is left out.
     """
     ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
     total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
     at = [substitution({X: w}) for w in ls]
-    cells = [(a, b, v) for a, row in enumerate(brackets) for b, v in enumerate(row) if not v.is_zero]
     insertions = []
-    for i in range(1, n + 1) if cells else ():
-        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for _, _, v in cells]
+    for i in range(1, n + 1) if brackets else ():
+        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for v in brackets.values()]
         insertions += [(i, j, _insertion_lams(n, i, j), inner) for j in range(i + 1, n + 2)]
     stored, actions = [lam(k) for k in range(1, n)], []
     for i in range(1, n + 1):  # stored l1..l(n-1) -> the term's parameters, D -> D + w_i
         targets = dict(zip(stored, _l_term_lams(n, i)))
         targets[D] = MultiPoly.var(D) + ls[i - 1]
-        actions.append((i - 1, i % 2 == 1, l_grid, at[i - 1], targets))
-    actions.append((n, n % 2 == 1, list(zip(*r_grid)), substitution({X: total}), {D: -total}))
+        actions.append((i - 1, i % 2 == 1, l_cells, at[i - 1], targets))
+    actions.append((n, n % 2 == 1, {(t, b): v for (b, t), v in r_cells.items()}, substitution({X: total}), {D: -total}))
     groups = []
-    for pos, plus, grid, at_w, targets in actions:
-        vectors = [[tuple((k, at_w(c)) for k, c in enumerate(v.coords) if not c.is_zero) for v in row] for row in grid]
-        columns = sorted({b for row in vectors for b, vector in enumerate(row) if vector})
-        if columns:
-            rows = [(t, row) for t, row in enumerate(vectors) if any(row)]
-            groups.append((pos, plus, substitution(targets), columns, rows))
-    return [(a, b) for a, b, _ in cells], insertions, groups
+    for pos, plus, cells, at_w, targets in actions:
+        rows = {}
+        for t, b in sorted(cells):
+            rows.setdefault(t, {})[b] = tuple((k, at_w(c)) for k, c in enumerate(cells[t, b].coords) if not c.is_zero)
+        if rows:
+            columns = sorted({b for row in rows.values() for b in row})
+            groups.append((pos, plus, substitution(targets), columns, list(rows.items())))
+    return list(brackets), insertions, groups
 
 
 def _coboundary(f: Cochain, twisted: list, rep_rank: int, frames) -> Cochain:
@@ -386,7 +394,7 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, frames) -> Cochain:
     """
     n = f.arity
     if not f.table:
-        return Cochain(n + 1, len(twisted), rep_rank, {})
+        return _cochain(n + 1, len(twisted), rep_rank, {})
     cells, insertions, groups = frames[n]
     sums, zeros = {}, [MultiPoly.zero()] * rep_rank
     for i, j, lams, inner in insertions:
@@ -407,10 +415,10 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, frames) -> Cochain:
             for t, row in rows if vals else ():
                 out = sums.setdefault(key[:pos] + (t,) + key[pos:], zeros.copy())
                 for b, v in vals:
-                    for k, c in row[b]:
+                    for k, c in row.get(b, ()):
                         out[k] = out[k] + v * c if plus else out[k] - v * c
     table = {key: tuple(sums[key]) for key in sorted(sums) if any(not c.is_zero for c in sums[key])}
-    return Cochain(n + 1, len(twisted), rep_rank, table)
+    return _cochain(n + 1, len(twisted), rep_rank, table)
 
 
 def coboundary_HN(g: Cochain, alg: ConformalAlgebra, n_op: PdModuleMap, rep: Representation) -> Cochain:
@@ -467,7 +475,7 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
             if any(not c.is_zero for c in out):
                 step[key] = tuple(out)
         table = step
-    return Cochain(n, f.alg_rank, rep.rank, table)
+    return _cochain(n, f.alg_rank, rep.rank, table)
 
 
 def _check_ranks(f: Cochain, alg: ConformalAlgebra | None, rep: Representation):

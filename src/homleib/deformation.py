@@ -136,7 +136,7 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
             ((e1, a2), (e12, a1), (e2, a1)) for (e1, e2, e12), a1, a2 in zip(reversed(evs), at1, at2)
         ])
         images = [[op.apply(e) for e in basis] for op in ops]
-        terms = []
+        terms, zero = [], zero_element(rank)
         for o1 in range(n + 1):
             for o2 in range(n + 1 - o1):
                 o3 = n - o1 - o2
@@ -145,9 +145,9 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
                 terms.append((both, ops[o1], inner))
         for i in range(rank):
             for j in range(rank):
-                acc = zero_element(rank)
+                acc = zero
                 for both, outer, inner in terms:
-                    acc = acc + both[i][j] - outer.apply(inner[i][j])
+                    acc = acc + both[i][j] - outer.apply(inner.get((i, j), zero))
                 c.add_nonzero(("operator", i, j), acc)
     return c.report
 
@@ -233,9 +233,10 @@ def equivalence_order1_check(
         basis, images = _basis_and_images(rank, psi1)
         b1s, a1s = (_table_at(d.bracket_table(1), rank, XF).grid(basis, basis) for d in (data_b, data_a))
         a0 = _table_at(data_a.bracket_table(0), rank, XF)
-        for i, row in enumerate(_deformed_products(a0, (basis, images), (basis, images), psi1)):
-            for j, v in enumerate(row):
-                c.add_nonzero(("bracket_relation", i, j), b1s[i][j] - a1s[i][j] - v)
+        deformed, zero = _deformed_products(a0, (basis, images), (basis, images), psi1), zero_element(rank)
+        for i in range(rank):
+            for j in range(rank):
+                c.add_nonzero(("bracket_relation", i, j), b1s[i][j] - a1s[i][j] - deformed.get((i, j), zero))
         op_res = (
             psi1.compose(data_b.base_operator)
             + data_b.operator(1)

@@ -148,7 +148,7 @@ def twist_ns_by_morphism(ns: NSAlgebra, m: PdModuleMap, strict: bool = False) ->
 
 def _ns(rank: int, basis_names, alpha: PdModuleMap, left, right, vee) -> NSAlgebra:
     """The NS structure whose three products on basis pairs are the
-    product lists left, right and vee."""
+    cells left, right and vee ({(i, j): value})."""
     return NSAlgebra(rank, basis_names, _table(left), _table(right), _table(vee), alpha)
 
 
@@ -163,8 +163,8 @@ def ns_from_nijenhuis(
             raise PreconditionError("operator is not Nijenhuis")
     br = _table_at(alg.structure, alg.rank, XF)
     basis, images = _basis_and_images(alg.rank, n)
-    vee = [[-n.apply(v) for v in row] for row in br.grid(basis, basis)]
-    return _ns(alg.rank, alg.basis_names, alg.alpha, br.grid(images, basis), br.grid(basis, images), vee)
+    vee = {key: -n.apply(v) for key, v in br.cells(basis, basis).items()}
+    return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
 
 
 def ns_from_rb(
@@ -179,8 +179,8 @@ def ns_from_rb(
             raise PreconditionError("operator is not Rota-Baxter of this weight")
     br = _table_at(alg.structure, alg.rank, XF)
     basis, images = _basis_and_images(alg.rank, r_op)
-    vee = [[v.scale(weight) for v in row] for row in br.grid(basis, basis)]
-    return _ns(alg.rank, alg.basis_names, alg.alpha, br.grid(images, basis), br.grid(basis, images), vee)
+    vee = {key: v.scale(weight) for key, v in br.cells(basis, basis).items()}
+    return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
     mods, images = _basis_and_images(rep.rank, data.t_map)
     return _ns(
         rep.rank, rep.basis_names, rep.beta,
-        _table_at(rep.l_structure, rep.rank, XF).grid(images, mods),
-        _table_at(rep.r_structure, rep.rank, XF).grid(mods, images),
-        _evaluator(data.phi, [XF]).grid(images, images),
+        _table_at(rep.l_structure, rep.rank, XF).cells(images, mods),
+        _table_at(rep.r_structure, rep.rank, XF).cells(mods, images),
+        _evaluator(data.phi, [XF]).cells(images, images),
     )

@@ -34,6 +34,7 @@ from .structure import (
     _table_at,
     basis_element,
     check_table,
+    zero_element,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
 
@@ -180,11 +181,11 @@ def verify_nijenhuis_representation(
         act_l, act_r = _table_at(rep.l_structure, rep.rank, L1), _table_at(rep.r_structure, rep.rank, L1)
         l_inner = _deformed_products(act_l, algs, mods, nm)
         r_inner = _deformed_products(act_r, mods, algs, nm)
-        l_outer, r_outer = act_l.grid(algs[1], mods[1]), act_r.grid(mods[1], algs[1])
+        l_outer, r_outer, zero = act_l.grid(algs[1], mods[1]), act_r.grid(mods[1], algs[1]), zero_element(rep.rank)
         for i in range(alg.rank):
             for k in range(rep.rank):
-                c.add_nonzero(("l", i, k), l_outer[i][k] - nm.apply(l_inner[i][k]))
-                c.add_nonzero(("r", i, k), r_outer[k][i] - nm.apply(r_inner[k][i]))
+                c.add_nonzero(("l", i, k), l_outer[i][k] - nm.apply(l_inner.get((i, k), zero)))
+                c.add_nonzero(("r", i, k), r_outer[k][i] - nm.apply(r_inner.get((k, i), zero)))
     return c.report
 
 

@@ -260,7 +260,7 @@ def eval_table_bracket(
     w may mention D (the skew-symmetry check passes -D - l1); the D in w
     then refers to the D acting on the result.  One evaluator is built
     for the call: checks and constructions build one per table and
-    parameter with `_table_at` and evaluate it as grids instead.
+    parameter with `_table_at` and evaluate it as cells instead.
     """
     if left.ambient_rank != rank or right.ambient_rank != rank:
         raise DimensionError("element rank does not match the bracket table")
@@ -272,7 +272,7 @@ def _table_at(table: BracketTable, out_rank: int, w: LinearForm):
     table[i, j], summed over the coordinates f of its first argument and
     g of its second, as `_evaluator` builds it (the table as an arity-2
     cochain).  Each argument runs over its own length: in an action the
-    algebra and the module ranks differ.  Its `grid` evaluates it on
+    algebra and the module ranks differ.  Its `cells` evaluates it on
     every pair of two argument lists."""
     return _evaluator(table, (X,), out_rank, (w,))
 
@@ -307,7 +307,8 @@ def _evaluator(
     shares the coefficient products of a tuple's first slots and never
     multiplies by 1.  Applying the evaluator to one argument tuple is
     its one-tuple case (the zero element where that is None), and
-    `grid(firsts, seconds)` its two-slot case, with row i, column j.
+    `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
+    nonzero values only, in row order; `grid` is their dense view.
     """
     targets = _slot_targets(lams)
     # stored variables -> lams, simultaneously: targets may mention them
@@ -354,12 +355,16 @@ def _evaluator(
                 out.append(acc if acc is None else ConformalElement(tuple(acc)))
         return out
 
+    def cells(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> dict:
+        return {divmod(i, len(seconds)): v for i, v in enumerate(batch((firsts, seconds))) if v is not None and not v.is_zero}
+
     def grid(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> list[list]:
         values, width = batch((firsts, seconds)), len(seconds)
         empty = ConformalElement((zero,) * out_rank)
         return [[v or empty for v in values[i * width:(i + 1) * width]] for i in range(len(firsts))]
 
     apply.batch = batch
+    apply.cells = cells
     apply.grid = grid
     return apply
 
@@ -419,7 +424,7 @@ L12 = L1 + L2
 
 
 # Each check and construction builds one evaluator per table and
-# parameter (`_table_at`), names it and evaluates it as grids.  The
+# parameter (`_table_at`), names it and evaluates it as cells or grids.  The
 # argument lists are built once: the basis, its images under a twist or
 # operator, and the basis-pair products per table and parameter, so
 # each twist or operator image is applied once.
@@ -431,10 +436,10 @@ def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
     return basis, [m.apply(e) for e in basis]
 
 
-def _table(products: list[list]) -> dict:
-    """A basis-pair product list as a table: (i, j) -> the coordinates of
-    row i, column j, for the nonzero entries only."""
-    return {(i, j): v.coords for i, row in enumerate(products) for j, v in enumerate(row) if not v.is_zero}
+def _table(cells: dict) -> dict:
+    """Basis-pair products {(i, j): value} as a table: (i, j) -> the
+    coordinates of the value, for the nonzero values only."""
+    return {key: v.coords for key, v in cells.items() if not v.is_zero}
 
 
 def _by_cells(ev, firsts: list, products: list[list]) -> list:
@@ -471,19 +476,24 @@ def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
             c.add_nonzero(prefix + (i, j), m.apply(v) - after[i][j])
 
 
-def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plain=None) -> list[list]:
-    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) on every basis pair, for
-    an evaluator ev of a table: row i, column j for p = e_i and q = e_j.
+def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plain=None) -> dict:
+    """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) for an evaluator ev of a
+    table, as the cells {(i, j): value} of p = e_i and q = e_j: nonzero
+    values only, in row order, combined from the cells of the three terms.
     `first` and `second` are the two arguments' bases with their images
-    under a and b, as `_basis_and_images` gives them.  The three terms
-    are grids of ev; `plain`, when given, is the grid ev(p, q) already
-    built.  With a = b = outer = N it is the Nijenhuis-deformed bracket."""
+    under a and b, as `_basis_and_images` gives them; `plain`, when given,
+    is the cells ev(p, q) already built.  With a = b = outer = N it is the
+    Nijenhuis-deformed bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
-    plain = ev.grid(firsts, seconds) if plain is None else plain
-    return [
-        [u + v - outer.apply(p) for u, v, p in zip(*rows)]
-        for rows in zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), plain)
-    ]
+    plain = ev.cells(firsts, seconds) if plain is None else plain
+    left, right, zero, out = ev.cells(a_images, seconds), ev.cells(firsts, b_images), zero_element(outer.rows), {}
+    for key in sorted(left.keys() | right.keys() | plain.keys()):
+        value = left.get(key, zero) + right.get(key, zero)
+        if key in plain:
+            value = value - outer.apply(plain[key])
+        if not value.is_zero:
+            out[key] = value
+    return out
 
 
 def _leibniz(c: checked, prefix: tuple, twisted: list, terms: list) -> None:

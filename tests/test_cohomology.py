@@ -816,10 +816,10 @@ def test_phi_builds_one_evaluator_per_step(monkeypatch, vir, twisted2):
 
 
 def _counting_builds(monkeypatch) -> list:
-    """The compiled substitutions, the evaluators and the grids built from
+    """The compiled substitutions, the evaluators and the cells built from
     now on, as one list: every `poly.substitution` that cohomology or
     structure compiles, every `structure._evaluator`, the cochain ones
-    included, and every grid of one."""
+    included, and every `cells` call of one."""
     built = []
     real_substitution, real_evaluator = cohomology.substitution, structure._evaluator
 
@@ -830,8 +830,8 @@ def _counting_builds(monkeypatch) -> list:
     def counting_evaluator(table, *args):
         built.append(("evaluator", id(table)))
         evaluate = real_evaluator(table, *args)
-        grid = evaluate.grid
-        evaluate.grid = lambda *lists: built.append(("grid", id(table))) or grid(*lists)
+        cells = evaluate.cells
+        evaluate.cells = lambda *lists: built.append(("cells", id(table))) or cells(*lists)
         return evaluate
 
     for module in (cohomology, structure):
@@ -867,9 +867,9 @@ def test_an_empty_cochain_costs_a_held_complex_nothing(monkeypatch, request, nam
 def test_a_held_complex_builds_its_structure_evaluators_once(monkeypatch, request, name):
     """Two d calls on one complex at the same arity, and its twisted
     view's d_HN, build no second structure evaluator: one per table in
-    all, whatever the arities.  Each grid is built once per arity: three
-    for d, and for d_HN the two twisted terms of each deformed product,
-    whose untwisted term is d's grid."""
+    all, whatever the arities.  Each table's cells are built once per
+    arity: three for d, and for d_HN the two twisted terms of each
+    deformed product, whose untwisted term is d's cells."""
     alg, n_op = _with_operator(request, name)
     rep = with_nm(adjoint_rep(alg), n_op)
     built = _counting_builds(monkeypatch)
@@ -884,8 +884,8 @@ def test_a_held_complex_builds_its_structure_evaluators_once(monkeypatch, reques
             view.d(f)
     structural = [table for kind, table in built if kind == "evaluator" and table in tables]
     assert sorted(structural) == sorted(tables)
-    grids = [table for kind, table in built if kind == "grid"]
-    assert sorted(grids) == sorted(list(tables) * 3 * 3)
+    cells = [table for kind, table in built if kind == "cells"]
+    assert sorted(cells) == sorted(list(tables) * 3 * 3)
 
 
 @pytest.mark.parametrize("name", ["vir", "twisted2", "virm1_r2"])
@@ -893,7 +893,7 @@ def test_a_held_complex_builds_each_frame_once(monkeypatch, request, name):
     """The first d of a held complex at an arity, and the first d_HN of
     its view, build that arity's frame; every later one at an arity
     already met compiles no substitution in cohomology and builds no
-    grid, whatever arities come between."""
+    cells, whatever arities come between."""
     alg, n_op = _with_operator(request, name)
     rep = with_nm(adjoint_rep(alg), n_op)
     compiled, real = [], cohomology.substitution
@@ -909,12 +909,64 @@ def test_a_held_complex_builds_each_frame_once(monkeypatch, request, name):
             compiled.clear()
             built.clear()
             coboundary(f)
-            grids = [kind for kind, _ in built if kind == "grid"]
+            cells = [kind for kind, _ in built if kind == "cells"]
             if (op, arity) in met:
-                assert compiled == [] and grids == [], (op, arity)
+                assert compiled == [] and cells == [], (op, arity)
             else:
                 assert compiled, (op, arity)
             met.add((op, arity))
+
+
+def _nonzero_cells(grid) -> dict:
+    """The nonzero cells of a dense grid, {(i, j): value}, in row order."""
+    return {(i, j): v for i, row in enumerate(grid) for j, v in enumerate(row) if not v.is_zero}
+
+
+def _dense_deformed(ev, first, second, outer) -> list:
+    """The former dense deformed product: u + v - outer(p) on every cell
+    of the grids ev(a p, q), ev(p, b q) and ev(p, q)."""
+    (firsts, a_images), (seconds, b_images) = first, second
+    rows = zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), ev.grid(firsts, seconds))
+    return [[u + v - outer.apply(p) for u, v, p in zip(*row)] for row in rows]
+
+
+@pytest.mark.parametrize("name", ["vir", "cur2", "twisted2", "virm1_r2", "trunc_r3"])
+def test_the_cells_are_the_nonzero_cells_of_the_dense_grids(monkeypatch, request, name):
+    """At arities 1-3 a complex's cells at x are the nonzero cells of the
+    dense grids of its evaluators, and its view's deformed cells those of
+    the dense deformed product; no cell holds zero and every cell dict
+    is in row order.  On cur2 and twisted2 under NIL the deformed bracket
+    is zero, so the view holds no bracket cell and d_HN evaluates no
+    insertion batch of the cochain."""
+    alg, n_op = _with_operator(request, name)
+    rep = with_nm(adjoint_rep(alg), n_op)
+    plain = Complex(alg, rep)
+    view = plain.twisted(n_op)
+    (br, l_ev, r_ev), basis, mods, nm = plain.evaluators, plain.basis, plain.mods, rep.n_m
+    algs, modules = (basis, [n_op.apply(e) for e in basis]), (mods, [nm.apply(m) for m in mods])
+    for arity in (1, 2, 3):
+        acting = plain.acting(arity)
+        actings = (acting, [n_op.apply(a) for a in acting])
+        dense = br.grid(basis, basis), l_ev.grid(acting, mods), r_ev.grid(mods, acting)
+        deformed = (
+            _dense_deformed(br, algs, algs, n_op),
+            _dense_deformed(l_ev, actings, modules, nm),
+            _dense_deformed(r_ev, modules, actings, nm),
+        )
+        assert plain.cells(arity) == tuple(map(_nonzero_cells, dense)), arity
+        assert view.cells(arity) == tuple(map(_nonzero_cells, deformed)), arity
+        for cells in plain.cells(arity) + view.cells(arity):
+            assert list(cells) == sorted(cells)
+            assert not any(v.is_zero for v in cells.values())
+    if name in ("cur2", "twisted2"):
+        built, real = [], cohomology._sesquilinear
+        monkeypatch.setattr(cohomology, "_sesquilinear", lambda table, *args: built.append(table) or real(table, *args))
+        for arity in (1, 2, 3):
+            assert view.cells(arity)[0] == {}
+            f = random_cochain(alg.rank, rep.rank, arity, random.Random(arity))
+            assert f.table
+            view.d(f)
+            assert built == [], arity
 
 
 def _with_operator(request, name):

@@ -4,6 +4,7 @@ simultaneous substitution, one-shot and compiled."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homleib import _kernel
@@ -338,6 +339,26 @@ def test_compiled_substitution_returns_untouched_input(targets, terms):
     assert apply(untouched) is untouched
     empty = {}
     assert apply(empty) is empty
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(target_maps(), term_dicts())
+def test_compiled_substitution_maps_a_key_it_has_met_without_products(targets, terms):
+    # applied again to polynomials whose keys it has met (the same one,
+    # and its keys in reverse order with other coefficients), a compiled
+    # substitution only adds up the images it keeps
+    apply = K.substitution(targets)
+    first = apply(terms)
+    again = {key: -3 * c for key, c in reversed(terms.items())}
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mul_terms", "merge_keys"):
+            real = getattr(_polypure, name)
+            mp.setattr(_polypure, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        outs = apply(terms), apply(again)
+    assert calls == []
+    assert outs[0] == first == two_pass_substitute(terms, targets)
+    assert outs[1] == two_pass_substitute(again, targets)
 
 
 def test_compiled_substitution_swaps_simultaneously():

@@ -14,7 +14,7 @@ denominator `_den`, wrapped by `_own`).
 
 Found from the syntax tree too: no module keeps an ambient evaluation
 scope (each check, construction and coboundary builds one evaluator per
-table and parameter and evaluates it as grids).
+table and parameter and evaluates it as cells or grids).
 
 Found from the source of `structure._evaluator`: it has one term loop,
 its batched one, which is the only place that reads a relabelled table
@@ -22,6 +22,10 @@ entry; applying it to one tuple is a batch of one.
 
 Found from the syntax tree too: cohomology.py compiles a substitution
 only in `_frame`, which builds what d reads at one arity once per complex.
+
+Found from the syntax tree too: cohomology.py evaluates its structure
+tables as cells, never as dense grids, and definitions.py and cli.py
+never build a cochain past its checks (`cohomology._cochain`).
 
 Found from the syntax tree too: no module calls the builtin `id`, so
 nothing is kept per argument object.
@@ -176,6 +180,28 @@ def test_cohomology_compiles_substitutions_only_in_the_frame():
         or isinstance(node, ast.Attribute) and node.attr == "substitution"
     }
     assert where == {"_frame"}
+
+
+def test_cohomology_makes_no_dense_grid():
+    # the complex, its view and the frame read cells, so a zero cell
+    # never reaches the frame
+    calls = [
+        node.lineno
+        for node in ast.walk(_trees()["cohomology.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "grid"
+    ]
+    assert not calls, calls
+
+
+def test_only_the_engine_builds_unchecked_cochains():
+    # `cohomology._cochain` skips the checks of `Cochain`; cochains read
+    # from a definition file or the command line go through them
+    readers = {
+        name: sorted(_references(tree) & {"_cochain"})
+        for name, tree in _trees().items()
+        if name in ("definitions.py", "cli.py")
+    }
+    assert readers == {"definitions.py": [], "cli.py": []}
 
 
 def test_no_module_calls_id():

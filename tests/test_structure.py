@@ -637,6 +637,25 @@ def test_grid_equals_per_pair_evaluation():
                 assert raw_rows(got) == raw_rows(again) == raw_rows(alone), (case, w)
 
 
+def test_cells_are_the_nonzero_cells_of_the_grid():
+    # on random tables and arguments, and on a pair whose two terms
+    # cancel: the cells are the grid's nonzero cells, in row order
+    rng = random.Random(101)
+    for alg_rank, mod_rank in [(1, 2), (2, 3), (3, 2)]:
+        table = _random_table(rng, alg_rank, mod_rank, mod_rank)
+        firsts, seconds = _grid_arguments(rng, alg_rank), _grid_arguments(rng, mod_rank)
+        for w in (XF, L1 + L2):
+            ev = structure._table_at(table, mod_rank, w)
+            grid, cells = ev.grid(firsts, seconds), ev.cells(firsts, seconds)
+            assert cells == {(i, j): v for i, row in enumerate(grid) for j, v in enumerate(row) if not v.is_zero}
+            assert list(cells) == sorted(cells)
+    one = MultiPoly.const(1)
+    e0, e1 = basis_element(2, 0), basis_element(2, 1)
+    ev = structure._table_at({(0, 0): (one,), (1, 0): (-one,)}, 1, XF)
+    assert ev.grid([e0 + e1], [e0])[0][0].is_zero
+    assert ev.cells([e0 + e1, e0], [e0]) == {(1, 0): ConformalElement((one,))}
+
+
 def test_batch_equals_per_tuple_evaluation():
     # the batched form of a cochain's evaluator at arities 1-4, on
     # per-slot lists of basis, D-dependent, zero and repeated arguments,
