@@ -23,14 +23,15 @@ from .structure import (
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
+    _applied,
     _basis_and_images,
     _deformed_products,
     _leibniz,
     _morphism,
+    _residual,
     _table_at,
     check_table,
     normalize_table,
-    zero_element,
 )
 from .representation import adjoint_rep
 from .cohomology import (
@@ -129,26 +130,21 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
         # the bracket of each order 0..n at w1, w2 and w1+w2
         evs = [tuple(_table_at(data.bracket_table(o), rank, w) for w in (L1, L2, L12)) for o in range(n + 1)]
         basis, twisted = _basis_and_images(rank, a)
-        at1 = [e1.grid(basis, basis) for e1, _, _ in evs]
-        at2 = [e2.grid(basis, basis) for _, e2, _ in evs]
+        at1 = [e1.cells(basis, basis) for e1, _, _ in evs]
+        at2 = [e2.cells(basis, basis) for _, e2, _ in evs]
         # order n - o outside, order o inside
         _leibniz(c, ("leibniz",), twisted, [
             ((e1, a2), (e12, a1), (e2, a1)) for (e1, e2, e12), a1, a2 in zip(reversed(evs), at1, at2)
         ])
         images = [[op.apply(e) for e in basis] for op in ops]
-        terms, zero = [], zero_element(rank)
+        both, deformed = [], []
         for o1 in range(n + 1):
             for o2 in range(n + 1 - o1):
                 o3 = n - o1 - o2
-                both = evs[o1][0].grid(images[o2], images[o3])
+                both.append(evs[o1][0].cells(images[o2], images[o3]))
                 inner = _deformed_products(evs[o3][0], (basis, images[o2]), (basis, images[o2]), ops[o2])
-                terms.append((both, ops[o1], inner))
-        for i in range(rank):
-            for j in range(rank):
-                acc = zero
-                for both, outer, inner in terms:
-                    acc = acc + both[i][j] - outer.apply(inner.get((i, j), zero))
-                c.add_nonzero(("operator", i, j), acc)
+                deformed.append(_applied(ops[o1], inner))
+        _residual(c, ("operator",), both, deformed)
     return c.report
 
 
@@ -231,12 +227,10 @@ def equivalence_order1_check(
     with checked("equivalence_order1") as c:
         # b1 - a1 - (a0 deformed by psi1)
         basis, images = _basis_and_images(rank, psi1)
-        b1s, a1s = (_table_at(d.bracket_table(1), rank, XF).grid(basis, basis) for d in (data_b, data_a))
+        b1s, a1s = (_table_at(d.bracket_table(1), rank, XF).cells(basis, basis) for d in (data_b, data_a))
         a0 = _table_at(data_a.bracket_table(0), rank, XF)
-        deformed, zero = _deformed_products(a0, (basis, images), (basis, images), psi1), zero_element(rank)
-        for i in range(rank):
-            for j in range(rank):
-                c.add_nonzero(("bracket_relation", i, j), b1s[i][j] - a1s[i][j] - deformed.get((i, j), zero))
+        deformed = _deformed_products(a0, (basis, images), (basis, images), psi1)
+        _residual(c, ("bracket_relation",), [b1s], [a1s, deformed])
         op_res = (
             psi1.compose(data_b.base_operator)
             + data_b.operator(1)

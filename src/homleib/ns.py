@@ -27,6 +27,7 @@ from .structure import (
     _leibniz,
     _morphism,
     _relative_operator,
+    _signed_sum,
     _skew,
     _table,
     _table_at,
@@ -79,12 +80,9 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
         rt1, rt2, rt12 = (_table_at(ns.right, n, w) for w in (L1, L2, L12))
         ve1, ve2, ve12 = (_table_at(ns.vee, n, w) for w in (L1, L2, L12))
         # the three products and their sum on every basis pair, at w1 and at w2
-        left1, right1, vee1 = (ev.grid(basis, basis) for ev in (lf1, rt1, ve1))
-        left2, right2, vee2 = (ev.grid(basis, basis) for ev in (lf2, rt2, ve2))
-        star1, star2 = (
-            [[x + y + z for x, y, z in zip(*rows)] for rows in zip(*products)]
-            for products in ((left1, right1, vee1), (left2, right2, vee2))
-        )
+        left1, right1, vee1 = (ev.cells(basis, basis) for ev in (lf1, rt1, ve1))
+        left2, right2, vee2 = (ev.cells(basis, basis) for ev in (lf2, rt2, ve2))
+        star1, star2 = _signed_sum([left1, right1, vee1]), _signed_sum([left2, right2, vee2])
         _leibniz(c, ("right_star",), twisted, [((rt1, star2), (rt12, right1), (lf2, right1))])
         _leibniz(c, ("left_right",), twisted, [((lf1, right2), (rt12, left1), (rt2, star1))])
         _leibniz(c, ("left_left",), twisted, [((lf1, left2), (lf12, star1), (lf2, left1))])

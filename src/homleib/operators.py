@@ -14,9 +14,12 @@ from .structure import (
     DimensionError,
     PdModuleMap,
     _add_nonzero_entries,
+    _applied,
     _basis_and_images,
     _deformed_products,
     _morphism,
+    _residual,
+    _signed_sum,
     _table,
     _table_at,
     verify_hom_leibniz,
@@ -76,17 +79,16 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
         _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
         br = _table_at(alg.structure, alg.rank, L1)
         basis, images = _basis_and_images(alg.rank, op)
-        both, left, right = br.grid(images, images), br.grid(images, basis), br.grid(basis, images)
-        for i, row in enumerate(br.grid(basis, basis)):
-            for j, plain in enumerate(row):
-                mixed = left[i][j] + right[i][j]
-                if kind.tag == NIJENHUIS:
-                    rhs = op.apply(mixed - op.apply(plain))
-                elif kind.tag == ROTA_BAXTER:
-                    rhs = op.apply(mixed + plain.scale(kind.weight))
-                else:
-                    rhs = op.apply(mixed) + plain.scale(kind.weight)
-                c.add_nonzero((i, j), both[i][j] - rhs)
+        plain, mixed = br.cells(basis, basis), [br.cells(images, basis), br.cells(basis, images)]
+        if kind.tag == NIJENHUIS:
+            rhs = [_applied(op, _signed_sum(mixed, [_applied(op, plain)]))]
+        else:
+            scaled = {key: v.scale(kind.weight) for key, v in plain.items()}
+            if kind.tag == ROTA_BAXTER:
+                rhs = [_applied(op, _signed_sum(mixed + [scaled]))]
+            else:
+                rhs = [_applied(op, _signed_sum(mixed)), scaled]
+        _residual(c, (), [br.cells(images, images)], rhs)
     return c.report
 
 

@@ -164,6 +164,8 @@ class MultiPoly:
         return _reduced(K.sub_terms(a, b), den)
 
     def __neg__(self) -> "MultiPoly":
+        if not self._terms:
+            return self
         return _own(K.scale_terms(self._terms, -1), self._den)
 
     def __mul__(self, other: "MultiPoly | Rat") -> "MultiPoly":

@@ -26,15 +26,17 @@ from .structure import (
     ConformalElement,
     DimensionError,
     PdModuleMap,
+    _applied,
     _basis_and_images,
     _by_cells,
     _cells_by,
     _deformed_products,
+    _rekeyed,
+    _residual,
     _table,
     _table_at,
     basis_element,
     check_table,
-    zero_element,
 )
 from .operators import OperatorKind, PreconditionError, verify_operator
 
@@ -118,9 +120,10 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
       r_consistency : r(r(m) w1 p + l(p) w2 m) w1+w2 a(q) = 0
 
     The bracket and both actions are one evaluator per parameter, each
-    evaluated as grids; the basis-pair brackets and actions are built
-    once per check, and so is the term l(a(p)) w2 (r(m) w1 q) that both
-    r_bracket forms share.
+    evaluated as cells, nonzero values only; the basis-pair brackets and
+    actions are built once per check, and so is the term
+    l(a(p)) w2 (r(m) w1 q) that both r_bracket forms share.  Each
+    condition is one signed sum of cells (`structure._residual`).
     """
     if rep.alg_rank != alg.rank:
         raise DimensionError("representation is over a different algebra rank")
@@ -131,30 +134,23 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
         r1, r12 = (_table_at(rep.r_structure, rep.rank, w) for w in (L1, L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
         mods, bmods = _basis_and_images(rep.rank, b)
-        brs1, brs2 = br1.grid(basis, basis), br2.grid(basis, basis)
-        ls1, ls2 = l1.grid(basis, mods), l2.grid(basis, mods)
-        rs1 = r1.grid(mods, basis)
-        # three-index grids, indexed in argument order (`_by_cells`, `_cells_by`)
-        lhs = _by_cells(r1, bmods, brs2)
-        shared = _by_cells(l2, twisted, rs1)
-        via_r = _cells_by(r12, rs1, twisted)
-        via_l = _cells_by(r12, ls2, twisted)
-        lhs_ll = _by_cells(l1, twisted, ls2)
-        first_ll, second_ll = _cells_by(l12, brs1, bmods), _by_cells(l2, twisted, ls1)
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                for k in range(rep.rank):
-                    c.add_nonzero(("r_bracket_a", i, j, k), lhs[k][i][j] - (via_r[k][i][j] + shared[i][k][j]))
-                    c.add_nonzero(("r_bracket_b", i, j, k), lhs[k][i][j] - (shared[i][k][j] - via_l[i][k][j]))
-                    rhs_ll = first_ll[i][j][k] + second_ll[j][i][k]
-                    c.add_nonzero(("l_l", i, j, k), lhs_ll[i][j][k] - rhs_ll)
-                    # r is additive in its module argument
-                    c.add_nonzero(("r_consistency", i, j, k), via_r[k][i][j] + via_l[i][k][j])
-        l_twisted, r_twisted = l1.grid(twisted, bmods), r1.grid(bmods, twisted)
-        for i in range(alg.rank):
-            for k in range(rep.rank):
-                c.add_nonzero(("beta_l", i, k), b.apply(ls1[i][k]) - l_twisted[i][k])
-                c.add_nonzero(("beta_r", i, k), b.apply(rs1[k][i]) - r_twisted[k][i])
+        brs1, brs2 = br1.cells(basis, basis), br2.cells(basis, basis)
+        ls1, ls2 = l1.cells(basis, mods), l2.cells(basis, mods)
+        rs1 = r1.cells(mods, basis)
+        # three-index cells (`_by_cells`, `_cells_by`), re-keyed to (i, j, k)
+        # for p, q, m = e_i, e_j, m_k
+        lhs = _rekeyed(_by_cells(r1, bmods, brs2), (1, 2, 0))
+        shared = _rekeyed(_by_cells(l2, twisted, rs1), (0, 2, 1))
+        via_r = _rekeyed(_cells_by(r12, rs1, twisted), (1, 2, 0))
+        via_l = _rekeyed(_cells_by(r12, ls2, twisted), (0, 2, 1))
+        _residual(c, ("r_bracket_a",), [lhs], [via_r, shared])
+        _residual(c, ("r_bracket_b",), [lhs, via_l], [shared])
+        second_ll = _rekeyed(_by_cells(l2, twisted, ls1), (1, 0, 2))
+        _residual(c, ("l_l",), [_by_cells(l1, twisted, ls2)], [_cells_by(l12, brs1, bmods), second_ll])
+        # r is additive in its module argument
+        _residual(c, ("r_consistency",), [via_r, via_l])
+        _residual(c, ("beta_l",), [_applied(b, ls1)], [l1.cells(twisted, bmods)])
+        _residual(c, ("beta_r",), [_rekeyed(_applied(b, rs1), (1, 0))], [_rekeyed(r1.cells(bmods, twisted), (1, 0))])
     return c.report
 
 
@@ -181,11 +177,8 @@ def verify_nijenhuis_representation(
         act_l, act_r = _table_at(rep.l_structure, rep.rank, L1), _table_at(rep.r_structure, rep.rank, L1)
         l_inner = _deformed_products(act_l, algs, mods, nm)
         r_inner = _deformed_products(act_r, mods, algs, nm)
-        l_outer, r_outer, zero = act_l.grid(algs[1], mods[1]), act_r.grid(mods[1], algs[1]), zero_element(rep.rank)
-        for i in range(alg.rank):
-            for k in range(rep.rank):
-                c.add_nonzero(("l", i, k), l_outer[i][k] - nm.apply(l_inner.get((i, k), zero)))
-                c.add_nonzero(("r", i, k), r_outer[k][i] - nm.apply(r_inner.get((k, i), zero)))
+        _residual(c, ("l",), [act_l.cells(algs[1], mods[1])], [_applied(nm, l_inner)])
+        _residual(c, ("r",), [_rekeyed(act_r.cells(mods[1], algs[1]), (1, 0))], [_rekeyed(_applied(nm, r_inner), (1, 0))])
     return c.report
 
 

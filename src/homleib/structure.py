@@ -14,7 +14,6 @@ polynomials in D, hence automatically commutes with the D-action.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -139,17 +138,18 @@ class PdModuleMap:
         return ConformalElement(tuple(out))
 
     def compose(self, other: "PdModuleMap") -> "PdModuleMap":
-        """self after other (matrix product self @ other)."""
+        """self after other (matrix product self @ other), over nonzero
+        entries only."""
         if self.cols != other.rows:
             raise DimensionError("composition shape mismatch")
         rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = MultiPoly.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+        for left in self.entries:
+            row = [MultiPoly.zero()] * other.cols
+            for a, right in zip(left, other.entries):
+                if not a.is_zero:
+                    for j, b in enumerate(right):
+                        if not b.is_zero:
+                            row[j] = row[j] + a * b
             rows.append(row)
         return PdModuleMap(rows)
 
@@ -308,7 +308,7 @@ def _evaluator(
     multiplies by 1.  Applying the evaluator to one argument tuple is
     its one-tuple case (the zero element where that is None), and
     `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
-    nonzero values only, in row order; `grid` is their dense view.
+    nonzero values only, in row order.
     """
     targets = _slot_targets(lams)
     # stored variables -> lams, simultaneously: targets may mention them
@@ -358,14 +358,8 @@ def _evaluator(
     def cells(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> dict:
         return {divmod(i, len(seconds)): v for i, v in enumerate(batch((firsts, seconds))) if v is not None and not v.is_zero}
 
-    def grid(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> list[list]:
-        values, width = batch((firsts, seconds)), len(seconds)
-        empty = ConformalElement((zero,) * out_rank)
-        return [[v or empty for v in values[i * width:(i + 1) * width]] for i in range(len(firsts))]
-
     apply.batch = batch
     apply.cells = cells
-    apply.grid = grid
     return apply
 
 
@@ -424,7 +418,7 @@ L12 = L1 + L2
 
 
 # Each check and construction builds one evaluator per table and
-# parameter (`_table_at`), names it and evaluates it as cells or grids.  The
+# parameter (`_table_at`), names it and evaluates it as cells.  The
 # argument lists are built once: the basis, its images under a twist or
 # operator, and the basis-pair products per table and parameter, so
 # each twist or operator image is applied once.
@@ -442,38 +436,64 @@ def _table(cells: dict) -> dict:
     return {key: v.coords for key, v in cells.items() if not v.is_zero}
 
 
-def _by_cells(ev, firsts: list, products: list[list]) -> list:
-    """ev(firsts[a], products[b][c]) at [a][b][c]: one grid whose second
-    argument list is the cells of a product list, row after row."""
-    width = len(products[0]) if products else 0
-    return [
-        [row[b * width:(b + 1) * width] for b in range(len(products))]
-        for row in ev.grid(firsts, [v for cells in products for v in cells])
-    ]
+def _applied(m: PdModuleMap, cells: dict) -> dict:
+    """m applied to every value of cells."""
+    return {key: m.apply(v) for key, v in cells.items()}
 
 
-def _cells_by(ev, products: list[list], seconds: list) -> list:
-    """ev(products[a][b], seconds[c]) at [a][b][c]: one grid whose first
-    argument list is the cells of a product list, row after row."""
-    width = len(products[0]) if products else 0
-    rows = ev.grid([v for cells in products for v in cells], seconds)
-    return [rows[a * width:(a + 1) * width] for a in range(len(products))]
+def _rekeyed(cells: dict, order: tuple) -> dict:
+    """cells with their keys' indices reordered: index t of a new key is
+    index order[t] of the old one."""
+    return {tuple(key[t] for t in order): v for key, v in cells.items()}
+
+
+def _by_cells(ev, firsts: list, products: dict) -> dict:
+    """ev(firsts[a], products[key]) at (a,) + key, nonzero values only:
+    one `cells` call whose second argument list is the product values."""
+    keys = list(products)
+    return {(a,) + keys[b]: v for (a, b), v in ev.cells(firsts, list(products.values())).items()}
+
+
+def _cells_by(ev, products: dict, seconds: list) -> dict:
+    """ev(products[key], seconds[c]) at key + (c,), nonzero values only:
+    one `cells` call whose first argument list is the product values."""
+    keys = list(products)
+    return {keys[a] + (c,): v for (a, c), v in ev.cells(list(products.values()), seconds).items()}
+
+
+def _signed_sum(plus: Sequence[dict], minus: Sequence[dict] = ()) -> dict:
+    """The sum of the plus cells minus the sum of the minus cells, as
+    cells: over the sorted union of their keys, nonzero sums only."""
+    out = {}
+    for key in sorted(set().union(*plus, *minus)):
+        added = [cells[key] for cells in plus if key in cells]
+        taken = [cells[key] for cells in minus if key in cells]
+        value = sum(added[1:], added[0]) if added else -taken.pop()
+        for v in taken:
+            value = value - v
+        if not value.is_zero:
+            out[key] = value
+    return out
+
+
+def _residual(c: checked, prefix: tuple, plus: Sequence[dict], minus: Sequence[dict] = ()) -> None:
+    """Record in the checked block c, at prefix + key, each nonzero value
+    of the signed sum of cells (`_signed_sum`)."""
+    for key, value in _signed_sum(plus, minus).items():
+        c.add(prefix + key, str(value))
 
 
 # The identities that the checks and constructions share, each written
-# once.  They take evaluators, as `_table_at` builds them, and the
-# product lists of their grids.  Residuals go to the checked block `c`
-# at `prefix` + the basis indices.
+# once.  They take evaluators, as `_table_at` builds them, and the cells
+# of basis-pair products, keyed by basis indices.  Each identity is one
+# `_residual` of cells keyed in its own index order.
 
 
 def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
     """m(src(p, q)) - dst(m p, m q) on every basis pair, where src and dst
     evaluate the source and the target table at one parameter."""
     basis, images = _basis_and_images(m.cols, m)
-    after = dst.grid(images, images)
-    for i, row in enumerate(src.grid(basis, basis)):
-        for j, v in enumerate(row):
-            c.add_nonzero(prefix + (i, j), m.apply(v) - after[i][j])
+    _residual(c, prefix, [_applied(m, src.cells(basis, basis))], [dst.cells(images, images)])
 
 
 def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plain=None) -> dict:
@@ -486,32 +506,23 @@ def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plai
     Nijenhuis-deformed bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
     plain = ev.cells(firsts, seconds) if plain is None else plain
-    left, right, zero, out = ev.cells(a_images, seconds), ev.cells(firsts, b_images), zero_element(outer.rows), {}
-    for key in sorted(left.keys() | right.keys() | plain.keys()):
-        value = left.get(key, zero) + right.get(key, zero)
-        if key in plain:
-            value = value - outer.apply(plain[key])
-        if not value.is_zero:
-            out[key] = value
-    return out
+    return _signed_sum([ev.cells(a_images, seconds), ev.cells(firsts, b_images)], [_applied(outer, plain)])
 
 
 def _leibniz(c: checked, prefix: tuple, twisted: list, terms: list) -> None:
     """The sum over ((f, fs), (g, gs), (h, hs)) in terms of
 
-        f(a p, fs[j][k]) - (g(gs[i][j], a r) + h(a q, hs[i][k]))
+        f(a p, fs[j, k]) - (g(gs[i, j], a r) + h(a q, hs[i, k]))
 
     on every basis triple (p, q, r) = (e_i, e_j, e_k), where twisted
     holds the a(e_i), f, g and h evaluate tables at w1, w1+w2 and w2,
-    and fs, gs and hs are basis-pair product lists.  Each of the three
-    is one grid per term."""
-    parts = [
-        (_by_cells(f, twisted, fs), _cells_by(g, gs, twisted), _by_cells(h, twisted, hs))
-        for (f, fs), (g, gs), (h, hs) in terms
-    ]
-    for i, j, k in itertools.product(range(len(twisted)), repeat=3):
-        res = [lhs[i][j][k] - (via[i][j][k] + other[j][i][k]) for lhs, via, other in parts]
-        c.add_nonzero(prefix + (i, j, k), sum(res[1:], res[0]))
+    and fs, gs and hs are cells of basis-pair products.  Each of the
+    three is one `cells` call per term."""
+    plus, minus = [], []
+    for (f, fs), (g, gs), (h, hs) in terms:
+        plus.append(_by_cells(f, twisted, fs))
+        minus += [_cells_by(g, gs, twisted), _rekeyed(_by_cells(h, twisted, hs), (1, 0, 2))]
+    _residual(c, prefix, plus, minus)
 
 
 def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=None) -> None:
@@ -522,29 +533,24 @@ def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=
 
     with phi an evaluator of two arguments at l1; before it, the entries
     of alpha t - t beta, labelled twist_compat.  The bracket and both
-    actions are one evaluator and one grid each."""
+    actions are one evaluator and one `cells` call each."""
     _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
     mods, images = _basis_and_images(rep.rank, t)
     inners = [
-        _table_at(rep.l_structure, rep.rank, L1).grid(images, mods),
-        _table_at(rep.r_structure, rep.rank, L1).grid(mods, images),
+        _table_at(rep.l_structure, rep.rank, L1).cells(images, mods),
+        _table_at(rep.r_structure, rep.rank, L1).cells(mods, images),
     ]
     if phi is not None:
-        inners.append(phi.grid(images, images))
-    for i, row in enumerate(_table_at(alg.structure, alg.rank, L1).grid(images, images)):
-        for j, v in enumerate(row):
-            inner = [grid[i][j] for grid in inners]
-            c.add_nonzero(prefix + (i, j), v - t.apply(sum(inner[1:], inner[0])))
+        inners.append(phi.cells(images, images))
+    bracket = _table_at(alg.structure, alg.rank, L1).cells(images, images)
+    _residual(c, prefix, [bracket], [_applied(t, _signed_sum(inners))])
 
 
 def _skew(c: checked, prefix: tuple, ev, flip, rank: int) -> None:
     """ev(p, q) + flip(q, p) on every basis pair, where ev and flip
     evaluate one table at l1 and at -l1 - D."""
     basis = [basis_element(rank, i) for i in range(rank)]
-    flipped = flip.grid(basis, basis)
-    for i, row in enumerate(ev.grid(basis, basis)):
-        for j, v in enumerate(row):
-            c.add_nonzero(prefix + (i, j), v + flipped[j][i])
+    _residual(c, prefix, [ev.cells(basis, basis), _rekeyed(flip.cells(basis, basis), (1, 0))])
 
 
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
@@ -566,7 +572,7 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
     with checked("hom_leibniz") as c:
         br1, br2, br12 = (_table_at(alg.structure, alg.rank, w) for w in (L1, L2, L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        at1, at2 = br1.grid(basis, basis), br2.grid(basis, basis)
+        at1, at2 = br1.cells(basis, basis), br2.cells(basis, basis)
         _leibniz(c, (), twisted, [((br1, at2), (br12, at1), (br2, at1))])
     return c.report
 

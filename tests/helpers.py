@@ -1,7 +1,7 @@
 """Shared builders for the test suite."""
 
 from homleib.poly import LinearForm, X, lam
-from homleib.structure import PdModuleMap, XF, eval_bracket, virasoro
+from homleib.structure import PdModuleMap, XF, eval_bracket, virasoro, zero_element
 from homleib.representation import Representation
 from homleib.operators import deformed_bracket
 from homleib.cohomology import Cochain
@@ -26,3 +26,11 @@ def example_59_data(c):
         {(0, 0): tuple(p.substitute(X, LinearForm.variable(lam(1))) for p in vee)},
     )
     return TwistedRBData(deformed, rep, PdModuleMap.identity(1), phi)
+
+
+def dense(ev, firsts, seconds, out_rank):
+    """The dense view of a two-slot evaluator on two argument lists, read
+    off its `batch`: ev(firsts[i], seconds[j]) at [i][j], the zero
+    element of out_rank where the batch meets no nonzero entry."""
+    values, width, zero = ev.batch((firsts, seconds)), len(seconds), zero_element(out_rank)
+    return [[v or zero for v in values[i * width:(i + 1) * width]] for i in range(len(firsts))]

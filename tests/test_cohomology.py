@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import reference_coboundary
+from helpers import dense
 from homleib import cohomology, operators, representation, structure
 from homleib.operators import deformed_bracket
 from homleib.poly import MAX_ARITY, D, X, LinearForm, MultiPoly, lam, parse_poly
@@ -464,8 +465,8 @@ def test_pair_shape_validation(vir):
 
 
 def test_shapes_the_grids_cannot_see_are_refused(vir, cur2):
-    # a grid reads any argument against the table, so the ranks are
-    # checked before one is built: a 3x2 operator on cur2, and a
+    # an evaluator's cells read any argument against the table, so the
+    # ranks are checked before they are built: a 3x2 operator on cur2, and a
     # representation over cur2 used with the rank-1 vir
     rep = with_nm(adjoint_rep(cur2), NIL)
     f = random_cochain(1, 2, 1, random.Random(7))
@@ -667,7 +668,7 @@ def test_coboundary_equals_per_key_reference_on_random_pairs():
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, arity):
-    """d and d_HN evaluate each structure table once, at x, as grids:
+    """d and d_HN evaluate each structure table once, at x, as cells:
     with every per-pair route to a table made to raise, and for d_HN
     the constructions of the deformed bracket and the induced actions
     too, they return the same cochains, and each builds exactly one
@@ -845,7 +846,7 @@ def _counting_builds(monkeypatch) -> list:
 def test_an_empty_cochain_costs_a_held_complex_nothing(monkeypatch, request, name):
     """d and d_HN of a cochain with no stored key, through a held complex
     and its view, build no evaluator and compile no substitution: before
-    any grid is built and after, at arities 1-3."""
+    any cells are built and after, at arities 1-3."""
     alg, n_op = _with_operator(request, name)
     rep = with_nm(adjoint_rep(alg), n_op)
     built = _counting_builds(monkeypatch)
@@ -924,9 +925,11 @@ def _nonzero_cells(grid) -> dict:
 
 def _dense_deformed(ev, first, second, outer) -> list:
     """The former dense deformed product: u + v - outer(p) on every cell
-    of the grids ev(a p, q), ev(p, b q) and ev(p, q)."""
+    of the dense views (`helpers.dense`) of ev(a p, q), ev(p, b q) and
+    ev(p, q)."""
     (firsts, a_images), (seconds, b_images) = first, second
-    rows = zip(ev.grid(a_images, seconds), ev.grid(firsts, b_images), ev.grid(firsts, seconds))
+    rank = outer.rows
+    rows = zip(*(dense(ev, f, s, rank) for f, s in ((a_images, seconds), (firsts, b_images), (firsts, seconds))))
     return [[u + v - outer.apply(p) for u, v, p in zip(*row)] for row in rows]
 
 
@@ -947,13 +950,13 @@ def test_the_cells_are_the_nonzero_cells_of_the_dense_grids(monkeypatch, request
     for arity in (1, 2, 3):
         acting = plain.acting(arity)
         actings = (acting, [n_op.apply(a) for a in acting])
-        dense = br.grid(basis, basis), l_ev.grid(acting, mods), r_ev.grid(mods, acting)
+        grids = dense(br, basis, basis, alg.rank), dense(l_ev, acting, mods, rep.rank), dense(r_ev, mods, acting, rep.rank)
         deformed = (
             _dense_deformed(br, algs, algs, n_op),
             _dense_deformed(l_ev, actings, modules, nm),
             _dense_deformed(r_ev, modules, actings, nm),
         )
-        assert plain.cells(arity) == tuple(map(_nonzero_cells, dense)), arity
+        assert plain.cells(arity) == tuple(map(_nonzero_cells, grids)), arity
         assert view.cells(arity) == tuple(map(_nonzero_cells, deformed)), arity
         for cells in plain.cells(arity) + view.cells(arity):
             assert list(cells) == sorted(cells)

@@ -14,7 +14,7 @@ denominator `_den`, wrapped by `_own`).
 
 Found from the syntax tree too: no module keeps an ambient evaluation
 scope (each check, construction and coboundary builds one evaluator per
-table and parameter and evaluates it as cells or grids).
+table and parameter and evaluates it as cells).
 
 Found from the source of `structure._evaluator`: it has one term loop,
 its batched one, which is the only place that reads a relabelled table
@@ -23,9 +23,10 @@ entry; applying it to one tuple is a batch of one.
 Found from the syntax tree too: cohomology.py compiles a substitution
 only in `_frame`, which builds what d reads at one arity once per complex.
 
-Found from the syntax tree too: cohomology.py evaluates its structure
-tables as cells, never as dense grids, and definitions.py and cli.py
-never build a cochain past its checks (`cohomology._cochain`).
+Found from the syntax tree too: no module evaluates a table as a dense
+grid (every check and the complex read nonzero cells only), and
+definitions.py and cli.py never build a cochain past its checks
+(`cohomology._cochain`).
 
 Found from the syntax tree too: no module calls the builtin `id`, so
 nothing is kept per argument object.
@@ -183,14 +184,18 @@ def test_cohomology_compiles_substitutions_only_in_the_frame():
 
 
 def test_cohomology_makes_no_dense_grid():
-    # the complex, its view and the frame read cells, so a zero cell
-    # never reaches the frame
-    calls = [
-        node.lineno
-        for node in ast.walk(_trees()["cohomology.py"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "grid"
+    # every module, not only cohomology.py: the complex, its view and the
+    # frame read cells, and so does every check, so a zero cell never
+    # reaches the frame or a residual; no evaluator defines, sets or is
+    # asked for a dense `grid`
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "grid"
+        or isinstance(node, ast.FunctionDef) and node.name == "grid"
     ]
-    assert not calls, calls
+    assert not found, found
 
 
 def test_only_the_engine_builds_unchecked_cochains():

@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 import reference_evaluator
+from helpers import dense
 from homleib import cohomology, deformation, ns, operators, representation, structure
 from homleib.cohomology import coboundary_homL, cochain_from_bracket_table, eval_cochain, random_cochain
 from homleib.deformation import DeformationData, verify_deformation_order
@@ -206,6 +207,35 @@ def test_apply_map_dimension_mismatch():
 def test_map_entries_restricted_to_d():
     with pytest.raises(ValueError):
         PdModuleMap([[MultiPoly.var(X)]])
+
+
+def _dense_compose(m: PdModuleMap, n: PdModuleMap) -> list:
+    """m @ n as the former dense triple loop, zero entries included."""
+    return [
+        [sum((m.entries[i][k] * n.entries[k][j] for k in range(m.cols)), MultiPoly.zero()) for j in range(n.cols)]
+        for i in range(m.rows)
+    ]
+
+
+def _sparse_dmatrix(rng, rows, cols):
+    """A random matrix over polynomials in D, about half its entries zero."""
+    return PdModuleMap([[rand_dpoly(rng, 1) if rng.random() < 0.5 else MultiPoly.zero() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_compose_equals_the_dense_product():
+    # random D-matrices with zero entries, zero rows and columns among
+    # them, of every shape up to 3 x 3 x 3, and the zero and identity
+    # maps: the same entries, coefficient types included
+    rng = random.Random(109)
+
+    def raw(rows):
+        return [[{m: (type(c), c) for m, c in p.raw().items()} for p in row] for row in rows]
+
+    for rows, inner, cols in itertools.product((1, 2, 3), repeat=3):
+        for _ in range(4):
+            m, n = _sparse_dmatrix(rng, rows, inner), _sparse_dmatrix(rng, inner, cols)
+            for left, right in ((m, n), (PdModuleMap.zero(rows, inner), n), (m, PdModuleMap.identity(inner))):
+                assert raw(left.compose(right).entries) == raw(_dense_compose(left, right)), (rows, inner, cols)
 
 
 def test_multiplicativity_identity_twist(vir):
@@ -610,8 +640,10 @@ def _grid_arguments(rng, rank):
 
 def test_grid_equals_per_pair_evaluation():
     # brackets, and actions on a module of another rank, some tables
-    # empty, at each parameter form: every cell has the term dicts of its
-    # pair evaluated alone and of the former evaluator, on a fresh
+    # empty, at each parameter form: every cell of the dense view read
+    # off `batch` (`helpers.dense`) has the term dicts of its pair
+    # evaluated alone and of the former evaluator, and `cells` holds the
+    # nonzero ones with the same term dicts, on a fresh
     # evaluator and on one that later per-pair calls share
     ref = reference_evaluator.eval_table
     rng = random.Random(89)
@@ -629,30 +661,34 @@ def test_grid_equals_per_pair_evaluation():
                 alone = [[structure._table_at(table, out_rank, w)((p, q)) for q in seconds] for p in firsts]
                 former = [[ref(table, out_rank, p, q, w) for q in seconds] for p in firsts]
                 assert raw_rows(alone) == raw_rows(former), (case, w)
-                got = structure._table_at(table, out_rank, w).grid(firsts, seconds)
+                got = dense(structure._table_at(table, out_rank, w), firsts, seconds, out_rank)
                 assert raw_rows(got) == raw_rows(alone), (case, w)
+                nonzero = {(i, j): _raw(v) for i, row in enumerate(alone) for j, v in enumerate(row) if not v.is_zero}
+                cells = structure._table_at(table, out_rank, w).cells(firsts, seconds)
+                assert {key: _raw(v) for key, v in cells.items()} == nonzero, (case, w)
                 shared = structure._table_at(table, out_rank, w)
-                got = shared.grid(firsts, seconds)
+                got = dense(shared, firsts, seconds, out_rank)
                 again = [[shared((p, q)) for q in seconds] for p in firsts]
                 assert raw_rows(got) == raw_rows(again) == raw_rows(alone), (case, w)
 
 
 def test_cells_are_the_nonzero_cells_of_the_grid():
     # on random tables and arguments, and on a pair whose two terms
-    # cancel: the cells are the grid's nonzero cells, in row order
+    # cancel: the cells are the nonzero cells of the dense view read off
+    # `batch` (`helpers.dense`), in row order
     rng = random.Random(101)
     for alg_rank, mod_rank in [(1, 2), (2, 3), (3, 2)]:
         table = _random_table(rng, alg_rank, mod_rank, mod_rank)
         firsts, seconds = _grid_arguments(rng, alg_rank), _grid_arguments(rng, mod_rank)
         for w in (XF, L1 + L2):
             ev = structure._table_at(table, mod_rank, w)
-            grid, cells = ev.grid(firsts, seconds), ev.cells(firsts, seconds)
+            grid, cells = dense(ev, firsts, seconds, mod_rank), ev.cells(firsts, seconds)
             assert cells == {(i, j): v for i, row in enumerate(grid) for j, v in enumerate(row) if not v.is_zero}
             assert list(cells) == sorted(cells)
     one = MultiPoly.const(1)
     e0, e1 = basis_element(2, 0), basis_element(2, 1)
     ev = structure._table_at({(0, 0): (one,), (1, 0): (-one,)}, 1, XF)
-    assert ev.grid([e0 + e1], [e0])[0][0].is_zero
+    assert dense(ev, [e0 + e1], [e0], 1)[0][0].is_zero
     assert ev.cells([e0 + e1, e0], [e0]) == {(1, 0): ConformalElement((one,))}
 
 
@@ -714,7 +750,7 @@ def test_an_evaluator_at_its_own_variables_compiles_no_relabel(monkeypatch):
         table = _random_table(rng, rank, rank, rank)
         basis, args = [basis_element(rank, i) for i in range(rank)], _grid_arguments(rng, rank)
         at_x = structure._table_at(table, rank, XF)
-        on_basis, got = at_x.grid(basis, basis), at_x.grid(args, args)
+        on_basis, got = dense(at_x, basis, basis, rank), dense(at_x, args, args, rank)
         assert compiled == []
         for (i, j), vec in table.items():
             assert on_basis[i][j].coords == vec
@@ -773,3 +809,91 @@ def test_in_range_tables_still_construct():
     rep = Representation(2, 1, {(1, 0): (_ONE,)}, {(0, 1): (parse_poly("D + x"),)}, _ID1)
     assert rep.l_structure and rep.r_structure
     assert ns.NSAlgebra(1, ("a",), {(0, 0): (_ONE,)}, {}, {(0, 0): (parse_poly("x"),)}, _ID1).vee
+
+
+# ---------------------------------------------------------------------------
+# reports against per-tuple residuals
+# ---------------------------------------------------------------------------
+
+
+def _residual_cases():
+    """Seeded rank 2-3 algebras with D-dependent brackets and operators,
+    a third of each kind: direct sums of scaled Virasoro copies with a
+    constant diagonal operator (every check passes), the same with one
+    random entry added to the bracket and a D-dependent operator (some
+    tuples fail, others cancel), and sparse random tables with
+    D-dependent twists (most tuples fail)."""
+    rng = random.Random(113)
+    for case in range(18):
+        rank = 2 + case % 2
+        vir_sum = {(i, i): tuple(MultiPoly({((D, 1),): c, ((X, 1),): 2 * c}) if k == i else MultiPoly.zero() for k in range(rank))
+                   for i, c in enumerate(rng.choice((1, 2, -3)) for _ in range(rank))}
+        diagonal = PdModuleMap([[MultiPoly.const(rng.randint(-2, 2)) if a == b else MultiPoly.zero() for b in range(rank)] for a in range(rank)])
+        if case % 3 == 0:
+            table, twist, op = vir_sum, PdModuleMap.identity(rank), diagonal
+        elif case % 3 == 1:
+            extra = _random_table(rng, rank, rank, rank)
+            key = rng.choice(sorted(extra))
+            table, twist, op = {**vir_sum, key: extra[key]}, PdModuleMap.identity(rank), _sparse_dmatrix(rng, rank, rank)
+        else:
+            table = {key: vec for key, vec in _random_table(rng, rank, rank, rank).items() if rng.random() < 0.5}
+            twist, op = _sparse_dmatrix(rng, rank, rank), _sparse_dmatrix(rng, rank, rank)
+        names = tuple(f"e{i}" for i in range(rank))
+        yield ConformalAlgebra(rank, names, structure.normalize_table(table, rank), twist), op
+
+
+def _per_tuple_residuals(alg: ConformalAlgebra, op: PdModuleMap) -> dict:
+    """check -> {basis tuple: (left-hand side, right-hand side terms)},
+    each bracket of an identity one `eval_table_bracket` call."""
+
+    def br(p, q, w):
+        return eval_table_bracket(alg.structure, alg.rank, p, q, w)
+
+    e, a = [alg.basis(i) for i in range(alg.rank)], alg.alpha
+    flip = -L1 - LinearForm.variable(D)
+    out = {"hom_leibniz": {}, "skew_symmetry": {}, "multiplicativity": {}, "operator_nijenhuis": {}}
+    for i, j, k in itertools.product(range(alg.rank), repeat=3):
+        lhs = br(a.apply(e[i]), br(e[j], e[k], L2), L1)
+        rhs = [br(br(e[i], e[j], L1), a.apply(e[k]), L1 + L2), br(a.apply(e[j]), br(e[i], e[k], L1), L2)]
+        out["hom_leibniz"][i, j, k] = lhs, rhs
+    for i, j in itertools.product(range(alg.rank), repeat=2):
+        out["skew_symmetry"][i, j] = br(e[i], e[j], L1), [-br(e[j], e[i], flip)]
+        out["multiplicativity"][i, j] = a.apply(br(e[i], e[j], XF)), [br(a.apply(e[i]), a.apply(e[j]), XF)]
+        inner = br(op.apply(e[i]), e[j], L1) + br(e[i], op.apply(e[j]), L1) - op.apply(br(e[i], e[j], L1))
+        out["operator_nijenhuis"][i, j] = br(op.apply(e[i]), op.apply(e[j]), L1), [op.apply(inner)]
+    return out
+
+
+def test_reports_are_the_nonzero_per_tuple_residuals():
+    """Each check's violations are exactly the basis tuples whose
+    residual lhs - rhs, recomputed one bracket at a time, is nonzero,
+    with that residual's string; the Nijenhuis check also reports the
+    nonzero entries of alpha N - N alpha.  The cases include tuples whose
+    left-hand side is zero while a right-hand term is not, and tuples
+    whose nonzero terms cancel."""
+    checks = {
+        "hom_leibniz": verify_hom_leibniz,
+        "skew_symmetry": verify_skew_symmetry,
+        "multiplicativity": verify_multiplicativity,
+        "operator_nijenhuis": lambda alg, op: verify_operator(alg, op, OperatorKind.nijenhuis()),
+    }
+    failed, reports = 0, 0
+    only_right, cancelled = dict.fromkeys(checks, 0), dict.fromkeys(checks, 0)
+    for alg, op in _residual_cases():
+        for name, tuples in _per_tuple_residuals(alg, op).items():
+            expected = {}
+            for key, (lhs, rhs) in tuples.items():
+                residual = lhs - sum(rhs[1:], rhs[0])
+                if not residual.is_zero:
+                    expected[key] = str(residual)
+                only_right[name] += lhs.is_zero and not all(r.is_zero for r in rhs)
+                cancelled[name] += not lhs.is_zero and residual.is_zero
+            if name == "operator_nijenhuis":
+                commute = [[p - q for p, q in zip(*rows)] for rows in zip(_dense_compose(alg.alpha, op), _dense_compose(op, alg.alpha))]
+                expected.update({("twist_commute", i, j): str(p) for i, row in enumerate(commute) for j, p in enumerate(row) if not p.is_zero})
+            report = checks[name](alg, op) if name == "operator_nijenhuis" else checks[name](alg)
+            got = [(v.context, v.residual) for v in report.violations]
+            assert len(got) == len(dict(got)) and dict(got) == expected, name
+            failed, reports = failed + (not report.passed), reports + 1
+    assert all(only_right.values()) and all(cancelled.values()), (only_right, cancelled)
+    assert 0.3 < failed / reports < 0.7, (failed, reports)
