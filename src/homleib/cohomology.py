@@ -33,16 +33,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from random import Random
+from typing import NamedTuple
 
 from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
 from .report import Report, checked
 from .operators import _check_square
 from .representation import Representation
 from .structure import (
-    XF,
+    AT_X,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
+    Parameters,
     PdModuleMap,
     _deformed_products,
     _evaluator as _sesquilinear,
@@ -94,7 +96,8 @@ class Cochain:
         return _cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
 
     def __neg__(self) -> "Cochain":
-        return self.scale(-1)
+        table = {k: tuple(-p for p in vec) for k, vec in self.table.items()}
+        return _cochain(self.arity, self.alg_rank, self.rep_rank, normalize_table(table, self.rep_rank))
 
     def scale(self, c) -> "Cochain":
         if not isinstance(c, MultiPoly):
@@ -141,10 +144,8 @@ def cochain_from_map(m: PdModuleMap) -> Cochain:
 
 def cochain_from_bracket_table(table, rank: int) -> Cochain:
     """View a bracket table (values in D, x) as an arity-2 cochain in D, l1."""
-    out = {}
-    l1 = LinearForm.variable(lam(1))
-    for key, vec in table.items():
-        out[key] = tuple(p.substitute(X, l1) for p in vec)
+    l1 = MultiPoly.var(lam(1))
+    out = {key: tuple(p.substitute(X, l1) for p in vec) for key, vec in table.items()}
     return Cochain(2, rank, rank, normalize_table(out, rank))
 
 
@@ -165,13 +166,12 @@ def eval_cochain(
     return _evaluator(f, lams)(args)
 
 
-def _evaluator(f: Cochain, lams: list[LinearForm]):
-    """f at the parameter list `lams`, as a function of the argument
-    tuple: `structure._evaluator` with the stored l1..l(n-1) set to
-    `lams`.  An evaluator lives for one coboundary, `phi_map` or
-    compatibility check."""
-    stored = [lam(i) for i in range(1, f.arity)]
-    return _sesquilinear(f.table, stored, f.rep_rank, lams, f.alg_rank)
+def _evaluator(f: Cochain, lams: "Parameters | list[LinearForm]"):
+    """f at the parameters `lams`, as a function of the argument tuple:
+    `structure._evaluator` with the stored l1..l(n-1) set to `lams`.  An
+    evaluator lives for one coboundary, `phi_map` or compatibility
+    check; the parameters it reads outlive it."""
+    return _sesquilinear(f.table, [lam(i) for i in range(1, f.arity)], f.rep_rank, lams, f.alg_rank)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
@@ -180,7 +180,7 @@ def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation)
     The left side is one batch of f over the twisted basis in every slot."""
     _check_ranks(f, alg, rep)
     twisted = [alg.alpha.apply(alg.basis(t)) for t in range(alg.rank)]
-    values = _evaluator(f, _output_lams(f.arity - 1)).batch([twisted] * f.arity)
+    values = _evaluator(f, _at_arity(f.arity).outputs).batch([twisted] * f.arity)
     with checked("cochain_twist_equivariance") as c:
         for key, lhs in zip(itertools.product(range(alg.rank), repeat=f.arity), values):
             rhs = rep.beta.apply(ConformalElement(f.value(key)))
@@ -193,26 +193,47 @@ def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation)
 # ---------------------------------------------------------------------------
 
 
-def _output_lams(n: int) -> list[LinearForm]:
-    return [LinearForm.variable(lam(i)) for i in range(1, n + 1)]
+class _Arity(NamedTuple):
+    """What d, phi and the compatibility check evaluate an arity-n cochain
+    at: per i, the parameters of the insertion terms (i, j), j = i + 1..n + 1,
+    where (i, n + 1) is the left-action term i and (n, n + 1) the outputs
+    l1..l(n-1); l_1..l_n, each D + l_i, and their sum."""
+
+    outputs: Parameters
+    insertions: tuple
+    ls: tuple
+    shifts: tuple
+    total: MultiPoly
 
 
-def _l_term_lams(n: int, i: int) -> list[LinearForm]:
-    """Parameters for the hatted application in the i-th left-action term."""
-    return [LinearForm.variable(lam(k)) for k in range(1, n + 1) if k != i]
+def _arities(low: int, top: int) -> tuple:
+    """The parameters of arities low..top.  Each l_k, -l_k, D + l_k,
+    l_i + l_j and its negation, and each monomial key, is built once and
+    shared by every list that reads it.  The insertion term (i, j) of
+    arity n reads l_s at the s in 1..n but i, with l_i + l_j at s = j."""
+    keys = [((lam(k), 1),) for k in range(1, top + 1)]
+    ls = [MultiPoly.from_int_first({key: 1}) for key in keys]
+    negs, shifts, out = [-w for w in ls], [MultiPoly.var(D) + w for w in ls], []
+    pairs = {(i, j): ((p := ls[i] + ls[j]), -p) for i, j in itertools.combinations(range(top), 2)}
+    for n in range(low, top + 1):
+        total = MultiPoly.from_int_first(dict.fromkeys(keys[:n], 1))
+        full, insertions = MultiPoly.var(D) + total, []  # the last slot's D target but at j = n + 1
+        for i in range(n):
+            rest = [k for k in range(n) if k != i]
+            row = [Parameters(tuple(pairs[i, j][0] if k == j else ls[k] for k in rest),
+                              tuple(pairs[i, j][1] if k == j else negs[k] for k in rest) + (full,)) for j in range(i + 1, n)]
+            insertions.append((*row, Parameters(tuple(ls[k] for k in rest), tuple(negs[k] for k in rest) + (full - ls[i],))))
+        out.append(_Arity(insertions[-1][-1], tuple(insertions), tuple(ls[:n]), tuple(shifts[:n]), total))
+    return tuple(out)
 
 
-def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
-    """Parameters for the insertion term (i, j): argument i removed, the
-    bracket of arguments i and j standing at position j among 1..n+1."""
-    occupants = [s for s in range(1, n + 2) if s != i]
-    out = []
-    for s in occupants[: n - 1]:
-        if s == j:
-            out.append(LinearForm.variable(lam(i)) + LinearForm.variable(lam(j)))
-        else:
-            out.append(LinearForm.variable(lam(s)))
-    return out
+# every arity that d, d of d and phi after d reach from arity MAX_ARITY, built at import
+_ARITIES = _arities(1, MAX_ARITY + 1)
+
+
+def _at_arity(n: int) -> _Arity:
+    """The table's parameters of arity n, or above it this call's own."""
+    return _ARITIES[n - 1] if n <= len(_ARITIES) else _arities(n, n)[0]
 
 
 class Complex:
@@ -254,8 +275,8 @@ class Complex:
     def evaluators(self) -> tuple:
         """The bracket, l and r tables, each one evaluator at x."""
         alg, rep = self.alg, self.rep
-        return (_table_at(alg.structure, alg.rank, XF), _table_at(rep.l_structure, rep.rank, XF),
-                _table_at(rep.r_structure, rep.rank, XF))
+        return (_table_at(alg.structure, alg.rank, AT_X), _table_at(rep.l_structure, rep.rank, AT_X),
+                _table_at(rep.r_structure, rep.rank, AT_X))
 
     def cells(self, n: int) -> tuple:
         """The bracket, l and r cells at x that d reads at arity n."""
@@ -330,7 +351,8 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
 def _frame(n: int, brackets: dict, l_cells: dict, r_cells: dict) -> tuple:
     """What d reads at arity n besides f, from the cells at x brackets[a, b],
     l_cells[t, b] and r_cells[b, t], as (cells, insertions, groups).
-    Every compiled substitution of the coboundary is made here.
+    Every compiled substitution of the coboundary is made here, from the
+    parameters of arity n (`_at_arity`), which it reads and never builds.
 
     No cell mentions x, so each term group reads its data off the cells
     by one compiled substitution of x, applied to the nonzero coordinates:
@@ -354,19 +376,17 @@ def _frame(n: int, brackets: dict, l_cells: dict, r_cells: dict) -> tuple:
     is nonzero as (t, {b: its nonzero coordinates (k, c)})).  A group
     whose vectors are all zero is left out.
     """
-    ls = [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
-    total = MultiPoly.from_int_first({((lam(i), 1),): 1 for i in range(1, n + 1)})
-    at = [substitution({X: w}) for w in ls]
+    params = _at_arity(n)
+    at = [substitution({X: w}) for w in params.ls]
     insertions = []
     for i in range(1, n + 1) if brackets else ():
         inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for v in brackets.values()]
-        insertions += [(i, j, _insertion_lams(n, i, j), inner) for j in range(i + 1, n + 2)]
+        insertions += [(i, j, lams, inner) for j, lams in enumerate(params.insertions[i - 1], i + 1)]
     stored, actions = [lam(k) for k in range(1, n)], []
     for i in range(1, n + 1):  # stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-        targets = dict(zip(stored, _l_term_lams(n, i)))
-        targets[D] = MultiPoly.var(D) + ls[i - 1]
+        targets = dict(zip([*stored, D], [*params.insertions[i - 1][-1].polys, params.shifts[i - 1]]))
         actions.append((i - 1, i % 2 == 1, l_cells, at[i - 1], targets))
-    actions.append((n, n % 2 == 1, {(t, b): v for (b, t), v in r_cells.items()}, substitution({X: total}), {D: -total}))
+    actions.append((n, n % 2 == 1, {(t, b): v for (b, t), v in r_cells.items()}, substitution({X: params.total}), {D: -params.total}))
     groups = []
     for pos, plus, cells, at_w, targets in actions:
         rows = {}
@@ -385,12 +405,12 @@ def _coboundary(f: Cochain, twisted: list, rep_rank: int, frames) -> Cochain:
 
     The insertion term (i, j) is f with argument i removed, [e_a w_i e_b]
     at position j and the other arguments twisted, with sign (-1)^i: one
-    batch of one evaluator of f, with the frame's brackets at w_i in the
-    bracket's slot.  Each action group substitutes each stored value of f
-    once, in the group's columns only, and adds its products with the
-    group's vectors into the same sums, from each stored key of f to the
-    output keys its rows reach.  The table lists the nonzero sums in
-    sorted key order.
+    batch of one evaluator of f at the frame's parameters of (i, j), with
+    its brackets at w_i in the bracket's slot.  Each action group
+    substitutes each stored value of f once, in the group's columns only,
+    and adds its products with the group's vectors into the same sums,
+    from each stored key of f to the output keys its rows reach.  The
+    table lists the nonzero sums in sorted key order.
     """
     n = f.arity
     if not f.table:
@@ -441,7 +461,8 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     acts on arguments and nm on values, so the factors commute, and
     expanding the product picks per slot either n_op there or one factor
     -nm outside: the subset sum.  Step k is one batch of the running
-    table g, with the images n_op(e_t) in slot k and the basis elsewhere
+    table g at the outputs l1..l(n-1) of arity n (`_at_arity`, built
+    once), with the images n_op(e_t) in slot k and the basis elsewhere
     (a zero image meets no entry), minus nm of g's stored values.  An
     empty step table ends the loop, as every later step keeps it zero:
     for scalar N = nm, the first step already cancels.
@@ -457,7 +478,7 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     # column j of nm as its nonzero entries (i, entry), None for an entry of 1
     columns = [[(i, None if p == one else p) for i, row in enumerate(rep.n_m.entries) if not (p := row[j]).is_zero]
                for j in range(rep.rank)]
-    stored, lams = [lam(i) for i in range(1, n)], _output_lams(n - 1)
+    stored, lams = [lam(i) for i in range(1, n)], _at_arity(n).outputs
     keys = list(itertools.product(range(f.alg_rank), repeat=n))
     table = f.table
     for k in range(n):

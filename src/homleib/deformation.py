@@ -16,10 +16,10 @@ from types import MappingProxyType
 from .poly import LinearForm, MultiPoly, X, lam
 from .report import Report, checked
 from .structure import (
-    XF,
-    L1,
-    L2,
-    L12,
+    AT_L1,
+    AT_L12,
+    AT_L2,
+    AT_X,
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
@@ -125,10 +125,10 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
     ops = [data.operator(o) for o in range(n + 1)]
     with checked(f"deformation_order_{n}") as c:
         c.add_nonzero(("multiplicativity", "operator_twist"), a.compose(ops[n]) - ops[n].compose(a))
-        top = _table_at(data.bracket_table(n), rank, XF)
+        top = _table_at(data.bracket_table(n), rank, AT_X)
         _morphism(c, ("multiplicativity",), a, top, top)
         # the bracket of each order 0..n at w1, w2 and w1+w2
-        evs = [tuple(_table_at(data.bracket_table(o), rank, w) for w in (L1, L2, L12)) for o in range(n + 1)]
+        evs = [tuple(_table_at(data.bracket_table(o), rank, w) for w in (AT_L1, AT_L2, AT_L12)) for o in range(n + 1)]
         basis, twisted = _basis_and_images(rank, a)
         at1 = [e1.cells(basis, basis) for e1, _, _ in evs]
         at2 = [e2.cells(basis, basis) for _, e2, _ in evs]
@@ -227,8 +227,8 @@ def equivalence_order1_check(
     with checked("equivalence_order1") as c:
         # b1 - a1 - (a0 deformed by psi1)
         basis, images = _basis_and_images(rank, psi1)
-        b1s, a1s = (_table_at(d.bracket_table(1), rank, XF).cells(basis, basis) for d in (data_b, data_a))
-        a0 = _table_at(data_a.bracket_table(0), rank, XF)
+        b1s, a1s = (_table_at(d.bracket_table(1), rank, AT_X).cells(basis, basis) for d in (data_b, data_a))
+        a0 = _table_at(data_a.bracket_table(0), rank, AT_X)
         deformed = _deformed_products(a0, (basis, images), (basis, images), psi1)
         _residual(c, ("bracket_relation",), [b1s], [a1s, deformed])
         op_res = (

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import D, LinearForm, MultiPoly, Rat
+from .poly import MultiPoly, Rat
 from .report import Report, checked
 from .structure import (
-    XF,
-    L1,
-    L2,
-    L12,
+    AT_FLIP,
+    AT_L1,
+    AT_L12,
+    AT_L2,
+    AT_X,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
@@ -73,12 +74,12 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
     with checked("ns_axioms") as c:
         basis, twisted = _basis_and_images(n, a)
         for name in ("left", "right", "vee"):
-            ev = _table_at(getattr(ns, name), n, XF)
+            ev = _table_at(getattr(ns, name), n, AT_X)
             _morphism(c, ("multiplicativity", name), a, ev, ev)
         # each product at w1, w2 and w1 + w2
-        lf1, lf2, lf12 = (_table_at(ns.left, n, w) for w in (L1, L2, L12))
-        rt1, rt2, rt12 = (_table_at(ns.right, n, w) for w in (L1, L2, L12))
-        ve1, ve2, ve12 = (_table_at(ns.vee, n, w) for w in (L1, L2, L12))
+        lf1, lf2, lf12 = (_table_at(ns.left, n, w) for w in (AT_L1, AT_L2, AT_L12))
+        rt1, rt2, rt12 = (_table_at(ns.right, n, w) for w in (AT_L1, AT_L2, AT_L12))
+        ve1, ve2, ve12 = (_table_at(ns.vee, n, w) for w in (AT_L1, AT_L2, AT_L12))
         # the three products and their sum on every basis pair, at w1 and at w2
         left1, right1, vee1 = (ev.cells(basis, basis) for ev in (lf1, rt1, ve1))
         left2, right2, vee2 = (ev.cells(basis, basis) for ev in (lf2, rt2, ve2))
@@ -91,7 +92,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
             ((lf1, vee2), (rt12, vee1), (lf2, vee1)),
         ])
         if check_vee_skew:
-            _skew(c, ("vee_skew",), ve1, _table_at(ns.vee, n, -L1 - LinearForm.variable(D)), n)
+            _skew(c, ("vee_skew",), ve1, _table_at(ns.vee, n, AT_FLIP), n)
     return c.report
 
 
@@ -115,7 +116,7 @@ def check_ns_morphism(ns: NSAlgebra, m: PdModuleMap) -> Report:
     _check_square(ns, m)
     with checked("ns_morphism") as c:
         for name in ("left", "right", "vee"):
-            ev = _table_at(getattr(ns, name), ns.rank, XF)
+            ev = _table_at(getattr(ns, name), ns.rank, AT_X)
             _morphism(c, (name,), m, ev, ev)
     return c.report
 
@@ -159,7 +160,7 @@ def ns_from_nijenhuis(
         pre = verify_operator(alg, n, OperatorKind.nijenhuis())
         if not pre.passed:
             raise PreconditionError("operator is not Nijenhuis")
-    br = _table_at(alg.structure, alg.rank, XF)
+    br = _table_at(alg.structure, alg.rank, AT_X)
     basis, images = _basis_and_images(alg.rank, n)
     vee = {key: -n.apply(v) for key, v in br.cells(basis, basis).items()}
     return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
@@ -175,7 +176,7 @@ def ns_from_rb(
         pre = verify_operator(alg, r_op, OperatorKind.rota_baxter(weight))
         if not pre.passed:
             raise PreconditionError("operator is not Rota-Baxter of this weight")
-    br = _table_at(alg.structure, alg.rank, XF)
+    br = _table_at(alg.structure, alg.rank, AT_X)
     basis, images = _basis_and_images(alg.rank, r_op)
     vee = {key: v.scale(weight) for key, v in br.cells(basis, basis).items()}
     return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
@@ -209,7 +210,7 @@ def verify_twisted_rb(data: TwistedRBData) -> Report:
     identity on module basis pairs."""
     with checked("twisted_rb") as c:
         _add_nonzero_values(c, coboundary_homL(data.phi, data.alg, data.rep), "phi_cocycle")
-        phi1 = _evaluator(data.phi, [L1])
+        phi1 = _evaluator(data.phi, AT_L1)
         _relative_operator(c, ("operator_identity",), data.alg, data.rep, data.t_map, phi1)
     return c.report
 
@@ -245,7 +246,7 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
     mods, images = _basis_and_images(rep.rank, data.t_map)
     return _ns(
         rep.rank, rep.basis_names, rep.beta,
-        _table_at(rep.l_structure, rep.rank, XF).cells(images, mods),
-        _table_at(rep.r_structure, rep.rank, XF).cells(mods, images),
-        _evaluator(data.phi, [XF]).cells(images, images),
+        _table_at(rep.l_structure, rep.rank, AT_X).cells(images, mods),
+        _table_at(rep.r_structure, rep.rank, AT_X).cells(mods, images),
+        _evaluator(data.phi, AT_X).cells(images, images),
     )

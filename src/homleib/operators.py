@@ -8,8 +8,8 @@ from fractions import Fraction
 from .poly import Rat
 from .report import Report, checked
 from .structure import (
-    XF,
-    L1,
+    AT_L1,
+    AT_X,
     ConformalAlgebra,
     DimensionError,
     PdModuleMap,
@@ -77,7 +77,7 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
     _check_square(alg, op)
     with checked(f"operator_{kind.tag}") as c:
         _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
-        br = _table_at(alg.structure, alg.rank, L1)
+        br = _table_at(alg.structure, alg.rank, AT_L1)
         basis, images = _basis_and_images(alg.rank, op)
         plain, mixed = br.cells(basis, basis), [br.cells(images, basis), br.cells(basis, images)]
         if kind.tag == NIJENHUIS:
@@ -110,7 +110,7 @@ def deformed_bracket(
                 f"operator is not Nijenhuis; first residual at {rep.violations[0].context}"
             )
     algs = _basis_and_images(alg.rank, n)
-    return alg.with_structure(_table(_deformed_products(_table_at(alg.structure, alg.rank, XF), algs, algs, n)))
+    return alg.with_structure(_table(_deformed_products(_table_at(alg.structure, alg.rank, AT_X), algs, algs, n)))
 
 
 def check_morphism(
@@ -129,7 +129,7 @@ def check_morphism(
         _add_nonzero_entries(c, "twist", f.compose(src.alpha) - dst.alpha.compose(f))
         if n_src is not None:
             _add_nonzero_entries(c, "operator", f.compose(n_src) - n_dst.compose(f))
-        _morphism(c, ("bracket",), f, _table_at(src.structure, src.rank, XF), _table_at(dst.structure, dst.rank, XF))
+        _morphism(c, ("bracket",), f, _table_at(src.structure, src.rank, AT_X), _table_at(dst.structure, dst.rank, AT_X))
     return c.report
 
 

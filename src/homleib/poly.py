@@ -499,6 +499,8 @@ MAX_ORDER = 100
 MAX_ARITY = 8
 # Most digits a numeral may have, on every version: Python 3.11's int() refuses more.
 MAX_DIGITS = 4300
+# No numeral of at most this many digits is over the limit: Python refuses a lower one.
+_ALWAYS_ALLOWED = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 def _digit_limit() -> int:
@@ -533,7 +535,7 @@ class _Tokens:
         tok = self.toks[self.i]
         if not tok.isdecimal():
             raise self.error("expected an integer")
-        if len(tok) > (limit := _digit_limit()):
+        if len(tok) > _ALWAYS_ALLOWED and len(tok) > (limit := _digit_limit()):
             raise self.error(f"numerals of more than {limit} digits are not supported")
         self.i += 1
         return int(tok)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from .poly import LinearForm
 from .report import Report, checked
 from .structure import (
-    XF,
-    L1,
-    L2,
-    L12,
+    AT_L1,
+    AT_L12,
+    AT_L2,
+    AT_X,
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
@@ -129,9 +129,9 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
         raise DimensionError("representation is over a different algebra rank")
     b = rep.beta
     with checked("representation") as c:
-        br1, br2 = (_table_at(alg.structure, alg.rank, w) for w in (L1, L2))
-        l1, l2, l12 = (_table_at(rep.l_structure, rep.rank, w) for w in (L1, L2, L12))
-        r1, r12 = (_table_at(rep.r_structure, rep.rank, w) for w in (L1, L12))
+        br1, br2 = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_L2))
+        l1, l2, l12 = (_table_at(rep.l_structure, rep.rank, w) for w in (AT_L1, AT_L2, AT_L12))
+        r1, r12 = (_table_at(rep.r_structure, rep.rank, w) for w in (AT_L1, AT_L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
         mods, bmods = _basis_and_images(rep.rank, b)
         brs1, brs2 = br1.cells(basis, basis), br2.cells(basis, basis)
@@ -174,7 +174,7 @@ def verify_nijenhuis_representation(
     with checked("nijenhuis_representation") as c:
         c.add_nonzero(("twist_commute",), rep.beta.compose(nm) - nm.compose(rep.beta))
         algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, nm)
-        act_l, act_r = _table_at(rep.l_structure, rep.rank, L1), _table_at(rep.r_structure, rep.rank, L1)
+        act_l, act_r = _table_at(rep.l_structure, rep.rank, AT_L1), _table_at(rep.r_structure, rep.rank, AT_L1)
         l_inner = _deformed_products(act_l, algs, mods, nm)
         r_inner = _deformed_products(act_r, mods, algs, nm)
         _residual(c, ("l",), [act_l.cells(algs[1], mods[1])], [_applied(nm, l_inner)])
@@ -203,7 +203,7 @@ def induced_representation(
             if not pre.passed:
                 raise PreconditionError(f"{pre.check_name} fails")
     algs, mods = _basis_and_images(alg.rank, n), _basis_and_images(rep.rank, rep.n_m)
-    act_l, act_r = _table_at(rep.l_structure, rep.rank, XF), _table_at(rep.r_structure, rep.rank, XF)
+    act_l, act_r = _table_at(rep.l_structure, rep.rank, AT_X), _table_at(rep.r_structure, rep.rank, AT_X)
     l_structure = _table(_deformed_products(act_l, algs, mods, rep.n_m))
     r_structure = _table(_deformed_products(act_r, mods, algs, rep.n_m))
     return dataclasses.replace(rep, l_structure=l_structure, r_structure=r_structure)

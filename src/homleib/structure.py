@@ -15,7 +15,7 @@ polynomials in D, hence automatically commutes with the D-action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .poly import (
     D,
@@ -26,7 +26,6 @@ from .poly import (
     lam,
     print_poly,
     substitution,
-    _unchanged,
 )
 from .report import Report, checked
 
@@ -267,14 +266,29 @@ def eval_table_bracket(
     return _table_at(table, rank, w)((left, right))
 
 
-def _table_at(table: BracketTable, out_rank: int, w: LinearForm):
+class Parameters(NamedTuple):
+    """The parameters w_1..w_(n-1) of an arity-n evaluator: `polys`, each
+    w_s as a polynomial (the target of the stored variable it replaces),
+    and `targets`, the D target of each argument slot, -w_s for slot s < n
+    and D + w_1 + ... + w_(n-1) for the last.  Checks read the constants
+    AT_*, the coboundary `cohomology._ARITIES`: both built at import."""
+
+    polys: tuple[MultiPoly, ...]
+    targets: tuple[MultiPoly, ...]
+
+    @staticmethod
+    def of(lams: Sequence[LinearForm]) -> "Parameters":
+        return Parameters(tuple(w.to_poly() for w in lams), tuple(_slot_targets(lams)))
+
+
+def _table_at(table: BracketTable, out_rank: int, w: "Parameters | LinearForm"):
     """The evaluator of a two-slot table at x = w: f(-w) g(D + w)
     table[i, j], summed over the coordinates f of its first argument and
     g of its second, as `_evaluator` builds it (the table as an arity-2
     cochain).  Each argument runs over its own length: in an action the
     algebra and the module ranks differ.  Its `cells` evaluates it on
     every pair of two argument lists."""
-    return _evaluator(table, (X,), out_rank, (w,))
+    return _evaluator(table, (X,), out_rank, w if isinstance(w, Parameters) else (w,))
 
 
 _ONE = MultiPoly.const(1)
@@ -284,7 +298,7 @@ def _evaluator(
     table: Mapping,
     stored: Sequence[int],
     out_rank: int,
-    lams: Sequence[LinearForm],
+    lams: "Parameters | Sequence[LinearForm]",
     rank: int | None = None,
 ):
     """The sesquilinear extension of `table` at the parameters `lams`, as
@@ -292,13 +306,14 @@ def _evaluator(
 
     The table maps n-tuples of basis indices to vectors of length
     out_rank over D and the stored parameter variables `stored` (n - 1
-    of them).  Argument slot s < n sets D to -lams[s], the last slot
-    sets D to D + lams[0] + ... + lams[n-2], and the stored variables
-    become `lams` through one compiled simultaneous substitution of those
-    that move (none for a table at x); a table entry is substituted the
-    first time its key is met.  The returned function refers to `table`,
-    which keeps the table alive as long as the evaluator is; tables are
-    never changed once built.  Nothing is kept per argument.
+    of them), at `Parameters` (LinearForms are turned into one here):
+    argument slot s sets D to its slot target, and the stored variables
+    become the parameters' polynomials through one compiled simultaneous
+    substitution of those that move (none for a table at x); a table
+    entry is substituted the first time its key is met.  The returned
+    function refers to `table`, which keeps it alive as long as the
+    evaluator is; tables are never changed once built.  Nothing is kept
+    per argument.
 
     `batch(slots)` is its one term loop: the values on the product of
     the per-slot argument lists, in product order (None where no
@@ -310,10 +325,10 @@ def _evaluator(
     `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
     nonzero values only, in row order.
     """
-    targets = _slot_targets(lams)
-    # stored variables -> lams, simultaneously: targets may mention them
-    moved = {v: w for v, w in zip(stored, lams) if w.constant or w.coeffs != {v: 1}}
-    relabel = substitution(moved) if moved else _unchanged
+    at = lams if isinstance(lams, Parameters) else Parameters.of(lams)
+    targets = at.targets
+    # stored variables -> parameters, simultaneously: targets may mention them
+    relabel = substitution(dict(zip(stored, at.polys)))
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
@@ -365,20 +380,9 @@ def _evaluator(
 
 def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
     """The D target of each slot of an evaluator at `lams`: -lams[s] for
-    slot s < n and D + lams[0] + ... + lams[n-2] for the last, read off
-    the forms' coefficient dicts in one pass."""
-    targets = []
-    shift, constant = {D: 1}, 0
-    for w in lams:
-        # a form's coefficients are stored nonzero and int-first
-        terms = {(): -w.constant} if w.constant else {}
-        for v, c in w.coeffs.items():
-            terms[((v, 1),)] = -c
-            shift[v] = shift.get(v, 0) + c
-        constant += w.constant
-        targets.append(MultiPoly.from_int_first(terms))
-    targets.append(LinearForm(shift, constant).to_poly())
-    return targets
+    slot s < n and D + lams[0] + ... + lams[n-2] for the last."""
+    polys = [w.to_poly() for w in lams]
+    return [-p for p in polys] + [sum(polys, MultiPoly.var(D))]
 
 
 def _coords(a: ConformalElement, target: MultiPoly, rank: int | None) -> list:
@@ -415,6 +419,8 @@ L1 = LinearForm.variable(lam(1))
 L2 = LinearForm.variable(lam(2))
 XF = LinearForm.variable(X)
 L12 = L1 + L2
+# the parameters of the checks: x, l1, l2, l1 + l2 and the skew flip -l1 - D
+AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)) for w in (XF, L1, L2, L12, -L1 - LinearForm.variable(D)))
 
 
 # Each check and construction builds one evaluator per table and
@@ -537,12 +543,12 @@ def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=
     _add_nonzero_entries(c, "twist_compat", alg.alpha.compose(t) - t.compose(rep.beta))
     mods, images = _basis_and_images(rep.rank, t)
     inners = [
-        _table_at(rep.l_structure, rep.rank, L1).cells(images, mods),
-        _table_at(rep.r_structure, rep.rank, L1).cells(mods, images),
+        _table_at(rep.l_structure, rep.rank, AT_L1).cells(images, mods),
+        _table_at(rep.r_structure, rep.rank, AT_L1).cells(mods, images),
     ]
     if phi is not None:
         inners.append(phi.cells(images, images))
-    bracket = _table_at(alg.structure, alg.rank, L1).cells(images, images)
+    bracket = _table_at(alg.structure, alg.rank, AT_L1).cells(images, images)
     _residual(c, prefix, [bracket], [_applied(t, _signed_sum(inners))])
 
 
@@ -556,7 +562,7 @@ def _skew(c: checked, prefix: tuple, ev, flip, rank: int) -> None:
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
     """twist([e_i x e_j]) must equal [twist(e_i) x twist(e_j)]."""
     with checked("multiplicativity") as c:
-        br = _table_at(alg.structure, alg.rank, XF)
+        br = _table_at(alg.structure, alg.rank, AT_X)
         _morphism(c, (), alg.alpha, br, br)
     return c.report
 
@@ -570,7 +576,7 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
     basis-pair brackets at w1 and at w2 are built once per check.
     """
     with checked("hom_leibniz") as c:
-        br1, br2, br12 = (_table_at(alg.structure, alg.rank, w) for w in (L1, L2, L12))
+        br1, br2, br12 = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_L2, AT_L12))
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
         at1, at2 = br1.cells(basis, basis), br2.cells(basis, basis)
         _leibniz(c, (), twisted, [((br1, at2), (br12, at1), (br2, at1))])
@@ -580,7 +586,7 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
 def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
     with checked("skew_symmetry") as c:
-        br, flip = (_table_at(alg.structure, alg.rank, w) for w in (L1, -L1 - LinearForm.variable(D)))
+        br, flip = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_FLIP))
         _skew(c, (), br, flip, alg.rank)
     return c.report
 

@@ -7,18 +7,38 @@ require both to give the same table, term dict for term dict."""
 
 import itertools
 
-from homleib.cohomology import (
-    Cochain,
-    _check_ranks,
-    _evaluator,
-    _insertion_lams,
-    _l_term_lams,
-    _output_lams,
-)
-from homleib.poly import LinearForm
+from homleib.cohomology import Cochain, _check_ranks, _evaluator
+from homleib.poly import LinearForm, lam
 from homleib.representation import Representation
 from homleib.structure import ConformalAlgebra, zero_element
 from reference_scope import _evaluation_scope, eval_bracket, eval_l, eval_r
+
+
+# The parameter lists of the coboundary's terms as LinearForms, built per
+# call as the library built them before it held them per arity
+# (`cohomology._arity`); test_cohomology.py requires both to agree.
+
+
+def _output_lams(n: int) -> list[LinearForm]:
+    return [LinearForm.variable(lam(i)) for i in range(1, n + 1)]
+
+
+def _l_term_lams(n: int, i: int) -> list[LinearForm]:
+    """Parameters for the hatted application in the i-th left-action term."""
+    return [LinearForm.variable(lam(k)) for k in range(1, n + 1) if k != i]
+
+
+def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
+    """Parameters for the insertion term (i, j): argument i removed, the
+    bracket of arguments i and j standing at position j among 1..n+1."""
+    occupants = [s for s in range(1, n + 2) if s != i]
+    out = []
+    for s in occupants[: n - 1]:
+        if s == j:
+            out.append(LinearForm.variable(lam(i)) + LinearForm.variable(lam(j)))
+        else:
+            out.append(LinearForm.variable(lam(s)))
+    return out
 
 
 def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Cochain:

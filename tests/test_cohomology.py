@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,12 @@ from homleib.structure import (
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
+    Parameters,
     PdModuleMap,
     basis_element,
     eval_bracket,
     normalize_table,
+    virasoro,
 )
 from homleib.representation import (
     Representation,
@@ -53,10 +56,8 @@ from homleib.cohomology import (
     random_cochain,
     zero_cochain,
     _evaluator,
-    _insertion_lams,
-    _l_term_lams,
-    _output_lams,
 )
+from reference_coboundary import _insertion_lams, _l_term_lams, _output_lams
 
 NIL = PdModuleMap(
     [[MultiPoly.zero(), MultiPoly.const(1)], [MultiPoly.zero(), MultiPoly.zero()]]
@@ -693,12 +694,12 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
     original = structure._evaluator
 
     def counting(table, stored, out_rank, lams, rank=None):
-        built.append((id(table), out_rank, tuple(w._value_key() for w in lams)))
+        built.append((id(table), out_rank, tuple(map(str, lams.polys))))
         return original(table, stored, out_rank, lams, rank)
 
     monkeypatch.setattr(structure, "_evaluator", counting)
     tables = [alg.structure, rep.l_structure, rep.r_structure]
-    once = sorted((id(t), alg.rank, (XF._value_key(),)) for t in tables)
+    once = sorted((id(t), alg.rank, (str(XF.to_poly()),)) for t in tables)
     assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(expected)
     assert sorted(built) == once
     built.clear()
@@ -1081,3 +1082,97 @@ def test_cochain_keys_name_basis_elements(key):
     with pytest.raises(DimensionError, match=re.escape(f"bad cochain entry at {key}")):
         Cochain(len(key), 2, 1, {key: (MultiPoly.const(1),)})
     assert Cochain(1, 2, 1, {(1,): (MultiPoly.const(1),)}).table
+
+
+def test_negation_negates_each_stored_value():
+    # -f is f.scale(-1) term for term, keys in the same order: on random
+    # cochains, their rational multiples, a stored all-zero vector (which
+    # both drop) and the empty cochain
+    rng = random.Random(29)
+    zero_row = Cochain(1, 2, 2, {(0,): (MultiPoly.zero(),) * 2, (1,): (MultiPoly.const(1), MultiPoly.zero())})
+    for arity in (1, 2, 3):
+        f = random_cochain(2, 3, arity, rng)
+        for g in (f, f.scale(Fraction(-2, 3)), zero_cochain(arity, 2, 3), zero_row):
+            assert _raw_table(-g) == _raw_table(g.scale(-1))
+            assert list((-g).table) == list(g.scale(-1).table)
+
+
+# -- the parameters of each arity, built at import ------------------------------
+
+
+def _per_call(lams: list) -> Parameters:
+    """The parameters of a list of LinearForms, from the forms' own
+    arithmetic: each form, its negation, and D plus their sum."""
+    last = LinearForm.variable(D) + sum(lams, LinearForm())
+    return Parameters(tuple(w.to_poly() for w in lams), tuple((-w).to_poly() for w in lams) + (last.to_poly(),))
+
+
+def test_the_parameter_table_equals_a_per_call_build():
+    """Every entry of the table, arities 1..MAX_ARITY + 1, equals the
+    parameters built per call from the LinearForm lists that d read
+    before it (`reference_coboundary`), term for term: the outputs, each
+    insertion pair (i, j) and each left-action term i, and l_i, D + l_i
+    and their sum.  The builder run above the table gives the same."""
+    table = cohomology._ARITIES
+    assert len(table) == MAX_ARITY + 1
+    for n, entry in enumerate(table, 1):
+        assert entry.outputs == _per_call(_output_lams(n - 1)) == Parameters.of(_output_lams(n - 1))
+        for i in range(1, n + 1):
+            row = [_per_call(_insertion_lams(n, i, j)) for j in range(i + 1, n + 2)]
+            assert list(entry.insertions[i - 1]) == row, (n, i)
+            assert entry.insertions[i - 1][-1] == _per_call(_l_term_lams(n, i)), (n, i)
+        ws = _output_lams(n)
+        assert entry.ls == tuple(w.to_poly() for w in ws)
+        assert entry.shifts == tuple((LinearForm.variable(D) + w).to_poly() for w in ws)
+        assert entry.total == sum(ws, LinearForm()).to_poly()
+        assert cohomology._arities(n, n) == (entry,)
+
+
+def _nodes(x) -> list:
+    """x and everything it holds, depth first."""
+    return [x] + [y for item in x for y in _nodes(item)] if isinstance(x, tuple) else [x]
+
+
+def test_the_parameter_table_holds_no_callable_and_is_never_changed():
+    """The table holds tuples and polynomials only, none of them
+    callable, and d, d_HN and phi at arities 1..MAX_ARITY + 2 leave it
+    the same objects with the same values: nothing is added to it, above
+    the table included."""
+    table = cohomology._ARITIES
+    before = _nodes(table)
+    values = [str(x) for x in before if isinstance(x, MultiPoly)]
+    assert all(isinstance(x, (tuple, MultiPoly)) and not callable(x) for x in before)
+    alg = virasoro()
+    rep = with_nm(adjoint_rep(alg), PdModuleMap.scalar(1, 2))
+    n_op = PdModuleMap.scalar(1, 3)
+    for arity in range(1, MAX_ARITY + 3):
+        unit = Cochain(arity, 1, 1, {(0,) * arity: (MultiPoly.const(1),)})
+        coboundary_homL(unit, alg, rep)
+        coboundary_HN(unit, alg, n_op, rep)
+        assert not phi_map(unit, n_op, rep).is_zero
+        check_cochain_compat(unit, alg, rep)
+    assert cohomology._ARITIES is table
+    after = _nodes(table)
+    assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
+    assert [str(x) for x in after if isinstance(x, MultiPoly)] == values
+
+
+def test_d_above_the_parameter_table_equals_the_reference():
+    # arity MAX_ARITY + 2 is above the table; rank 1, so one stored key
+    alg, n = virasoro(), MAX_ARITY + 2
+    assert n > len(cohomology._ARITIES)
+    rep = adjoint_rep(alg)
+    unit = Cochain(n, 1, 1, {(0,) * n: (MultiPoly.const(1),)})
+    df = coboundary_homL(unit, alg, rep)
+    assert not df.is_zero
+    assert _raw_table(df) == _raw_table(reference_coboundary.coboundary_homL(unit, alg, rep))
+
+
+def test_d_squares_to_zero_at_the_highest_arity():
+    alg = virasoro()
+    rep = adjoint_rep(alg)
+    f = random_cochain(1, 1, MAX_ARITY, random.Random(17), max_deg=1)
+    start = time.perf_counter()
+    df = coboundary_homL(f, alg, rep)
+    assert not df.is_zero and coboundary_homL(df, alg, rep).is_zero
+    assert time.perf_counter() - start < 1.0

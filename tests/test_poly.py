@@ -188,6 +188,26 @@ def test_other_decimal_digits_still_parse():
     assert parse_poly("x^٣") == parse_poly("x^3")  # ARABIC-INDIC DIGIT THREE
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+def test_a_numeral_at_the_lowest_digit_limit_skips_the_limit_lookup(monkeypatch):
+    # 640 is the lowest positive limit Python accepts, so a numeral of at
+    # most 640 digits never looks the limit up; one digit more does, and
+    # gets the located error
+    real, looked_up = poly._digit_limit, []
+    monkeypatch.setattr(poly, "_digit_limit", lambda: looked_up.append(1) or real())
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_poly("2*" + "7" * 640 + " + D") == MultiPoly.const(int("7" * 640)) * 2 + MultiPoly.var(D)
+        assert looked_up == []
+        with pytest.raises(ParseError) as exc:
+            parse_poly("2*" + "7" * 641 + " + D")
+        assert str(exc.value) == "numerals of more than 640 digits are not supported (at position 2)"
+        assert looked_up == [1]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_nesting_beyond_the_limit_is_a_parse_error():
     deep = "(" * MAX_NESTING + "D" + ")" * MAX_NESTING
     assert parse_poly(deep) == MultiPoly.var(D)

@@ -34,6 +34,9 @@ nothing is kept per argument object.
 Found from the syntax tree too: no module keeps a function cache
 (`functools.cache` or `lru_cache`) between calls, except the argument
 parser `cli._parser`; state lives in objects a caller builds and holds.
+Immutable module constants built at import are allowed, such as the
+evaluation parameters `structure.AT_*` and `cohomology._ARITIES`;
+caches, which calls fill, are not.
 
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
