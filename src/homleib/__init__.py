@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 KERNEL_BACKEND = "pure"  # the one polynomial kernel, homleib._kernel._polypure
 
-from .poly import LinearForm, MultiPoly, parse_poly, print_poly
+from .poly import MultiPoly, parse_poly, print_poly
 from .structure import (
     ConformalAlgebra,
     ConformalElement,

@@ -35,7 +35,7 @@ from math import comb
 from random import Random
 from typing import NamedTuple
 
-from .poly import MAX_ARITY, D, MultiPoly, LinearForm, X, lam, substitution
+from .poly import MAX_ARITY, D, MultiPoly, X, lam, substitution
 from .report import Report, checked
 from .operators import _check_square
 from .representation import Representation
@@ -155,23 +155,24 @@ def cochain_from_bracket_table(table, rank: int) -> Cochain:
 
 
 def eval_cochain(
-    f: Cochain, args: list[ConformalElement], lams: list[LinearForm]
+    f: Cochain, args: list[ConformalElement], lams: list[MultiPoly]
 ) -> ConformalElement:
-    """Multilinear, sesquilinear extension of the stored table."""
+    """Multilinear, sesquilinear extension of the stored table, at the
+    polynomial parameters `lams`, one per slot but the last."""
     n = f.arity
     if len(args) != n or len(lams) != n - 1:
         raise DimensionError(
             f"arity-{n} cochain applied to {len(args)} arguments and {len(lams)} parameters"
         )
-    return _evaluator(f, lams)(args)
+    return _evaluator(f, Parameters.of(lams))(args)
 
 
-def _evaluator(f: Cochain, lams: "Parameters | list[LinearForm]"):
-    """f at the parameters `lams`, as a function of the argument tuple:
-    `structure._evaluator` with the stored l1..l(n-1) set to `lams`.  An
+def _evaluator(f: Cochain, at: Parameters):
+    """f at the parameters `at`, as a function of the argument tuple:
+    `structure._evaluator` with the stored l1..l(n-1) set to them.  An
     evaluator lives for one coboundary, `phi_map` or compatibility
     check; the parameters it reads outlive it."""
-    return _sesquilinear(f.table, [lam(i) for i in range(1, f.arity)], f.rep_rank, lams, f.alg_rank)
+    return _sesquilinear(f.table, [lam(i) for i in range(1, f.arity)], f.rep_rank, at, f.alg_rank)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .poly import LinearForm, MultiPoly, X, lam
+from .poly import MultiPoly, X, lam
 from .report import Report, checked
 from .structure import (
     AT_L1,
@@ -182,7 +182,9 @@ def perturb_by_pair(data: DeformationData, pair: HNLAPair) -> DeformationData:
     if pair.f.arity != 2 or pair.g is None or pair.g.arity != 1:
         raise DimensionError("expected a pair of arities (2, 1)")
     rank = data.base.rank
-    l1v = LinearForm.variable(X)
+    if any((c.alg_rank, c.rep_rank) != (rank, rank) for c in (pair.f, pair.g)):
+        raise DimensionError(f"expected a pair over rank {rank}, the deformation's")
+    l1v = MultiPoly.var(X)
     bracket1 = dict(data.bracket_table(1))
     for key, vec in pair.f.table.items():
         cur = bracket1.get(key, (MultiPoly.zero(),) * rank)

@@ -144,8 +144,11 @@ def nijenhuis_rb_correspondence(
     case 4: given op^2 = 1,   Nijenhuis <-> op +- 1 Rota-Baxter of weight -+2
 
     The report carries a `square` violation when the hypothesis fails and
-    an `iff` violation when the two sides disagree on this operator.
+    an `iff` violation when the two sides disagree on this operator.  A
+    case outside 1..4 is refused before any check runs.
     """
+    if case not in (1, 2, 3, 4):
+        raise ValueError("case must be 1..4")
     _check_square(alg, op)
     sq = op.compose(op)
     ident = PdModuleMap.identity(alg.rank)
@@ -185,7 +188,7 @@ def nijenhuis_rb_correspondence(
                 verify_operator(alg, op, OperatorKind.modified_rota_baxter(weight)).passed,
                 f"mrb_weight_{weight}",
             )
-        elif case == 4:
+        else:
             if sq != ident:
                 c.add(("square",), "op^2 != 1")
             record(
@@ -196,8 +199,6 @@ def nijenhuis_rb_correspondence(
                 verify_operator(alg, op - ident, OperatorKind.rota_baxter(2)).passed,
                 "op-1_rb_weight_2",
             )
-        else:
-            raise ValueError("case must be 1..4")
     return c.report
 
 

@@ -123,8 +123,8 @@ class MultiPoly:
     @staticmethod
     def from_int_first(terms: dict) -> "MultiPoly":
         """From a dict of nonzero int-first coefficients, such as a kernel
-        result or the coefficients of a LinearForm.  An integral dict is
-        kept as it is, so it must not be changed afterwards.
+        result.  An integral dict is kept as it is, so it must not be
+        changed afterwards.
 
         The numerators are over the lcm of the denominators.  That form
         is canonical: the lcm's full power of each prime divides some
@@ -233,7 +233,7 @@ class MultiPoly:
 
     # -- substitution ---------------------------------------------------
 
-    def substitute(self, v: int, target: "LinearForm | MultiPoly") -> "MultiPoly":
+    def substitute(self, v: int, target: "MultiPoly") -> "MultiPoly":
         """Replace every occurrence of variable v by `target`, expanded.
 
         Returns self when v does not occur or `target` is v itself."""
@@ -246,8 +246,6 @@ class MultiPoly:
             break
         else:
             return self
-        if isinstance(target, LinearForm):
-            target = target.to_poly()
         num, den = target._terms, target._den
         if den == 1 and num == {((v, 1),): 1}:
             return self
@@ -255,7 +253,7 @@ class MultiPoly:
             lambda terms: K.substitute_terms(terms, v, num), {v: den} if den != 1 else {}, self
         )
 
-    def substitute_many(self, targets: Mapping[int, "LinearForm | MultiPoly"]) -> "MultiPoly":
+    def substitute_many(self, targets: Mapping[int, "MultiPoly"]) -> "MultiPoly":
         """Replace each variable v in `targets` by targets[v], all at once.
 
         Identity targets v -> v are dropped; returns self when none remain."""
@@ -301,9 +299,7 @@ def _aligned(a: MultiPoly, b: MultiPoly) -> tuple[dict, dict, int]:
 _ZERO_POLY = MultiPoly()
 
 
-def substitution(
-    targets: Mapping[int, "LinearForm | MultiPoly"]
-) -> Callable[[MultiPoly], MultiPoly]:
+def substitution(targets: Mapping[int, MultiPoly]) -> Callable[[MultiPoly], MultiPoly]:
     """`MultiPoly.substitute_many` with these targets, compiled once: a
     function to apply to many polynomials, which keeps the target powers
     and monomial images it builds (see the kernel's `substitution`).
@@ -312,8 +308,6 @@ def substitution(
     substituted variable occurs comes back as the same object."""
     nums, dens = {}, {}
     for v, t in targets.items():
-        if isinstance(t, LinearForm):
-            t = t.to_poly()
         if t._den != 1:
             dens[v] = t._den
         elif t._terms == {((v, 1),): 1}:
@@ -360,81 +354,6 @@ def _substituted(apply, dens: dict, p: MultiPoly) -> MultiPoly:
 
 def _unchanged(p: MultiPoly) -> MultiPoly:
     return p
-
-
-class LinearForm:
-    """An affine combination c0 + sum(c_v * v) of variables, held exactly."""
-
-    __slots__ = ("coeffs", "constant", "_key")
-
-    def __init__(self, coeffs: Mapping[int, Rat] | None = None, constant: Rat = 0):
-        items = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                c = _as_rational(c)
-                if c:
-                    items[v] = c
-        self.coeffs = items
-        self.constant = _as_rational(constant)
-        self._key = None
-
-    @staticmethod
-    def variable(v: int) -> "LinearForm":
-        return LinearForm({v: 1})
-
-    @staticmethod
-    def const(c: Rat) -> "LinearForm":
-        return LinearForm(constant=c)
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "LinearForm":
-        coeffs: dict[int, Rat] = {}
-        constant = 0
-        for key, c in p.terms():
-            if key == ():
-                constant = c
-            elif len(key) == 1 and key[0][1] == 1:
-                coeffs[key[0][0]] = c
-            else:
-                raise PolyError(f"not a linear form: {p}")
-        return LinearForm(coeffs, constant)
-
-    def to_poly(self) -> MultiPoly:
-        terms = {}
-        if self.constant:
-            terms[()] = self.constant
-        for v, c in self.coeffs.items():
-            terms[((v, 1),)] = c
-        return MultiPoly.from_int_first(terms)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return LinearForm(coeffs, self.constant + other.constant)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm({v: -c for v, c in self.coeffs.items()}, -self.constant)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearForm)
-            and self.coeffs == other.coeffs
-            and self.constant == other.constant
-        )
-
-    def _value_key(self) -> tuple:
-        """The form's value as a hashable key, built on first use: no
-        form is changed after construction."""
-        if self._key is None:
-            self._key = (frozenset(self.coeffs.items()), self.constant)
-        return self._key
-
-    def __repr__(self) -> str:
-        return f"LinearForm({print_poly(self.to_poly())!r})"
 
 
 # ---------------------------------------------------------------------------

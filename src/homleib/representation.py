@@ -7,7 +7,8 @@ by the same sesquilinearity rules as the bracket:
     l(f(D)p) at w on g(D)m   is  f(-w) g(D + w) l(p) m
     r(g(D)m) at w on f(D)p   is  g(-w) f(D + w) r(m) p
 
-where the acting parameter may again be any linear form.
+where the acting parameter w may again be any polynomial, linear in
+practice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from .poly import LinearForm
+from .poly import MultiPoly
 from .report import Report, checked
 from .structure import (
     AT_L1,
@@ -25,6 +26,7 @@ from .structure import (
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
+    Parameters,
     PdModuleMap,
     _applied,
     _basis_and_images,
@@ -70,21 +72,21 @@ class Representation:
 
 
 def eval_l(
-    rep: Representation, p: ConformalElement, m: ConformalElement, w: LinearForm
+    rep: Representation, p: ConformalElement, m: ConformalElement, w: MultiPoly
 ) -> ConformalElement:
     """Left action l(p) at parameter w applied to m."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("left action rank mismatch")
-    return _table_at(rep.l_structure, rep.rank, w)((p, m))
+    return _table_at(rep.l_structure, rep.rank, Parameters.of((w,)))((p, m))
 
 
 def eval_r(
-    rep: Representation, m: ConformalElement, p: ConformalElement, w: LinearForm
+    rep: Representation, m: ConformalElement, p: ConformalElement, w: MultiPoly
 ) -> ConformalElement:
     """Right action r(m) at parameter w applied to p."""
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("right action rank mismatch")
-    return _table_at(rep.r_structure, rep.rank, w)((m, p))
+    return _table_at(rep.r_structure, rep.rank, Parameters.of((w,)))((m, p))
 
 
 def adjoint_rep(alg: ConformalAlgebra) -> Representation:

@@ -20,7 +20,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .poly import (
     D,
     X,
-    LinearForm,
     MultiPoly,
     Rat,
     lam,
@@ -252,43 +251,48 @@ def eval_table_bracket(
     rank: int,
     left: ConformalElement,
     right: ConformalElement,
-    w: LinearForm,
+    w: MultiPoly,
 ) -> ConformalElement:
     """Sesquilinear extension of a structure table, at parameter w.
 
-    w may mention D (the skew-symmetry check passes -D - l1); the D in w
-    then refers to the D acting on the result.  One evaluator is built
-    for the call: checks and constructions build one per table and
-    parameter with `_table_at` and evaluate it as cells instead.
+    w is a polynomial, linear in practice, and may mention D (the
+    skew-symmetry check passes -D - l1); the D in w then refers to the D
+    acting on the result.  One evaluator is built for the call: checks
+    and constructions build one per table and parameter with `_table_at`
+    and evaluate it as cells instead.
     """
     if left.ambient_rank != rank or right.ambient_rank != rank:
         raise DimensionError("element rank does not match the bracket table")
-    return _table_at(table, rank, w)((left, right))
+    return _table_at(table, rank, Parameters.of((w,)))((left, right))
 
 
 class Parameters(NamedTuple):
-    """The parameters w_1..w_(n-1) of an arity-n evaluator: `polys`, each
-    w_s as a polynomial (the target of the stored variable it replaces),
-    and `targets`, the D target of each argument slot, -w_s for slot s < n
-    and D + w_1 + ... + w_(n-1) for the last.  Checks read the constants
-    AT_*, the coboundary `cohomology._ARITIES`: both built at import."""
+    """The parameters w_1..w_(n-1) of an arity-n evaluator, the one input
+    an evaluator takes: `polys`, the polynomials w_s (each the target of
+    the stored variable it replaces), and `targets`, the D target of each
+    argument slot, -w_s for slot s < n and D + w_1 + ... + w_(n-1) for
+    the last.  Checks read the constants AT_*, the coboundary
+    `cohomology._ARITIES`: both built at import.  The public evaluation
+    functions build one with `of` per call."""
 
     polys: tuple[MultiPoly, ...]
     targets: tuple[MultiPoly, ...]
 
     @staticmethod
-    def of(lams: Sequence[LinearForm]) -> "Parameters":
-        return Parameters(tuple(w.to_poly() for w in lams), tuple(_slot_targets(lams)))
+    def of(ws: Sequence[MultiPoly]) -> "Parameters":
+        """The parameters ws with their slot targets."""
+        polys = tuple(ws)
+        return Parameters(polys, tuple(-w for w in polys) + (sum(polys, MultiPoly.var(D)),))
 
 
-def _table_at(table: BracketTable, out_rank: int, w: "Parameters | LinearForm"):
-    """The evaluator of a two-slot table at x = w: f(-w) g(D + w)
-    table[i, j], summed over the coordinates f of its first argument and
-    g of its second, as `_evaluator` builds it (the table as an arity-2
-    cochain).  Each argument runs over its own length: in an action the
-    algebra and the module ranks differ.  Its `cells` evaluates it on
-    every pair of two argument lists."""
-    return _evaluator(table, (X,), out_rank, w if isinstance(w, Parameters) else (w,))
+def _table_at(table: BracketTable, out_rank: int, at: Parameters):
+    """The evaluator of a two-slot table at x = w, the one parameter of
+    `at`: f(-w) g(D + w) table[i, j], summed over the coordinates f of
+    its first argument and g of its second, as `_evaluator` builds it
+    (the table as an arity-2 cochain).  Each argument runs over its own
+    length: in an action the algebra and the module ranks differ.  Its
+    `cells` evaluates it on every pair of two argument lists."""
+    return _evaluator(table, (X,), out_rank, at)
 
 
 _ONE = MultiPoly.const(1)
@@ -298,22 +302,21 @@ def _evaluator(
     table: Mapping,
     stored: Sequence[int],
     out_rank: int,
-    lams: "Parameters | Sequence[LinearForm]",
+    at: Parameters,
     rank: int | None = None,
 ):
-    """The sesquilinear extension of `table` at the parameters `lams`, as
+    """The sesquilinear extension of `table` at the parameters `at`, as
     a function of the argument tuple.
 
     The table maps n-tuples of basis indices to vectors of length
     out_rank over D and the stored parameter variables `stored` (n - 1
-    of them), at `Parameters` (LinearForms are turned into one here):
-    argument slot s sets D to its slot target, and the stored variables
-    become the parameters' polynomials through one compiled simultaneous
-    substitution of those that move (none for a table at x); a table
-    entry is substituted the first time its key is met.  The returned
-    function refers to `table`, which keeps it alive as long as the
-    evaluator is; tables are never changed once built.  Nothing is kept
-    per argument.
+    of them).  Argument slot s sets D to its slot target, and the stored
+    variables become the parameters' polynomials through one compiled
+    simultaneous substitution of those that move (none for a table at
+    x); a table entry is substituted the first time its key is met.  The
+    returned function refers to `table`, which keeps it alive as long as
+    the evaluator is; tables are never changed once built.  Nothing is
+    kept per argument.
 
     `batch(slots)` is its one term loop: the values on the product of
     the per-slot argument lists, in product order (None where no
@@ -325,7 +328,6 @@ def _evaluator(
     `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
     nonzero values only, in row order.
     """
-    at = lams if isinstance(lams, Parameters) else Parameters.of(lams)
     targets = at.targets
     # stored variables -> parameters, simultaneously: targets may mention them
     relabel = substitution(dict(zip(stored, at.polys)))
@@ -378,13 +380,6 @@ def _evaluator(
     return apply
 
 
-def _slot_targets(lams: Sequence[LinearForm]) -> list[MultiPoly]:
-    """The D target of each slot of an evaluator at `lams`: -lams[s] for
-    slot s < n and D + lams[0] + ... + lams[n-2] for the last."""
-    polys = [w.to_poly() for w in lams]
-    return [-p for p in polys] + [sum(polys, MultiPoly.var(D))]
-
-
 def _coords(a: ConformalElement, target: MultiPoly, rank: int | None) -> list:
     """The nonzero coordinates of `a` at D = target, as ((index,),
     coefficient) pairs with None for a coefficient equal to 1, leaving
@@ -405,7 +400,7 @@ def eval_bracket(
     alg: ConformalAlgebra,
     left: ConformalElement,
     right: ConformalElement,
-    w: LinearForm,
+    w: MultiPoly,
 ) -> ConformalElement:
     return eval_table_bracket(alg.structure, alg.rank, left, right, w)
 
@@ -415,12 +410,12 @@ def eval_bracket(
 # ---------------------------------------------------------------------------
 
 
-L1 = LinearForm.variable(lam(1))
-L2 = LinearForm.variable(lam(2))
-XF = LinearForm.variable(X)
+L1 = MultiPoly.var(lam(1))
+L2 = MultiPoly.var(lam(2))
+XF = MultiPoly.var(X)
 L12 = L1 + L2
 # the parameters of the checks: x, l1, l2, l1 + l2 and the skew flip -l1 - D
-AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)) for w in (XF, L1, L2, L12, -L1 - LinearForm.variable(D)))
+AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)) for w in (XF, L1, L2, L12, -L1 - MultiPoly.var(D)))
 
 
 # Each check and construction builds one evaluator per table and

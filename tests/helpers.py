@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from homleib.poly import LinearForm, X, lam
+from homleib.poly import MultiPoly, X, lam
 from homleib.structure import PdModuleMap, XF, eval_bracket, virasoro, zero_element
 from homleib.representation import Representation
 from homleib.operators import deformed_bracket
@@ -23,7 +23,7 @@ def example_59_data(c):
         2,
         1,
         1,
-        {(0, 0): tuple(p.substitute(X, LinearForm.variable(lam(1))) for p in vee)},
+        {(0, 0): tuple(p.substitute(X, MultiPoly.var(lam(1))) for p in vee)},
     )
     return TwistedRBData(deformed, rep, PdModuleMap.identity(1), phi)
 

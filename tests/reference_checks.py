@@ -24,7 +24,7 @@ from homleib.cohomology import (
 from homleib.deformation import DeformationData
 from homleib.ns import NSAlgebra, TwistedRBData
 from homleib.operators import OperatorKind, PreconditionError, _check_square, verify_operator
-from homleib.poly import D, LinearForm, Rat
+from homleib.poly import D, MultiPoly, Rat
 from homleib.report import Report
 from homleib.representation import Representation, adjoint_rep
 from homleib.structure import (
@@ -35,6 +35,7 @@ from homleib.structure import (
     ConformalAlgebra,
     ConformalElement,
     DimensionError,
+    Parameters,
     PdModuleMap,
     _add_nonzero_entries,
     _basis_and_images,
@@ -91,7 +92,7 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
 
 def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
-    minus = -L1 - LinearForm.variable(D)
+    minus = -L1 - MultiPoly.var(D)
     with checked("skew_symmetry") as c:
         basis = [alg.basis(i) for i in range(alg.rank)]
         for i in range(alg.rank):
@@ -303,7 +304,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
                     )
                     c.add_nonzero(("vee", i, j, k), res4)
         if check_vee_skew:
-            minus = -L1 - LinearForm.variable(D)
+            minus = -L1 - MultiPoly.var(D)
             for i in range(n):
                 for j in range(n):
                     res = ve(basis[i], basis[j], L1) + ve(basis[j], basis[i], minus)
@@ -385,7 +386,7 @@ def verify_twisted_rb(data: TwistedRBData) -> Report:
     with checked("twisted_rb") as c:
         br = partial(eval_bracket, alg)
         basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        phi1, phi2, phi12 = (_evaluator(phi, [w]) for w in (L1, L2, L12))
+        phi1, phi2, phi12 = (_evaluator(phi, Parameters.of([w])) for w in (L1, L2, L12))
         br1, br2 = _products(br, basis, basis, L1), _products(br, basis, basis, L2)
         ph1, ph2 = ([[ev([p, q]) for q in basis] for p in basis] for ev in (phi1, phi2))
         for i, ap in enumerate(twisted):
@@ -445,7 +446,7 @@ def ns_from_twisted_rb(data: TwistedRBData, strict: bool = False) -> NSAlgebra:
     left, right, vee = {}, {}, {}
     with _evaluation_scope():
         mods, images = _basis_and_images(rep.rank, t)
-        phi_x = _evaluator(phi, [XF])
+        phi_x = _evaluator(phi, Parameters.of([XF]))
         for i, (m, tm) in enumerate(zip(mods, images)):
             for j, (n_el, tn) in enumerate(zip(mods, images)):
                 left[(i, j)] = eval_l(rep, tm, n_el, XF).coords

@@ -8,36 +8,36 @@ require both to give the same table, term dict for term dict."""
 import itertools
 
 from homleib.cohomology import Cochain, _check_ranks, _evaluator
-from homleib.poly import LinearForm, lam
+from homleib.poly import MultiPoly, lam
 from homleib.representation import Representation
-from homleib.structure import ConformalAlgebra, zero_element
+from homleib.structure import ConformalAlgebra, Parameters, zero_element
 from reference_scope import _evaluation_scope, eval_bracket, eval_l, eval_r
 
 
-# The parameter lists of the coboundary's terms as LinearForms, built per
+# The parameter lists of the coboundary's terms as polynomials, built per
 # call as the library built them before it held them per arity
 # (`cohomology._arity`); test_cohomology.py requires both to agree.
 
 
-def _output_lams(n: int) -> list[LinearForm]:
-    return [LinearForm.variable(lam(i)) for i in range(1, n + 1)]
+def _output_lams(n: int) -> list[MultiPoly]:
+    return [MultiPoly.var(lam(i)) for i in range(1, n + 1)]
 
 
-def _l_term_lams(n: int, i: int) -> list[LinearForm]:
+def _l_term_lams(n: int, i: int) -> list[MultiPoly]:
     """Parameters for the hatted application in the i-th left-action term."""
-    return [LinearForm.variable(lam(k)) for k in range(1, n + 1) if k != i]
+    return [MultiPoly.var(lam(k)) for k in range(1, n + 1) if k != i]
 
 
-def _insertion_lams(n: int, i: int, j: int) -> list[LinearForm]:
+def _insertion_lams(n: int, i: int, j: int) -> list[MultiPoly]:
     """Parameters for the insertion term (i, j): argument i removed, the
     bracket of arguments i and j standing at position j among 1..n+1."""
     occupants = [s for s in range(1, n + 2) if s != i]
     out = []
     for s in occupants[: n - 1]:
         if s == j:
-            out.append(LinearForm.variable(lam(i)) + LinearForm.variable(lam(j)))
+            out.append(MultiPoly.var(lam(i)) + MultiPoly.var(lam(j)))
         else:
-            out.append(LinearForm.variable(lam(s)))
+            out.append(MultiPoly.var(lam(s)))
     return out
 
 
@@ -61,7 +61,7 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
     twisted = [alg.alpha.apply(e) for e in basis]
     acting = [alpha_pow.apply(e) for e in basis]
     ws = _output_lams(n)
-    total = LinearForm()
+    total = MultiPoly.zero()
     for w in ws:
         total = total + w
     evaluators = {}
@@ -70,7 +70,7 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
         # terms with the same parameter list share one evaluator
         key = repr(lams)
         if key not in evaluators:
-            evaluators[key] = _evaluator(f, lams)
+            evaluators[key] = _evaluator(f, Parameters.of(lams))
         return evaluators[key]
 
     left = [evaluator(_l_term_lams(n, i)) for i in range(1, n + 1)]

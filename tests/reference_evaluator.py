@@ -14,27 +14,29 @@ batched loop to give its values, term dict for term dict.
 
 `_slot_memo` is the per-argument memo both oracles read their
 arguments through, as the evaluator kept it while it had a per-tuple
-loop."""
+loop.  The slot targets are written out here, not read from the
+library: -w_s for slot s < n and D + w_1 + ... + w_(n-1) for the last."""
 
 import itertools
 from typing import Mapping, Sequence
 
-from homleib.poly import D, X, LinearForm, MultiPoly, substitution, _unchanged
-from homleib.structure import BracketTable, ConformalElement, DimensionError, _slot_targets
+from homleib.poly import D, X, MultiPoly, substitution, _unchanged
+from homleib.structure import BracketTable, ConformalElement, DimensionError
 
 
 def per_tuple_evaluator(
     table: Mapping,
     stored: Sequence[int],
     out_rank: int,
-    lams: Sequence[LinearForm],
+    lams: Sequence[MultiPoly],
     rank: int | None = None,
 ):
     """The sesquilinear extension of `table` at `lams`, with the
     arguments of `structure._evaluator`, as a function of one argument
     tuple."""
-    coords = _slot_memo(_slot_targets(lams), rank)
-    moved = {v: w for v, w in zip(stored, lams) if w.constant or w.coeffs != {v: 1}}
+    targets = [-w for w in lams] + [sum(lams, MultiPoly.var(D))]
+    coords = _slot_memo(targets, rank)
+    moved = {v: w for v, w in zip(stored, lams) if w != MultiPoly.var(v)}
     relabel = substitution(moved) if moved else _unchanged
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
@@ -73,13 +75,13 @@ def eval_table(
     out_rank: int,
     first: ConformalElement,
     second: ConformalElement,
-    w: LinearForm,
+    w: MultiPoly,
 ) -> ConformalElement:
     """One-shot evaluation of the table at w on (first, second)."""
     return _table_evaluator(table, out_rank, w)(first, second)
 
 
-def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
+def _table_evaluator(table: BracketTable, out_rank: int, w: MultiPoly):
     """The table at parameter w, as a function of the two arguments.
 
     The polynomials -w, D + w and w are built once, and each entry
@@ -93,9 +95,8 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
     evaluates, for little gain.  The returned function refers to
     `table`, which keeps the table alive as long as the evaluator is.
     """
-    shift_w = (LinearForm.variable(D) + w).to_poly()
-    wp = w.to_poly()
-    coords = _slot_memo([(-w).to_poly()])
+    shift_w = MultiPoly.var(D) + w
+    coords = _slot_memo([-w])
     at_w: dict[tuple[int, int], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
 
@@ -110,7 +111,7 @@ def _table_evaluator(table: BracketTable, out_rank: int, w: LinearForm):
                     # the nonzero coordinates k of table[i, j], at x = w
                     vec = table.get((i, j), ())
                     entry = at_w[i, j] = tuple(
-                        (k, pk.substitute(X, wp)) for k, pk in enumerate(vec) if not pk.is_zero
+                        (k, pk.substitute(X, w)) for k, pk in enumerate(vec) if not pk.is_zero
                     )
                 if not entry:
                     continue

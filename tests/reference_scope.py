@@ -12,9 +12,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from homleib import report
-from homleib.poly import X, LinearForm
+from homleib.poly import X, MultiPoly
 from homleib.representation import Representation
-from homleib.structure import ConformalAlgebra, ConformalElement, DimensionError, _evaluator
+from homleib.structure import ConformalAlgebra, ConformalElement, DimensionError, Parameters, _evaluator
 
 # The open evaluation scope of this thread (None outside any scope): a
 # dict from (table identity, output rank, parameter value) to the
@@ -46,26 +46,26 @@ class checked(report.checked):
         return super().__exit__(exc_type, exc, tb)
 
 
-def _table_evaluator(table, out_rank: int, w: LinearForm):
+def _table_evaluator(table, out_rank: int, w: MultiPoly):
     """The evaluator of `table` at x = w: the open scope's, built once per
     (table, out_rank, w), or outside any scope a one-shot one."""
     scope = _SCOPE.get()
     if scope is None:
-        return _evaluator(table, (X,), out_rank, (w,))
-    key = (id(table), out_rank, w._value_key())
+        return _evaluator(table, (X,), out_rank, Parameters.of((w,)))
+    key = (id(table), out_rank, w)
     evaluate = scope.get(key)
     if evaluate is None:
-        evaluate = scope[key] = _evaluator(table, (X,), out_rank, (w,))
+        evaluate = scope[key] = _evaluator(table, (X,), out_rank, Parameters.of((w,)))
     return evaluate
 
 
-def _products(ev, firsts: list, seconds: list, w: LinearForm) -> list[list]:
+def _products(ev, firsts: list, seconds: list, w: MultiPoly) -> list[list]:
     """ev(p, q, w) on every pair: row i, column j holds ev(firsts[i], seconds[j], w)."""
     return [[ev(p, q, w) for q in seconds] for p in firsts]
 
 
 def eval_table_bracket(
-    table, rank: int, left: ConformalElement, right: ConformalElement, w: LinearForm
+    table, rank: int, left: ConformalElement, right: ConformalElement, w: MultiPoly
 ) -> ConformalElement:
     if left.ambient_rank != rank or right.ambient_rank != rank:
         raise DimensionError("element rank does not match the bracket table")
@@ -73,18 +73,18 @@ def eval_table_bracket(
 
 
 def eval_bracket(
-    alg: ConformalAlgebra, left: ConformalElement, right: ConformalElement, w: LinearForm
+    alg: ConformalAlgebra, left: ConformalElement, right: ConformalElement, w: MultiPoly
 ) -> ConformalElement:
     return eval_table_bracket(alg.structure, alg.rank, left, right, w)
 
 
-def eval_l(rep: Representation, p: ConformalElement, m: ConformalElement, w: LinearForm) -> ConformalElement:
+def eval_l(rep: Representation, p: ConformalElement, m: ConformalElement, w: MultiPoly) -> ConformalElement:
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("left action rank mismatch")
     return _table_evaluator(rep.l_structure, rep.rank, w)((p, m))
 
 
-def eval_r(rep: Representation, m: ConformalElement, p: ConformalElement, w: LinearForm) -> ConformalElement:
+def eval_r(rep: Representation, m: ConformalElement, p: ConformalElement, w: MultiPoly) -> ConformalElement:
     if p.ambient_rank != rep.alg_rank or m.ambient_rank != rep.rank:
         raise DimensionError("right action rank mismatch")
     return _table_evaluator(rep.r_structure, rep.rank, w)((m, p))

@@ -18,7 +18,7 @@ import reference_coboundary
 from helpers import dense
 from homleib import cohomology, operators, representation, structure
 from homleib.operators import deformed_bracket
-from homleib.poly import MAX_ARITY, D, X, LinearForm, MultiPoly, lam, parse_poly
+from homleib.poly import MAX_ARITY, D, X, MultiPoly, lam, parse_poly
 from homleib.structure import (
     L1,
     XF,
@@ -115,7 +115,7 @@ def test_positional_relabeling_is_simultaneous(vir):
     out = eval_cochain(
         f,
         [vir.basis(0)] * 3,
-        [LinearForm.variable(lam(2)), LinearForm.variable(lam(1))],
+        [MultiPoly.var(lam(2)), MultiPoly.var(lam(1))],
     )
     assert out.coords[0] == parse_poly("l2 + 2*l1")
 
@@ -139,7 +139,7 @@ def test_one_evaluator_per_parameter_list_matches_fresh_evaluation(twisted2):
         calls.append((_output_lams(n - 1), args[:n]))
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                inner = eval_bracket(twisted2, args[i - 1], args[j - 1], LinearForm.variable(lam(i)))
+                inner = eval_bracket(twisted2, args[i - 1], args[j - 1], MultiPoly.var(lam(i)))
                 calls.append((
                     _insertion_lams(n, i, j),
                     [inner if s == j else twisted[key[s - 1]] for s in range(1, n + 2) if s != i],
@@ -147,7 +147,7 @@ def test_one_evaluator_per_parameter_list_matches_fresh_evaluation(twisted2):
     rng.shuffle(calls)
     evaluators = {}
     for lams, args in calls:
-        evaluate = evaluators.setdefault(repr(lams), _evaluator(f, lams))
+        evaluate = evaluators.setdefault(repr(lams), _evaluator(f, Parameters.of(lams)))
         fresh = dataclasses.replace(f, table=dict(f.table))
         assert evaluate(args) == eval_cochain(fresh, args, lams)
     assert len(evaluators) == 6
@@ -166,8 +166,8 @@ def test_an_evaluator_reuses_each_argument_per_slot_only():
     # (slot, argument object); each result must equal a fresh evaluation.
     rng = random.Random(53)
     f = random_cochain(2, 2, 3, rng, 2)
-    lams = [LinearForm.variable(lam(2)), LinearForm.variable(lam(1)) + LinearForm.variable(lam(2))]
-    evaluate = _evaluator(f, lams)
+    lams = [MultiPoly.var(lam(2)), MultiPoly.var(lam(1)) + MultiPoly.var(lam(2))]
+    evaluate = _evaluator(f, Parameters.of(lams))
 
     def fresh(args):
         return eval_cochain(dataclasses.replace(f, table=dict(f.table)), args, lams)
@@ -699,7 +699,7 @@ def test_coboundary_builds_its_structure_data_as_grids(monkeypatch, virm1_r2, ar
 
     monkeypatch.setattr(structure, "_evaluator", counting)
     tables = [alg.structure, rep.l_structure, rep.r_structure]
-    once = sorted((id(t), alg.rank, (str(XF.to_poly()),)) for t in tables)
+    once = sorted((id(t), alg.rank, (str(XF),)) for t in tables)
     assert _raw_table(coboundary_homL(f, alg, rep)) == _raw_table(expected)
     assert sorted(built) == once
     built.clear()
@@ -1101,15 +1101,15 @@ def test_negation_negates_each_stored_value():
 
 
 def _per_call(lams: list) -> Parameters:
-    """The parameters of a list of LinearForms, from the forms' own
-    arithmetic: each form, its negation, and D plus their sum."""
-    last = LinearForm.variable(D) + sum(lams, LinearForm())
-    return Parameters(tuple(w.to_poly() for w in lams), tuple((-w).to_poly() for w in lams) + (last.to_poly(),))
+    """The parameters of a list of polynomials, written out here: each
+    polynomial, its negation, and D plus their sum."""
+    last = MultiPoly.var(D) + sum(lams, MultiPoly.zero())
+    return Parameters(tuple(lams), tuple(-w for w in lams) + (last,))
 
 
 def test_the_parameter_table_equals_a_per_call_build():
     """Every entry of the table, arities 1..MAX_ARITY + 1, equals the
-    parameters built per call from the LinearForm lists that d read
+    parameters built per call from the polynomial lists that d read
     before it (`reference_coboundary`), term for term: the outputs, each
     insertion pair (i, j) and each left-action term i, and l_i, D + l_i
     and their sum.  The builder run above the table gives the same."""
@@ -1122,9 +1122,9 @@ def test_the_parameter_table_equals_a_per_call_build():
             assert list(entry.insertions[i - 1]) == row, (n, i)
             assert entry.insertions[i - 1][-1] == _per_call(_l_term_lams(n, i)), (n, i)
         ws = _output_lams(n)
-        assert entry.ls == tuple(w.to_poly() for w in ws)
-        assert entry.shifts == tuple((LinearForm.variable(D) + w).to_poly() for w in ws)
-        assert entry.total == sum(ws, LinearForm()).to_poly()
+        assert entry.ls == tuple(ws)
+        assert entry.shifts == tuple(MultiPoly.var(D) + w for w in ws)
+        assert entry.total == sum(ws, MultiPoly.zero())
         assert cohomology._arities(n, n) == (entry,)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homleib.poly import D, MultiPoly, parse_poly
-from homleib.structure import PdModuleMap, virasoro
+from homleib.structure import DimensionError, PdModuleMap, virasoro
 from homleib.deformation import (
     DeformationData,
     coboundary_of_map,
@@ -114,6 +114,20 @@ def test_coboundary_infinitesimals_are_valid_and_cocycles(vir, seed):
     assert verify_deformation_order(data, 1).passed
     ok, report = infinitesimal_cocycle_check(data)
     assert ok, report.to_text()
+
+
+def test_a_pair_over_another_rank_is_refused(vir, cur2):
+    # a rank-1 pair on a rank-2 deformation and a rank-2 pair on a rank-1
+    # one: a one-line DimensionError before any table is built
+    one = PdModuleMap.scalar(1, Fraction(2))
+    two = PdModuleMap.identity(2)
+    cases = [
+        (make_deformation(cur2, two, min_order=1), coboundary_of_map(vir, one, one)),
+        (trivial(vir), coboundary_of_map(cur2, two, two)),
+    ]
+    for data, pair in cases:
+        with pytest.raises(DimensionError, match=f"^expected a pair over rank {data.base.rank}, the deformation's$"):
+            perturb_by_pair(data, pair)
 
 
 def test_equivalence_trivially_reflexive(vir):

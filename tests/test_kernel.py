@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from homleib import _kernel
 from homleib._kernel import _polypure
-from homleib.poly import LinearForm, MultiPoly, parse_poly, print_poly, substitution
+from homleib.poly import MultiPoly, parse_poly, print_poly, substitution
 
 K = _polypure
 
@@ -253,7 +253,7 @@ def test_poly_hands_the_kernel_ints_only(monkeypatch):
     a = MultiPoly({((d, 2),): Fraction(1, 2), ((l1, 1),): Fraction(2, 3), (): 1})
     b = MultiPoly({((d, 1), (l1, 1)): Fraction(3, 4), (): Fraction(5, 2)})
     c = MultiPoly({((d, 1),): 2, ((l2, 1),): -1})
-    t = LinearForm({l2: Fraction(1, 3)}, Fraction(1, 2))
+    t = MultiPoly({((l2, 1),): Fraction(1, 3), (): Fraction(1, 2)})
     swap = {l1: MultiPoly.var(l2), l2: MultiPoly.var(l1)}
     apply = substitution({d: t, **swap})
     results = [parse_poly("(1/2*D - 2/3*l1)^2 + 3/4*l2*x")]
@@ -375,10 +375,10 @@ def test_poly_substitution_wrapper():
     d, l1, l2 = 0, 3, 4
     p = MultiPoly({((d, 1), (l1, 2)): 3, ((l2, 1),): Fraction(1, 2), (): 1})
     q = MultiPoly({((d, 2),): 1})
-    targets = {l1: MultiPoly.var(l2), l2: LinearForm({l1: 1, d: -1})}
+    targets = {l1: MultiPoly.var(l2), l2: MultiPoly({((l1, 1),): 1, ((d, 1),): -1})}
     apply = substitution(targets)
     assert apply(p) == p.substitute_many(targets)
     assert apply(q) is q
     # identity targets are dropped: nothing is left to substitute
-    keep = substitution({l1: MultiPoly.var(l1), d: LinearForm.variable(d)})
+    keep = substitution({l1: MultiPoly.var(l1), d: MultiPoly.var(d)})
     assert keep(p) is p

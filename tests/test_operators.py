@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from homleib import operators
 from homleib.poly import D, MultiPoly, parse_poly
 from homleib.structure import (
     ConformalAlgebra,
@@ -241,9 +242,16 @@ def test_correspondences_on_standard_operators(vir, cur2, case):
                 assert "square" in contexts
 
 
-def test_correspondence_case_validation(vir):
-    with pytest.raises(ValueError):
+def test_correspondence_case_validation(monkeypatch, vir):
+    # an unknown case is refused before any operator check runs
+    calls = []
+    real = operators.verify_operator
+    monkeypatch.setattr(operators, "verify_operator", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match=r"^case must be 1\.\.4$"):
         nijenhuis_rb_correspondence(vir, PdModuleMap.identity(1), 5)
+    assert calls == []
+    nijenhuis_rb_correspondence(vir, PdModuleMap.identity(1), 1)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["virm1_r2", "trunc_r3"])

@@ -17,7 +17,6 @@ from homleib.poly import (
     MAX_DIGITS,
     MAX_NESTING,
     X,
-    LinearForm,
     MultiPoly,
     ParseError,
     PolyError,
@@ -50,8 +49,9 @@ def polys(draw, max_terms=5, max_deg=4):
 
 @st.composite
 def linear_forms(draw):
+    """A linear polynomial c0 + sum(c_v * v) over at most three variables."""
     coeffs = {v: Fraction(draw(st.integers(-3, 3))) for v in draw(st.sets(st.sampled_from(VARS), max_size=3))}
-    return LinearForm(coeffs, Fraction(draw(st.integers(-3, 3))))
+    return MultiPoly({((v, 1),): c for v, c in coeffs.items()} | {(): Fraction(draw(st.integers(-3, 3)))})
 
 
 @settings(max_examples=200, derandomize=True)
@@ -79,8 +79,8 @@ def test_substitute_is_ring_hom(a, b, t):
 @given(polys(), linear_forms(), linear_forms())
 def test_disjoint_substitutions_commute(p, t1, t2):
     # substitute D and x by forms not mentioning the other substituted variable
-    t1 = LinearForm({v: c for v, c in t1.coeffs.items() if v != X}, t1.constant)
-    t2 = LinearForm({v: c for v, c in t2.coeffs.items() if v != D}, t2.constant)
+    t1 = MultiPoly({key: c for key, c in t1.terms() if key != ((X, 1),)})
+    t2 = MultiPoly({key: c for key, c in t2.terms() if key != ((D, 1),)})
     one_way = p.substitute(D, t1).substitute(X, t2)
     other = p.substitute(X, t2).substitute(D, t1)
     assert one_way == other
@@ -111,7 +111,6 @@ def test_mul_examples():
 @settings(max_examples=200, derandomize=True)
 @given(polys(), st.sampled_from(VARS), linear_forms())
 def test_substitute_returns_self_when_nothing_changes(p, v, t):
-    assert p.substitute(v, LinearForm.variable(v)) is p
     assert p.substitute(v, MultiPoly.var(v)) is p
     assert p.substitute_many({v: MultiPoly.var(v)}) is p
     if v not in p.variables():
@@ -120,19 +119,19 @@ def test_substitute_returns_self_when_nothing_changes(p, v, t):
 
 def test_substitute_examples():
     d, x, l1, l2 = (MultiPoly.var(v) for v in (D, X, lam(1), lam(2)))
-    assert (d + 2 * x).substitute(D, -LinearForm.variable(lam(1))) == 2 * x - l1
+    assert (d + 2 * x).substitute(D, -MultiPoly.var(lam(1))) == 2 * x - l1
     assert MultiPoly.var(D, 2).substitute(
-        D, LinearForm.variable(D) + LinearForm.variable(lam(1))
+        D, MultiPoly.var(D) + MultiPoly.var(lam(1))
     ) == parse_poly("D^2 + 2*D*l1 + l1^2")
     assert (x * d).substitute(
-        X, LinearForm.variable(lam(1)) + LinearForm.variable(lam(2))
+        X, MultiPoly.var(lam(1)) + MultiPoly.var(lam(2))
     ) == l1 * d + l2 * d
 
 
 def test_substitute_by_form_containing_same_variable():
     # one-shot replacement: D -> D + l1 inside D^2 expands, no iteration
     p = MultiPoly.var(D, 2)
-    q = p.substitute(D, LinearForm.variable(D) + LinearForm.variable(lam(1)))
+    q = p.substitute(D, MultiPoly.var(D) + MultiPoly.var(lam(1)))
     assert q == parse_poly("(D + l1)^2")
 
 
@@ -232,13 +231,6 @@ def test_an_id_naming_no_variable_does_not_print():
             print_poly(MultiPoly({((v, 1),): 1}))
     with pytest.raises(PolyError):
         print_poly(MultiPoly({((D, 1), (2, 3)): 5, (): 1}))
-
-
-def test_linear_form_round_trip():
-    f = LinearForm({D: 1, lam(1): Fraction(-3, 2)}, Fraction(5))
-    assert LinearForm.from_poly(f.to_poly()) == f
-    with pytest.raises(PolyError):
-        LinearForm.from_poly(parse_poly("D^2"))
 
 
 def test_print_is_canonical_and_deterministic():

@@ -15,7 +15,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import reference_poly as ref
-from homleib.poly import D, X, LinearForm, MultiPoly, lam, parse_poly, print_poly, substitution
+from homleib.poly import D, X, MultiPoly, lam, parse_poly, print_poly, substitution
 
 VARS = (D, X, lam(1), lam(2))
 L1, L2 = lam(1), lam(2)
@@ -135,7 +135,7 @@ def test_integral_inputs_keep_denominator_one(ta, tb, targets, k):
     results = [a, a + b, a - b, b - a, a * b, -a, a**3, a * k, a * Fraction(2 * k, 2)]
     results += [a.substitute(v, t) for v, t in integral.items()]
     results += [a.substitute_many(integral), substitution(integral)(b)]
-    results.append(LinearForm({L1: 2, D: -1}, 3).to_poly())
+    results.append(MultiPoly.from_int_first({((L1, 1),): 2, ((D, 1),): -1, (): 3}))
     for p in results:
         assert p._den == 1
         assert_canonical(p)

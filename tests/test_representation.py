@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from homleib.poly import D, LinearForm, MultiPoly, lam, parse_poly
+from homleib.poly import D, MultiPoly, lam, parse_poly
 from homleib.structure import L1, DimensionError, PdModuleMap, current_algebra
 from homleib.representation import (
     Representation,
@@ -110,12 +110,12 @@ def test_sesquilinearity_of_actions(vir):
     g = parse_poly("D^2 - 3*D")
     p, m = vir.basis(0), rep.module_basis(0)
     lhs = eval_l(rep, p.scale(g), m, L1)
-    rhs = eval_l(rep, p, m, L1).scale(g.substitute(D, -LinearForm.variable(lam(1))))
+    rhs = eval_l(rep, p, m, L1).scale(g.substitute(D, -MultiPoly.var(lam(1))))
     assert (lhs - rhs).is_zero
     lhs = eval_r(rep, m.scale(g), p, L1)
-    rhs = eval_r(rep, m, p, L1).scale(g.substitute(D, -LinearForm.variable(lam(1))))
+    rhs = eval_r(rep, m, p, L1).scale(g.substitute(D, -MultiPoly.var(lam(1))))
     assert (lhs - rhs).is_zero
-    shift = LinearForm.variable(D) + LinearForm.variable(lam(1))
+    shift = MultiPoly.var(D) + MultiPoly.var(lam(1))
     lhs = eval_l(rep, p, m.scale(g), L1)
     rhs = eval_l(rep, p, m, L1).scale(g.substitute(D, shift))
     assert (lhs - rhs).is_zero

@@ -1,5 +1,5 @@
-"""Dead code, the number format's owner and too-new regex syntax in
-src/homleib.
+"""Dead code, the number format's owner, the one parameter type and
+too-new regex syntax in src/homleib.
 
 Found from the syntax tree alone: every import is used in the module
 that makes it (package ``__init__`` modules re-export and are exempt),
@@ -37,6 +37,11 @@ parser `cli._parser`; state lives in objects a caller builds and holds.
 Immutable module constants built at import are allowed, such as the
 evaluation parameters `structure.AT_*` and `cohomology._ARITIES`;
 caches, which calls fill, are not.
+
+Found from the source text: no module defines, imports or mentions
+`LinearForm` or `to_poly`, as evaluation parameters are polynomials.
+Found from the syntax tree too: `structure._evaluator` and `_table_at`
+take a `structure.Parameters` only and run no `isinstance` test on it.
 
 Found from the compiled patterns: no module-level pattern uses a
 possessive quantifier or an atomic group, which Python 3.11 added and
@@ -245,6 +250,27 @@ def test_no_module_keeps_a_cache_between_calls():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def test_parameters_are_polynomials():
+    named = [
+        f"{path.relative_to(SRC).as_posix()} {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in ("LinearForm", "to_poly")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert not named, named
+    tree = _trees()["structure.py"]
+    tests = {
+        node.name: [
+            call.lineno
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+        ]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_evaluator", "_table_at")
+    }
+    assert tests == {"_evaluator": [], "_table_at": []}, tests
 
 
 # `re._parser` from Python 3.11; `sre_parse` before
