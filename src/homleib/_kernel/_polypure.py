@@ -24,6 +24,14 @@ targets, the powers it builds from them and the image of every monomial
 key it meets (its terms, with the untouched variables merged in) for as
 long as it lives: applied again, it maps a key it has met by one pass
 over that image, with no product and no key merge.
+
+A compiled substitution may be held for the life of the process and
+applied from several threads at once.  It fills its stores by
+assignment only, each slot to a value that is a function of the slot's
+key alone (the power e of a target is target^e, the image of a key is
+that key's image): two threads that fill one slot at once compute equal
+values, and whichever assignment lands last leaves it right.  Nothing is
+appended or read back by position, and no lock is taken.
 """
 
 from functools import partial
@@ -141,7 +149,7 @@ def pow_terms(a, n):
 
 def substitute_terms(terms, var, target):
     """Replace `var` by the polynomial `target`, fully expanded."""
-    return _substitute({var: [None, target]}, {}, terms)
+    return _substitute({var: target}, {}, {}, terms)
 
 
 def substitution(targets):
@@ -155,20 +163,21 @@ def substitution(targets):
     targets alone.  A key met before costs one accumulation pass over its
     image and no product.
     """
-    return partial(_substitute, {v: [None, t] for v, t in targets.items()}, {})
+    return partial(_substitute, dict(targets), {}, {})
 
 
-def _substitute(powers, images, terms):
-    # `powers` maps each substituted variable to the list of its target's
-    # powers built so far (index 1 is the target), `images` each key met
-    # to its image as (key, coefficient) pairs: the product of the target
-    # powers of its substituted variables, with the variables it leaves
-    # alone merged into every key.  Both grow as keys are met.  A
-    # substitution that touches no key returns `terms` itself (see the
-    # no-mutation invariant above).
+def _substitute(targets, powers, images, terms):
+    # `targets` maps each substituted variable to its target, `powers`
+    # each (variable, exponent) met above 1 to that power of the target,
+    # and `images` each key met to its image as (key, coefficient) pairs:
+    # the product of the target powers of its substituted variables, with
+    # the variables it leaves alone merged into every key.  The last two
+    # grow as keys are met, by assignment only (see the thread rule
+    # above).  A substitution that touches no key returns `terms` itself
+    # (see the no-mutation invariant above).
     for key in terms:
         for v, _ in key:
-            if v in powers:
+            if v in targets:
                 break
         else:
             continue
@@ -181,13 +190,14 @@ def _substitute(powers, images, terms):
         if image is None:
             rest, prod = [], None
             for v, e in key:
-                cache = powers.get(v)
-                if cache is None:
+                target = targets.get(v)
+                if target is None:
                     rest.append((v, e))
                     continue
-                while len(cache) <= e:
-                    cache.append(mul_terms(cache[-1], cache[1]))
-                prod = cache[e] if prod is None else mul_terms(prod, cache[e])
+                power = target if e == 1 else powers.get((v, e))
+                if power is None:
+                    power = _power(target, powers, v, e)
+                prod = power if prod is None else mul_terms(prod, power)
             if prod is None:
                 image = ((key, 1),)
             else:
@@ -205,3 +215,16 @@ def _substitute(powers, images, terms):
                 else:
                     del out[pk]
     return out
+
+
+def _power(target, powers, v, e):
+    """target^e, the target of v: each power from the highest one built
+    below e up to e is the one before it times the target, stored at
+    (v, its exponent)."""
+    k = e - 1
+    while k > 1 and (v, k) not in powers:
+        k -= 1
+    power = target if k == 1 else powers[v, k]
+    for k in range(k + 1, e + 1):
+        power = powers[v, k] = mul_terms(power, target)
+    return power

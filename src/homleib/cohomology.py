@@ -29,11 +29,11 @@ current-algebra example.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from random import Random
-from typing import NamedTuple
+from typing import Callable
 
 from .poly import MAX_ARITY, D, MultiPoly, X, lam, substitution
 from .report import Report, checked
@@ -172,7 +172,7 @@ def _evaluator(f: Cochain, at: Parameters):
     `structure._evaluator` with the stored l1..l(n-1) set to them.  An
     evaluator lives for one coboundary, `phi_map` or compatibility
     check; the parameters it reads outlive it."""
-    return _sesquilinear(f.table, [lam(i) for i in range(1, f.arity)], f.rep_rank, at, f.alg_rank)
+    return _sesquilinear(f.table, tuple(lam(i) for i in range(1, f.arity)), f.rep_rank, at, f.alg_rank)
 
 
 def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> Report:
@@ -194,37 +194,60 @@ def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation)
 # ---------------------------------------------------------------------------
 
 
-class _Arity(NamedTuple):
+@dataclass(frozen=True)
+class _Arity:
     """What d, phi and the compatibility check evaluate an arity-n cochain
     at: per i, the parameters of the insertion terms (i, j), j = i + 1..n + 1,
     where (i, n + 1) is the left-action term i and (n, n + 1) the outputs
-    l1..l(n-1); l_1..l_n, each D + l_i, and their sum."""
+    l1..l(n-1), each compiled for the stored l1..l(n-1)
+    (`Parameters.compiled`).
+
+    It also holds the substitutions that d's frame at n (`_frame`) reads,
+    compiled once: `at_ls`, x -> l_i per i, and `at_total`, x -> l_1 +
+    ... + l_n, which put the cells at x at the terms' parameters; and
+    `groups`, per action group, the substitution of f's stored values:
+    for left group i, l1..l(n-1) to the left-action term i's parameters
+    and D -> D + l_i at once, for the right group D -> -(l_1 + ... + l_n).
+    Equality compares the parameters only: the substitutions are compiled
+    from them."""
 
     outputs: Parameters
     insertions: tuple
-    ls: tuple
-    shifts: tuple
-    total: MultiPoly
+    at_ls: tuple = field(compare=False)
+    at_total: Callable = field(compare=False)
+    groups: tuple = field(compare=False)
 
 
 def _arities(low: int, top: int) -> tuple:
-    """The parameters of arities low..top.  Each l_k, -l_k, D + l_k,
-    l_i + l_j and its negation, and each monomial key, is built once and
+    """The parameters of arities low..top, with their substitutions.
+    Each l_k, -l_k, D + l_k, l_i + l_j and its negation, each monomial
+    key, each x -> l_k and each slot's D -> target is built once and
     shared by every list that reads it.  The insertion term (i, j) of
     arity n reads l_s at the s in 1..n but i, with l_i + l_j at s = j."""
     keys = [((lam(k), 1),) for k in range(1, top + 1)]
     ls = [MultiPoly.from_int_first({key: 1}) for key in keys]
     negs, shifts, out = [-w for w in ls], [MultiPoly.var(D) + w for w in ls], []
     pairs = {(i, j): ((p := ls[i] + ls[j]), -p) for i, j in itertools.combinations(range(top), 2)}
+    at_ls, slot_shifts = [substitution({X: w}) for w in ls], {}
+
+    def shift(target: MultiPoly):
+        at = slot_shifts.get(target)
+        if at is None:
+            at = slot_shifts[target] = substitution({D: target})
+        return at
+
     for n in range(low, top + 1):
-        total = MultiPoly.from_int_first(dict.fromkeys(keys[:n], 1))
+        total, stored = MultiPoly.from_int_first(dict.fromkeys(keys[:n], 1)), [lam(k) for k in range(1, n)]
         full, insertions = MultiPoly.var(D) + total, []  # the last slot's D target but at j = n + 1
         for i in range(n):
             rest = [k for k in range(n) if k != i]
             row = [Parameters(tuple(pairs[i, j][0] if k == j else ls[k] for k in rest),
                               tuple(pairs[i, j][1] if k == j else negs[k] for k in rest) + (full,)) for j in range(i + 1, n)]
-            insertions.append((*row, Parameters(tuple(ls[k] for k in rest), tuple(negs[k] for k in rest) + (full - ls[i],))))
-        out.append(_Arity(insertions[-1][-1], tuple(insertions), tuple(ls[:n]), tuple(shifts[:n]), total))
+            row.append(Parameters(tuple(ls[k] for k in rest), tuple(negs[k] for k in rest) + (full - ls[i],)))
+            insertions.append(tuple(at.compiled(stored, shift) for at in row))
+        groups = [substitution(dict(zip([*stored, D], [*row[-1].polys, shifts[i]]))) for i, row in enumerate(insertions)]
+        out.append(_Arity(insertions[-1][-1], tuple(insertions), tuple(at_ls[:n]), substitution({X: total}),
+                          (*groups, substitution({D: -total}))))
     return tuple(out)
 
 
@@ -352,13 +375,13 @@ def coboundary_homL(f: Cochain, alg: ConformalAlgebra, rep: Representation) -> C
 def _frame(n: int, brackets: dict, l_cells: dict, r_cells: dict) -> tuple:
     """What d reads at arity n besides f, from the cells at x brackets[a, b],
     l_cells[t, b] and r_cells[b, t], as (cells, insertions, groups).
-    Every compiled substitution of the coboundary is made here, from the
-    parameters of arity n (`_at_arity`), which it reads and never builds.
+    It reads the parameters of arity n and their substitutions
+    (`_at_arity`), and compiles none.
 
     No cell mentions x, so each term group reads its data off the cells
-    by one compiled substitution of x, applied to the nonzero coordinates:
-    w_i for the left group i and the brackets of the insertion pairs
-    (i, j), w_1 + ... + w_n for the right group.  `cells` lists the
+    by one substitution of x, applied to the nonzero coordinates: w_i for
+    the left group i and the brackets of the insertion pairs (i, j),
+    w_1 + ... + w_n for the right group.  `cells` lists the
     (a, b) of the nonzero brackets and `insertions` has, per pair (i, j),
     i, j, its parameters and those brackets at x = w_i (none when every
     bracket is zero).  By sesquilinearity
@@ -378,24 +401,20 @@ def _frame(n: int, brackets: dict, l_cells: dict, r_cells: dict) -> tuple:
     whose vectors are all zero is left out.
     """
     params = _at_arity(n)
-    at = [substitution({X: w}) for w in params.ls]
     insertions = []
-    for i in range(1, n + 1) if brackets else ():
-        inner = [ConformalElement(tuple(c if c.is_zero else at[i - 1](c) for c in v.coords)) for v in brackets.values()]
+    for i, at in enumerate(params.at_ls, 1) if brackets else ():
+        inner = [ConformalElement(tuple(c if c.is_zero else at(c) for c in v.coords)) for v in brackets.values()]
         insertions += [(i, j, lams, inner) for j, lams in enumerate(params.insertions[i - 1], i + 1)]
-    stored, actions = [lam(k) for k in range(1, n)], []
-    for i in range(1, n + 1):  # stored l1..l(n-1) -> the term's parameters, D -> D + w_i
-        targets = dict(zip([*stored, D], [*params.insertions[i - 1][-1].polys, params.shifts[i - 1]]))
-        actions.append((i - 1, i % 2 == 1, l_cells, at[i - 1], targets))
-    actions.append((n, n % 2 == 1, {(t, b): v for (b, t), v in r_cells.items()}, substitution({X: params.total}), {D: -params.total}))
+    actions = [(i, i % 2 == 0, l_cells, at) for i, at in enumerate(params.at_ls)]
+    actions.append((n, n % 2 == 1, {(t, b): v for (b, t), v in r_cells.items()}, params.at_total))
     groups = []
-    for pos, plus, cells, at_w, targets in actions:
+    for (pos, plus, cells, at_w), subst in zip(actions, params.groups):
         rows = {}
         for t, b in sorted(cells):
             rows.setdefault(t, {})[b] = tuple((k, at_w(c)) for k, c in enumerate(cells[t, b].coords) if not c.is_zero)
         if rows:
             columns = sorted({b for row in rows.values() for b in row})
-            groups.append((pos, plus, substitution(targets), columns, list(rows.items())))
+            groups.append((pos, plus, subst, columns, list(rows.items())))
     return list(brackets), insertions, groups
 
 

@@ -14,8 +14,8 @@ polynomials in D, hence automatically commutes with the D-action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from .poly import (
     D,
@@ -266,23 +266,46 @@ def eval_table_bracket(
     return _table_at(table, rank, Parameters.of((w,)))((left, right))
 
 
-class Parameters(NamedTuple):
+@dataclass(frozen=True)
+class Parameters:
     """The parameters w_1..w_(n-1) of an arity-n evaluator, the one input
     an evaluator takes: `polys`, the polynomials w_s (each the target of
     the stored variable it replaces), and `targets`, the D target of each
     argument slot, -w_s for slot s < n and D + w_1 + ... + w_(n-1) for
-    the last.  Checks read the constants AT_*, the coboundary
-    `cohomology._ARITIES`: both built at import.  The public evaluation
-    functions build one with `of` per call."""
+    the last.
+
+    `compiled` parameters also hold their substitutions for the variables
+    `stored` of one kind of table: `relabel`, the stored variables to
+    `polys` at once, and `shifts`, each slot's D to its target.  The
+    engine's constants, `AT_*` (tables at x) and `cohomology._ARITIES`
+    (cochains), are compiled at import and held for the life of the
+    process, so the powers and monomial images their substitutions build
+    serve every later call; threads may share them (see the kernel).  The
+    public evaluation functions build uncompiled parameters with `of`,
+    whose evaluator compiles its relabel for that call alone.  Equality
+    compares `polys` and `targets`: the rest is compiled from them."""
 
     polys: tuple[MultiPoly, ...]
     targets: tuple[MultiPoly, ...]
+    stored: tuple[int, ...] | None = field(default=None, compare=False)
+    relabel: Callable[[MultiPoly], MultiPoly] | None = field(default=None, compare=False)
+    shifts: tuple[Callable[[MultiPoly], MultiPoly], ...] | None = field(default=None, compare=False)
 
     @staticmethod
     def of(ws: Sequence[MultiPoly]) -> "Parameters":
-        """The parameters ws with their slot targets."""
+        """The parameters ws with their slot targets, uncompiled."""
         polys = tuple(ws)
         return Parameters(polys, tuple(-w for w in polys) + (sum(polys, MultiPoly.var(D)),))
+
+    def compiled(self, stored: Sequence[int], shift: Callable[[MultiPoly], Callable] | None = None) -> "Parameters":
+        """These parameters with their substitutions compiled for tables
+        that store the variables `stored`.  `shift(target)`, when given,
+        returns the compiled D -> target, so that a builder of many
+        parameters can share one per target."""
+        stored = tuple(stored)
+        shift = shift or (lambda t: substitution({D: t}))
+        return Parameters(self.polys, self.targets, stored, substitution(dict(zip(stored, self.polys))),
+                          tuple(map(shift, self.targets)))
 
 
 def _table_at(table: BracketTable, out_rank: int, at: Parameters):
@@ -311,12 +334,15 @@ def _evaluator(
     The table maps n-tuples of basis indices to vectors of length
     out_rank over D and the stored parameter variables `stored` (n - 1
     of them).  Argument slot s sets D to its slot target, and the stored
-    variables become the parameters' polynomials through one compiled
-    simultaneous substitution of those that move (none for a table at
-    x); a table entry is substituted the first time its key is met.  The
-    returned function refers to `table`, which keeps it alive as long as
-    the evaluator is; tables are never changed once built.  Nothing is
-    kept per argument.
+    variables become the parameters' polynomials through one simultaneous
+    substitution of those that move (none for a table at x); a table
+    entry is substituted the first time its key is met.  Compiled
+    parameters hold both: their slot shifts, and their relabel when
+    compiled for `stored` (a cochain at AT_L1 reads only its shifts).
+    Otherwise the relabel is compiled here, for this evaluator, and each
+    slot substitutes D one-shot.  The returned function refers to
+    `table`, which keeps it alive as long as the evaluator is; tables are
+    never changed once built.  Nothing is kept per argument.
 
     `batch(slots)` is its one term loop: the values on the product of
     the per-slot argument lists, in product order (None where no
@@ -328,9 +354,10 @@ def _evaluator(
     `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
     nonzero values only, in row order.
     """
-    targets = at.targets
+    stored = tuple(stored)
     # stored variables -> parameters, simultaneously: targets may mention them
-    relabel = substitution(dict(zip(stored, at.polys)))
+    relabel = at.relabel if at.stored == stored else substitution(dict(zip(stored, at.polys)))
+    shifts = at.shifts or [lambda c, t=t: c.substitute(D, t) for t in at.targets]
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
@@ -346,7 +373,7 @@ def _evaluator(
 
     def batch(slots: Sequence[Sequence[ConformalElement]]) -> list:
         # per slot and argument: (key part, coefficient or None for 1) pairs
-        items = [[_coords(a, targets[s], rank) for a in args] for s, args in enumerate(slots)]
+        items = [[_coords(a, shifts[s], rank) for a in args] for s, args in enumerate(slots)]
         # per tuple of arguments of the slots before the last: (partial key, coefficient product) pairs
         partial = items[0] if len(items) > 1 else [[((), None)]]
         for arguments in items[1:-1]:
@@ -380,17 +407,17 @@ def _evaluator(
     return apply
 
 
-def _coords(a: ConformalElement, target: MultiPoly, rank: int | None) -> list:
-    """The nonzero coordinates of `a` at D = target, as ((index,),
-    coefficient) pairs with None for a coefficient equal to 1, leaving
-    out those that become zero.  With `rank` given, an argument of
-    another rank raises DimensionError."""
+def _coords(a: ConformalElement, shift: Callable[[MultiPoly], MultiPoly], rank: int | None) -> list:
+    """The nonzero coordinates of `a` at D = its slot's target, `shift`
+    of each, as ((index,), coefficient) pairs with None for a coefficient
+    equal to 1, leaving out those that become zero.  With `rank` given,
+    an argument of another rank raises DimensionError."""
     if rank is not None and a.ambient_rank != rank:
         raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
     out = []
     for b, c in enumerate(a.coords):
         if not c.is_zero:
-            c = c.substitute(D, target)
+            c = shift(c)
             if not c.is_zero:
                 out.append(((b,), None if c == _ONE else c))
     return out
@@ -415,7 +442,7 @@ L2 = MultiPoly.var(lam(2))
 XF = MultiPoly.var(X)
 L12 = L1 + L2
 # the parameters of the checks: x, l1, l2, l1 + l2 and the skew flip -l1 - D
-AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)) for w in (XF, L1, L2, L12, -L1 - MultiPoly.var(D)))
+AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)).compiled((X,)) for w in (XF, L1, L2, L12, -L1 - MultiPoly.var(D)))
 
 
 # Each check and construction builds one evaluator per table and

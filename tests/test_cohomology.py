@@ -6,9 +6,12 @@ nonzero but their sum cancels exactly.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ import pytest
 
 import reference_coboundary
 from helpers import dense
-from homleib import cohomology, operators, representation, structure
+from homleib import cohomology, operators, poly, representation, structure
 from homleib.operators import deformed_bracket
 from homleib.poly import MAX_ARITY, D, X, MultiPoly, lam, parse_poly
 from homleib.structure import (
@@ -894,13 +897,15 @@ def test_a_held_complex_builds_its_structure_evaluators_once(monkeypatch, reques
 def test_a_held_complex_builds_each_frame_once(monkeypatch, request, name):
     """The first d of a held complex at an arity, and the first d_HN of
     its view, build that arity's frame; every later one at an arity
-    already met compiles no substitution in cohomology and builds no
-    cells, whatever arities come between."""
+    already met builds no frame and no cells, whatever arities come
+    between.  No d compiles a substitution in cohomology or structure:
+    the frame, the cochain's evaluators and the structure evaluators read
+    the ones compiled at import."""
     alg, n_op = _with_operator(request, name)
     rep = with_nm(adjoint_rep(alg), n_op)
-    compiled, real = [], cohomology.substitution
     built = _counting_builds(monkeypatch)
-    monkeypatch.setattr(cohomology, "substitution", lambda targets: compiled.append(targets) or real(targets))
+    frames, real_frame = [], cohomology._frame
+    monkeypatch.setattr(cohomology, "_frame", lambda n, *cells: frames.append(n) or real_frame(n, *cells))
     plain = Complex(alg, rep)
     view = plain.twisted(n_op)
     rng = random.Random(79)
@@ -908,14 +913,15 @@ def test_a_held_complex_builds_each_frame_once(monkeypatch, request, name):
     for arity in (1, 3, 2, 1, 3, 2):
         for op, coboundary in (("d", plain.d), ("d_HN", view.d)):
             f = random_cochain(alg.rank, rep.rank, arity, rng)
-            compiled.clear()
+            frames.clear()
             built.clear()
             coboundary(f)
             cells = [kind for kind, _ in built if kind == "cells"]
+            assert [kind for kind, _ in built if kind == "substitution"] == [], (op, arity)
             if (op, arity) in met:
-                assert compiled == [] and cells == [], (op, arity)
+                assert frames == [] and cells == [], (op, arity)
             else:
-                assert compiled, (op, arity)
+                assert frames == [arity], (op, arity)
             met.add((op, arity))
 
 
@@ -1107,12 +1113,32 @@ def _per_call(lams: list) -> Parameters:
     return Parameters(tuple(lams), tuple(-w for w in lams) + (last,))
 
 
+def _frame_images(entry, n: int) -> list:
+    """The images of x under the frame's x substitutions of an arity-n
+    entry, and of l1..l(n-1) and D under its action groups'."""
+    variables = [MultiPoly.var(lam(k)) for k in range(1, n)] + [MultiPoly.var(D)]
+    return [[at(XF) for at in entry.at_ls], entry.at_total(XF), [[group(v) for v in variables] for group in entry.groups]]
+
+
+def _frame_reference(n: int) -> list:
+    """`_frame_images` written out: x -> l_i and x -> l_1 + ... + l_n; the
+    left group i sends l1..l(n-1) to the left-action term i's parameters
+    and D to D + l_i, the right group D to -(l_1 + ... + l_n)."""
+    ws = _output_lams(n)
+    total = sum(ws, MultiPoly.zero())
+    stored = [MultiPoly.var(lam(k)) for k in range(1, n)]
+    groups = [_l_term_lams(n, i) + [MultiPoly.var(D) + ws[i - 1]] for i in range(1, n + 1)]
+    return [ws, total, groups + [stored + [-total]]]
+
+
 def test_the_parameter_table_equals_a_per_call_build():
     """Every entry of the table, arities 1..MAX_ARITY + 1, equals the
     parameters built per call from the polynomial lists that d read
     before it (`reference_coboundary`), term for term: the outputs, each
-    insertion pair (i, j) and each left-action term i, and l_i, D + l_i
-    and their sum.  The builder run above the table gives the same."""
+    insertion pair (i, j) and each left-action term i; and its frame
+    substitutions send x, l1..l(n-1) and D to the polynomials written out
+    in `_frame_reference`.  The builder run above the table gives the
+    same."""
     table = cohomology._ARITIES
     assert len(table) == MAX_ARITY + 1
     for n, entry in enumerate(table, 1):
@@ -1121,27 +1147,41 @@ def test_the_parameter_table_equals_a_per_call_build():
             row = [_per_call(_insertion_lams(n, i, j)) for j in range(i + 1, n + 2)]
             assert list(entry.insertions[i - 1]) == row, (n, i)
             assert entry.insertions[i - 1][-1] == _per_call(_l_term_lams(n, i)), (n, i)
-        ws = _output_lams(n)
-        assert entry.ls == tuple(ws)
-        assert entry.shifts == tuple(MultiPoly.var(D) + w for w in ws)
-        assert entry.total == sum(ws, MultiPoly.zero())
-        assert cohomology._arities(n, n) == (entry,)
+        assert _frame_images(entry, n) == _frame_reference(n)
+        above = cohomology._arities(n, n)
+        assert above == (entry,) and _frame_images(above[0], n) == _frame_reference(n)
 
 
 def _nodes(x) -> list:
-    """x and everything it holds, depth first."""
+    """x and everything it holds, depth first: the items of a tuple, the
+    fields of parameters and of an arity's entry."""
+    if isinstance(x, (Parameters, cohomology._Arity)):
+        return [x] + [y for f in dataclasses.fields(x) for y in _nodes(getattr(x, f.name))]
     return [x] + [y for item in x for y in _nodes(item)] if isinstance(x, tuple) else [x]
 
 
-def test_the_parameter_table_holds_no_callable_and_is_never_changed():
-    """The table holds tuples and polynomials only, none of them
-    callable, and d, d_HN and phi at arities 1..MAX_ARITY + 2 leave it
-    the same objects with the same values: nothing is added to it, above
-    the table included."""
+def _is_compiled(x) -> bool:
+    """x is a compiled substitution of `poly.substitution`: the kernel's,
+    wrapped, or the identity that it returns when nothing moves."""
+    return x is poly._unchanged or isinstance(x, functools.partial) and x.func is poly._substituted
+
+
+def test_the_parameter_table_holds_only_parameters_and_their_substitutions():
+    """The table holds tuples, polynomials, variable ids, parameters and
+    compiled substitutions, and the substitutions are its only callables;
+    every parameter is compiled for the stored l1..l(n-1) of its arity.
+    d, d_HN and phi at arities 1..MAX_ARITY + 2 leave it the same objects
+    with the same values: nothing is added to it or replaced, above the
+    table included."""
     table = cohomology._ARITIES
     before = _nodes(table)
     values = [str(x) for x in before if isinstance(x, MultiPoly)]
-    assert all(isinstance(x, (tuple, MultiPoly)) and not callable(x) for x in before)
+    kinds = (tuple, MultiPoly, int, Parameters, cohomology._Arity)
+    assert all(isinstance(x, kinds) and not callable(x) or _is_compiled(x) for x in before)
+    for n, entry in enumerate(table, 1):
+        for at in (p for row in entry.insertions for p in row):
+            assert at.stored == tuple(lam(k) for k in range(1, n)) and _is_compiled(at.relabel)
+            assert len(at.shifts) == n and all(map(_is_compiled, at.shifts))
     alg = virasoro()
     rep = with_nm(adjoint_rep(alg), PdModuleMap.scalar(1, 2))
     n_op = PdModuleMap.scalar(1, 3)
@@ -1155,6 +1195,116 @@ def test_the_parameter_table_holds_no_callable_and_is_never_changed():
     after = _nodes(table)
     assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
     assert [str(x) for x in after if isinstance(x, MultiPoly)] == values
+
+
+def _held() -> list:
+    """The kernel substitutions that the module constants hold, each once:
+    those of structure's AT_* and of cohomology._ARITIES."""
+    constants = (cohomology._ARITIES, structure.AT_X, structure.AT_L1, structure.AT_L2, structure.AT_L12, structure.AT_FLIP)
+    kernels = {id(x.args[0]): x.args[0] for x in _nodes(constants) if _is_compiled(x) and x is not poly._unchanged}
+    return list(kernels.values())
+
+
+def _stored(kernels: list) -> list:
+    """What each kernel substitution keeps: how many powers of its targets
+    and how many images."""
+    return [(len(powers), len(images)) for _, powers, images in (k.args for k in kernels)]
+
+
+def test_the_held_substitutions_reach_a_steady_state(vir, cur2, twisted2, virm1_r2):
+    """d, d_HN, phi, the compatibility check and the algebra and
+    representation checks, run a second time on the same inputs, add no
+    image and no power to any held substitution; nor do the public
+    evaluation functions, whose parameters are built per call."""
+    from homleib.structure import verify_hom_leibniz, verify_skew_symmetry
+
+    fixtures = [(vir, PdModuleMap.scalar(1, 2)), (cur2, NIL), (twisted2, NIL), virm1_r2]
+
+    def run():
+        rng = random.Random(97)
+        for alg, n_op in fixtures:
+            rep = with_nm(adjoint_rep(alg), n_op)
+            for arity in (1, 2, 3):
+                f = random_cochain(alg.rank, rep.rank, arity, rng)
+                coboundary_homL(f, alg, rep)
+                coboundary_HN(f, alg, n_op, rep)
+                phi_map(f, n_op, rep)
+                check_cochain_compat(f, alg, rep)
+            verify_hom_leibniz(alg)
+            verify_skew_symmetry(alg)
+            representation.verify_representation(alg, rep)
+            verify_nijenhuis_representation(alg, n_op, rep)
+
+    kernels = _held()
+    assert len(kernels) > 100
+    run()
+    first = _stored(kernels)
+    assert sum(images for _, images in first) > 0
+    run()
+    assert _stored(kernels) == first
+    rng = random.Random(98)
+    alg, n_op = virm1_r2
+    rep = adjoint_rep(alg)
+    p, q = d_element(rng), d_element(rng)
+    for w in (L1, XF, L1 + MultiPoly.var(lam(2)), -L1 - MultiPoly.var(D)):
+        eval_bracket(alg, p, q, w)
+        eval_l(rep, p, q, w)
+        eval_r(rep, p, q, w)
+    for arity in (1, 2, 3):
+        f = random_cochain(2, 2, arity, rng, max_deg=4)
+        eval_cochain(f, [d_element(rng) for _ in range(arity)], [MultiPoly.var(lam(k)) for k in range(1, arity)])
+    assert _stored(kernels) == first
+
+
+def _fresh_constants(monkeypatch) -> None:
+    """Freshly built constants in place of cohomology's, so that every
+    substitution the coboundaries read starts empty."""
+    monkeypatch.setattr(cohomology, "_ARITIES", cohomology._arities(1, MAX_ARITY + 1))
+    monkeypatch.setattr(cohomology, "AT_X", Parameters.of((XF,)).compiled((X,)))
+
+
+def test_threads_sharing_the_held_substitutions_get_the_single_thread_coboundaries(monkeypatch, request):
+    """d, d_HN and phi on vir, cur2, twisted2 and virm1_r2, run from four
+    threads at once while the held substitutions they share are still
+    empty and filling, equal the same coboundaries run in one thread on
+    other freshly built constants; in several rounds, each on fresh
+    constants.  The threads also share one complex and its twisted view
+    per case, built before they start, and call their d, d and phi
+    (`coboundary_homL`, `coboundary_HN` and `phi_map` are these over a
+    fresh complex)."""
+    cases, rng = [], random.Random(101)
+    for name in ("vir", "cur2", "twisted2", "virm1_r2"):
+        alg, n_op = _with_operator(request, name)
+        rep = with_nm(adjoint_rep(alg), n_op)
+        cases.append((alg, n_op, rep, [random_cochain(alg.rank, rep.rank, arity, rng, max_deg=8) for arity in (1, 2)]))
+
+    def run(complexes):
+        return [
+            _raw_table(g)
+            for (alg, n_op, rep, fs), (plain, view) in zip(cases, complexes)
+            for f in fs
+            for g in (plain.d(f), view.d(f), view.phi(f))
+        ]
+
+    def fresh():
+        _fresh_constants(monkeypatch)
+        return [(plain := Complex(alg, rep), plain.twisted(n_op)) for alg, n_op, rep, _ in cases]
+
+    expected = run(fresh())
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            complexes, results = fresh(), [None] * 4
+            threads = [threading.Thread(target=lambda k=k: results.__setitem__(k, run(complexes))) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_d_above_the_parameter_table_equals_the_reference():

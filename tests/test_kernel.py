@@ -1,7 +1,9 @@
 """The polynomial kernel: basics, int coefficients in and out, powers and
 simultaneous substitution, one-shot and compiled."""
 
+import itertools
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -359,6 +361,39 @@ def test_compiled_substitution_maps_a_key_it_has_met_without_products(targets, t
     assert calls == []
     assert outs[0] == first == two_pass_substitute(terms, targets)
     assert outs[1] == two_pass_substitute(again, targets)
+
+
+def test_threads_building_one_power_at_once_leave_each_power_at_its_exponent(monkeypatch):
+    """Two threads apply one compiled substitution to D^2 at the same time:
+    each is held inside its first product until the other is inside its
+    own, so both build the square of the target before either stores it.
+    Both must get the square, and the next power built afterwards must be
+    the cube: a power list extended by appending would hold the square
+    twice and hand it out for the cube."""
+    d, l1, l2 = 0, 3, 4
+    target = {((d, 1),): 1, ((l1, 1),): 1, ((l2, 1),): 2, (): 3}
+    square, cube = K.pow_terms(target, 2), K.pow_terms(target, 3)
+    apply = K.substitution({d: target})
+    barrier, entered, real = threading.Barrier(2, timeout=10), itertools.count(), _polypure.mul_terms
+
+    def held(a, b):
+        if next(entered) < 2:
+            barrier.wait()
+        return real(a, b)
+
+    monkeypatch.setattr(_polypure, "mul_terms", held)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(apply({((d, 2),): 1}))) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive()
+    assert next(entered) >= 2, "the two threads did not build the square at once"
+    assert results == [square, square]
+    assert apply({((d, 3),): 1}) == cube
+    assert apply({((d, 2),): 5, ((d, 3), (l1, 1)): -1}) == K.sub_terms(
+        K.scale_terms(square, 5), K.mul_terms(cube, {((l1, 1),): 1}))
 
 
 def test_compiled_substitution_swaps_simultaneously():

@@ -21,7 +21,9 @@ its batched one, which is the only place that reads a relabelled table
 entry; applying it to one tuple is a batch of one.
 
 Found from the syntax tree too: cohomology.py compiles a substitution
-only in `_frame`, which builds what d reads at one arity once per complex.
+only in `_arities`, which builds each arity's parameters with the
+substitutions d's frame reads, and structure.py only in
+`Parameters.compiled` and, for parameters built per call, `_evaluator`.
 
 Found from the syntax tree too: no module evaluates a table as a dense
 grid (every check and the complex read nonzero cells only), and
@@ -34,9 +36,10 @@ nothing is kept per argument object.
 Found from the syntax tree too: no module keeps a function cache
 (`functools.cache` or `lru_cache`) between calls, except the argument
 parser `cli._parser`; state lives in objects a caller builds and holds.
-Immutable module constants built at import are allowed, such as the
-evaluation parameters `structure.AT_*` and `cohomology._ARITIES`;
-caches, which calls fill, are not.
+Module constants built at import are allowed, such as the evaluation
+parameters `structure.AT_*` and `cohomology._ARITIES` with the
+substitutions compiled with them, whose stores grow only by one image
+per monomial met; caches keyed by call arguments are not.
 
 Found from the source text: no module defines, imports or mentions
 `LinearForm` or `to_poly`, as evaluation parameters are polynomials.
@@ -177,18 +180,30 @@ def test_the_evaluator_has_one_term_loop():
     assert source.count("relabelled.get(") == 1
 
 
-def test_cohomology_compiles_substitutions_only_in_the_frame():
-    # d's frame is built once per complex and arity; a substitution
-    # compiled anywhere else in cohomology.py would be compiled per call
-    tree = _trees()["cohomology.py"]
-    where = {
-        top.name
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id == "substitution"
-        or isinstance(node, ast.Attribute) and node.attr == "substitution"
-    }
-    assert where == {"_frame"}
+def _compiling(tree) -> set:
+    """The top-level functions and methods of a module that name
+    `substitution`, as name or class.method."""
+    def names(node, prefix=""):
+        if isinstance(node, ast.ClassDef):
+            return {where for sub in node.body for where in names(sub, node.name + ".")}
+        named = any(
+            isinstance(sub, ast.Name) and sub.id == "substitution"
+            or isinstance(sub, ast.Attribute) and sub.attr == "substitution"
+            for sub in ast.walk(node)
+        )
+        return {prefix + getattr(node, "name", type(node).__name__)} if named else set()
+
+    return {where for top in tree.body for where in names(top)}
+
+
+def test_substitutions_are_compiled_only_with_the_parameters():
+    # the substitutions d and the checks apply are compiled once, at
+    # import, with the parameters they belong to; one compiled anywhere
+    # else would be compiled per call.  An evaluator at parameters built
+    # for one call compiles its own relabel, for that call only.
+    trees = _trees()
+    assert _compiling(trees["cohomology.py"]) == {"_arities"}
+    assert _compiling(trees["structure.py"]) == {"Parameters.compiled", "_evaluator"}
 
 
 def test_cohomology_makes_no_dense_grid():
