@@ -19,11 +19,12 @@ write to a dict they received.  Results may therefore be an input dict
 itself: a substitution that changes nothing returns its input, a sum
 with an empty operand and a difference with an empty subtrahend return
 the other operand, and a product by the constant 1 returns its other
-operand.  For the same reason a compiled substitution may keep its
-targets, the powers it builds from them and the image of every monomial
-key it meets (its terms, with the untouched variables merged in) for as
-long as it lives: applied again, it maps a key it has met by one pass
-over that image, with no product and no key merge.
+operand.  For the same reason a compiled substitution, the only kind
+the engine applies, may keep its targets, the powers it builds from
+them and the image of every monomial key it meets (its terms, with the
+untouched variables merged in) for as long as it lives: applied again,
+it maps a key it has met by one pass over that image, with no product
+and no key merge.
 
 A compiled substitution may be held for the life of the process and
 applied from several threads at once.  It fills its stores by
@@ -148,7 +149,11 @@ def pow_terms(a, n):
 
 
 def substitute_terms(terms, var, target):
-    """Replace `var` by the polynomial `target`, fully expanded."""
+    """Replace `var` by the polynomial `target`, fully expanded, one-shot.
+
+    This is the entry of the frozen polynomial oracle
+    (tests/reference_poly.py); no engine path calls it, as every engine
+    substitution is a compiled `substitution`."""
     return _substitute({var: target}, {}, {}, terms)
 
 

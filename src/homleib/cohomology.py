@@ -46,10 +46,10 @@ from .structure import (
     DimensionError,
     Parameters,
     PdModuleMap,
+    _basis_and_images,
     _deformed_products,
     _evaluator as _sesquilinear,
     _table_at,
-    basis_element,
     normalize_table,
 )
 
@@ -180,7 +180,7 @@ def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation)
     twist of f.  Checked, not enforced, so counterexamples stay expressible.
     The left side is one batch of f over the twisted basis in every slot."""
     _check_ranks(f, alg, rep)
-    twisted = [alg.alpha.apply(alg.basis(t)) for t in range(alg.rank)]
+    _, twisted = _basis_and_images(alg.rank, alg.alpha)
     values = _evaluator(f, _at_arity(f.arity).outputs).batch([twisted] * f.arity)
     with checked("cochain_twist_equivariance") as c:
         for key, lhs in zip(itertools.product(range(alg.rank), repeat=f.arity), values):
@@ -199,8 +199,7 @@ class _Arity:
     """What d, phi and the compatibility check evaluate an arity-n cochain
     at: per i, the parameters of the insertion terms (i, j), j = i + 1..n + 1,
     where (i, n + 1) is the left-action term i and (n, n + 1) the outputs
-    l1..l(n-1), each compiled for the stored l1..l(n-1)
-    (`Parameters.compiled`).
+    l1..l(n-1), each built for the stored l1..l(n-1) (`Parameters.of`).
 
     It also holds the substitutions that d's frame at n (`_frame`) reads,
     compiled once: `at_ls`, x -> l_i per i, and `at_total`, x -> l_1 +
@@ -219,15 +218,16 @@ class _Arity:
 
 
 def _arities(low: int, top: int) -> tuple:
-    """The parameters of arities low..top, with their substitutions.
-    Each l_k, -l_k, D + l_k, l_i + l_j and its negation, each monomial
-    key, each x -> l_k and each slot's D -> target is built once and
-    shared by every list that reads it.  The insertion term (i, j) of
-    arity n reads l_s at the s in 1..n but i, with l_i + l_j at s = j."""
+    """The parameters of arities low..top, with their substitutions,
+    each built by `Parameters.of` for the stored l1..l(n-1).  Each l_k,
+    D + l_k and l_i + l_j, each monomial key, each x -> l_k and each
+    slot's D -> target is built once and shared by every list that reads
+    it.  The insertion term (i, j) of arity n reads l_s at the s in 1..n
+    but i, with l_i + l_j at s = j."""
     keys = [((lam(k), 1),) for k in range(1, top + 1)]
     ls = [MultiPoly.from_int_first({key: 1}) for key in keys]
-    negs, shifts, out = [-w for w in ls], [MultiPoly.var(D) + w for w in ls], []
-    pairs = {(i, j): ((p := ls[i] + ls[j]), -p) for i, j in itertools.combinations(range(top), 2)}
+    shifts, out = [MultiPoly.var(D) + w for w in ls], []
+    pairs = {(i, j): ls[i] + ls[j] for i, j in itertools.combinations(range(top), 2)}
     at_ls, slot_shifts = [substitution({X: w}) for w in ls], {}
 
     def shift(target: MultiPoly):
@@ -238,13 +238,11 @@ def _arities(low: int, top: int) -> tuple:
 
     for n in range(low, top + 1):
         total, stored = MultiPoly.from_int_first(dict.fromkeys(keys[:n], 1)), [lam(k) for k in range(1, n)]
-        full, insertions = MultiPoly.var(D) + total, []  # the last slot's D target but at j = n + 1
+        insertions = []
         for i in range(n):
             rest = [k for k in range(n) if k != i]
-            row = [Parameters(tuple(pairs[i, j][0] if k == j else ls[k] for k in rest),
-                              tuple(pairs[i, j][1] if k == j else negs[k] for k in rest) + (full,)) for j in range(i + 1, n)]
-            row.append(Parameters(tuple(ls[k] for k in rest), tuple(negs[k] for k in rest) + (full - ls[i],)))
-            insertions.append(tuple(at.compiled(stored, shift) for at in row))
+            row = [[pairs[i, j] if k == j else ls[k] for k in rest] for j in range(i + 1, n)] + [[ls[k] for k in rest]]
+            insertions.append(tuple(Parameters.of(ws, stored, shift) for ws in row))
         groups = [substitution(dict(zip([*stored, D], [*row[-1].polys, shifts[i]]))) for i, row in enumerate(insertions)]
         out.append(_Arity(insertions[-1][-1], tuple(insertions), tuple(at_ls[:n]), substitution({X: total}),
                           (*groups, substitution({D: -total}))))
@@ -274,8 +272,7 @@ class Complex:
 
     def __init__(self, alg: ConformalAlgebra, rep: Representation):
         self.alg, self.rep = alg, rep
-        self.basis = [alg.basis(t) for t in range(alg.rank)]
-        self.twisted_basis = [alg.alpha.apply(e) for e in self.basis]
+        self.basis, self.twisted_basis = _basis_and_images(alg.rank, alg.alpha)
         self.mods = [rep.module_basis(b) for b in range(rep.rank)]
         self._cells: dict[int, tuple] = {}  # arity -> the cells at x
         self._frames = _Frames(self.cells)
@@ -493,8 +490,7 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     if n_op.rows != f.alg_rank or n_op.cols != f.alg_rank:
         raise DimensionError("operator shape does not match the cochain")
     n, one = f.arity, MultiPoly.const(1)
-    basis = [basis_element(f.alg_rank, t) for t in range(f.alg_rank)]
-    images = [n_op.apply(e) for e in basis]
+    basis, images = _basis_and_images(f.alg_rank, n_op)
     # column j of nm as its nonzero entries (i, entry), None for an entry of 1
     columns = [[(i, None if p == one else p) for i, row in enumerate(rep.n_m.entries) if not (p := row[j]).is_zero]
                for j in range(rep.rank)]

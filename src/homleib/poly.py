@@ -237,21 +237,7 @@ class MultiPoly:
         """Replace every occurrence of variable v by `target`, expanded.
 
         Returns self when v does not occur or `target` is v itself."""
-        for key in self._terms:
-            for u, _ in key:
-                if u == v:
-                    break
-            else:
-                continue
-            break
-        else:
-            return self
-        num, den = target._terms, target._den
-        if den == 1 and num == {((v, 1),): 1}:
-            return self
-        return _substituted(
-            lambda terms: K.substitute_terms(terms, v, num), {v: den} if den != 1 else {}, self
-        )
+        return substitution({v: target})(self)
 
     def substitute_many(self, targets: Mapping[int, "MultiPoly"]) -> "MultiPoly":
         """Replace each variable v in `targets` by targets[v], all at once.

@@ -274,38 +274,42 @@ class Parameters:
     argument slot, -w_s for slot s < n and D + w_1 + ... + w_(n-1) for
     the last.
 
-    `compiled` parameters also hold their substitutions for the variables
-    `stored` of one kind of table: `relabel`, the stored variables to
-    `polys` at once, and `shifts`, each slot's D to its target.  The
-    engine's constants, `AT_*` (tables at x) and `cohomology._ARITIES`
-    (cochains), are compiled at import and held for the life of the
-    process, so the powers and monomial images their substitutions build
-    serve every later call; threads may share them (see the kernel).  The
-    public evaluation functions build uncompiled parameters with `of`,
-    whose evaluator compiles its relabel for that call alone.  Equality
-    compares `polys` and `targets`: the rest is compiled from them."""
+    They always hold `shifts`, each slot's compiled D -> target, and,
+    when built for the variables `stored` of one kind of table,
+    `relabel`, those variables to `polys` at once.  The engine's
+    constants, `AT_*` (tables at x) and `cohomology._ARITIES` (cochains),
+    are built at import and held for the life of the process, so the
+    powers and monomial images their substitutions build serve every
+    later call; threads may share them (see the kernel).  The public
+    evaluation functions build theirs per call, and their evaluator
+    compiles its relabel for that call alone.  Equality compares `polys`
+    and `targets`: the rest is compiled from them."""
 
     polys: tuple[MultiPoly, ...]
     targets: tuple[MultiPoly, ...]
+    shifts: tuple[Callable[[MultiPoly], MultiPoly], ...] = field(compare=False)
     stored: tuple[int, ...] | None = field(default=None, compare=False)
     relabel: Callable[[MultiPoly], MultiPoly] | None = field(default=None, compare=False)
-    shifts: tuple[Callable[[MultiPoly], MultiPoly], ...] | None = field(default=None, compare=False)
 
     @staticmethod
-    def of(ws: Sequence[MultiPoly]) -> "Parameters":
-        """The parameters ws with their slot targets, uncompiled."""
+    def of(
+        ws: Sequence[MultiPoly],
+        stored: Sequence[int] | None = None,
+        shift: Callable[[MultiPoly], Callable] | None = None,
+    ) -> "Parameters":
+        """The parameters ws with their slot targets and shifts, and with
+        their relabel for tables that store the variables `stored`, when
+        given.  `shift(target)`, when given, returns the compiled D ->
+        target, so that a builder of many parameters can share one per
+        target."""
         polys = tuple(ws)
-        return Parameters(polys, tuple(-w for w in polys) + (sum(polys, MultiPoly.var(D)),))
-
-    def compiled(self, stored: Sequence[int], shift: Callable[[MultiPoly], Callable] | None = None) -> "Parameters":
-        """These parameters with their substitutions compiled for tables
-        that store the variables `stored`.  `shift(target)`, when given,
-        returns the compiled D -> target, so that a builder of many
-        parameters can share one per target."""
-        stored = tuple(stored)
-        shift = shift or (lambda t: substitution({D: t}))
-        return Parameters(self.polys, self.targets, stored, substitution(dict(zip(stored, self.polys))),
-                          tuple(map(shift, self.targets)))
+        targets = tuple(-w for w in polys) + (sum(polys, MultiPoly.var(D)),)
+        shifts = tuple(map(shift or (lambda t: substitution({D: t})), targets))
+        relabel = None
+        if stored is not None:
+            stored = tuple(stored)
+            relabel = substitution(dict(zip(stored, polys)))
+        return Parameters(polys, targets, shifts, stored, relabel)
 
 
 def _table_at(table: BracketTable, out_rank: int, at: Parameters):
@@ -336,13 +340,14 @@ def _evaluator(
     of them).  Argument slot s sets D to its slot target, and the stored
     variables become the parameters' polynomials through one simultaneous
     substitution of those that move (none for a table at x); a table
-    entry is substituted the first time its key is met.  Compiled
-    parameters hold both: their slot shifts, and their relabel when
-    compiled for `stored` (a cochain at AT_L1 reads only its shifts).
-    Otherwise the relabel is compiled here, for this evaluator, and each
-    slot substitutes D one-shot.  The returned function refers to
-    `table`, which keeps it alive as long as the evaluator is; tables are
-    never changed once built.  Nothing is kept per argument.
+    entry is substituted the first time its key is met.  The parameters
+    hold each slot's compiled shift, and their relabel when built for
+    `stored`; parameters built for other stored variables (a cochain at
+    AT_L1, or the public `eval_*` at parameters built per call) get
+    their relabel compiled here, for this evaluator.  The returned
+    function refers to `table`, which keeps it alive as long as the
+    evaluator is; tables are never changed once built.  Nothing is kept
+    per argument.
 
     `batch(slots)` is its one term loop: the values on the product of
     the per-slot argument lists, in product order (None where no
@@ -357,7 +362,7 @@ def _evaluator(
     stored = tuple(stored)
     # stored variables -> parameters, simultaneously: targets may mention them
     relabel = at.relabel if at.stored == stored else substitution(dict(zip(stored, at.polys)))
-    shifts = at.shifts or [lambda c, t=t: c.substitute(D, t) for t in at.targets]
+    shifts = at.shifts
     # key -> the nonzero coordinates (k, polynomial) of table[key], relabelled
     relabelled: dict[tuple[int, ...], tuple[tuple[int, MultiPoly], ...]] = {}
     zero = MultiPoly.zero()
@@ -442,7 +447,7 @@ L2 = MultiPoly.var(lam(2))
 XF = MultiPoly.var(X)
 L12 = L1 + L2
 # the parameters of the checks: x, l1, l2, l1 + l2 and the skew flip -l1 - D
-AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,)).compiled((X,)) for w in (XF, L1, L2, L12, -L1 - MultiPoly.var(D)))
+AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,), (X,)) for w in (XF, L1, L2, L12, -L1 - MultiPoly.var(D)))
 
 
 # Each check and construction builds one evaluator per table and

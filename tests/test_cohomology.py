@@ -1106,11 +1106,17 @@ def test_negation_negates_each_stored_value():
 # -- the parameters of each arity, built at import ------------------------------
 
 
-def _per_call(lams: list) -> Parameters:
-    """The parameters of a list of polynomials, written out here: each
-    polynomial, its negation, and D plus their sum."""
+def _per_call(lams: list) -> tuple:
+    """The polynomials and slot targets of the parameters of a list of
+    polynomials, written out here: each polynomial, its negation, and D
+    plus their sum."""
     last = MultiPoly.var(D) + sum(lams, MultiPoly.zero())
-    return Parameters(tuple(lams), tuple(-w for w in lams) + (last,))
+    return tuple(lams), tuple(-w for w in lams) + (last,)
+
+
+def _written(at: Parameters) -> tuple:
+    """The polynomials and slot targets that parameters hold."""
+    return at.polys, at.targets
 
 
 def _frame_images(entry, n: int) -> list:
@@ -1132,21 +1138,22 @@ def _frame_reference(n: int) -> list:
 
 
 def test_the_parameter_table_equals_a_per_call_build():
-    """Every entry of the table, arities 1..MAX_ARITY + 1, equals the
-    parameters built per call from the polynomial lists that d read
-    before it (`reference_coboundary`), term for term: the outputs, each
-    insertion pair (i, j) and each left-action term i; and its frame
+    """Every entry of the table, arities 1..MAX_ARITY + 1, holds the
+    polynomials and slot targets written out per call (`_per_call`) from
+    the polynomial lists that d read before it (`reference_coboundary`),
+    term for term: the outputs, each insertion pair (i, j) and each
+    left-action term i; and its frame
     substitutions send x, l1..l(n-1) and D to the polynomials written out
     in `_frame_reference`.  The builder run above the table gives the
     same."""
     table = cohomology._ARITIES
     assert len(table) == MAX_ARITY + 1
     for n, entry in enumerate(table, 1):
-        assert entry.outputs == _per_call(_output_lams(n - 1)) == Parameters.of(_output_lams(n - 1))
+        assert _written(entry.outputs) == _per_call(_output_lams(n - 1)) == _written(Parameters.of(_output_lams(n - 1)))
         for i in range(1, n + 1):
             row = [_per_call(_insertion_lams(n, i, j)) for j in range(i + 1, n + 2)]
-            assert list(entry.insertions[i - 1]) == row, (n, i)
-            assert entry.insertions[i - 1][-1] == _per_call(_l_term_lams(n, i)), (n, i)
+            assert list(map(_written, entry.insertions[i - 1])) == row, (n, i)
+            assert _written(entry.insertions[i - 1][-1]) == _per_call(_l_term_lams(n, i)), (n, i)
         assert _frame_images(entry, n) == _frame_reference(n)
         above = cohomology._arities(n, n)
         assert above == (entry,) and _frame_images(above[0], n) == _frame_reference(n)
@@ -1260,7 +1267,7 @@ def _fresh_constants(monkeypatch) -> None:
     """Freshly built constants in place of cohomology's, so that every
     substitution the coboundaries read starts empty."""
     monkeypatch.setattr(cohomology, "_ARITIES", cohomology._arities(1, MAX_ARITY + 1))
-    monkeypatch.setattr(cohomology, "AT_X", Parameters.of((XF,)).compiled((X,)))
+    monkeypatch.setattr(cohomology, "AT_X", Parameters.of((XF,), (X,)))
 
 
 def test_threads_sharing_the_held_substitutions_get_the_single_thread_coboundaries(monkeypatch, request):

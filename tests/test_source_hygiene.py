@@ -23,7 +23,9 @@ entry; applying it to one tuple is a batch of one.
 Found from the syntax tree too: cohomology.py compiles a substitution
 only in `_arities`, which builds each arity's parameters with the
 substitutions d's frame reads, and structure.py only in
-`Parameters.compiled` and, for parameters built per call, `_evaluator`.
+`Parameters.of` and, for parameters built for other stored variables,
+`_evaluator`.  No module outside the kernel names the kernel's one-shot
+`substitute_terms`, and only `Parameters.of` builds a `Parameters`.
 
 Found from the syntax tree too: no module evaluates a table as a dense
 grid (every check and the complex read nonzero cells only), and
@@ -200,10 +202,41 @@ def test_substitutions_are_compiled_only_with_the_parameters():
     # the substitutions d and the checks apply are compiled once, at
     # import, with the parameters they belong to; one compiled anywhere
     # else would be compiled per call.  An evaluator at parameters built
-    # for one call compiles its own relabel, for that call only.
+    # for other stored variables compiles its own relabel, for that
+    # evaluator only.
     trees = _trees()
     assert _compiling(trees["cohomology.py"]) == {"_arities"}
-    assert _compiling(trees["structure.py"]) == {"Parameters.compiled", "_evaluator"}
+    assert _compiling(trees["structure.py"]) == {"Parameters.of", "_evaluator"}
+
+
+def test_every_substitution_is_compiled_and_parameters_have_one_constructor():
+    # the kernel's one-shot `substitute_terms` serves the frozen
+    # polynomial oracle only; the engine applies compiled substitutions,
+    # whose images and powers serve every later call.  `Parameters` is
+    # built by `Parameters.of` alone, so every parameter holds its
+    # compiled slot shifts.
+    trees = _trees()
+    one_shot = sorted(
+        name for name, tree in trees.items()
+        if not name.startswith("_kernel/") and "substitute_terms" in _references(tree)
+    )
+    assert one_shot == []
+    builders = []
+    for name, tree in trees.items():
+        inside = {
+            id(call)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Parameters"
+            for method in cls.body if isinstance(method, ast.FunctionDef) and method.name == "of"
+            for call in ast.walk(method)
+        }
+        builders += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and (isinstance(node.func, ast.Name) and node.func.id == "Parameters"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "Parameters")
+        ]
+    assert builders == []
 
 
 def test_cohomology_makes_no_dense_grid():

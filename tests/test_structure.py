@@ -558,9 +558,11 @@ def test_constructions_build_one_evaluator_per_table_and_parameter(monkeypatch, 
 # ---------------------------------------------------------------------------
 
 
-# the last two have the variables of L1 and other values: a scope keyed
-# by anything less than the value would mix their evaluators up
-FORMS = [XF, L1, L1 + L2, -L1 - MultiPoly.var(D), L1 + L1, L1 + MultiPoly.const(1)]
+# L1 + L1 and L1 + 1 have the variables of L1 and other values: a scope
+# keyed by anything less than the value would mix their evaluators up;
+# the last is rational, so its slot shifts clear a denominator
+FORMS = [XF, L1, L1 + L2, -L1 - MultiPoly.var(D), L1 + L1, L1 + MultiPoly.const(1),
+         L1 * Fraction(1, 2) + MultiPoly.const(Fraction(1, 3))]
 
 
 def _raw(e):
@@ -733,19 +735,21 @@ def test_a_table_is_the_arity2_cochain():
 
 def test_an_evaluator_at_its_own_variables_compiles_no_relabel(monkeypatch):
     """A table at x and a cochain at l1..l(n-1) keep every stored
-    variable, so their evaluators compile no substitution; an evaluator
-    that moves some of them compiles one, of those only.  The values do
-    not change: a table at x on basis pairs and a cochain on basis tuples
-    give the stored entries, and on other arguments the former evaluator's
-    values (the sympy oracle above covers the cochain ones)."""
+    variable, so their evaluators compile no relabel; an evaluator that
+    moves some of them compiles one, of those only.  The slot shifts
+    D -> target that `Parameters.of` compiles are not relabels.  The
+    values do not change: a table at x on basis pairs and a cochain on
+    basis tuples give the stored entries, and on other arguments the
+    former evaluator's values (the sympy oracle above covers the cochain
+    ones)."""
     compiled = []
     real = structure.substitution
 
     def counting(targets):
         # `substitution` drops the targets v -> v and compiles nothing
-        # when none is left
+        # when none is left; a slot shift substitutes D alone
         relabel = real(targets)
-        if relabel is not _unchanged:
+        if relabel is not _unchanged and set(targets) != {D}:
             compiled.append({v: t for v, t in targets.items() if t != MultiPoly.var(v)})
         return relabel
 
