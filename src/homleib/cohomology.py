@@ -221,28 +221,21 @@ def _arities(low: int, top: int) -> tuple:
     """The parameters of arities low..top, with their substitutions,
     each built by `Parameters.of` for the stored l1..l(n-1).  Each l_k,
     D + l_k and l_i + l_j, each monomial key, each x -> l_k and each
-    slot's D -> target is built once and shared by every list that reads
-    it.  The insertion term (i, j) of arity n reads l_s at the s in 1..n
-    but i, with l_i + l_j at s = j."""
+    slot's target with its D -> target is built once and shared by every
+    list that reads it.  The insertion term (i, j) of arity n reads l_s
+    at the s in 1..n but i, with l_i + l_j at s = j."""
     keys = [((lam(k), 1),) for k in range(1, top + 1)]
     ls = [MultiPoly.from_int_first({key: 1}) for key in keys]
     shifts, out = [MultiPoly.var(D) + w for w in ls], []
     pairs = {(i, j): ls[i] + ls[j] for i, j in itertools.combinations(range(top), 2)}
-    at_ls, slot_shifts = [substitution({X: w}) for w in ls], {}
-
-    def shift(target: MultiPoly):
-        at = slot_shifts.get(target)
-        if at is None:
-            at = slot_shifts[target] = substitution({D: target})
-        return at
-
+    at_ls, slots = [substitution({X: w}) for w in ls], {}
     for n in range(low, top + 1):
         total, stored = MultiPoly.from_int_first(dict.fromkeys(keys[:n], 1)), [lam(k) for k in range(1, n)]
         insertions = []
         for i in range(n):
             rest = [k for k in range(n) if k != i]
             row = [[pairs[i, j] if k == j else ls[k] for k in rest] for j in range(i + 1, n)] + [[ls[k] for k in rest]]
-            insertions.append(tuple(Parameters.of(ws, stored, shift) for ws in row))
+            insertions.append(tuple(Parameters.of(ws, stored, slots) for ws in row))
         groups = [substitution(dict(zip([*stored, D], [*row[-1].polys, shifts[i]]))) for i, row in enumerate(insertions)]
         out.append(_Arity(insertions[-1][-1], tuple(insertions), tuple(at_ls[:n]), substitution({X: total}),
                           (*groups, substitution({D: -total}))))
@@ -300,11 +293,15 @@ class Complex:
                 _table_at(rep.r_structure, rep.rank, AT_X))
 
     def cells(self, n: int) -> tuple:
-        """The bracket, l and r cells at x that d reads at arity n."""
+        """The bracket, l and r cells at x that d reads at arity n.  The
+        bracket cells, and at arity 1, where a^0(e_t) is the basis, the l
+        and r cells too, are the tables' read-outs on the basis
+        (`basis_cells`); above it the actions are evaluated on the
+        twisted basis."""
         if n not in self._cells:
-            (br, l_ev, r_ev), acting = self.evaluators, self.acting(n)
-            basis, mods = self.basis, self.mods
-            self._cells[n] = (br.cells(basis, basis), l_ev.cells(acting, mods), r_ev.cells(mods, acting))
+            (br, l_ev, r_ev), acting, mods = self.evaluators, self.acting(n), self.mods
+            actions = (l_ev.basis_cells(), r_ev.basis_cells()) if n == 1 else (l_ev.cells(acting, mods), r_ev.cells(mods, acting))
+            self._cells[n] = (br.basis_cells(), *actions)
         return self._cells[n]
 
 

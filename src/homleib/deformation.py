@@ -130,8 +130,8 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
         # the bracket of each order 0..n at w1, w2 and w1+w2
         evs = [tuple(_table_at(data.bracket_table(o), rank, w) for w in (AT_L1, AT_L2, AT_L12)) for o in range(n + 1)]
         basis, twisted = _basis_and_images(rank, a)
-        at1 = [e1.cells(basis, basis) for e1, _, _ in evs]
-        at2 = [e2.cells(basis, basis) for _, e2, _ in evs]
+        at1 = [e1.basis_cells() for e1, _, _ in evs]
+        at2 = [e2.basis_cells() for _, e2, _ in evs]
         # order n - o outside, order o inside
         _leibniz(c, ("leibniz",), twisted, [
             ((e1, a2), (e12, a1), (e2, a1)) for (e1, e2, e12), a1, a2 in zip(reversed(evs), at1, at2)
@@ -229,7 +229,7 @@ def equivalence_order1_check(
     with checked("equivalence_order1") as c:
         # b1 - a1 - (a0 deformed by psi1)
         basis, images = _basis_and_images(rank, psi1)
-        b1s, a1s = (_table_at(d.bracket_table(1), rank, AT_X).cells(basis, basis) for d in (data_b, data_a))
+        b1s, a1s = (_table_at(d.bracket_table(1), rank, AT_X).basis_cells() for d in (data_b, data_a))
         a0 = _table_at(data_a.bracket_table(0), rank, AT_X)
         deformed = _deformed_products(a0, (basis, images), (basis, images), psi1)
         _residual(c, ("bracket_relation",), [b1s], [a1s, deformed])

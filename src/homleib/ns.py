@@ -72,7 +72,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
     """
     a, n = ns.alpha, ns.rank
     with checked("ns_axioms") as c:
-        basis, twisted = _basis_and_images(n, a)
+        _, twisted = _basis_and_images(n, a)
         for name in ("left", "right", "vee"):
             ev = _table_at(getattr(ns, name), n, AT_X)
             _morphism(c, ("multiplicativity", name), a, ev, ev)
@@ -81,8 +81,8 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
         rt1, rt2, rt12 = (_table_at(ns.right, n, w) for w in (AT_L1, AT_L2, AT_L12))
         ve1, ve2, ve12 = (_table_at(ns.vee, n, w) for w in (AT_L1, AT_L2, AT_L12))
         # the three products and their sum on every basis pair, at w1 and at w2
-        left1, right1, vee1 = (ev.cells(basis, basis) for ev in (lf1, rt1, ve1))
-        left2, right2, vee2 = (ev.cells(basis, basis) for ev in (lf2, rt2, ve2))
+        left1, right1, vee1 = (ev.basis_cells() for ev in (lf1, rt1, ve1))
+        left2, right2, vee2 = (ev.basis_cells() for ev in (lf2, rt2, ve2))
         star1, star2 = _signed_sum([left1, right1, vee1]), _signed_sum([left2, right2, vee2])
         _leibniz(c, ("right_star",), twisted, [((rt1, star2), (rt12, right1), (lf2, right1))])
         _leibniz(c, ("left_right",), twisted, [((lf1, right2), (rt12, left1), (rt2, star1))])
@@ -92,7 +92,7 @@ def verify_ns_axioms(ns: NSAlgebra, check_vee_skew: bool = False) -> Report:
             ((lf1, vee2), (rt12, vee1), (lf2, vee1)),
         ])
         if check_vee_skew:
-            _skew(c, ("vee_skew",), ve1, _table_at(ns.vee, n, AT_FLIP), n)
+            _skew(c, ("vee_skew",), ve1, _table_at(ns.vee, n, AT_FLIP))
     return c.report
 
 
@@ -162,7 +162,7 @@ def ns_from_nijenhuis(
             raise PreconditionError("operator is not Nijenhuis")
     br = _table_at(alg.structure, alg.rank, AT_X)
     basis, images = _basis_and_images(alg.rank, n)
-    vee = {key: -n.apply(v) for key, v in br.cells(basis, basis).items()}
+    vee = {key: -n.apply(v) for key, v in br.basis_cells().items()}
     return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
 
 
@@ -178,7 +178,7 @@ def ns_from_rb(
             raise PreconditionError("operator is not Rota-Baxter of this weight")
     br = _table_at(alg.structure, alg.rank, AT_X)
     basis, images = _basis_and_images(alg.rank, r_op)
-    vee = {key: v.scale(weight) for key, v in br.cells(basis, basis).items()}
+    vee = {key: v.scale(weight) for key, v in br.basis_cells().items()}
     return _ns(alg.rank, alg.basis_names, alg.alpha, br.cells(images, basis), br.cells(basis, images), vee)
 
 

@@ -79,7 +79,7 @@ def verify_operator(alg: ConformalAlgebra, op: PdModuleMap, kind: OperatorKind) 
         _add_nonzero_entries(c, "twist_commute", alg.alpha.compose(op) - op.compose(alg.alpha))
         br = _table_at(alg.structure, alg.rank, AT_L1)
         basis, images = _basis_and_images(alg.rank, op)
-        plain, mixed = br.cells(basis, basis), [br.cells(images, basis), br.cells(basis, images)]
+        plain, mixed = br.basis_cells(), [br.cells(images, basis), br.cells(basis, images)]
         if kind.tag == NIJENHUIS:
             rhs = [_applied(op, _signed_sum(mixed, [_applied(op, plain)]))]
         else:

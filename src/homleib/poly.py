@@ -236,8 +236,15 @@ class MultiPoly:
     def substitute(self, v: int, target: "MultiPoly") -> "MultiPoly":
         """Replace every occurrence of variable v by `target`, expanded.
 
-        Returns self when v does not occur or `target` is v itself."""
-        return substitution({v: target})(self)
+        Returns self when v does not occur or `target` is v itself,
+        without compiling a substitution."""
+        if target._den == 1 and target._terms == {((v, 1),): 1}:
+            return self
+        for key in self._terms:
+            for u, _ in key:
+                if u == v:
+                    return substitution({v: target})(self)
+        return self
 
     def substitute_many(self, targets: Mapping[int, "MultiPoly"]) -> "MultiPoly":
         """Replace each variable v in `targets` by targets[v], all at once.
@@ -283,6 +290,29 @@ def _aligned(a: MultiPoly, b: MultiPoly) -> tuple[dict, dict, int]:
 
 
 _ZERO_POLY = MultiPoly()
+_ONE_TERMS = {(): 1}  # the numerators of 1
+
+
+def nonzero_images(ps, apply: Callable[[MultiPoly], MultiPoly]) -> list:
+    """The nonzero images of the polynomials ps under the compiled
+    substitution `apply`, as ((i,), image) pairs in the order of ps, i
+    the index of the polynomial, with None for an image equal to 1.
+
+    A constant is its own image under every substitution, so it is kept
+    as it is and not passed to `apply`: a vector of constants, such as a
+    basis element, costs no substitution."""
+    out = []
+    for i, p in enumerate(ps):
+        terms = p._terms
+        if not terms:
+            continue
+        if len(terms) != 1 or () not in terms:
+            p = apply(p)
+            terms = p._terms
+            if not terms:
+                continue
+        out.append(((i,), None if p._den == 1 and terms == _ONE_TERMS else p))
+    return out
 
 
 def substitution(targets: Mapping[int, MultiPoly]) -> Callable[[MultiPoly], MultiPoly]:

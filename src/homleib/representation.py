@@ -134,11 +134,11 @@ def verify_representation(alg: ConformalAlgebra, rep: Representation) -> Report:
         br1, br2 = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_L2))
         l1, l2, l12 = (_table_at(rep.l_structure, rep.rank, w) for w in (AT_L1, AT_L2, AT_L12))
         r1, r12 = (_table_at(rep.r_structure, rep.rank, w) for w in (AT_L1, AT_L12))
-        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        mods, bmods = _basis_and_images(rep.rank, b)
-        brs1, brs2 = br1.cells(basis, basis), br2.cells(basis, basis)
-        ls1, ls2 = l1.cells(basis, mods), l2.cells(basis, mods)
-        rs1 = r1.cells(mods, basis)
+        _, twisted = _basis_and_images(alg.rank, alg.alpha)
+        _, bmods = _basis_and_images(rep.rank, b)
+        brs1, brs2 = br1.basis_cells(), br2.basis_cells()
+        ls1, ls2 = l1.basis_cells(), l2.basis_cells()
+        rs1 = r1.basis_cells()
         # three-index cells (`_by_cells`, `_cells_by`), re-keyed to (i, j, k)
         # for p, q, m = e_i, e_j, m_k
         lhs = _rekeyed(_by_cells(r1, bmods, brs2), (1, 2, 0))

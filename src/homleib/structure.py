@@ -23,6 +23,7 @@ from .poly import (
     MultiPoly,
     Rat,
     lam,
+    nonzero_images,
     print_poly,
     substitution,
 )
@@ -295,16 +296,20 @@ class Parameters:
     def of(
         ws: Sequence[MultiPoly],
         stored: Sequence[int] | None = None,
-        shift: Callable[[MultiPoly], Callable] | None = None,
+        slots: dict | None = None,
     ) -> "Parameters":
         """The parameters ws with their slot targets and shifts, and with
         their relabel for tables that store the variables `stored`, when
-        given.  `shift(target)`, when given, returns the compiled D ->
-        target, so that a builder of many parameters can share one per
-        target."""
-        polys = tuple(ws)
+        given.  `slots` maps each slot target met to the target and its
+        compiled D -> target that the parameters hold, so that equal
+        targets share one polynomial and one shift; a builder of many
+        parameters passes one dict to every call."""
+        polys, slots = tuple(ws), {} if slots is None else slots
         targets = tuple(-w for w in polys) + (sum(polys, MultiPoly.var(D)),)
-        shifts = tuple(map(shift or (lambda t: substitution({D: t})), targets))
+        for t in targets:
+            if t not in slots:
+                slots[t] = (t, substitution({D: t}))
+        targets, shifts = (tuple(held) for held in zip(*(slots[t] for t in targets)))
         relabel = None
         if stored is not None:
             stored = tuple(stored)
@@ -320,9 +325,6 @@ def _table_at(table: BracketTable, out_rank: int, at: Parameters):
     length: in an action the algebra and the module ranks differ.  Its
     `cells` evaluates it on every pair of two argument lists."""
     return _evaluator(table, (X,), out_rank, at)
-
-
-_ONE = MultiPoly.const(1)
 
 
 def _evaluator(
@@ -358,6 +360,12 @@ def _evaluator(
     its one-tuple case (the zero element where that is None), and
     `cells(firsts, seconds)` its two-slot case, {(i, j): value} for the
     nonzero values only, in row order.
+
+    `basis_cells()` is its read-out on the basis: its values on every
+    tuple of basis elements, which are the table's entries relabelled,
+    as {key: value} for the nonzero values only, in row order (the
+    cells of the unit bases, `cells(basis, basis)` for a two-slot
+    table).  It reads no coordinate and forms no shift or product.
     """
     stored = tuple(stored)
     # stored variables -> parameters, simultaneously: targets may mention them
@@ -407,25 +415,33 @@ def _evaluator(
     def cells(firsts: Sequence[ConformalElement], seconds: Sequence[ConformalElement]) -> dict:
         return {divmod(i, len(seconds)): v for i, v in enumerate(batch((firsts, seconds))) if v is not None and not v.is_zero}
 
+    def basis_cells() -> dict:
+        out = {}
+        for key in sorted(table):
+            values = entry(key)
+            if values:
+                coords = [zero] * out_rank
+                for k, p in values:
+                    coords[k] = p
+                out[key] = ConformalElement(tuple(coords))
+        return out
+
     apply.batch = batch
     apply.cells = cells
+    apply.basis_cells = basis_cells
     return apply
 
 
 def _coords(a: ConformalElement, shift: Callable[[MultiPoly], MultiPoly], rank: int | None) -> list:
     """The nonzero coordinates of `a` at D = its slot's target, `shift`
     of each, as ((index,), coefficient) pairs with None for a coefficient
-    equal to 1, leaving out those that become zero.  With `rank` given,
-    an argument of another rank raises DimensionError."""
+    equal to 1, leaving out those that become zero (`poly.nonzero_images`).
+    A constant coordinate, such as those of a basis element, is its own
+    value at every target and is not passed to `shift`.  With `rank`
+    given, an argument of another rank raises DimensionError."""
     if rank is not None and a.ambient_rank != rank:
         raise DimensionError(f"argument of rank {a.ambient_rank} where rank {rank} is expected")
-    out = []
-    for b, c in enumerate(a.coords):
-        if not c.is_zero:
-            c = shift(c)
-            if not c.is_zero:
-                out.append(((b,), None if c == _ONE else c))
-    return out
+    return nonzero_images(a.coords, shift)
 
 
 def eval_bracket(
@@ -454,7 +470,8 @@ AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,), (X,)) for w in (XF, L
 # parameter (`_table_at`), names it and evaluates it as cells.  The
 # argument lists are built once: the basis, its images under a twist or
 # operator, and the basis-pair products per table and parameter, so
-# each twist or operator image is applied once.
+# each twist or operator image is applied once.  The basis-pair products
+# of a table are its read-out (`basis_cells`), not an evaluation.
 
 
 def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
@@ -525,20 +542,22 @@ def _residual(c: checked, prefix: tuple, plus: Sequence[dict], minus: Sequence[d
 def _morphism(c: checked, prefix: tuple, m: PdModuleMap, src, dst) -> None:
     """m(src(p, q)) - dst(m p, m q) on every basis pair, where src and dst
     evaluate the source and the target table at one parameter."""
-    basis, images = _basis_and_images(m.cols, m)
-    _residual(c, prefix, [_applied(m, src.cells(basis, basis))], [dst.cells(images, images)])
+    _, images = _basis_and_images(m.cols, m)
+    _residual(c, prefix, [_applied(m, src.basis_cells())], [dst.cells(images, images)])
 
 
 def _deformed_products(ev, first: tuple, second: tuple, outer: PdModuleMap, plain=None) -> dict:
     """ev(a p, q) + ev(p, b q) - outer(ev(p, q)) for an evaluator ev of a
-    table, as the cells {(i, j): value} of p = e_i and q = e_j: nonzero
+    table, as the cells {(i, j): value} of p = p_i and q = q_j: nonzero
     values only, in row order, combined from the cells of the three terms.
-    `first` and `second` are the two arguments' bases with their images
-    under a and b, as `_basis_and_images` gives them; `plain`, when given,
-    is the cells ev(p, q) already built.  With a = b = outer = N it is the
-    Nijenhuis-deformed bracket."""
+    `first` and `second` are the lists that p and q run over with their
+    images under a and b, as `_basis_and_images` gives them.  `plain`,
+    when given, is the cells ev(p, q) already built; without it p and q
+    run over the unit bases, and ev(p, q) is the table's read-out
+    (`basis_cells`).  With a = b = outer = N it is the Nijenhuis-deformed
+    bracket."""
     (firsts, a_images), (seconds, b_images) = first, second
-    plain = ev.cells(firsts, seconds) if plain is None else plain
+    plain = ev.basis_cells() if plain is None else plain
     return _signed_sum([ev.cells(a_images, seconds), ev.cells(firsts, b_images)], [_applied(outer, plain)])
 
 
@@ -579,11 +598,10 @@ def _relative_operator(c: checked, prefix: tuple, alg, rep, t: PdModuleMap, phi=
     _residual(c, prefix, [bracket], [_applied(t, _signed_sum(inners))])
 
 
-def _skew(c: checked, prefix: tuple, ev, flip, rank: int) -> None:
+def _skew(c: checked, prefix: tuple, ev, flip) -> None:
     """ev(p, q) + flip(q, p) on every basis pair, where ev and flip
     evaluate one table at l1 and at -l1 - D."""
-    basis = [basis_element(rank, i) for i in range(rank)]
-    _residual(c, prefix, [ev.cells(basis, basis), _rekeyed(flip.cells(basis, basis), (1, 0))])
+    _residual(c, prefix, [ev.basis_cells(), _rekeyed(flip.basis_cells(), (1, 0))])
 
 
 def verify_multiplicativity(alg: ConformalAlgebra) -> Report:
@@ -604,8 +622,8 @@ def verify_hom_leibniz(alg: ConformalAlgebra) -> Report:
     """
     with checked("hom_leibniz") as c:
         br1, br2, br12 = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_L2, AT_L12))
-        basis, twisted = _basis_and_images(alg.rank, alg.alpha)
-        at1, at2 = br1.cells(basis, basis), br2.cells(basis, basis)
+        _, twisted = _basis_and_images(alg.rank, alg.alpha)
+        at1, at2 = br1.basis_cells(), br2.basis_cells()
         _leibniz(c, (), twisted, [((br1, at2), (br12, at1), (br2, at1))])
     return c.report
 
@@ -614,7 +632,7 @@ def verify_skew_symmetry(alg: ConformalAlgebra) -> Report:
     """Conformal skew-symmetry [p w q] = -[q (-w - D) p]; marks Lie-ness."""
     with checked("skew_symmetry") as c:
         br, flip = (_table_at(alg.structure, alg.rank, w) for w in (AT_L1, AT_FLIP))
-        _skew(c, (), br, flip, alg.rank)
+        _skew(c, (), br, flip)
     return c.report
 
 

@@ -824,7 +824,8 @@ def _counting_builds(monkeypatch) -> list:
     """The compiled substitutions, the evaluators and the cells built from
     now on, as one list: every `poly.substitution` that cohomology or
     structure compiles, every `structure._evaluator`, the cochain ones
-    included, and every `cells` call of one."""
+    included, and every `cells` call of one and every read-out of its
+    cells on the basis (`basis_cells`), both counted as cells."""
     built = []
     real_substitution, real_evaluator = cohomology.substitution, structure._evaluator
 
@@ -835,8 +836,9 @@ def _counting_builds(monkeypatch) -> list:
     def counting_evaluator(table, *args):
         built.append(("evaluator", id(table)))
         evaluate = real_evaluator(table, *args)
-        cells = evaluate.cells
+        cells, basis_cells = evaluate.cells, evaluate.basis_cells
         evaluate.cells = lambda *lists: built.append(("cells", id(table))) or cells(*lists)
+        evaluate.basis_cells = lambda: built.append(("cells", id(table))) or basis_cells()
         return evaluate
 
     for module in (cohomology, structure):
@@ -1202,6 +1204,23 @@ def test_the_parameter_table_holds_only_parameters_and_their_substitutions():
     after = _nodes(table)
     assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
     assert [str(x) for x in after if isinstance(x, MultiPoly)] == values
+
+
+def test_the_parameter_table_holds_each_slot_target_once():
+    # equal slot targets are one polynomial with one compiled shift,
+    # shared by every parameter of every arity that reads them; their
+    # equality and values are those of parameters built alone
+    table = cohomology._ARITIES
+    params = [p for entry in table for row in entry.insertions for p in row]
+    targets = [t for p in params for t in p.targets]
+    assert len({id(t) for t in targets}) == len(set(targets)) < len(targets)
+    held = {}
+    for p in params:
+        for t, shift in zip(p.targets, p.shifts):
+            assert held.setdefault(t, (t, shift)) == (t, shift) and held[t][0] is t
+    for p in params[::7]:
+        alone = Parameters.of(p.polys, p.stored)
+        assert alone == p and alone.targets == p.targets
 
 
 def _held() -> list:

@@ -117,6 +117,23 @@ def test_substitute_returns_self_when_nothing_changes(p, v, t):
         assert p.substitute(v, t) is p
 
 
+def test_substitute_compiles_nothing_when_nothing_changes(monkeypatch):
+    # an absent variable, or a target equal to the variable, returns the
+    # polynomial itself before any substitution is compiled; a variable
+    # that occurs compiles one
+    compiled, real = [], poly.substitution
+    monkeypatch.setattr(poly, "substitution", lambda targets: compiled.append(dict(targets)) or real(targets))
+    l1 = MultiPoly.var(lam(1))
+    p = parse_poly("D^2 + 3*D*l1 - l1^2 + 2*D + l1 + 5")
+    for v, t in ((X, -l1), (lam(2), l1 + MultiPoly.const(1)), (D, MultiPoly.var(D)), (lam(1), l1)):
+        assert p.substitute(v, t) is p
+    for c in (MultiPoly.zero(), MultiPoly.const(Fraction(2, 3))):
+        assert c.substitute(D, -l1) is c
+    assert compiled == []
+    assert p.substitute(X, parse_poly("1/2*l1")) is p and compiled == []
+    assert p.substitute(D, -l1) == parse_poly("-3*l1^2 - l1 + 5") and compiled == [{D: -l1}]
+
+
 def test_substitute_examples():
     d, x, l1, l2 = (MultiPoly.var(v) for v in (D, X, lam(1), lam(2)))
     assert (d + 2 * x).substitute(D, -MultiPoly.var(lam(1))) == 2 * x - l1

@@ -18,7 +18,10 @@ table and parameter and evaluates it as cells).
 
 Found from the source of `structure._evaluator`: it has one term loop,
 its batched one, which is the only place that reads a relabelled table
-entry; applying it to one tuple is a batch of one.
+entry; applying it to one tuple is a batch of one.  Its read-out at the
+basis builds the relabelled entries through `entry` and multiplies
+nothing, and no module calls `cells` on two unit bases, which the
+read-out serves.
 
 Found from the syntax tree too: cohomology.py compiles a substitution
 only in `_arities`, which builds each arity's parameters with the
@@ -176,10 +179,52 @@ def test_no_module_opens_an_evaluation_scope():
 
 
 def test_the_evaluator_has_one_term_loop():
+    # `batch` is the one loop that multiplies coordinates by entries; the
+    # read-out at the basis builds its relabelled entries through `entry`,
+    # reads no coordinate and multiplies nothing but the list of zeros
+    # that each of its values starts from
     tree = _trees()["structure.py"]
     (evaluator,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_evaluator"]
     source = ast.get_source_segment((SRC / "structure.py").read_text(encoding="utf-8"), evaluator)
     assert source.count("relabelled.get(") == 1
+    (read_out,) = [node for node in ast.walk(evaluator) if isinstance(node, ast.FunctionDef) and node.name == "basis_cells"]
+    products = [
+        node.lineno for node in ast.walk(read_out)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and not isinstance(node.left, ast.List)
+    ]
+    assert products == []
+    assert "entry" in _references(read_out) and not {"_coords", "batch", "shifts"} & _references(read_out)
+
+
+def _is_unit_basis(node) -> bool:
+    """node names a unit basis: `basis` or `mods`, as a name or an
+    attribute, or `_basis_and_images(...)[0]`."""
+    if isinstance(node, ast.Name):
+        return node.id in ("basis", "mods")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("basis", "mods")
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "_basis_and_images"
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 0
+    )
+
+
+def test_no_module_evaluates_a_table_on_two_unit_bases():
+    # a table's values on basis pairs are its entries relabelled, which
+    # the evaluator's read-out `basis_cells` gives with no coordinate,
+    # shift or product; `cells` on two unit bases would evaluate them
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cells"
+        and len(node.args) == 2 and all(map(_is_unit_basis, node.args))
+    ]
+    assert not calls, calls
 
 
 def _compiling(tree) -> set:

@@ -5,7 +5,9 @@ the sesquilinearity rule serves as the oracle.
 """
 
 import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import random
 import sys
 import threading
@@ -18,6 +20,14 @@ import reference_evaluator
 from helpers import dense
 from homleib import cohomology, deformation, ns, operators, representation, structure
 from homleib.cohomology import coboundary_homL, cochain_from_bracket_table, eval_cochain, random_cochain
+from homleib.definitions import (
+    build_algebra,
+    build_deformation,
+    build_finite,
+    build_ns,
+    build_representation,
+    parse_definition,
+)
 from homleib.deformation import DeformationData, verify_deformation_order
 from homleib.ns import ns_from_nijenhuis, verify_ns_axioms
 from homleib.operators import OperatorKind, check_morphism, deformed_bracket, verify_operator
@@ -45,11 +55,14 @@ from homleib.structure import (
     current_algebra,
     eval_bracket,
     eval_table_bracket,
+    normalize_table,
     verify_hom_leibniz,
     verify_multiplicativity,
     verify_skew_symmetry,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEFS = ROOT / "defs"
 sD, sx, sl1, sl2 = sympy.symbols("D x l1 l2")
 _SYM = {D: sD, X: sx, lam(1): sl1, lam(2): sl2}
 
@@ -693,6 +706,126 @@ def test_cells_are_the_nonzero_cells_of_the_grid():
     ev = structure._table_at({(0, 0): (one,), (1, 0): (-one,)}, 1, Parameters.of((XF,)))
     assert dense(ev, [e0 + e1], [e0], 1)[0][0].is_zero
     assert ev.cells([e0 + e1, e0], [e0]) == {(1, 0): ConformalElement((one,))}
+
+
+def _polydata():
+    """perfbench/polydata.py, which builds its families without homleib,
+    loaded from its file once (its dataclasses look their module up)."""
+    if "polydata" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("polydata", ROOT / "perfbench" / "polydata.py")
+        sys.modules["polydata"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["polydata"]
+
+
+def _polys(table: dict, rank: int) -> dict:
+    return normalize_table({key: tuple(MultiPoly(p) for p in vec) for key, vec in table.items()}, rank)
+
+
+def _shipped_tables() -> list:
+    """(label, table, first rank, second rank, out rank) for every table
+    of every defs/*.def file: the brackets of its algebra or finite
+    input, its representation's actions, its NS products and every order
+    of its deformations; and for the bracket, its Leibniz defect and the
+    conjugation orders of two draws of each perfbench/polydata.py
+    family shape."""
+    out = []
+    for path in sorted(DEFS.glob("*.def")):
+        file = parse_definition(path.read_text(encoding="utf-8"))
+        name = path.stem
+        algs = [build_algebra(file)] if file.all_of("algebra") else []
+        algs += [current_algebra(*build_finite(file))] if file.all_of("finite") else []
+        for alg in algs:
+            r = alg.rank
+            out.append((f"{name} bracket", alg.structure, r, r, r))
+            if file.all_of("representation"):
+                rep = build_representation(file, alg)
+                out.append((f"{name} l", rep.l_structure, r, rep.rank, rep.rank))
+                out.append((f"{name} r", rep.r_structure, rep.rank, r, rep.rank))
+            for section in file.all_of("deformation"):
+                data = build_deformation(file, alg, section.name)
+                out += [(f"{name} {section.name} order {o}", data.bracket_table(o), r, r, r) for o in range(data.order + 1)]
+        if file.all_of("ns"):
+            algebra = build_ns(file)
+            out += [(f"{name} {part}", getattr(algebra, part), algebra.rank, algebra.rank, algebra.rank) for part in ("left", "right", "vee")]
+    pdt = _polydata()
+    for shape in pdt.FAMILY_SHAPES:
+        for draw in range(2):
+            fam = pdt.make_family(shape, random.Random(f"readout/{shape}/{draw}"))
+            r, label = fam.rank, f"{fam.label}/{draw}"
+            tables = [fam.bracket, fam.with_leibniz_defect(3), *pdt.conjugation_orders(fam)]
+            out += [(f"{label} table {t}", _polys(table, r), r, r, r) for t, table in enumerate(tables)]
+    return out
+
+
+AT_ALL = (structure.AT_X, structure.AT_L1, structure.AT_L2, structure.AT_L12, structure.AT_FLIP)
+
+
+def test_the_read_out_at_the_basis_equals_the_cells_of_the_basis():
+    # every shipped and generated table at every check parameter: the
+    # read-out of its values on the basis holds the cells of the basis
+    # lists (basis x basis, basis x module basis, module basis x basis),
+    # cell for cell with the same term dicts and in the same key order,
+    # on a fresh evaluator and on one whose entries `cells` has met
+    tables = _shipped_tables()
+    labels = {label.split()[0] for label, *_ in tables}
+    assert {path.stem for path in DEFS.glob("*.def")} | {"trunc_r3/1", "trunc_r4/1", "virm1_r2/1", "virm1_r3/1", "virm1_r4/1"} <= labels
+    for label, table, first_rank, second_rank, out_rank in tables:
+        firsts = [basis_element(first_rank, i) for i in range(first_rank)]
+        seconds = [basis_element(second_rank, j) for j in range(second_rank)]
+        for at in AT_ALL:
+            ev = structure._table_at(table, out_rank, at)
+            read = ev.basis_cells()
+            cells = ev.cells(firsts, seconds)
+            assert list(read) == list(cells), (label, at.polys)
+            assert [_raw(v) for v in read.values()] == [_raw(v) for v in cells.values()], (label, at.polys)
+            assert ev.basis_cells() == read, (label, at.polys)
+            assert list(structure._table_at(table, out_rank, at).basis_cells()) == list(read)
+
+
+def test_the_read_out_of_a_cochain_is_its_batch_on_the_basis():
+    # the read-out of a cochain's evaluator, at arities 1-3 and at its
+    # outputs l1..l(n-1) and shuffled parameters, holds the nonzero
+    # values of its batch over the basis in every slot, keyed by the
+    # basis tuple in product order, with the same term dicts
+    rng = random.Random(107)
+    for arity in (1, 2, 3):
+        for alg_rank, rep_rank in ((1, 1), (2, 3), (3, 2)):
+            f = random_cochain(alg_rank, rep_rank, arity, rng)
+            basis = [basis_element(alg_rank, i) for i in range(alg_rank)]
+            lams = [MultiPoly.var(lam(k)) for k in range(1, arity)]
+            for at in (cohomology._at_arity(arity).outputs, Parameters.of(lams[::-1]), Parameters.of([XF] * (arity - 1))):
+                ev = cohomology._evaluator(f, at)
+                values = ev.batch([basis] * arity)
+                keys = itertools.product(range(alg_rank), repeat=arity)
+                expected = {key: _raw(v) for key, v in zip(keys, values) if v is not None and not v.is_zero}
+                read = ev.basis_cells()
+                assert {key: _raw(v) for key, v in read.items()} == expected and list(read) == list(expected)
+
+
+def test_coords_keeps_a_constant_coordinate_without_shifting_it():
+    # a constant coordinate is its own value at every slot target: it
+    # comes back as the same object (None for 1) and the shift is never
+    # called for it; every other nonzero coordinate is shifted once
+    shifted = []
+    real = structure.AT_FLIP.shifts[0]
+
+    def shift(p):
+        shifted.append(p)
+        return real(p)
+
+    half, three, one = MultiPoly.const(Fraction(1, 2)), MultiPoly.const(3), MultiPoly.const(1)
+    d_poly, l_poly = parse_poly("D + 1"), parse_poly("2*l1")
+    zero = MultiPoly.zero()
+    got = structure._coords(ConformalElement((half, zero, one, three)), shift, 4)
+    assert got == [((0,), half), ((2,), None), ((3,), three)]
+    assert got[0][1] is half and got[2][1] is three and shifted == []
+    for b in range(3):
+        assert structure._coords(basis_element(3, b), shift, None) == [((b,), None)]
+    assert shifted == []
+    got = structure._coords(ConformalElement((d_poly, one, l_poly)), shift, None)
+    assert shifted == [d_poly, l_poly]
+    assert got == [((0,), real(d_poly)), ((1,), None), ((2,), l_poly)] and got[2][1] is l_poly
 
 
 def test_batch_equals_per_tuple_evaluation():
