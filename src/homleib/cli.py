@@ -1,13 +1,18 @@
 """Command-line entry points.
 
-Four command families:
+Four command families, each taking the flags its commands read:
 
     check      algebra | lie | nijenhuis | rb | mrb | rep | nijrep | ns
                | twisted-rb | o-operator
+               --format --op --weight --phi --check-vee-skew
     construct  deformed | ns-from-n | ns-from-rb | ns-from-trb
                | induced-rep | cur | adjacent
+               --strict-preconditions --op --weight --phi
     cohomology delta | delta-hn | phi | d-hnla | d2-zero | square-lemma
+               --cochain --cochain2 --arity --seed --max-deg --random
+               --format --op
     deform     check-order | cocycle | equiv1
+               --name --order --a --b --psi --format
 
 Check and verification commands emit one report per check (text or
 line-delimited JSON records with --format records) and exit 0 exactly
@@ -25,6 +30,7 @@ import functools
 import os
 import re
 import sys
+from fractions import Fraction
 from random import Random
 
 from . import __version__
@@ -94,22 +100,26 @@ def _emit(reports: list[Report], fmt: str) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _sections_out(*sections) -> int:
+    sys.stdout.write("\n".join(map(defs.section_to_text, sections)))
+    return 0
+
+
 def _rep_or_adjoint(file, alg):
     if file.all_of("representation"):
         return defs.build_representation(file, alg)
     return adjoint_rep(alg)
 
 
-def _rep_with_module_operator(file, alg, op):
-    """Coefficients for the operator-twisted complexes: the file's
-    representation if it carries nm, otherwise the self-action with the
-    algebra operator doubling as the module operator."""
-    if file.all_of("representation"):
-        rep = defs.build_representation(file, alg)
-        if rep.n_m is not None:
-            return rep
-        return dataclasses.replace(rep, n_m=op)
-    return dataclasses.replace(adjoint_rep(alg), n_m=op)
+def _alg_rep(file):
+    alg = defs.build_algebra(file)
+    return alg, _rep_or_adjoint(file, alg)
+
+
+def _rep_with_module_operator(rep, op):
+    """Coefficients for the operator-twisted complexes: rep if it carries
+    nm, otherwise rep with the algebra operator as module operator."""
+    return rep if rep.n_m is not None else dataclasses.replace(rep, n_m=op)
 
 
 def _need_op(args) -> str:
@@ -118,103 +128,94 @@ def _need_op(args) -> str:
     return args.op
 
 
-def _section_out(section) -> int:
-    sys.stdout.write(defs.section_to_text(section))
-    return 0
-
-
-# -- check ------------------------------------------------------------------
-
-
-def cmd_check(args) -> int:
-    file = _load(args.file)
-    what = args.what
-    if what == "ns":
-        ns = defs.build_ns(file)
-        return _emit([verify_ns_axioms(ns, check_vee_skew=args.check_vee_skew)], args.format)
+def _alg_op(file, args):
     alg = defs.build_algebra(file)
-    if what == "algebra":
-        reports = [verify_hom_leibniz(alg), verify_multiplicativity(alg)]
-    elif what == "lie":
-        reports = [verify_skew_symmetry(alg)]
-    elif what == "nijenhuis":
-        op = defs.build_operator(file, _need_op(args))
-        reports = [verify_operator(alg, op, OperatorKind.nijenhuis())]
-    elif what == "rb":
-        op = defs.build_operator(file, _need_op(args))
-        reports = [verify_operator(alg, op, OperatorKind.rota_baxter(args.weight))]
-    elif what == "mrb":
-        op = defs.build_operator(file, _need_op(args))
-        reports = [
-            verify_operator(alg, op, OperatorKind.modified_rota_baxter(args.weight))
-        ]
-    elif what == "rep":
-        rep = _rep_or_adjoint(file, alg)
-        reports = [verify_representation(alg, rep)]
-    elif what == "nijrep":
-        op = defs.build_operator(file, _need_op(args))
-        rep = _rep_with_module_operator(file, alg, op)
-        reports = [verify_nijenhuis_representation(alg, op, rep)]
-    elif what == "twisted-rb":
-        data = _twisted_data(file, alg, args)
-        reports = [verify_twisted_rb(data)]
-    elif what == "o-operator":
-        op = defs.build_operator(file, _need_op(args))
-        rep = _rep_or_adjoint(file, alg)
-        reports = [verify_o_operator(alg, rep, op)]
-    else:
-        raise CliError(f"unknown check {what!r}")
-    return _emit(reports, args.format)
+    return alg, defs.build_operator(file, _need_op(args))
 
 
-def _twisted_data(file, alg, args) -> TwistedRBData:
-    op = defs.build_operator(file, _need_op(args))
+def _twisted_data(file, args) -> TwistedRBData:
+    alg, op = _alg_op(file, args)
     rep = _rep_or_adjoint(file, alg)
     if not args.phi:
         raise CliError("this command needs --phi NAME (an arity-2 cochain section)")
-    phi = defs.build_cochain(file, args.phi, alg, rep.rank)
-    return TwistedRBData(alg, rep, op, phi)
+    return TwistedRBData(alg, rep, op, defs.build_cochain(file, args.phi, alg, rep.rank))
 
 
-# -- construct ---------------------------------------------------------------
+# -- check: each command returns its reports ----------------------------------
+
+
+def _check_algebra(file, args):
+    alg = defs.build_algebra(file)
+    return [verify_hom_leibniz(alg), verify_multiplicativity(alg)]
+
+
+def _check_operator(file, args, kind):
+    alg, op = _alg_op(file, args)
+    return [verify_operator(alg, op, kind)]
+
+
+def _check_nijrep(file, args):
+    alg, op = _alg_op(file, args)
+    return [verify_nijenhuis_representation(alg, op, _rep_with_module_operator(_rep_or_adjoint(file, alg), op))]
+
+
+def _check_o_operator(file, args):
+    alg, op = _alg_op(file, args)
+    return [verify_o_operator(alg, _rep_or_adjoint(file, alg), op)]
+
+
+_CHECKS = {
+    "algebra": _check_algebra,
+    "lie": lambda file, args: [verify_skew_symmetry(defs.build_algebra(file))],
+    "nijenhuis": lambda file, args: _check_operator(file, args, OperatorKind.nijenhuis()),
+    "rb": lambda file, args: _check_operator(file, args, OperatorKind.rota_baxter(args.weight)),
+    "mrb": lambda file, args: _check_operator(file, args, OperatorKind.modified_rota_baxter(args.weight)),
+    "rep": lambda file, args: [verify_representation(*_alg_rep(file))],
+    "nijrep": _check_nijrep,
+    "ns": lambda file, args: [verify_ns_axioms(defs.build_ns(file), check_vee_skew=args.check_vee_skew)],
+    "twisted-rb": lambda file, args: [verify_twisted_rb(_twisted_data(file, args))],
+    "o-operator": _check_o_operator,
+}
+
+
+def cmd_check(args) -> int:
+    return _emit(_CHECKS[args.what](_load(args.file), args), args.format)
+
+
+# -- construct: each command returns the object's section ---------------------
+
+
+def _induced_rep(file, args):
+    alg, op = _alg_op(file, args)
+    rep = _rep_with_module_operator(_rep_or_adjoint(file, alg), op)
+    out = induced_representation(alg, op, rep, strict=args.strict_preconditions)
+    return defs.representation_to_section(out, alg)
+
+
+_CONSTRUCTIONS = {
+    "deformed": lambda file, args: defs.algebra_to_section(
+        deformed_bracket(*_alg_op(file, args), strict=args.strict_preconditions), name="deformed"
+    ),
+    "ns-from-n": lambda file, args: defs.ns_to_section(
+        ns_from_nijenhuis(*_alg_op(file, args), strict=args.strict_preconditions)
+    ),
+    "ns-from-rb": lambda file, args: defs.ns_to_section(
+        ns_from_rb(*_alg_op(file, args), args.weight, strict=args.strict_preconditions)
+    ),
+    "ns-from-trb": lambda file, args: defs.ns_to_section(
+        ns_from_twisted_rb(_twisted_data(file, args), strict=args.strict_preconditions)
+    ),
+    "induced-rep": _induced_rep,
+    "cur": lambda file, args: defs.algebra_to_section(current_algebra(*defs.build_finite(file)), name="cur"),
+    "adjacent": lambda file, args: defs.algebra_to_section(adjacent_algebra(defs.build_ns(file)), name="adjacent"),
+}
 
 
 def cmd_construct(args) -> int:
-    file = _load(args.file)
-    what = args.what
-    strict = args.strict_preconditions
-    if what == "cur":
-        rank, constants, twist, names = defs.build_finite(file)
-        alg = current_algebra(rank, constants, twist, names)
-        return _section_out(defs.algebra_to_section(alg, name="cur"))
-    if what == "adjacent":
-        ns = defs.build_ns(file)
-        return _section_out(defs.algebra_to_section(adjacent_algebra(ns), name="adjacent"))
-    alg = defs.build_algebra(file)
-    if what == "deformed":
-        op = defs.build_operator(file, _need_op(args))
-        out = deformed_bracket(alg, op, strict=strict)
-        return _section_out(defs.algebra_to_section(out, name="deformed"))
-    if what == "ns-from-n":
-        op = defs.build_operator(file, _need_op(args))
-        return _section_out(defs.ns_to_section(ns_from_nijenhuis(alg, op, strict=strict)))
-    if what == "ns-from-rb":
-        op = defs.build_operator(file, _need_op(args))
-        return _section_out(
-            defs.ns_to_section(ns_from_rb(alg, op, args.weight, strict=strict))
-        )
-    if what == "ns-from-trb":
-        data = _twisted_data(file, alg, args)
-        return _section_out(defs.ns_to_section(ns_from_twisted_rb(data, strict=strict)))
-    if what == "induced-rep":
-        op = defs.build_operator(file, _need_op(args))
-        rep = _rep_with_module_operator(file, alg, op)
-        out = induced_representation(alg, op, rep, strict=strict)
-        return _section_out(defs.representation_to_section(out, alg))
-    raise CliError(f"unknown construction {what!r}")
+    return _sections_out(_CONSTRUCTIONS[args.what](_load(args.file), args))
 
 
-# -- cohomology ---------------------------------------------------------------
+# -- cohomology: each command prints its result and returns the exit code -----
 
 
 def _check_sampling(args) -> None:
@@ -226,52 +227,81 @@ def _check_sampling(args) -> None:
         raise CliError(f"--max-deg must be at least 0, not {args.max_deg}")
 
 
-def cmd_cohomology(args) -> int:
-    file = _load(args.file)
+def _d2_zero(file, args):
     alg = defs.build_algebra(file)
-    what = args.what
-    if what == "d2-zero":
-        _check_sampling(args)
-        rep = _rep_or_adjoint(file, alg)
-        rng, plain = Random(args.seed), Complex(alg, rep)
-        with checked(f"d2_zero_arity{args.arity}") as c:
-            for trial in range(args.random):
-                f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
-                _add_residual(c, trial, plain.d(plain.d(f)))
-        return _emit([c.report], args.format)
-    if what == "square-lemma":
-        _check_sampling(args)
-        op = defs.build_operator(file, _need_op(args))
-        rep = _rep_with_module_operator(file, alg, op)
-        plain = Complex(alg, rep)
-        rng, hn = Random(args.seed), plain.twisted(op)
-        with checked(f"square_lemma_arity{args.arity}") as c:
-            for trial in range(args.random):
-                f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
-                _add_residual(c, trial, hn.phi(plain.d(f)) - hn.d(hn.phi(f)))
-        return _emit([c.report], args.format)
+    _check_sampling(args)
     rep = _rep_or_adjoint(file, alg)
+    rng, plain = Random(args.seed), Complex(alg, rep)
+    with checked(f"d2_zero_arity{args.arity}") as c:
+        for trial in range(args.random):
+            f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
+            _add_residual(c, trial, plain.d(plain.d(f)))
+    return _emit([c.report], args.format)
+
+
+def _square_lemma(file, args):
+    alg = defs.build_algebra(file)
+    _check_sampling(args)
+    op = defs.build_operator(file, _need_op(args))
+    rep = _rep_with_module_operator(_rep_or_adjoint(file, alg), op)
+    plain = Complex(alg, rep)
+    rng, hn = Random(args.seed), plain.twisted(op)
+    with checked(f"square_lemma_arity{args.arity}") as c:
+        for trial in range(args.random):
+            f = random_cochain(alg.rank, rep.rank, args.arity, rng, args.max_deg)
+            _add_residual(c, trial, hn.phi(plain.d(f)) - hn.d(hn.phi(f)))
+    return _emit([c.report], args.format)
+
+
+def _cochain_arg(file, args):
+    """The file's algebra, its coefficients and the --cochain cochain."""
+    alg, rep = _alg_rep(file)
     if not args.cochain:
         raise CliError("this command needs --cochain NAME")
-    f = defs.build_cochain(file, args.cochain, alg, rep.rank)
-    if what == "delta":
-        return _section_out(defs.cochain_to_section(coboundary_homL(f, alg, rep), alg, "delta"))
+    return alg, rep, defs.build_cochain(file, args.cochain, alg, rep.rank)
+
+
+def _twisted_cochain_arg(file, args):
+    """As _cochain_arg, then the --op operator and the twisted coefficients."""
+    alg, rep, f = _cochain_arg(file, args)
     op = defs.build_operator(file, _need_op(args))
-    rep = _rep_with_module_operator(file, alg, op)
-    if what == "delta-hn":
-        return _section_out(defs.cochain_to_section(coboundary_HN(f, alg, op, rep), alg, "delta_hn"))
-    if what == "phi":
-        return _section_out(defs.cochain_to_section(phi_map(f, op, rep), alg, "phi"))
-    if what == "d-hnla":
-        g = None
-        if args.cochain2:
-            g = defs.build_cochain(file, args.cochain2, alg, rep.rank)
-        pair = HNLAPair(f, g)
-        out = coboundary_HNLA(pair, alg, op, rep)
-        _section_out(defs.cochain_to_section(out.f, alg, "d_upper"))
-        sys.stdout.write("\n")
-        return _section_out(defs.cochain_to_section(out.g, alg, "d_lower"))
-    raise CliError(f"unknown cohomology command {what!r}")
+    return alg, op, _rep_with_module_operator(rep, op), f
+
+
+def _delta(file, args):
+    alg, rep, f = _cochain_arg(file, args)
+    return _sections_out(defs.cochain_to_section(coboundary_homL(f, alg, rep), alg, "delta"))
+
+
+def _delta_hn(file, args):
+    alg, op, rep, f = _twisted_cochain_arg(file, args)
+    return _sections_out(defs.cochain_to_section(coboundary_HN(f, alg, op, rep), alg, "delta_hn"))
+
+
+def _phi(file, args):
+    alg, op, rep, f = _twisted_cochain_arg(file, args)
+    return _sections_out(defs.cochain_to_section(phi_map(f, op, rep), alg, "phi"))
+
+
+def _d_hnla(file, args):
+    alg, op, rep, f = _twisted_cochain_arg(file, args)
+    g = defs.build_cochain(file, args.cochain2, alg, rep.rank) if args.cochain2 else None
+    out = coboundary_HNLA(HNLAPair(f, g), alg, op, rep)
+    return _sections_out(defs.cochain_to_section(out.f, alg, "d_upper"), defs.cochain_to_section(out.g, alg, "d_lower"))
+
+
+_COHOMOLOGY = {
+    "delta": _delta,
+    "delta-hn": _delta_hn,
+    "phi": _phi,
+    "d-hnla": _d_hnla,
+    "d2-zero": _d2_zero,
+    "square-lemma": _square_lemma,
+}
+
+
+def cmd_cohomology(args) -> int:
+    return _COHOMOLOGY[args.what](_load(args.file), args)
 
 
 def _add_residual(c: checked, trial: int, residual) -> None:
@@ -280,41 +310,34 @@ def _add_residual(c: checked, trial: int, residual) -> None:
         c.add_nonzero((trial,) + key, ConformalElement(residual.value(key)))
 
 
-# -- deform -------------------------------------------------------------------
+# -- deform: each command returns its report ----------------------------------
+
+
+def _deformation(file, args):
+    return defs.build_deformation(file, defs.build_algebra(file), args.name)
+
+
+def _equiv1(file, args):
+    alg = defs.build_algebra(file)
+    data_a = defs.build_deformation(file, alg, args.a)
+    data_b = defs.build_deformation(file, alg, args.b)
+    if not args.psi:
+        raise CliError("equiv1 needs --psi NAME (an operator section)")
+    return equivalence_order1_check(defs.build_operator(file, args.psi), data_a, data_b)
+
+
+_DEFORMATIONS = {
+    "check-order": lambda file, args: verify_deformation_order(_deformation(file, args), args.order),
+    "cocycle": lambda file, args: infinitesimal_cocycle_check(_deformation(file, args))[1],
+    "equiv1": _equiv1,
+}
 
 
 def cmd_deform(args) -> int:
-    file = _load(args.file)
-    alg = defs.build_algebra(file)
-    what = args.what
-    if what == "equiv1":
-        data_a = defs.build_deformation(file, alg, args.a)
-        data_b = defs.build_deformation(file, alg, args.b)
-        if not args.psi:
-            raise CliError("equiv1 needs --psi NAME (an operator section)")
-        psi = defs.build_operator(file, args.psi)
-        return _emit([equivalence_order1_check(psi, data_a, data_b)], args.format)
-    data = defs.build_deformation(file, alg, args.name)
-    if what == "check-order":
-        return _emit([verify_deformation_order(data, args.order)], args.format)
-    if what == "cocycle":
-        ok, report = infinitesimal_cocycle_check(data)
-        return _emit([report], args.format)
-    raise CliError(f"unknown deform command {what!r}")
+    return _emit([_DEFORMATIONS[args.what](_load(args.file), args)], args.format)
 
 
 # -- wiring -------------------------------------------------------------------
-
-
-def _common_flags(p):
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=2)
-    p.add_argument("--random", type=int, default=20)
-    p.add_argument("--strict-preconditions", action="store_true")
-    p.add_argument("--op", help="name of an [operator:NAME] section")
-    p.add_argument("--weight", type=_fraction, default=0, help="Rota-Baxter weight")
-    p.add_argument("--phi", help="name of an arity-2 [cochain:NAME] section")
 
 
 # The longest --weight text read; a longer one is refused before any
@@ -329,8 +352,6 @@ def _fraction(text: str):
     """The exact value of a --weight text.  A text of another form, or
     one longer than MAX_WEIGHT_CHARS, is a one-line error naming the flag;
     a zero denominator is a usage error."""
-    from fractions import Fraction
-
     if len(text) > MAX_WEIGHT_CHARS:
         raise CliError(
             f"argument --weight: a value of {len(text)} characters is above the bound of {MAX_WEIGHT_CHARS}"
@@ -341,6 +362,28 @@ def _fraction(text: str):
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
+# Every flag with its settings; a family declares those its commands read.
+_FLAGS = {
+    "--format": dict(choices=("text", "records"), default="text"),
+    "--op": dict(help="name of an [operator:NAME] section"),
+    "--weight": dict(type=_fraction, default=0, help="Rota-Baxter weight"),
+    "--phi": dict(help="name of an arity-2 [cochain:NAME] section"),
+    "--check-vee-skew": dict(action="store_true"),
+    "--strict-preconditions": dict(action="store_true"),
+    "--cochain": dict(help="name of a [cochain:NAME] section"),
+    "--cochain2": dict(help="lower component for d-hnla"),
+    "--arity": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--max-deg": dict(type=int, default=2),
+    "--random": dict(type=int, default=20),
+    "--name": dict(help="which [deformation:NAME] section to use"),
+    "--order": dict(type=int, default=1),
+    "--a": dict(help="first deformation section name (equiv1)"),
+    "--b": dict(help="second deformation section name (equiv1)"),
+    "--psi": dict(help="operator section giving the order-1 map (equiv1)"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,67 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify axioms and operator identities")
-    p.add_argument(
-        "what",
-        choices=(
-            "algebra",
-            "lie",
-            "nijenhuis",
-            "rb",
-            "mrb",
-            "rep",
-            "nijrep",
-            "ns",
-            "twisted-rb",
-            "o-operator",
-        ),
-    )
-    p.add_argument("file")
-    p.add_argument("--check-vee-skew", action="store_true")
-    _common_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("construct", help="build derived objects")
-    p.add_argument(
-        "what",
-        choices=(
-            "deformed",
-            "ns-from-n",
-            "ns-from-rb",
-            "ns-from-trb",
-            "induced-rep",
-            "cur",
-            "adjacent",
-        ),
-    )
-    p.add_argument("file")
-    _common_flags(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("cohomology", help="coboundaries and square-zero experiments")
-    p.add_argument(
-        "what",
-        choices=("delta", "delta-hn", "phi", "d-hnla", "d2-zero", "square-lemma"),
-    )
-    p.add_argument("file")
-    p.add_argument("--cochain", help="name of a [cochain:NAME] section")
-    p.add_argument("--cochain2", help="lower component for d-hnla")
-    p.add_argument("--arity", type=int, default=1)
-    _common_flags(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("deform", help="order-by-order deformation checks")
-    p.add_argument("what", choices=("check-order", "cocycle", "equiv1"))
-    p.add_argument("file")
-    p.add_argument("--name", help="which [deformation:NAME] section to use")
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--a", help="first deformation section name (equiv1)")
-    p.add_argument("--b", help="second deformation section name (equiv1)")
-    p.add_argument("--psi", help="operator section giving the order-1 map (equiv1)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_deform)
+    for family, help_text, func, commands, flags in (
+        ("check", "verify axioms and operator identities", cmd_check, _CHECKS,
+         ("--format", "--op", "--weight", "--phi", "--check-vee-skew")),
+        ("construct", "build derived objects", cmd_construct, _CONSTRUCTIONS,
+         ("--strict-preconditions", "--op", "--weight", "--phi")),
+        ("cohomology", "coboundaries and square-zero experiments", cmd_cohomology, _COHOMOLOGY,
+         ("--cochain", "--cochain2", "--arity", "--seed", "--max-deg", "--random", "--format", "--op")),
+        ("deform", "order-by-order deformation checks", cmd_deform, _DEFORMATIONS,
+         ("--name", "--order", "--a", "--b", "--psi", "--format")),
+    ):
+        p = sub.add_parser(family, help=help_text)
+        p.add_argument("what", choices=tuple(commands))
+        p.add_argument("file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,8 +1,10 @@
 """End-to-end command tests against the shipped definition files."""
 
+import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +12,30 @@ from random import Random
 
 import pytest
 
+from homleib import cli, definitions
 from homleib.cli import MAX_WEIGHT_CHARS, _fraction, build_parser, main
-from homleib.cohomology import Complex, random_cochain
-from homleib.definitions import build_algebra, build_operator, parse_definition
-from homleib.representation import adjoint_rep
-from homleib.structure import ConformalElement
+from homleib.cohomology import (
+    Complex,
+    HNLAPair,
+    coboundary_HN,
+    coboundary_HNLA,
+    coboundary_homL,
+    phi_map,
+    random_cochain,
+)
+from homleib.definitions import (
+    build_algebra,
+    build_cochain,
+    build_finite,
+    build_ns,
+    build_operator,
+    build_representation,
+    parse_definition,
+)
+from homleib.ns import TwistedRBData, adjacent_algebra, ns_from_nijenhuis, ns_from_rb, ns_from_twisted_rb
+from homleib.operators import deformed_bracket
+from homleib.representation import adjoint_rep, induced_representation
+from homleib.structure import ConformalElement, current_algebra
 from homleib.poly import MAX_ARITY, MAX_DIGITS
 
 DEFS = os.path.join(os.path.dirname(__file__), "..", "defs")
@@ -501,3 +522,249 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 141
+
+
+# -- the command tables and each family's flags --------------------------------
+
+
+def _families() -> dict:
+    """Family name -> its parser, as main builds them."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _commands(parser) -> tuple:
+    return next(a for a in parser._actions if a.dest == "what").choices
+
+
+def _flags(parser) -> list:
+    return [a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+def _source(name):
+    with open(path(name), encoding="utf-8") as fh:
+        return parse_definition(fh.read())
+
+
+def _alg_op(src, op):
+    return build_algebra(src), build_operator(src, op)
+
+
+def _cochains(printed, alg, **want) -> bool:
+    """printed holds exactly the [cochain:NAME] sections of want, in order,
+    each with the value want[NAME] over the algebra alg."""
+    if [(s.kind, s.name) for s in printed.sections] != [("cochain", name) for name in want]:
+        return False
+    got = {name: build_cochain(printed, name, alg, f.rep_rank) for name, f in want.items()}
+    return all(got[name].arity == f.arity and (got[name] - f).is_zero for name, f in want.items())
+
+
+def _twisted_rb_data(src):
+    alg, op = _alg_op(src, "T")
+    rep = build_representation(src, alg)
+    return TwistedRBData(alg, rep, op, build_cochain(src, "phi", alg, rep.rank))
+
+
+def _with_nm(alg, op):
+    return dataclasses.replace(adjoint_rep(alg), n_m=op)
+
+
+def _induced_rep(src, out):
+    alg, op = _alg_op(src, "scale_2")
+    return build_representation(out, alg) == induced_representation(alg, op, _with_nm(alg, op))
+
+
+def _delta(src, out):
+    alg = build_algebra(src)
+    rep = adjoint_rep(alg)
+    return _cochains(out, alg, delta=coboundary_homL(build_cochain(src, "f_id", alg, 1), alg, rep))
+
+
+def _delta_hn(src, out):
+    alg, op = _alg_op(src, "scale_2")
+    f = build_cochain(src, "f_id", alg, 1)
+    return _cochains(out, alg, delta_hn=coboundary_HN(f, alg, op, _with_nm(alg, op)))
+
+
+def _phi(src, out):
+    alg, op = _alg_op(src, "dscale")
+    f = build_cochain(src, "h_bracket", alg, 1)
+    return _cochains(out, alg, phi=phi_map(f, op, _with_nm(alg, op)))
+
+
+def _d_hnla(src, out):
+    alg, op = _alg_op(src, "scale_2")
+    pair = HNLAPair(build_cochain(src, "h_bracket", alg, 1), build_cochain(src, "f_d", alg, 1))
+    d = coboundary_HNLA(pair, alg, op, _with_nm(alg, op))
+    return _cochains(out, alg, d_upper=d.f, d_lower=d.g)
+
+
+# (family, command) -> shipped file, flags, exit code and, for a construction
+# or a coboundary, whether the printed sections parse back to the object the
+# library builds from the file.
+EVERY_COMMAND = {
+    ("check", "algebra"): ("virasoro.def", (), 0, None),
+    ("check", "lie"): ("virasoro.def", (), 0, None),
+    ("check", "nijenhuis"): ("virasoro_ops.def", ("--op", "dscale"), 1, None),
+    ("check", "rb"): ("virasoro_ops.def", ("--op", "ident", "--weight", "-1"), 0, None),
+    ("check", "mrb"): ("virasoro_ops.def", ("--op", "ident", "--weight", "1"), 1, None),
+    ("check", "rep"): ("twisted_rb.def", ("--format", "records"), 0, None),
+    ("check", "nijrep"): ("virasoro_ops.def", ("--op", "scale_2"), 0, None),
+    ("check", "ns"): ("ns_example.def", ("--check-vee-skew",), 0, None),
+    ("check", "twisted-rb"): ("twisted_rb.def", ("--op", "T", "--phi", "phi"), 0, None),
+    ("check", "o-operator"): ("virasoro_ops.def", ("--op", "zero"), 0, None),
+    ("construct", "deformed"): (
+        "virasoro_ops.def", ("--op", "scale_c"), 0,
+        lambda src, out: build_algebra(out) == deformed_bracket(*_alg_op(src, "scale_c")),
+    ),
+    ("construct", "ns-from-n"): (
+        "virasoro_ops.def", ("--op", "ident"), 0,
+        lambda src, out: build_ns(out) == ns_from_nijenhuis(*_alg_op(src, "ident")),
+    ),
+    ("construct", "ns-from-rb"): (
+        "virasoro_ops.def", ("--op", "ident", "--weight", "-1"), 0,
+        lambda src, out: build_ns(out) == ns_from_rb(*_alg_op(src, "ident"), -1),
+    ),
+    ("construct", "ns-from-trb"): (
+        "twisted_rb.def", ("--op", "T", "--phi", "phi"), 0,
+        lambda src, out: build_ns(out) == ns_from_twisted_rb(_twisted_rb_data(src)),
+    ),
+    ("construct", "induced-rep"): ("virasoro_ops.def", ("--op", "scale_2", "--strict-preconditions"), 0, _induced_rep),
+    ("construct", "cur"): (
+        "cur2.def", (), 0, lambda src, out: build_algebra(out) == current_algebra(*build_finite(src)),
+    ),
+    ("construct", "adjacent"): (
+        "ns_example.def", (), 0, lambda src, out: build_algebra(out) == adjacent_algebra(build_ns(src)),
+    ),
+    ("cohomology", "delta"): ("virasoro_ops.def", ("--cochain", "f_id"), 0, _delta),
+    ("cohomology", "delta-hn"): ("virasoro_ops.def", ("--cochain", "f_id", "--op", "scale_2"), 0, _delta_hn),
+    ("cohomology", "phi"): ("virasoro_ops.def", ("--cochain", "h_bracket", "--op", "dscale"), 0, _phi),
+    ("cohomology", "d-hnla"): (
+        "virasoro_ops.def", ("--cochain", "h_bracket", "--cochain2", "f_d", "--op", "scale_2"), 0, _d_hnla,
+    ),
+    ("cohomology", "d2-zero"): (
+        "virasoro.def", ("--arity", "2", "--random", "2", "--seed", "1", "--max-deg", "1", "--format", "records"), 0, None,
+    ),
+    ("cohomology", "square-lemma"): ("virasoro_ops.def", ("--op", "scale_2", "--random", "2"), 0, None),
+    ("deform", "check-order"): ("deformations.def", ("--name", "b", "--order", "1", "--format", "records"), 0, None),
+    ("deform", "cocycle"): ("deformations.def", ("--name", "b"), 0, None),
+    ("deform", "equiv1"): ("deformations.def", ("--a", "a", "--b", "b", "--psi", "psi1"), 0, None),
+}
+PARSER_COMMANDS = [(family, what) for family, parser in _families().items() for what in _commands(parser)]
+
+
+@pytest.mark.parametrize("family, what", PARSER_COMMANDS, ids="-".join)
+def test_every_command_runs_through_main(capsys, family, what):
+    assert (family, what) in EVERY_COMMAND, f"no case for {family} {what}"
+    name, flags, exit_code, parses_back = EVERY_COMMAND[family, what]
+    code, out, err = run(capsys, family, what, path(name), *flags)
+    assert (code, err) == (exit_code, "")
+    if parses_back is not None:
+        assert parses_back(_source(name), parse_definition(out))
+
+
+def test_every_command_case_is_offered_by_the_parser():
+    assert sorted(EVERY_COMMAND) == sorted(PARSER_COMMANDS)
+
+
+# The flags no command of the family reads, which the family refuses.
+REMOVED_FLAGS = {
+    "check": ("--seed", "--max-deg", "--random", "--strict-preconditions"),
+    "construct": ("--format", "--seed", "--max-deg", "--random"),
+    "cohomology": ("--strict-preconditions", "--weight", "--phi"),
+    "deform": ("--seed", "--max-deg", "--random", "--strict-preconditions", "--op", "--weight", "--phi"),
+}
+FLAG_VALUES = {"--seed": "1", "--max-deg": "1", "--random": "1", "--format": "records", "--weight": "1",
+               "--phi": "phi", "--op": "ident"}
+WORKING = {
+    "check": ("check", "algebra", "virasoro.def"),
+    "construct": ("construct", "cur", "cur2.def"),
+    "cohomology": ("cohomology", "delta", "virasoro_ops.def", "--cochain", "f_id"),
+    "deform": ("deform", "cocycle", "deformations.def", "--name", "b"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, flag", [(family, flag) for family, flags in REMOVED_FLAGS.items() for flag in flags], ids="".join
+)
+def test_a_flag_the_family_does_not_read_is_a_usage_error(capsys, family, flag):
+    command, what, name, *flags = WORKING[family]
+    assert run(capsys, command, what, path(name), *flags)[0] == 0
+    extra = (flag, FLAG_VALUES[flag]) if flag in FLAG_VALUES else (flag,)
+    with pytest.raises(SystemExit) as exc:
+        main([command, what, path(name), *flags, *extra])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "error: unrecognized arguments: " + " ".join(extra) in out.err
+
+
+def test_each_family_takes_23_flags_in_all():
+    assert {family: len(_flags(parser)) for family, parser in _families().items()} == {
+        "check": 5, "construct": 4, "cohomology": 8, "deform": 6,
+    }
+
+
+def test_the_module_docstring_lists_each_family_commands_and_flags():
+    block = cli.__doc__.split("\n\n")[2]
+    listed, family = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if not line.startswith("               "):
+            family = words.pop(0)
+        listed.setdefault(family, []).extend(w for w in words if w != "|")
+    assert listed == {family: [*_commands(parser), *_flags(parser)] for family, parser in _families().items()}
+
+
+def _readme_commands() -> list:
+    """The argv of each `homleib` line in README's command-line block."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", fh.read(), re.DOTALL).group(1)
+    return [
+        line.split("#")[0].replace("[", "").replace("]", "").split()[1:]
+        for line in block.splitlines()
+        if line.startswith("homleib ")
+    ]
+
+
+def test_every_readme_command_parses():
+    parser, commands = build_parser(), _readme_commands()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert sorted({tuple(argv[:2]) for argv in commands}) == sorted(PARSER_COMMANDS)
+
+
+# twisted_rb.def with an arity-1 cochain, the lower component of a d-hnla pair
+READS_THE_REPRESENTATION = [
+    ("check", "rep"),
+    ("check", "nijrep", "--op", "T"),
+    ("check", "twisted-rb", "--op", "T", "--phi", "phi"),
+    ("check", "o-operator", "--op", "T"),
+    ("construct", "induced-rep", "--op", "T"),
+    ("construct", "ns-from-trb", "--op", "T", "--phi", "phi"),
+    ("cohomology", "delta", "--cochain", "phi"),
+    ("cohomology", "delta-hn", "--cochain", "phi", "--op", "T"),
+    ("cohomology", "phi", "--cochain", "phi", "--op", "T"),
+    ("cohomology", "d-hnla", "--cochain", "phi", "--cochain2", "g", "--op", "T"),
+    ("cohomology", "d2-zero", "--random", "1"),
+    ("cohomology", "square-lemma", "--op", "T", "--random", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", READS_THE_REPRESENTATION, ids=lambda argv: "-".join(argv[:2]))
+def test_a_command_reads_the_representation_once(capsys, monkeypatch, tmp_path, argv):
+    with open(path("twisted_rb.def"), encoding="utf-8") as fh:
+        text = fh.read()
+    file = tmp_path / "twisted_rb_g.def"
+    file.write_text(text + '\n[cochain:g]\narity = "1"\nvalue.L = ["D"]\n', encoding="utf-8")
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return build_representation(*a, **kw)
+
+    monkeypatch.setattr(definitions, "build_representation", counted)
+    command, what, *flags = argv
+    code, _, err = run(capsys, command, what, str(file), *flags)
+    assert err == "" and code in (0, 1)
+    assert len(calls) == 1

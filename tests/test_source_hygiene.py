@@ -46,6 +46,9 @@ parameters `structure.AT_*` and `cohomology._ARITIES` with the
 substitutions compiled with them, whose stores grow only by one image
 per monomial met; caches keyed by call arguments are not.
 
+Found from the syntax tree and the parser too: each command family of
+the command line declares exactly the flags its commands read.
+
 Found from the source text: no module defines, imports or mentions
 `LinearForm` or `to_poly`, as evaluation parameters are polynomials.
 Found from the syntax tree too: `structure._evaluator` and `_table_at`
@@ -56,6 +59,7 @@ possessive quantifier or an atomic group, which Python 3.11 added and
 the package's oldest supported Python (3.10) rejects.
 """
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -343,6 +347,43 @@ def test_no_module_keeps_a_cache_between_calls():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def _reaches(tree, start: str) -> list:
+    """The syntax trees of `start` and of every module-level function and
+    assignment it reaches by name, in the module `tree`."""
+    named = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named.update(
+        (target.id, node) for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    )
+    seen, todo = {}, [start]
+    while todo:
+        name = todo.pop()
+        if name in named and name not in seen:
+            seen[name] = named[name]
+            todo += [node.id for node in ast.walk(named[name]) if isinstance(node, ast.Name)]
+    return list(seen.values())
+
+
+def test_every_flag_is_read_by_its_family():
+    # a family's parser declares exactly the flags some command of the
+    # family reads: each flag's dest is read as `args.<dest>` by the
+    # family's dispatcher or by a function, lambda or table it reaches
+    from homleib.cli import build_parser
+
+    tree = _trees()["cli.py"]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for family, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        read = {
+            node.attr
+            for reached in _reaches(tree, parser.get_default("func").__name__)
+            for node in ast.walk(reached)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        positional = {a.dest for a in parser._actions if not a.option_strings}
+        assert declared and declared == read - positional, family
 
 
 def test_parameters_are_polynomials():
