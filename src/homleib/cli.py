@@ -17,9 +17,10 @@ Four command families, each taking the flags its commands read:
 Check and verification commands emit one report per check (text or
 line-delimited JSON records with --format records) and exit 0 exactly
 when everything passed.  Construct commands print the resulting object
-in definition-file form.  An input or library error ends in one stderr
-line and exit 2; a closed standard output ends the command quietly with
-exit 141.
+in definition-file form.  An input or library error, and a flag of
+the family set away from its default that the chosen command does not
+read, ends in one stderr line and exit 2; a closed standard output ends
+the command quietly with exit 141.
 """
 
 from __future__ import annotations
@@ -141,6 +142,19 @@ def _twisted_data(file, args) -> TwistedRBData:
     return TwistedRBData(alg, rep, op, defs.build_cochain(file, args.phi, alg, rep.rank))
 
 
+def _command(table: dict, args, *shared: str):
+    """The function of the chosen command in its family's table, after
+    refusing each flag of the family that is set away from its default
+    and that neither the command nor its family's dispatcher (`shared`)
+    reads."""
+    run, reads = table[args.what]
+    for flag, settings in _FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in reads and flag not in shared and getattr(args, dest, settings["default"]) != settings["default"]:
+            raise CliError(f"argument {flag}: the {args.what} command does not read it")
+    return run
+
+
 # -- check: each command returns its reports ----------------------------------
 
 
@@ -164,22 +178,26 @@ def _check_o_operator(file, args):
     return [verify_o_operator(alg, _rep_or_adjoint(file, alg), op)]
 
 
+# Each table maps a command to its function and the flags it reads
+# beyond those its family's dispatcher reads for every command.
 _CHECKS = {
-    "algebra": _check_algebra,
-    "lie": lambda file, args: [verify_skew_symmetry(defs.build_algebra(file))],
-    "nijenhuis": lambda file, args: _check_operator(file, args, OperatorKind.nijenhuis()),
-    "rb": lambda file, args: _check_operator(file, args, OperatorKind.rota_baxter(args.weight)),
-    "mrb": lambda file, args: _check_operator(file, args, OperatorKind.modified_rota_baxter(args.weight)),
-    "rep": lambda file, args: [verify_representation(*_alg_rep(file))],
-    "nijrep": _check_nijrep,
-    "ns": lambda file, args: [verify_ns_axioms(defs.build_ns(file), check_vee_skew=args.check_vee_skew)],
-    "twisted-rb": lambda file, args: [verify_twisted_rb(_twisted_data(file, args))],
-    "o-operator": _check_o_operator,
+    "algebra": (_check_algebra, ()),
+    "lie": (lambda file, args: [verify_skew_symmetry(defs.build_algebra(file))], ()),
+    "nijenhuis": (lambda file, args: _check_operator(file, args, OperatorKind.nijenhuis()), ("--op",)),
+    "rb": (lambda file, args: _check_operator(file, args, OperatorKind.rota_baxter(args.weight)), ("--op", "--weight")),
+    "mrb": (lambda file, args: _check_operator(file, args, OperatorKind.modified_rota_baxter(args.weight)),
+            ("--op", "--weight")),
+    "rep": (lambda file, args: [verify_representation(*_alg_rep(file))], ()),
+    "nijrep": (_check_nijrep, ("--op",)),
+    "ns": (lambda file, args: [verify_ns_axioms(defs.build_ns(file), check_vee_skew=args.check_vee_skew)],
+           ("--check-vee-skew",)),
+    "twisted-rb": (lambda file, args: [verify_twisted_rb(_twisted_data(file, args))], ("--op", "--phi")),
+    "o-operator": (_check_o_operator, ("--op",)),
 }
 
 
 def cmd_check(args) -> int:
-    return _emit(_CHECKS[args.what](_load(args.file), args), args.format)
+    return _emit(_command(_CHECKS, args, "--format")(_load(args.file), args), args.format)
 
 
 # -- construct: each command returns the object's section ---------------------
@@ -193,26 +211,27 @@ def _induced_rep(file, args):
 
 
 _CONSTRUCTIONS = {
-    "deformed": lambda file, args: defs.algebra_to_section(
+    "deformed": (lambda file, args: defs.algebra_to_section(
         deformed_bracket(*_alg_op(file, args), strict=args.strict_preconditions), name="deformed"
-    ),
-    "ns-from-n": lambda file, args: defs.ns_to_section(
+    ), ("--strict-preconditions", "--op")),
+    "ns-from-n": (lambda file, args: defs.ns_to_section(
         ns_from_nijenhuis(*_alg_op(file, args), strict=args.strict_preconditions)
-    ),
-    "ns-from-rb": lambda file, args: defs.ns_to_section(
+    ), ("--strict-preconditions", "--op")),
+    "ns-from-rb": (lambda file, args: defs.ns_to_section(
         ns_from_rb(*_alg_op(file, args), args.weight, strict=args.strict_preconditions)
-    ),
-    "ns-from-trb": lambda file, args: defs.ns_to_section(
+    ), ("--strict-preconditions", "--op", "--weight")),
+    "ns-from-trb": (lambda file, args: defs.ns_to_section(
         ns_from_twisted_rb(_twisted_data(file, args), strict=args.strict_preconditions)
-    ),
-    "induced-rep": _induced_rep,
-    "cur": lambda file, args: defs.algebra_to_section(current_algebra(*defs.build_finite(file)), name="cur"),
-    "adjacent": lambda file, args: defs.algebra_to_section(adjacent_algebra(defs.build_ns(file)), name="adjacent"),
+    ), ("--strict-preconditions", "--op", "--phi")),
+    "induced-rep": (_induced_rep, ("--strict-preconditions", "--op")),
+    "cur": (lambda file, args: defs.algebra_to_section(current_algebra(*defs.build_finite(file)), name="cur"), ()),
+    "adjacent": (lambda file, args: defs.algebra_to_section(adjacent_algebra(defs.build_ns(file)), name="adjacent"),
+                 ()),
 }
 
 
 def cmd_construct(args) -> int:
-    return _sections_out(_CONSTRUCTIONS[args.what](_load(args.file), args))
+    return _sections_out(_command(_CONSTRUCTIONS, args)(_load(args.file), args))
 
 
 # -- cohomology: each command prints its result and returns the exit code -----
@@ -291,17 +310,17 @@ def _d_hnla(file, args):
 
 
 _COHOMOLOGY = {
-    "delta": _delta,
-    "delta-hn": _delta_hn,
-    "phi": _phi,
-    "d-hnla": _d_hnla,
-    "d2-zero": _d2_zero,
-    "square-lemma": _square_lemma,
+    "delta": (_delta, ("--cochain",)),
+    "delta-hn": (_delta_hn, ("--cochain", "--op")),
+    "phi": (_phi, ("--cochain", "--op")),
+    "d-hnla": (_d_hnla, ("--cochain", "--cochain2", "--op")),
+    "d2-zero": (_d2_zero, ("--arity", "--seed", "--max-deg", "--random", "--format")),
+    "square-lemma": (_square_lemma, ("--arity", "--seed", "--max-deg", "--random", "--format", "--op")),
 }
 
 
 def cmd_cohomology(args) -> int:
-    return _COHOMOLOGY[args.what](_load(args.file), args)
+    return _command(_COHOMOLOGY, args)(_load(args.file), args)
 
 
 def _add_residual(c: checked, trial: int, residual) -> None:
@@ -327,14 +346,15 @@ def _equiv1(file, args):
 
 
 _DEFORMATIONS = {
-    "check-order": lambda file, args: verify_deformation_order(_deformation(file, args), args.order),
-    "cocycle": lambda file, args: infinitesimal_cocycle_check(_deformation(file, args))[1],
-    "equiv1": _equiv1,
+    "check-order": (lambda file, args: verify_deformation_order(_deformation(file, args), args.order),
+                    ("--name", "--order")),
+    "cocycle": (lambda file, args: infinitesimal_cocycle_check(_deformation(file, args))[1], ("--name",)),
+    "equiv1": (_equiv1, ("--a", "--b", "--psi")),
 }
 
 
 def cmd_deform(args) -> int:
-    return _emit([_DEFORMATIONS[args.what](_load(args.file), args)], args.format)
+    return _emit([_command(_DEFORMATIONS, args, "--format")(_load(args.file), args)], args.format)
 
 
 # -- wiring -------------------------------------------------------------------
@@ -364,25 +384,26 @@ def _fraction(text: str):
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
-# Every flag with its settings; a family declares those its commands read.
+# Every flag with its settings and default; a family declares those its
+# commands read, and a command refuses any other set away from its default.
 _FLAGS = {
     "--format": dict(choices=("text", "records"), default="text"),
-    "--op": dict(help="name of an [operator:NAME] section"),
+    "--op": dict(default=None, help="name of an [operator:NAME] section"),
     "--weight": dict(type=_fraction, default=0, help="Rota-Baxter weight"),
-    "--phi": dict(help="name of an arity-2 [cochain:NAME] section"),
-    "--check-vee-skew": dict(action="store_true"),
-    "--strict-preconditions": dict(action="store_true"),
-    "--cochain": dict(help="name of a [cochain:NAME] section"),
-    "--cochain2": dict(help="lower component for d-hnla"),
+    "--phi": dict(default=None, help="name of an arity-2 [cochain:NAME] section"),
+    "--check-vee-skew": dict(action="store_true", default=False),
+    "--strict-preconditions": dict(action="store_true", default=False),
+    "--cochain": dict(default=None, help="name of a [cochain:NAME] section"),
+    "--cochain2": dict(default=None, help="lower component for d-hnla"),
     "--arity": dict(type=int, default=1),
     "--seed": dict(type=int, default=0),
     "--max-deg": dict(type=int, default=2),
     "--random": dict(type=int, default=20),
-    "--name": dict(help="which [deformation:NAME] section to use"),
+    "--name": dict(default=None, help="which [deformation:NAME] section to use"),
     "--order": dict(type=int, default=1),
-    "--a": dict(help="first deformation section name (equiv1)"),
-    "--b": dict(help="second deformation section name (equiv1)"),
-    "--psi": dict(help="operator section giving the order-1 map (equiv1)"),
+    "--a": dict(default=None, help="first deformation section name (equiv1)"),
+    "--b": dict(default=None, help="second deformation section name (equiv1)"),
+    "--psi": dict(default=None, help="operator section giving the order-1 map (equiv1)"),
 }
 
 

@@ -35,7 +35,7 @@ from math import comb
 from random import Random
 from typing import Callable
 
-from .poly import MAX_ARITY, D, MultiPoly, X, lam, substitution
+from .poly import MAX_ARITY, D, MultiPoly, X, lam, nonzero_images, substitution
 from .report import Report, checked
 from .operators import _check_square
 from .representation import Representation
@@ -170,8 +170,8 @@ def eval_cochain(
 def _evaluator(f: Cochain, at: Parameters):
     """f at the parameters `at`, as a function of the argument tuple:
     `structure._evaluator` with the stored l1..l(n-1) set to them.  An
-    evaluator lives for one coboundary, `phi_map` or compatibility
-    check; the parameters it reads outlive it."""
+    evaluator lives for one coboundary or compatibility check; the
+    parameters it reads outlive it."""
     return _sesquilinear(f.table, tuple(lam(i) for i in range(1, f.arity)), f.rep_rank, at, f.alg_rank)
 
 
@@ -196,7 +196,7 @@ def check_cochain_compat(f: Cochain, alg: ConformalAlgebra, rep: Representation)
 
 @dataclass(frozen=True)
 class _Arity:
-    """What d, phi and the compatibility check evaluate an arity-n cochain
+    """What d, phi and the compatibility check read an arity-n cochain
     at: per i, the parameters of the insertion terms (i, j), j = i + 1..n + 1,
     where (i, n + 1) is the left-action term i and (n, n + 1) the outputs
     l1..l(n-1), each built for the stored l1..l(n-1) (`Parameters.of`).
@@ -312,7 +312,8 @@ class TwistedComplex:
     - nm(l(p) m), r'(m) p = r(nm(m)) p + r(m) Np - nm(r(m) p).  Their
     cells at x are `_deformed_products` of the plain evaluators and
     cells, so no deformed table is built; this holds for every operator
-    pair, Nijenhuis or not.  The view keeps its own frame per arity and
+    pair, Nijenhuis or not.  The basis images are the columns of n_op and
+    nm (`_basis_and_images`).  The view keeps its own frame per arity and
     reads everything else from the plain complex.
     """
 
@@ -341,9 +342,8 @@ class TwistedComplex:
         """The deformed bracket, l and r cells at x that d_HN reads at
         arity n, built once per arity for the view's frame."""
         c, n_op, nm = self.plain, self.n_op, self.plain.rep.n_m
-        acting = c.acting(n)
-        algs, actings = (c.basis, [n_op.apply(e) for e in c.basis]), (acting, [n_op.apply(a) for a in acting])
-        mods = (c.mods, [nm.apply(m) for m in c.mods])
+        algs, mods = _basis_and_images(c.alg.rank, n_op), _basis_and_images(c.rep.rank, nm)
+        actings = algs if n == 1 else (acting := c.acting(n), [n_op.apply(a) for a in acting])
         products = zip(c.evaluators, (algs, actings, mods), (algs, mods, actings), (n_op, nm, nm), c.cells(n))
         return tuple(_deformed_products(*args) for args in products)
 
@@ -474,41 +474,40 @@ def phi_map(f: Cochain, n_op: PdModuleMap, rep: Representation) -> Cochain:
     puts n_op in slot k of g only and nm g applies nm to g's values.  A_k
     acts on arguments and nm on values, so the factors commute, and
     expanding the product picks per slot either n_op there or one factor
-    -nm outside: the subset sum.  Step k is one batch of the running
-    table g at the outputs l1..l(n-1) of arity n (`_at_arity`, built
-    once), with the images n_op(e_t) in slot k and the basis elsewhere
-    (a zero image meets no entry), minus nm of g's stored values.  An
-    empty step table ends the loop, as every later step keeps it zero:
-    for scalar N = nm, the first step already cancels.
+    -nm outside: the subset sum.  Step k builds no evaluator: at the
+    outputs l1..l(n-1) of arity n (`_at_arity`) g's variables stay, so
+    each stored key pushes its vector times each nonzero n_op[key[k]][t]
+    at slot k's D (its held shift) to the key with t in slot k, and takes
+    nm of the vector off at its own key; sums are listed in sorted key
+    order.  An empty step table ends the loop, as every later step keeps
+    it zero: for scalar N = nm, the first step already cancels.
     """
     if rep.n_m is None:
         raise ValueError("representation carries no module operator")
     _check_ranks(f, alg=None, rep=rep)
     if n_op.rows != f.alg_rank or n_op.cols != f.alg_rank:
         raise DimensionError("operator shape does not match the cochain")
-    n, one = f.arity, MultiPoly.const(1)
-    basis, images = _basis_and_images(f.alg_rank, n_op)
+    n, one, zeros, table = f.arity, MultiPoly.const(1), [MultiPoly.zero()] * rep.rank, f.table
     # column j of nm as its nonzero entries (i, entry), None for an entry of 1
     columns = [[(i, None if p == one else p) for i, row in enumerate(rep.n_m.entries) if not (p := row[j]).is_zero]
                for j in range(rep.rank)]
-    stored, lams = [lam(i) for i in range(1, n)], _at_arity(n).outputs
-    keys = list(itertools.product(range(f.alg_rank), repeat=n))
-    table = f.table
-    for k in range(n):
+    for k, shift in enumerate(_at_arity(n).outputs.shifts):
         if not table:
             break
-        slots = [basis] * k + [images] + [basis] * (n - 1 - k)
-        values = _sesquilinear(table, stored, rep.rank, lams, f.alg_rank).batch(slots)
-        step = {}
-        for key, v in zip(keys, values):
-            out = [MultiPoly.zero()] * rep.rank if v is None else list(v.coords)
-            for c, column in zip(table.get(key, ()), columns):
-                if not c.is_zero:
-                    for i, p in column:
-                        out[i] = out[i] - (c if p is None else p * c)
-            if any(not c.is_zero for c in out):
-                step[key] = tuple(out)
-        table = step
+        rows = [nonzero_images(row, shift) for row in n_op.entries]
+        sums = {}
+        for key, vec in table.items():
+            for (t,), c in rows[key[k]]:
+                out = sums.setdefault(key[:k] + (t,) + key[k + 1 :], zeros.copy())
+                for i, p in enumerate(vec):
+                    if not p.is_zero:
+                        out[i] = out[i] + (p if c is None else c * p)
+            out = sums.setdefault(key, zeros.copy())
+            for p, column in zip(vec, columns):
+                if not p.is_zero:
+                    for i, c in column:
+                        out[i] = out[i] - (p if c is None else c * p)
+        table = {key: tuple(sums[key]) for key in sorted(sums) if any(not c.is_zero for c in sums[key])}
     return _cochain(n, f.alg_rank, rep.rank, table)
 
 

@@ -136,7 +136,7 @@ def verify_deformation_order(data: DeformationData, n: int) -> Report:
         _leibniz(c, ("leibniz",), twisted, [
             ((e1, a2), (e12, a1), (e2, a1)) for (e1, e2, e12), a1, a2 in zip(reversed(evs), at1, at2)
         ])
-        images = [[op.apply(e) for e in basis] for op in ops]
+        images = [_basis_and_images(rank, op)[1] for op in ops]
         both, deformed = [], []
         for o1 in range(n + 1):
             for o2 in range(n + 1 - o1):

@@ -475,9 +475,12 @@ AT_X, AT_L1, AT_L2, AT_L12, AT_FLIP = (Parameters.of((w,), (X,)) for w in (XF, L
 
 
 def _basis_and_images(rank: int, m: PdModuleMap) -> tuple[list, list]:
-    """The basis of a free module of this rank, and its images under m."""
-    basis = [basis_element(rank, i) for i in range(rank)]
-    return basis, [m.apply(e) for e in basis]
+    """The basis of a free module of this rank, and its images under m:
+    m(e_i) is column i of m, read off the entries with no product.  A
+    map of another width raises DimensionError as `m.apply` does."""
+    if m.cols != rank:
+        raise DimensionError(f"map of width {m.cols} applied to rank {rank}")
+    return [basis_element(rank, i) for i in range(rank)], [ConformalElement(column) for column in zip(*m.entries)]
 
 
 def _table(cells: dict) -> dict:

@@ -698,6 +698,44 @@ def test_a_flag_the_family_does_not_read_is_a_usage_error(capsys, family, flag):
     assert "error: unrecognized arguments: " + " ".join(extra) in out.err
 
 
+# A value other than its default for every flag, and the flags each
+# family's dispatcher reads for every command.
+SET_VALUES = {"--format": "records", "--op": "ident", "--weight": "1", "--phi": "phi", "--check-vee-skew": None,
+              "--strict-preconditions": None, "--cochain": "f_id", "--cochain2": "f_d", "--arity": "2", "--seed": "3",
+              "--max-deg": "1", "--random": "2", "--name": "b", "--order": "2", "--a": "a", "--b": "b", "--psi": "psi1"}
+TABLES = {"check": (cli._CHECKS, ("--format",)), "construct": (cli._CONSTRUCTIONS, ()),
+          "cohomology": (cli._COHOMOLOGY, ()), "deform": (cli._DEFORMATIONS, ("--format",))}
+
+
+@pytest.mark.parametrize("family, what", PARSER_COMMANDS, ids="-".join)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, family, what):
+    # each flag of the family set away from its default that the command
+    # does not read ends in one error line and exit 2, before the file is
+    # read; one it reads is never refused so
+    name, flags, _, _ = EVERY_COMMAND[family, what]
+    table, shared = TABLES[family]
+    for flag in _flags(_families()[family]):
+        extra = (flag,) if SET_VALUES[flag] is None else (flag, SET_VALUES[flag])
+        for file in (path(name), path("no_such_file.def")):
+            code, out, err = run(capsys, family, what, file, *flags, *extra)
+            refusal = f"error: argument {flag}: the {what} command does not read it\n"
+            if flag in table[what][1] + shared:
+                assert err != refusal
+            else:
+                assert (code, out, err) == (2, "", refusal), flag
+
+
+def test_a_flag_named_at_its_default_is_not_refused(capsys):
+    # delta reads none of these flags and prints no timing, so its output
+    # is compared in full; check algebra reads no --weight
+    delta = ["cohomology", "delta", path("virasoro_ops.def"), "--cochain", "f_id"]
+    plain = run(capsys, *delta)
+    assert plain[0] == 0
+    assert run(capsys, *delta, "--format", "text", "--seed", "0", "--arity", "1", "--random", "20") == plain
+    code, out, err = run(capsys, "check", "algebra", path("virasoro.def"), "--weight", "0/3")
+    assert (code, err) == (0, "") and out.count("[PASS]") == 2
+
+
 def test_each_family_takes_23_flags_in_all():
     assert {family: len(_flags(parser)) for family, parser in _families().items()} == {
         "check": 5, "construct": 4, "cohomology": 8, "deform": 6,

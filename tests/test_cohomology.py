@@ -366,18 +366,32 @@ def test_phi_equals_per_mask_sum(twisted2, trunc_r3):
     _check_phi_per_mask(trunc_r3[0], n_op, PdModuleMap([[d + one, z, one], [one, d, z], [z, two, one]]), (1, 2, 3))
 
 
-def _check_phi_per_mask(alg, n_op, nm, arities):
+def test_phi_equals_per_mask_sum_on_a_module_of_another_rank(twisted2):
+    # phi reads only f, N and nm, so a module with zero actions serves:
+    # ranks 1 and 3 over the rank-2 twisted2, with a D-dependent N and a
+    # D-dependent, non-nilpotent nm, so that a row and column or an
+    # algebra and module rank swapped in phi shows
+    d, one, two, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.const(2), MultiPoly.zero()
+    n_op = PdModuleMap([[one, d], [d + two, one]])
+    for nm in (PdModuleMap([[d + two]]), PdModuleMap([[d + one, z, one], [one, d, z], [z, two, one]])):
+        rep = Representation(twisted2.rank, nm.rows, {}, {}, PdModuleMap.identity(nm.rows))
+        _check_phi_per_mask(twisted2, n_op, nm, (1, 2, 3), rep)
+
+
+def _check_phi_per_mask(alg, n_op, nm, arities, rep=None):
+    """phi against the per-mask sum on random cochains, with values in
+    rep (the adjoint module when None) under the module operator nm."""
     rank = alg.rank
-    rep = with_nm(adjoint_rep(alg), nm)
+    rep = with_nm(adjoint_rep(alg) if rep is None else rep, nm)
     basis = [basis_element(rank, t) for t in range(rank)]
     mapped = [n_op.apply(e) for e in basis]
     rng = random.Random(61)
     for arity in arities:
-        f = random_cochain(rank, rank, arity, rng)
+        f = random_cochain(rank, rep.rank, arity, rng)
         lams, powers = _output_lams(arity - 1), [nm.power(k) for k in range(arity + 1)]
         table = {}
         for key in itertools.product(range(rank), repeat=arity):
-            acc = ConformalElement((MultiPoly.zero(),) * rank)
+            acc = ConformalElement((MultiPoly.zero(),) * rep.rank)
             for mask in itertools.product((0, 1), repeat=arity):
                 bare = arity - sum(mask)
                 args = [mapped[t] if m else basis[t] for m, t in zip(mask, key)]
@@ -386,7 +400,7 @@ def _check_phi_per_mask(alg, n_op, nm, arities):
             if not acc.is_zero:
                 table[key] = acc.coords
         got = phi_map(f, n_op, rep)
-        assert got == Cochain(arity, rank, rank, table)
+        assert got == Cochain(arity, rank, rep.rank, table)
         assert {k: tuple(map(str, v)) for k, v in got.table.items()} == {
             k: tuple(map(str, v)) for k, v in table.items()
         }
@@ -743,8 +757,8 @@ def test_coboundary_equals_per_key_reference_on_unit_and_empty_cochains(request,
 def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
     """A zero bracket and zero actions make every term of the coboundary
     zero: no stored value is substituted and no insertion evaluator is
-    built.  With n_op = 0 each step of phi has the zero image in its
-    operator slot, so no tuple phi evaluates is free of a zero argument.
+    built.  With n_op = 0 every row of n_op is zero, so phi's steps push
+    nothing through it and evaluate no tuple at all.
     The zero operator pair deforms any bracket and actions to zero, so
     d_HN under it is zero at the same cost."""
     substituted, built, evaluated = [], [], []
@@ -798,16 +812,21 @@ def test_structural_zeros_cost_no_work(monkeypatch, twisted2):
             assert substituted == [] and built == []
 
 
-def test_phi_builds_one_evaluator_per_step(monkeypatch, vir, twisted2):
-    """phi at arity n is at most n steps, each one batch of one evaluator
-    of the running table, and builds none once a step's table is empty:
-    one at every arity for N = nm = 2 on vir, whose first step cancels,
-    n for a D-dependent, non-nilpotent pair on twisted2, and none for an
-    empty cochain."""
+def test_phi_builds_no_evaluator_and_stops_at_an_empty_step(monkeypatch, vir, twisted2):
+    """phi at arity n is at most n steps, each a push of the running table
+    through the rows of n_op: it builds no evaluator and compiles no
+    substitution at any arity, and it stops once a step's table is empty.
+    A step reads each row of n_op at its slot's D once (one
+    `nonzero_images` call per row), so the calls count the steps: one at
+    every arity for N = nm = 2 on vir, whose first step cancels, n for a
+    D-dependent, non-nilpotent pair on twisted2, and none for an empty
+    cochain."""
     d, one, two, z = MultiPoly.var(D), MultiPoly.const(1), MultiPoly.const(2), MultiPoly.zero()
     scalar = PdModuleMap.scalar(1, Fraction(2))
     pair = PdModuleMap([[one, d], [z, two]]), PdModuleMap([[d + one, one], [two, d]])
-    built = _counting_builds(monkeypatch)
+    built, rows = _counting_builds(monkeypatch), []
+    real_images = cohomology.nonzero_images
+    monkeypatch.setattr(cohomology, "nonzero_images", lambda ps, apply: rows.append(ps) or real_images(ps, apply))
     rng = random.Random(81)
     for alg, (n_op, nm), steps in ((vir, (scalar, scalar), lambda n: 1), (twisted2, pair, lambda n: n)):
         rep = with_nm(adjoint_rep(alg), nm)
@@ -816,8 +835,10 @@ def test_phi_builds_one_evaluator_per_step(monkeypatch, vir, twisted2):
             assert f.table
             for g, count in ((f, steps(arity)), (zero_cochain(arity, alg.rank, rep.rank), 0)):
                 built.clear()
+                rows.clear()
                 phi_map(g, n_op, rep)
-                assert [kind for kind, _ in built if kind == "evaluator"] == ["evaluator"] * count
+                assert built == []
+                assert rows == list(n_op.entries) * count
 
 
 def _counting_builds(monkeypatch) -> list:

@@ -386,6 +386,52 @@ def test_every_flag_is_read_by_its_family():
         assert declared and declared == read - positional, family
 
 
+def test_every_command_declares_the_flags_it_reads():
+    # each command's entry in its family's table declares exactly the
+    # flags its function reads as `args.<dest>`, with the functions,
+    # lambdas and tables it reaches, and each family's dispatcher passes
+    # `_command` exactly the flags it reads itself, for every command
+    from homleib.cli import build_parser
+
+    tree = _trees()["cli.py"]
+    tables = {
+        target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for family, parser in sub.choices.items():
+        positional = {a.dest for a in parser._actions if not a.option_strings}
+        dispatcher = functions[parser.get_default("func").__name__]
+        (call,) = [
+            node for node in ast.walk(dispatcher)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_command"
+        ]
+        table, _, *shared = call.args
+        assert _args_read([dispatcher]) - positional == _dests(ast.literal_eval(arg) for arg in shared), family
+        commands = tables[table.id]
+        choices = next(a.choices for a in parser._actions if a.dest == "what")
+        assert [ast.literal_eval(key) for key in commands.keys] == list(choices), family
+        for key, entry in zip(commands.keys, commands.values):
+            run, reads = entry.elts
+            reached = [run] + [
+                node for name in {n.id for n in ast.walk(run) if isinstance(n, ast.Name)} for node in _reaches(tree, name)
+            ]
+            assert _args_read(reached) - positional == _dests(ast.literal_eval(reads)), (family, key.value)
+
+
+def _args_read(nodes) -> set:
+    """The attributes read off `args` in the syntax trees nodes."""
+    return {
+        node.attr for reached in nodes for node in ast.walk(reached)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+
+
+def _dests(flags) -> set:
+    return {flag[2:].replace("-", "_") for flag in flags}
+
+
 def test_parameters_are_polynomials():
     named = [
         f"{path.relative_to(SRC).as_posix()} {word}"

@@ -218,6 +218,29 @@ def test_apply_map_dimension_mismatch():
         PdModuleMap.identity(2).apply(basis_element(3, 0))
 
 
+def test_basis_images_are_the_columns_of_the_map():
+    # m(e_i) read off column i equals m.apply(e_i) term for term, with
+    # each coefficient's stored type, on D-dependent rational maps: a
+    # square one, a wide one from a rank-3 module into a rank-2 algebra
+    # (the shape of a relative operator's t) and a tall one.  A map of
+    # another width is refused with apply's DimensionError.
+    d, z, half, third = MultiPoly.var(D), MultiPoly.zero(), MultiPoly.const(Fraction(1, 2)), MultiPoly.const(Fraction(-1, 3))
+    maps = [
+        PdModuleMap([[d * half + third, z], [d * d, MultiPoly.const(1)]]),
+        PdModuleMap([[half, z, d + third], [z, d * third, MultiPoly.const(2)]]),
+        PdModuleMap([[d * half], [z], [third * d * d - half]]),
+    ]
+    for m in maps:
+        basis, images = structure._basis_and_images(m.cols, m)
+        assert basis == [basis_element(m.cols, i) for i in range(m.cols)]
+        assert [_raw(v) for v in images] == [_raw(m.apply(e)) for e in basis]
+        with pytest.raises(DimensionError) as columns:
+            structure._basis_and_images(m.cols + 1, m)
+        with pytest.raises(DimensionError) as applied:
+            m.apply(basis_element(m.cols + 1, 0))
+        assert str(columns.value) == str(applied.value) == f"map of width {m.cols} applied to rank {m.cols + 1}"
+
+
 def test_map_entries_restricted_to_d():
     with pytest.raises(ValueError):
         PdModuleMap([[MultiPoly.var(X)]])
